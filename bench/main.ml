@@ -3,9 +3,12 @@
    Part 1 regenerates every figure and experiment table from the paper
    (page-access counts, element counts, efficiencies — the units the
    paper reports); part 2 runs Bechamel timing micro-benchmarks over the
-   main code paths so wall-clock behaviour can be tracked too.
+   main code paths so wall-clock behaviour can be tracked too; part 3
+   is the parallel speedup table (BENCH_parallel.json) and part 4 the
+   packed-kernel table (BENCH_kernels.json).  Serving numbers live in
+   perfbench/.
 
-   Run with: dune exec bench/main.exe *)
+   Run with: dune exec bench/main.exe [-- --quick | --kernels [--quick]] *)
 
 module Z = Sqp_zorder
 module W = Sqp_workload
@@ -237,67 +240,6 @@ let speedup_table () =
   close_out oc;
   print_endline "  -> BENCH_parallel.json"
 
-(* {1 Observability snapshot}
-
-   Run the seeded stored-relation spatial join under a collecting tracer,
-   sequentially and sharded over 2 domains, and dump what was measured:
-   BENCH_obs.json (per-run page totals + the ambient metrics registry)
-   and BENCH_trace.json (a Chrome trace_event file — load it at
-   chrome://tracing or ui.perfetto.dev for the flame chart). *)
-
-module Obs = Sqp_obs
-module R = Sqp_relalg
-
-let obs_report () =
-  let tracer = Obs.Trace.create ~capacity:4096 Obs.Trace.Collect in
-  Obs.Trace.set_global tracer;
-  Obs.Metrics.reset (Obs.Metrics.global ());
-  let plan () =
-    R.Query.stored_overlap_plan ~options:wk.W.Seeded.decompose_options space
-      wk.W.Seeded.left_objects wk.W.Seeded.right_objects
-  in
-  let seq = R.Plan.run_analyze (plan ()) in
-  let par = R.Plan.run_analyze ~parallelism:2 (plan ()) in
-  print_newline ();
-  print_endline
-    "EXPLAIN ANALYZE: stored 48x48 spatial join, sequential then 2 domains";
-  print_endline
-    "=====================================================================";
-  print_string (R.Plan.render_analysis seq);
-  print_newline ();
-  print_string (R.Plan.render_analysis par);
-  Obs.Trace.write_chrome "BENCH_trace.json" (Obs.Trace.spans tracer);
-  let pages (s : Sqp_storage.Stats.t) =
-    Printf.sprintf
-      "{ \"reads\": %d, \"writes\": %d, \"hits\": %d, \"misses\": %d }"
-      s.Sqp_storage.Stats.physical_reads s.Sqp_storage.Stats.physical_writes
-      s.Sqp_storage.Stats.pool_hits s.Sqp_storage.Stats.pool_misses
-  in
-  let run_json (a : R.Plan.analysis) =
-    Printf.sprintf
-      "{ \"rows\": %d, \"wall_seconds\": %.6f, \"pages\": %s }"
-      (R.Relation.cardinality a.R.Plan.result)
-      a.R.Plan.wall_seconds
-      (pages a.R.Plan.total_pages)
-  in
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"stored 48x48 spatial join\",\n\
-    \  \"sequential\": %s,\n\
-    \  \"parallel2\": %s,\n\
-    \  \"spans_collected\": %d,\n\
-    \  \"spans_dropped\": %d,\n\
-    \  \"metrics\": %s\n\
-     }\n"
-    (run_json seq) (run_json par)
-    (List.length (Obs.Trace.spans tracer))
-    (Obs.Trace.dropped tracer)
-    (Obs.Metrics.to_json (Obs.Metrics.snapshot (Obs.Metrics.global ())));
-  close_out oc;
-  print_endline "  -> BENCH_obs.json, BENCH_trace.json";
-  Obs.Trace.set_global Obs.Trace.null
-
 (* Fast correctness smoke for CI: the parallel drivers must agree with
    the sequential paths on a slice of the bench workload. *)
 let quick_smoke () =
@@ -318,6 +260,8 @@ let quick_smoke () =
     Printf.printf "quick smoke: %d mismatches\n" !failures;
     exit 1
   end
+
+module R = Sqp_relalg
 
 (* {1 Packed kernel microbenches}
 
@@ -402,9 +346,8 @@ let kernels_table ~quick () =
       ]
   in
   print_newline ();
-  Printf.printf "Packed z-value kernels vs bitstring reference (best of %d%s)\n"
-    reps
-    (if Z.Decompose.cache_enabled () then "" else ", decompose cache off");
+  Printf.printf "Packed z-value kernels vs bitstring reference (best of %d)\n"
+    reps;
   print_endline "=====================================================================";
   Printf.printf "  %-34s %12s %12s %9s\n" "kernel" "reference" "packed" "speedup";
   List.iter
@@ -459,78 +402,21 @@ let run_bechamel pool =
       Printf.printf "  %-45s %s/run   (r2 %.3f)\n" name (pretty estimate) r2)
     rows
 
-(* Closed-loop loopback serving benchmark: the same range-query batch
-   pushed through lib/server's full path (framing, admission, shared
-   pool) at increasing client counts.  Writes BENCH_serving.json.
-   [sqp bench-net] is the standalone-CLI flavour of the same loop. *)
-let serving_table () =
-  let catalog = Sqp_server.Catalog.of_seeded wk in
-  let boxes = wk.W.Seeded.query_boxes in
-  let requests_per_client = 40 in
-  print_newline ();
-  print_endline "Network serving (loopback, closed loop, 40 range queries/client)";
-  print_endline "================================================================";
-  Printf.printf "  %8s %10s %12s %14s\n" "clients" "requests" "req/s" "mean ms";
-  let rows =
-    List.map
-      (fun clients ->
-        let metrics = Obs.Metrics.create () in
-        let server = Sqp_server.Server.start ~metrics catalog in
-        let port = Sqp_server.Server.port server in
-        let t0 = Unix.gettimeofday () in
-        let threads =
-          List.init clients (fun c ->
-              Thread.create
-                (fun () ->
-                  Sqp_server.Client.with_connect ~port (fun cl ->
-                      for i = 0 to requests_per_client - 1 do
-                        let box = boxes.(((c * 97) + i) mod Array.length boxes) in
-                        match
-                          Sqp_server.Client.range_search cl
-                            ~lo:(Sqp_geom.Box.lo box) ~hi:(Sqp_geom.Box.hi box)
-                        with
-                        | Ok _ -> ()
-                        | Error e ->
-                            Printf.eprintf "serving bench: %s\n"
-                              (Sqp_server.Client.error_to_string e);
-                            exit 1
-                      done))
-                ())
-        in
-        List.iter Thread.join threads;
-        let wall = Unix.gettimeofday () -. t0 in
-        Sqp_server.Server.stop server;
-        let total = clients * requests_per_client in
-        let rps = float_of_int total /. wall in
-        let mean_ms = wall /. float_of_int total *. 1e3 *. float_of_int clients in
-        Printf.printf "  %8d %10d %12.0f %14.2f\n" clients total rps mean_ms;
-        (clients, total, wall, rps, mean_ms))
-      [ 1; 2; 4 ]
-  in
-  let oc = open_out "BENCH_serving.json" in
-  Printf.fprintf oc "{\n  \"benchmark\": \"serving_closed_loop\",\n  \"rows\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (clients, total, wall, rps, mean_ms) ->
-            Printf.sprintf
-              "    { \"clients\": %d, \"requests\": %d, \"wall_seconds\": %.4f, \
-               \"throughput_rps\": %.1f, \"mean_latency_ms\": %.3f }"
-              clients total wall rps mean_ms)
-          rows));
-  close_out oc;
-  print_endline "  -> BENCH_serving.json"
-
 let () =
-  let has flag = Array.exists (String.equal flag) Sys.argv in
-  if has "--no-decompose-cache" then Z.Decompose.set_cache_enabled false;
+  let flags = List.tl (Array.to_list Sys.argv) in
+  List.iter
+    (fun f ->
+      if not (List.mem f [ "--kernels"; "--quick" ]) then begin
+        Printf.eprintf "bench: unknown flag %s (known: --kernels, --quick)\n" f;
+        exit 2
+      end)
+    flags;
+  let has flag = List.mem flag flags in
   if has "--kernels" then kernels_table ~quick:(has "--quick") ()
   else if has "--quick" then quick_smoke ()
-  else if has "--obs" then obs_report ()
   else begin
     Sqp_core.Reports.run_all ();
     Pool.with_pool ~domains:2 run_bechamel;
     speedup_table ();
-    kernels_table ~quick:false ();
-    serving_table ();
-    obs_report ()
+    kernels_table ~quick:false ()
   end

@@ -375,9 +375,9 @@ let fsck_cmd =
 (* {1 Network serving}
 
    [serve] exposes the seeded catalog over the wire protocol; [shell]
-   is the interactive/scripted client; [bench-net] a closed-loop
-   loopback load generator.  Together they are the "database server
-   interface" deployment mode of the serving tier (lib/server). *)
+   is the interactive/scripted client.  Together they are the "database
+   server interface" deployment mode of the serving tier (lib/server);
+   perfbench/ drives the same binary under closed-loop load. *)
 
 let host_arg =
   Arg.(
@@ -427,14 +427,6 @@ let serve_cmd =
       & info [ "objects" ] ~docv:"N"
           ~doc:"Objects per spatial-join side in the seeded catalog.")
   in
-  let no_decompose_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-decompose-cache" ]
-          ~doc:
-            "Disable the LRU memo cache of box decompositions (escape hatch; \
-             every query then re-decomposes its box).")
-  in
   let idle_timeout_arg =
     Arg.(
       value & opt float 0.
@@ -472,9 +464,7 @@ let serve_cmd =
              chunked copy).")
   in
   let run host port parallelism max_in_flight max_queue default_deadline_ms
-      n_points n_objects no_decompose_cache idle_timeout_s frame_timeout_s
-      shard_spec live_empty =
-    if no_decompose_cache then Sqp_zorder.Decompose.set_cache_enabled false;
+      n_points n_objects idle_timeout_s frame_timeout_s shard_spec live_empty =
     let wk = Sqp_workload.Seeded.standard ~n_points ~n_objects () in
     let shard =
       Option.map
@@ -559,8 +549,7 @@ let serve_cmd =
     Term.(
       const run $ host_arg $ port_arg ~default:7477 $ parallelism_arg
       $ in_flight_arg $ queue_arg $ deadline_arg $ points_arg $ objects_arg
-      $ no_decompose_cache_arg $ idle_timeout_arg $ frame_timeout_arg
-      $ shard_arg $ live_empty_arg)
+      $ idle_timeout_arg $ frame_timeout_arg $ shard_arg $ live_empty_arg)
 
 (* The canonical join plan, as a client would send it over the wire. *)
 let join_wire_plan =
@@ -753,410 +742,6 @@ let shell_cmd =
          "Interactive (or $(b,-c)-scripted) client for a running $(b,sqp \
           serve); exits 1 if any command draws an error.")
     Term.(const run $ host_arg $ port_arg ~default:7477 $ commands_arg $ deadline_arg)
-
-let bench_net_cmd =
-  let clients_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client connections.")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "requests" ] ~docv:"N" ~doc:"Requests per client (closed loop).")
-  in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke mode: 2 clients x 15 requests.")
-  in
-  let faults_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "faults" ] ~docv:"RATE"
-          ~doc:
-            "Inject faults into every client socket at $(docv) (0..1): \
-             connection resets and EPIPEs at $(docv), EINTRs and delays at \
-             $(docv), short reads/writes at 0.2.  The workload gains insert \
-             frames, clients retry with idempotency keys, and the summary \
-             reports goodput, retries per request and reconnects (written to \
-             BENCH_chaos.json by default).")
-  in
-  let fault_seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"Seed of the fault plan (deterministic per seed).")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Where to write the summary (default BENCH_server.json, or \
-             BENCH_chaos.json under --faults).")
-  in
-  let run host port clients requests quick faults fault_seed json_path =
-    let clients = if quick then 2 else clients in
-    let requests = if quick then 15 else requests in
-    let json_path =
-      match json_path with
-      | Some p -> p
-      | None -> (
-          match faults with
-          | Some _ -> "BENCH_chaos.json"
-          | None -> "BENCH_server.json")
-    in
-    (* port 0: self-host an ephemeral server so the bench is one command. *)
-    let own_server =
-      if port = 0 then
-        Some
-          (Srv.Server.start
-             ~config:{ Srv.Server.default_config with host }
-             (Srv.Catalog.of_seeded (Sqp_workload.Seeded.standard ())))
-      else None
-    in
-    let port =
-      match own_server with Some s -> Srv.Server.port s | None -> port
-    in
-    (* Exactly-once differential (self-hosted only): under faults the
-       acked insert frames must equal the live table's batch-sequence
-       advance — a double-applied retry would break the equation. *)
-    let live_seq () =
-      match own_server with
-      | Some s -> (
-          match Srv.Catalog.live (Srv.Server.catalog s) "L" with
-          | Some lv -> Some (Sqp_btree.Live.seq lv)
-          | None -> None)
-      | None -> None
-    in
-    let seq_before = live_seq () in
-    let wrap =
-      match faults with
-      | None -> None
-      | Some rate ->
-          let rate = if rate < 0. then 0. else if rate > 1. then 1. else rate in
-          Some
-            (Srv.Faulty_net.wrap
-               (Srv.Faulty_net.seeded ~p_eintr:rate ~p_short:0.2 ~p_delay:rate
-                  ~delay_s:0.0005 ~p_reset:rate ~seed:fault_seed ()))
-    in
-    let wk = Sqp_workload.Seeded.standard () in
-    let boxes = wk.Sqp_workload.Seeded.query_boxes in
-    let side = Sqp_zorder.Space.side wk.Sqp_workload.Seeded.space in
-    let acked_inserts = Atomic.make 0 in
-    let retries_total = Atomic.make 0 in
-    let reconnects_total = Atomic.make 0 in
-    (* Under faults a torn first attempt is routine: give the retry loop
-       room.  Without faults keep the old fail-fast behavior. *)
-    let max_attempts = match faults with Some _ -> 100 | None -> 4 in
-    let latencies_of_client c =
-      Srv.Client.with_connect ~host ~port ?wrap ~max_attempts
-        ~client_id:((fault_seed * 1000) + c) (fun client ->
-          let lat =
-            Array.init requests (fun i ->
-                let t0 = Unix.gettimeofday () in
-                let reply =
-                  if faults <> None && i mod 5 = 2 then
-                    Result.map
-                      (fun (applied, _seq) ->
-                        ignore (Atomic.fetch_and_add acked_inserts 1);
-                        ignore applied)
-                      (Srv.Client.insert client ~table:"L"
-                         (List.init 4 (fun j ->
-                              let n = (c * 1_000_000) + (i * 100) + j in
-                              ( [| n * 7919 mod side; n * 104729 mod side |],
-                                900_000_000 + n ))))
-                  else if i mod 10 = 9 then
-                    Result.map (fun _ -> ())
-                      (Srv.Client.query client join_wire_plan)
-                  else
-                    let box = boxes.(((c * 131) + i) mod Array.length boxes) in
-                    Result.map
-                      (fun _ -> ())
-                      (Srv.Client.range_search client ~lo:(Sqp_geom.Box.lo box)
-                         ~hi:(Sqp_geom.Box.hi box))
-                in
-                (match reply with
-                | Ok () -> ()
-                | Error e ->
-                    Printf.eprintf "bench-net: request failed: %s\n"
-                      (Srv.Client.error_to_string e);
-                    Stdlib.exit 1);
-                Unix.gettimeofday () -. t0)
-          in
-          ignore (Atomic.fetch_and_add retries_total (Srv.Client.retries client));
-          ignore
-            (Atomic.fetch_and_add reconnects_total (Srv.Client.reconnects client));
-          lat)
-    in
-    let t0 = Unix.gettimeofday () in
-    let results = Array.make clients [||] in
-    let threads =
-      List.init clients (fun c ->
-          Thread.create (fun () -> results.(c) <- latencies_of_client c) ())
-    in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    let seq_after = live_seq () in
-    (match (faults, seq_before, seq_after) with
-    | Some _, Some before, Some after ->
-        let acked = Atomic.get acked_inserts in
-        if after - before <> acked then begin
-          Printf.eprintf
-            "bench-net: exactly-once violated: %d insert frames acked but the \
-             live table advanced %d batches\n"
-            acked (after - before);
-          Stdlib.exit 1
-        end
-    | _ -> ());
-    (match own_server with Some s -> Srv.Server.stop s | None -> ());
-    let latencies = Array.concat (Array.to_list results) in
-    Array.sort compare latencies;
-    let total = Array.length latencies in
-    let pct p = latencies.(min (total - 1) (p * total / 100)) *. 1e3 in
-    let throughput = float_of_int total /. wall in
-    let retries = Atomic.get retries_total in
-    let reconnects = Atomic.get reconnects_total in
-    let retries_per_request = float_of_int retries /. float_of_int (max 1 total) in
-    (match faults with
-    | None ->
-        Printf.printf
-          "bench-net: %d clients x %d requests in %.2fs (%.0f req/s)\n\
-           latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n"
-          clients requests wall throughput (pct 50) (pct 90) (pct 99)
-          (latencies.(total - 1) *. 1e3)
-    | Some rate ->
-        Printf.printf
-          "bench-net --faults %.3g (seed %d): %d clients x %d requests in %.2fs\n\
-           goodput %.0f req/s; %d retries (%.2f/request), %d reconnects; %d \
-           insert frames exactly-once\n\
-           latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n"
-          rate fault_seed clients requests wall throughput retries
-          retries_per_request reconnects (Atomic.get acked_inserts) (pct 50)
-          (pct 90) (pct 99)
-          (latencies.(total - 1) *. 1e3));
-    let oc = open_out json_path in
-    (match faults with
-    | None ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"benchmark\": \"server_closed_loop\",\n\
-          \  \"clients\": %d,\n\
-          \  \"requests_per_client\": %d,\n\
-          \  \"total_requests\": %d,\n\
-          \  \"wall_seconds\": %.4f,\n\
-          \  \"throughput_rps\": %.1f,\n\
-          \  \"latency_ms\": { \"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \
-           \"max\": %.3f }\n\
-           }\n"
-          clients requests total wall throughput (pct 50) (pct 90) (pct 99)
-          (latencies.(total - 1) *. 1e3)
-    | Some rate ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"benchmark\": \"server_chaos_closed_loop\",\n\
-          \  \"fault_rate\": %.4f,\n\
-          \  \"fault_seed\": %d,\n\
-          \  \"clients\": %d,\n\
-          \  \"requests_per_client\": %d,\n\
-          \  \"total_requests\": %d,\n\
-          \  \"wall_seconds\": %.4f,\n\
-          \  \"goodput_rps\": %.1f,\n\
-          \  \"retries\": %d,\n\
-          \  \"retries_per_request\": %.3f,\n\
-          \  \"reconnects\": %d,\n\
-          \  \"insert_frames_acked\": %d,\n\
-          \  \"latency_ms\": { \"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \
-           \"max\": %.3f }\n\
-           }\n"
-          rate fault_seed clients requests total wall throughput retries
-          retries_per_request reconnects (Atomic.get acked_inserts) (pct 50)
-          (pct 90) (pct 99)
-          (latencies.(total - 1) *. 1e3));
-    close_out oc;
-    Printf.printf "wrote %s\n" json_path
-  in
-  Cmd.v
-    (Cmd.info "bench-net"
-       ~doc:
-         "Closed-loop loopback benchmark against $(b,sqp serve) (or a \
-          self-hosted ephemeral server with --port 0); writes \
-          BENCH_server.json — or, with $(b,--faults), a chaos run with \
-          client-side fault injection, exactly-once retries and \
-          BENCH_chaos.json.")
-    Term.(
-      const run $ host_arg $ port_arg ~default:0 $ clients_arg $ requests_arg
-      $ quick_arg $ faults_arg $ fault_seed_arg $ json_arg)
-
-(* Mixed ingest benchmark: writer threads stream insert/delete batches
-   into the live table while reader threads run snapshot range queries
-   against it — sustained write throughput plus read-latency percentiles
-   under write pressure, the serving-tier counterpart of the
-   differential torture suite. *)
-let bench_ingest_cmd =
-  let module Rng = Sqp_workload.Rng in
-  let writers_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "writers" ] ~docv:"N" ~doc:"Concurrent writer connections.")
-  in
-  let readers_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "readers" ] ~docv:"N"
-          ~doc:"Concurrent reader connections issuing live range queries.")
-  in
-  let seconds_arg =
-    Arg.(
-      value & opt float 5.0
-      & info [ "seconds" ] ~docv:"S" ~doc:"Wall-clock duration of the run.")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "batch" ] ~docv:"N" ~doc:"Points per insert frame.")
-  in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke mode: 1 second, batches of 16.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt string "BENCH_ingest.json"
-      & info [ "json" ] ~docv:"FILE" ~doc:"Where to write the summary.")
-  in
-  let run host port writers readers seconds batch quick json_path =
-    let seconds = if quick then 1.0 else seconds in
-    let batch = if quick then 16 else batch in
-    let own_server =
-      if port = 0 then
-        Some
-          (Srv.Server.start
-             ~config:{ Srv.Server.default_config with host }
-             (Srv.Catalog.of_seeded (Sqp_workload.Seeded.standard ())))
-      else None
-    in
-    let port =
-      match own_server with Some s -> Srv.Server.port s | None -> port
-    in
-    let wk = Sqp_workload.Seeded.standard () in
-    let side = Sqp_zorder.Space.side wk.Sqp_workload.Seeded.space in
-    let die e =
-      Printf.eprintf "bench-ingest: request failed: %s\n"
-        (Srv.Client.error_to_string e);
-      Stdlib.exit 1
-    in
-    let t0 = Unix.gettimeofday () in
-    let deadline = t0 +. seconds in
-    let ops_applied = Atomic.make 0 in
-    let frames_sent = Atomic.make 0 in
-    let writer w =
-      Srv.Client.with_connect ~host ~port (fun client ->
-          let rng = Rng.create ~seed:(1_000 + w) in
-          (* a ring of recently inserted points so deletes mostly hit *)
-          let recent = Array.make 256 [| 0; 0 |] in
-          let inserted = ref 0 in
-          let next_id = ref (w * 10_000_000) in
-          while Unix.gettimeofday () < deadline do
-            let reply =
-              if !inserted >= batch && Rng.int rng 4 = 0 then
-                Srv.Client.delete client ~table:"L"
-                  (List.init (max 1 (batch / 2)) (fun _ ->
-                       recent.(Rng.int rng (min !inserted 256))))
-              else
-                Srv.Client.insert client ~table:"L"
-                  (List.init batch (fun _ ->
-                       let p = [| Rng.int rng side; Rng.int rng side |] in
-                       recent.(!inserted mod 256) <- p;
-                       incr inserted;
-                       incr next_id;
-                       (p, !next_id)))
-            in
-            match reply with
-            | Ok (applied, _seq) ->
-                ignore (Atomic.fetch_and_add ops_applied applied);
-                Atomic.incr frames_sent
-            | Error e -> die e
-          done)
-    in
-    let read_latencies = Array.make (max 1 readers) [] in
-    let reader r =
-      Srv.Client.with_connect ~host ~port (fun client ->
-          let rng = Rng.create ~seed:(2_000 + r) in
-          let ext = max 1 (side / 8) in
-          let acc = ref [] in
-          while Unix.gettimeofday () < deadline do
-            let x = Rng.int rng (side - ext) and y = Rng.int rng (side - ext) in
-            let q0 = Unix.gettimeofday () in
-            (match
-               Srv.Client.live_range client ~table:"L" ~lo:[| x; y |]
-                 ~hi:[| x + ext - 1; y + ext - 1 |]
-             with
-            | Ok _ -> acc := (Unix.gettimeofday () -. q0) :: !acc
-            | Error e -> die e);
-            read_latencies.(r) <- !acc
-          done)
-    in
-    let threads =
-      List.init writers (fun w -> Thread.create writer w)
-      @ List.init readers (fun r -> Thread.create reader r)
-    in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    (match own_server with Some s -> Srv.Server.stop s | None -> ());
-    let ops = Atomic.get ops_applied in
-    let throughput = float_of_int ops /. wall in
-    let latencies =
-      Array.of_list (List.concat (Array.to_list read_latencies))
-    in
-    Array.sort compare latencies;
-    let reads = Array.length latencies in
-    let pct p =
-      if reads = 0 then 0.0
-      else latencies.(min (reads - 1) (p * reads / 100)) *. 1e3
-    in
-    let lat_max = if reads = 0 then 0.0 else latencies.(reads - 1) *. 1e3 in
-    Printf.printf
-      "bench-ingest: %d writers, %d readers for %.2fs\n\
-       writes: %d ops applied in %d frames (%.0f ops/s sustained)\n\
-       reads:  %d live range queries; latency ms: p50 %.2f  p90 %.2f  p99 %.2f  \
-       max %.2f\n"
-      writers readers wall ops (Atomic.get frames_sent) throughput reads (pct 50)
-      (pct 90) (pct 99) lat_max;
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": \"live_ingest_mixed\",\n\
-      \  \"writers\": %d,\n\
-      \  \"readers\": %d,\n\
-      \  \"batch\": %d,\n\
-      \  \"wall_seconds\": %.4f,\n\
-      \  \"write_ops_applied\": %d,\n\
-      \  \"write_frames\": %d,\n\
-      \  \"write_ops_per_s\": %.1f,\n\
-      \  \"read_requests\": %d,\n\
-      \  \"read_latency_ms\": { \"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \
-       \"max\": %.3f }\n\
-       }\n"
-      writers readers batch wall ops (Atomic.get frames_sent) throughput reads
-      (pct 50) (pct 90) (pct 99) lat_max;
-    close_out oc;
-    Printf.printf "wrote %s\n" json_path
-  in
-  Cmd.v
-    (Cmd.info "bench-ingest"
-       ~doc:
-         "Mixed-workload ingest benchmark against the live table of $(b,sqp \
-          serve) (or a self-hosted ephemeral server with --port 0): sustained \
-          write throughput under concurrent snapshot reads; writes \
-          BENCH_ingest.json.")
-    Term.(
-      const run $ host_arg $ port_arg ~default:0 $ writers_arg $ readers_arg
-      $ seconds_arg $ batch_arg $ quick_arg $ json_arg)
 
 (* Optimizer benchmark: for each seeded workload, time the plan the
    cost-based optimizer chooses against every forced alternative (and
@@ -1351,188 +936,18 @@ let bench_optimizer_cmd =
           seeded workloads; writes BENCH_optimizer.json.")
     Term.(const run $ quick_arg $ json_arg)
 
-(* Compression benchmark: front-coded pages against the fixed-width
-   baseline at the same byte budget — entries per page, data pages
-   touched per range query, on-disk dump sizes (v3 vs v2), and the
-   latency guardrails on the range and kernel-join paths. *)
-let bench_compress_cmd =
-  let module W = Sqp_workload in
-  let module Zi = Sqp_btree.Zindex in
-  let module P = Sqp_btree.Persist in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke mode: 3 timing repetitions instead of 9.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt string "BENCH_compress.json"
-      & info [ "json" ] ~docv:"FILE" ~doc:"Where to write the results.")
-  in
-  let run quick json_path =
-    let reps = if quick then 3 else 9 in
-    let median_ms f =
-      ignore (f ()) (* warm caches *);
-      let samples =
-        List.init reps (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            ignore (f ());
-            (Unix.gettimeofday () -. t0) *. 1e3)
-      in
-      List.nth (List.sort compare samples) (reps / 2)
-    in
-    let wk = W.Seeded.standard () in
-    let space = wk.W.Seeded.space in
-    let pts = W.Seeded.tagged_points wk in
-    let budget = 512 in
-    (* The payload is a row id: charge it as a u32, so the density
-       comparison measures the key layouts rather than payload padding. *)
-    let comp = Zi.of_points ~page_budget:budget ~value_bytes:4 space pts in
-    let fixed =
-      Zi.of_points ~page_budget:budget ~value_bytes:4 ~compressed:false space
-        pts
-    in
-    let boxes = Array.to_list wk.W.Seeded.query_boxes in
-    (* Differential sweep: identical rows, fewer pages. *)
-    let pages_comp = ref 0 and pages_fixed = ref 0 and mismatches = ref 0 in
-    List.iter
-      (fun b ->
-        let rc, sc = Zi.range_search comp b in
-        let rf, sf = Zi.range_search fixed b in
-        if rc <> rf then incr mismatches;
-        pages_comp := !pages_comp + sc.Zi.data_pages;
-        pages_fixed := !pages_fixed + sf.Zi.data_pages)
-      boxes;
-    let cstats =
-      match Zi.compression_stats comp with
-      | Some c -> c
-      | None -> assert false (* built with a budget *)
-    in
-    let fixed_epp = Zi.avg_leaf_entries fixed in
-    (* On-disk dumps of the same index in both formats. *)
-    let v3_path = Filename.temp_file "sqp_bench_compress" ".v3" in
-    let v2_path = Filename.temp_file "sqp_bench_compress" ".v2" in
-    let v3_pages = P.save ~format:P.V3 ~path:v3_path ~encode:string_of_int comp in
-    let v2_pages = P.save ~format:P.V2 ~path:v2_path ~encode:string_of_int comp in
-    let file_size p = (Unix.stat p).Unix.st_size in
-    let v3_bytes = file_size v3_path and v2_bytes = file_size v2_path in
-    Sys.remove v3_path;
-    Sys.remove v2_path;
-    (* Latency guardrails: the compressed layout must not slow the range
-       path, and the streaming runs sweep must hold its own against the
-       flat-array kernel. *)
-    let range_ms idx =
-      median_ms (fun () ->
-          List.iter (fun b -> ignore (Zi.range_search idx b)) boxes)
-    in
-    let range_comp_ms = range_ms comp and range_fixed_ms = range_ms fixed in
-    let l_elts, r_elts = W.Seeded.join_elements wk in
-    let comparisons = ref 0 in
-    let join =
-      match
-        ( Sqp_core.Zseq.of_list ~comparisons l_elts,
-          Sqp_core.Zseq.of_list ~comparisons r_elts )
-      with
-      | Some ls, Some rs ->
-          let lr = Sqp_core.Zseq.to_runs ls and rr = Sqp_core.Zseq.to_runs rs in
-          let flat_pairs, _ = Sqp_core.Zseq.pairs ~comparisons ls rs in
-          let runs_pairs, _ = Sqp_core.Zseq.pairs_runs ~comparisons lr rr in
-          let flat_ms =
-            median_ms (fun () -> Sqp_core.Zseq.pairs ~comparisons ls rs)
-          in
-          let runs_ms =
-            median_ms (fun () -> Sqp_core.Zseq.pairs_runs ~comparisons lr rr)
-          in
-          let z_bytes =
-            Sqp_core.Zseq.runs_bytes lr + Sqp_core.Zseq.runs_bytes rr
-          in
-          let z_raw =
-            Sqp_core.Zseq.runs_raw_bytes lr + Sqp_core.Zseq.runs_raw_bytes rr
-          in
-          Some (flat_ms, runs_ms, flat_pairs = runs_pairs, z_bytes, z_raw)
-      | _ -> None
-    in
-    Printf.printf
-      "leaf density (budget %dB): %.1f entries/page front-coded vs %.1f \
-       fixed-width (%.2fx, %d vs %d leaves)\n"
-      budget cstats.Zi.avg_entries_per_leaf fixed_epp cstats.Zi.ratio
-      cstats.Zi.leaves (Zi.data_page_count fixed);
-    Printf.printf
-      "range batch (%d boxes): %d data pages compressed vs %d fixed (rows %s); \
-       %.3f ms vs %.3f ms\n"
-      (List.length boxes) !pages_comp !pages_fixed
-      (if !mismatches = 0 then "identical" else
-         Printf.sprintf "MISMATCH on %d boxes" !mismatches)
-      range_comp_ms range_fixed_ms;
-    Printf.printf "on disk: v3 %d pages / %d bytes vs v2 %d pages / %d bytes\n"
-      v3_pages v3_bytes v2_pages v2_bytes;
-    (match join with
-    | Some (flat_ms, runs_ms, same, zb, zr) ->
-        Printf.printf
-          "kernel join: flat %.3f ms vs runs %.3f ms (pairs %s); z bytes %d vs \
-           %d raw (%.2fx)\n"
-          flat_ms runs_ms
-          (if same then "identical" else "MISMATCH")
-          zb zr
-          (float_of_int zr /. float_of_int (max 1 zb))
-    | None -> print_endline "kernel join: skipped (z values exceed Zpacked)");
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": \"compressed_vs_fixed_storage\",\n\
-      \  \"repetitions\": %d,\n\
-      \  \"page_budget_bytes\": %d,\n\
-      \  \"leaf_density\": { \"compressed\": %.2f, \"fixed\": %.2f, \"ratio\": \
-       %.3f },\n\
-      \  \"leaves\": { \"compressed\": %d, \"fixed\": %d },\n\
-      \  \"range_batch\": { \"boxes\": %d, \"data_pages_compressed\": %d,\n\
-      \                    \"data_pages_fixed\": %d, \"rows_identical\": %b,\n\
-      \                    \"ms_compressed\": %.4f, \"ms_fixed\": %.4f },\n\
-      \  \"on_disk\": { \"v3_pages\": %d, \"v3_bytes\": %d, \"v2_pages\": %d, \
-       \"v2_bytes\": %d },\n\
-       %s\
-      \  \"density_ratio_at_least_1_5\": %b,\n\
-      \  \"fewer_pages_than_fixed\": %b\n\
-       }\n"
-      reps budget cstats.Zi.avg_entries_per_leaf fixed_epp cstats.Zi.ratio
-      cstats.Zi.leaves (Zi.data_page_count fixed) (List.length boxes)
-      !pages_comp !pages_fixed (!mismatches = 0) range_comp_ms range_fixed_ms
-      v3_pages v3_bytes v2_pages v2_bytes
-      (match join with
-      | Some (flat_ms, runs_ms, same, zb, zr) ->
-          Printf.sprintf
-            "  \"kernel_join\": { \"ms_flat\": %.4f, \"ms_runs\": %.4f, \
-             \"pairs_identical\": %b,\n\
-            \                    \"z_bytes_runs\": %d, \"z_bytes_raw\": %d },\n"
-            flat_ms runs_ms same zb zr
-      | None -> "")
-      (cstats.Zi.ratio >= 1.5)
-      (!pages_comp < !pages_fixed);
-    close_out oc;
-    Printf.printf "wrote %s\n" json_path;
-    if !mismatches > 0 then Stdlib.exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-compress"
-       ~doc:
-         "Prefix-compression benchmark: front-coded vs fixed-width pages at \
-          the same byte budget (leaf density, pages per range query, v3 vs v2 \
-          dump sizes, kernel latencies); writes BENCH_compress.json.")
-    Term.(const run $ quick_arg $ json_arg)
-
-(* {1 Cluster: shard spawning, the router daemon, the scaling bench} *)
+(* {1 Cluster: shard spawning and the router daemon} *)
 
 (* Spawn [sqp serve --port 0 --shard spec] as a child process and parse
    the machine-parseable SQP_SERVE_PORT= line off its stdout.  A drain
    thread keeps reading so the child can never block on a full pipe. *)
 type spawned_shard = { pid : int; port : int; drain : Thread.t }
 
-let spawn_shard ?(live_empty = false) ~points ~objects ~spec () =
+let spawn_shard ~points ~objects spec =
   let exe = Sys.executable_name in
   let args =
     [ exe; "serve"; "--port"; "0"; "--points"; string_of_int points;
       "--objects"; string_of_int objects; "--shard"; spec ]
-    @ (if live_empty then [ "--live-empty" ] else [])
   in
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let pid = Unix.create_process exe (Array.of_list args) Unix.stdin out_w Unix.stderr in
@@ -1567,10 +982,8 @@ let stop_shard s =
   ignore (try Unix.waitpid [] s.pid with Unix.Unix_error _ -> (s.pid, Unix.WEXITED 0));
   Thread.join s.drain
 
-let spawn_even_shards ?(live_empty = false) ~points ~objects n =
-  List.init n (fun i ->
-      spawn_shard ~live_empty ~points ~objects
-        ~spec:(Printf.sprintf "%d/%d" i n) ())
+let spawn_even_shards ~points ~objects n =
+  List.init n (fun i -> spawn_shard ~points ~objects (Printf.sprintf "%d/%d" i n))
 
 let route_cmd =
   let spawn_arg =
@@ -1672,151 +1085,6 @@ let route_cmd =
       const run $ host_arg $ port_arg ~default:7478 $ spawn_arg $ shards_arg
       $ points_arg $ objects_arg)
 
-let bench_cluster_cmd =
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke mode: fewer points and queries.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt string "BENCH_cluster.json"
-      & info [ "json" ] ~docv:"FILE" ~doc:"Where to write the summary.")
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client connections.")
-  in
-  let run quick json_path clients =
-    let points = if quick then 4000 else 20000 in
-    let objects = 48 in
-    let queries = if quick then 60 else 400 in
-    let wk = Sqp_workload.Seeded.standard ~n_points:points () in
-    let space = wk.Sqp_workload.Seeded.space in
-    let boxes = wk.Sqp_workload.Seeded.query_boxes in
-    (* Throughput scaling on one box comes from data partitioning, not
-       extra cores: the statistics-free (Planned) range path costs
-       per-query work proportional to the shard's point count, and the
-       box cover prunes the fan-out to the overlapping shards — so no
-       Refresh_stats here, on purpose. *)
-    let run_one n_shards =
-      let shards = spawn_even_shards ~points ~objects n_shards in
-      Fun.protect ~finally:(fun () -> List.iter stop_shard shards)
-      @@ fun () ->
-      let map =
-        Srv.Shard_map.even space
-          (List.map (fun s -> ("127.0.0.1", s.port)) shards)
-      in
-      let metrics = Sqp_obs.Metrics.create () in
-      let router =
-        Sqp_cluster.Router.start
-          ~config:{ Sqp_cluster.Router.default_config with port = 0 }
-          ~metrics ~space ~map ()
-      in
-      Fun.protect ~finally:(fun () -> Sqp_cluster.Router.stop router)
-      @@ fun () ->
-      let rport = Sqp_cluster.Router.port router in
-      let per_client = queries / clients in
-      let t0 = Unix.gettimeofday () in
-      let threads =
-        List.init clients (fun c ->
-            Thread.create
-              (fun () ->
-                Srv.Client.with_connect ~port:rport (fun client ->
-                    for i = 0 to per_client - 1 do
-                      let box = boxes.(((c * 131) + i) mod Array.length boxes) in
-                      match
-                        Srv.Client.range_search client
-                          ~lo:(Sqp_geom.Box.lo box) ~hi:(Sqp_geom.Box.hi box)
-                      with
-                      | Ok _ -> ()
-                      | Error e ->
-                          Printf.eprintf "bench-cluster: %s\n"
-                            (Srv.Client.error_to_string e);
-                          Stdlib.exit 1
-                    done))
-              ())
-      in
-      List.iter Thread.join threads;
-      let wall = Unix.gettimeofday () -. t0 in
-      let total = per_client * clients in
-      let jt0 = Unix.gettimeofday () in
-      let join_rows =
-        Srv.Client.with_connect ~port:rport (fun client ->
-            match Srv.Client.query client join_wire_plan with
-            | Ok rel -> Sqp_relalg.Relation.cardinality rel
-            | Error e ->
-                Printf.eprintf "bench-cluster: join failed: %s\n"
-                  (Srv.Client.error_to_string e);
-                Stdlib.exit 1)
-      in
-      let join_ms = (Unix.gettimeofday () -. jt0) *. 1e3 in
-      let qps = float_of_int total /. wall in
-      Printf.printf
-        "bench-cluster: %d shard%s: %d range queries in %.2fs (%.1f q/s); \
-         join %d rows in %.1fms\n\
-         %!"
-        n_shards
-        (if n_shards = 1 then "" else "s")
-        total wall qps join_rows join_ms;
-      (n_shards, total, wall, qps, join_rows, join_ms)
-    in
-    let runs = List.map run_one [ 1; 2; 4 ] in
-    let monotonic =
-      match runs with
-      | [ (_, _, _, q1, _, _); (_, _, _, q2, _, _); (_, _, _, q4, _, _) ] ->
-          q1 <= q2 && q2 <= q4
-      | _ -> false
-    in
-    let join_consistent =
-      match runs with
-      | (_, _, _, _, r1, _) :: rest ->
-          List.for_all (fun (_, _, _, _, r, _) -> r = r1) rest
-      | [] -> false
-    in
-    if not join_consistent then begin
-      Printf.eprintf
-        "bench-cluster: join row counts diverge across shard counts\n";
-      Stdlib.exit 1
-    end;
-    if not monotonic then
-      Printf.eprintf
-        "bench-cluster: WARNING: throughput not monotonic across 1/2/4 shards\n";
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": \"cluster_scaling_closed_loop\",\n\
-      \  \"quick\": %b,\n\
-      \  \"points\": %d,\n\
-      \  \"clients\": %d,\n\
-      \  \"monotonic_1_2_4\": %b,\n\
-      \  \"join_rows_consistent\": %b,\n\
-      \  \"runs\": [\n%s\n  ]\n\
-       }\n"
-      quick points clients monotonic join_consistent
-      (String.concat ",\n"
-         (List.map
-            (fun (n, total, wall, qps, jr, jms) ->
-              Printf.sprintf
-                "    { \"shards\": %d, \"queries\": %d, \"wall_seconds\": \
-                 %.4f, \"throughput_qps\": %.1f, \"join_rows\": %d, \
-                 \"join_ms\": %.2f }"
-                n total wall qps jr jms)
-            runs));
-    close_out oc;
-    Printf.printf "wrote %s\n" json_path
-  in
-  Cmd.v
-    (Cmd.info "bench-cluster"
-       ~doc:
-         "Cluster scaling benchmark: the same closed-loop range-query \
-          workload against a router over 1, 2 and 4 spawned z-range shards; \
-          verifies the spatial join answers identically at every shard count \
-          and writes BENCH_cluster.json (throughput must grow with the shard \
-          count — per-query work shrinks with the shard's slice).")
-    Term.(const run $ quick_arg $ json_arg $ clients_arg)
-
 let () =
   let info =
     Cmd.info "sqp" ~version:"1.0.0"
@@ -1832,7 +1100,6 @@ let () =
             strategies_cmd; policies_cmd; partial_match_cmd; euv_cmd;
             coarsen_cmd; proximity_cmd; join_cmd; overlay_cmd; ccl_cmd;
             interference_cmd; fill_cmd; three_d_cmd; curves_cmd; object_join_cmd;
-            all_cmd; query_cmd; fsck_cmd; serve_cmd; shell_cmd; bench_net_cmd;
-            bench_ingest_cmd; bench_optimizer_cmd; bench_compress_cmd;
-            route_cmd; bench_cluster_cmd;
+            all_cmd; query_cmd; fsck_cmd; serve_cmd; shell_cmd;
+            bench_optimizer_cmd; route_cmd;
           ]))

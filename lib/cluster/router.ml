@@ -483,7 +483,7 @@ let rebal_fail t msg =
 (* A dual-write executes once per origin idempotency key: replays
    (client retries, stale re-routes through [with_stale_retry]) find
    the key in [shadowed] and skip both the write and its [moved]
-   record.  Unkeyed (v1) mutations cannot be tracked and execute each
+   record.  Unkeyed mutations cannot be tracked and execute each
    time — the same at-least-once contract an unkeyed client already
    has against a single server. *)
 let shadow_fresh t rb = function
@@ -890,15 +890,13 @@ let route t (frame : P.request_frame) payload =
 
 let handle t payload =
   Metrics.incr t.c_requests;
-  let version = if P.payload_version payload = 1 then 1 else 2 in
-  let encode resp = P.encode_response ~version resp in
   match P.decode_request payload with
-  | Error (code, message) -> encode (P.Error { code; message })
+  | Error (code, message) -> P.encode_response (P.Error { code; message })
   | Ok frame -> (
       match route t frame payload with
-      | resp -> encode resp
+      | resp -> P.encode_response resp
       | exception e ->
-          encode
+          P.encode_response
             (P.Error
                {
                  code = P.Server_error;

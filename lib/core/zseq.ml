@@ -36,9 +36,6 @@ let length t = Array.length t.zs
 let z t i = t.zs.(i)
 let payload t i = t.ps.(i)
 
-let packed t = t.zs
-let payloads t = t.ps
-
 let lower_bound ~comparisons t key =
   K.lower_bound ~comparisons t.zs ~lo:0 ~hi:(Array.length t.zs) key
 
@@ -49,72 +46,5 @@ let pairs ~comparisons l r =
     match (l.keyed, r.keyed) with
     | Some kl, Some kr -> K.sweep_pairs_keyed ~comparisons kl kr emit
     | _ -> K.sweep_pairs ~comparisons l.zs r.zs emit
-  in
-  (List.rev !out, stats)
-
-(* {1 Delta-encoded runs} *)
-
-type 'a runs = { blocks : Z.Zrun.t array; rps : 'a array }
-
-let to_runs ?restart_interval ?(block = 4096) t =
-  if block < 1 || block > 0xFFFF then invalid_arg "Zseq.to_runs: bad block size";
-  let n = Array.length t.zs in
-  (* All-equal lengths (the usual case: full-resolution keys) use the
-     fixed-length encoding, eliding per-entry length bytes. *)
-  let fixed_len =
-    if n = 0 then None
-    else
-      let l = P.length t.zs.(0) in
-      if Array.for_all (fun z -> P.length z = l) t.zs then Some l else None
-  in
-  let nblocks = (n + block - 1) / block in
-  let blocks =
-    Array.init nblocks (fun b ->
-        let lo = b * block in
-        let len = min block (n - lo) in
-        Z.Zrun.encode ?restart_interval ?fixed_len
-          (Array.sub t.zs lo len))
-  in
-  { blocks; rps = t.ps }
-
-let of_runs r =
-  let zs = Array.concat (Array.to_list (Array.map Z.Zrun.decode r.blocks)) in
-  of_sorted zs r.rps
-
-let runs_length r = Array.length r.rps
-
-let runs_payloads r = r.rps
-
-let runs_bytes r =
-  Array.fold_left (fun acc b -> acc + Z.Zrun.byte_length b) 0 r.blocks
-
-let runs_raw_bytes r =
-  Array.fold_left (fun acc b -> acc + Z.Zrun.raw_bytes b) 0 r.blocks
-
-let runs_cursor r =
-  let b = ref 0 and cur = ref None in
-  let rec next () =
-    match !cur with
-    | Some c -> (
-        match Z.Zrun.next c with
-        | Some _ as z -> z
-        | None ->
-            cur := None;
-            next ())
-    | None ->
-        if !b >= Array.length r.blocks then None
-        else begin
-          cur := Some (Z.Zrun.cursor r.blocks.(!b));
-          incr b;
-          next ()
-        end
-  in
-  next
-
-let pairs_runs ~comparisons l r =
-  let out = ref [] in
-  let emit li ri = out := (l.rps.(li), r.rps.(ri)) :: !out in
-  let stats =
-    K.sweep_pairs_stream ~comparisons (runs_cursor l) (runs_cursor r) emit
   in
   (List.rev !out, stats)

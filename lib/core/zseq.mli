@@ -35,12 +35,6 @@ val length : 'a t -> int
 val z : 'a t -> int -> Sqp_zorder.Zpacked.t
 val payload : 'a t -> int -> 'a
 
-val packed : 'a t -> Sqp_zorder.Zpacked.t array
-(** The underlying sorted z array (not a copy — do not mutate). *)
-
-val payloads : 'a t -> 'a array
-(** The underlying payload array, aligned with {!packed}. *)
-
 val lower_bound : comparisons:int ref -> 'a t -> Sqp_zorder.Zpacked.t -> int
 (** First index with [z t i >= key] (binary-search skip). *)
 
@@ -53,47 +47,3 @@ val pairs :
   ('a * 'b) list * Sqp_zorder.Zkernel.sweep_stats
 (** Containment pairs via {!Sqp_zorder.Zkernel.sweep_pairs}; output order
     matches the list-based [Zmerge] sweep bit for bit. *)
-
-(** {1 Delta-encoded runs}
-
-    The compact block form of a sequence: z values front-coded into
-    {!Sqp_zorder.Zrun} blocks (payloads stay a flat array), read back
-    lazily through a cursor so the streaming sweep never materializes
-    the full z array.  [Live] checkpoint bases and [Persist.save] use
-    the same block codec on disk. *)
-
-type 'a runs
-
-val to_runs : ?restart_interval:int -> ?block:int -> 'a t -> 'a runs
-(** Front-code the sequence into blocks of at most [block] values
-    (default 4096).  When every z value has the same bit length — the
-    full-resolution common case — blocks use the fixed-length encoding.
-    @raise Invalid_argument if [block] is outside [\[1, 65535\]]. *)
-
-val of_runs : 'a runs -> 'a t
-(** Decode back to the flat form ({!of_sorted} of the materialized
-    arrays); a round trip is exact. *)
-
-val runs_length : 'a runs -> int
-
-val runs_payloads : 'a runs -> 'a array
-(** The payload array, aligned with decode order (not a copy). *)
-
-val runs_bytes : 'a runs -> int
-(** Serialized size of the z blocks (headers included). *)
-
-val runs_raw_bytes : 'a runs -> int
-(** What the same z values would occupy without front coding — divide
-    by {!runs_bytes} for the compression ratio. *)
-
-val runs_cursor : 'a runs -> unit -> Sqp_zorder.Zpacked.t option
-(** A pull source over all blocks in order, materializing one value per
-    call — feed it to {!Sqp_zorder.Zkernel.sweep_pairs_stream}. *)
-
-val pairs_runs :
-  comparisons:int ref ->
-  'a runs ->
-  'b runs ->
-  ('a * 'b) list * Sqp_zorder.Zkernel.sweep_stats
-(** {!pairs} straight off the compressed form via the streaming sweep —
-    differential-tested to match {!pairs} output exactly. *)

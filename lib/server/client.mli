@@ -1,6 +1,7 @@
 (** A blocking, self-healing client for the {!Protocol} wire format —
-    the library under [sqp shell] and [sqp bench-net], and the far end
-    the end-to-end and chaos tests drive.
+    the library under [sqp shell], the router's shard connections and
+    the perfbench load generator, and the far end the end-to-end and
+    chaos tests drive.
 
     One connection carries one request at a time (the protocol has no
     frame multiplexing); for concurrency, open one client per thread.

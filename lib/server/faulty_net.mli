@@ -16,8 +16,9 @@
     retry loop and the server's session accounting are tested against.
 
     The chaos suite ([test/test_chaos.ml]) threads these plans under
-    both sides of a real loopback server; [sqp bench-net --faults] and
-    [sqp serve --chaos] use them operationally. *)
+    both sides of a real loopback server, and the cluster suite
+    ([test/test_cluster.ml]) under a router's clients and its shard
+    connections. *)
 
 type plan
 

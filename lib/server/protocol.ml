@@ -94,10 +94,8 @@ let error_code_of_byte = function
 
 (* {1 Payload codecs}
 
-   Request payload (v2) =
-     version:u8 | tag:u8 | deadline:u32 | idem:u8 [client:i64 seq:i64] | body
-   A version-1 payload is the same minus the idempotency block; decoders
-   accept both, encoders emit version 2. *)
+   Request payload =
+     version:u8 | tag:u8 | deadline:u32 | idem:u8 [client:i64 seq:i64] | body *)
 
 let write_int_array = Wire.write_int_array
 
@@ -123,9 +121,6 @@ let request_tag = function
    client only keys the true mutations (6-8), but a keyed 9 is harmless
    (replaying a read is idempotent by definition). *)
 let idem_tag tag = tag >= 6 && tag <= 9
-
-let payload_version payload =
-  if String.length payload = 0 then 0 else Char.code payload.[0]
 
 let encode_request { deadline_ms; idem; request } =
   let b = Buffer.create 64 in
@@ -182,11 +177,11 @@ let decode_request payload =
   else
     let c = Wire.cursor payload in
     let ver = Wire.read_u8 c in
-    if ver <> 1 && ver <> version then
+    if ver <> version then
       Stdlib.Error
         ( Unsupported_version,
-          Printf.sprintf "protocol version %d; this server speaks %d (and 1)" ver
-            version )
+          Printf.sprintf "protocol version %d; this server speaks %d" ver version
+        )
     else
       let tag = Wire.read_u8 c in
       match
@@ -194,22 +189,19 @@ let decode_request payload =
           match Wire.read_u32 c with 0 -> None | ms -> Some ms
         in
         let idem =
-          if ver < 2 then None
-          else
-            match Wire.read_u8 c with
-            | 0 -> None
-            | 1 ->
-                if not (idem_tag tag) then
-                  raise
-                    (Wire.Corrupt
-                       (Printf.sprintf
-                          "idempotency key on request tag %d (only 6-9 may carry one)"
-                          tag));
-                let client_id = Wire.read_i64 c in
-                let request_seq = Wire.read_i64 c in
-                Some { client_id; request_seq }
-            | n ->
-                raise (Wire.Corrupt (Printf.sprintf "bad idempotency flag %d" n))
+          match Wire.read_u8 c with
+          | 0 -> None
+          | 1 ->
+              if not (idem_tag tag) then
+                raise
+                  (Wire.Corrupt
+                     (Printf.sprintf
+                        "idempotency key on request tag %d (only 6-9 may carry one)"
+                        tag));
+              let client_id = Wire.read_i64 c in
+              let request_seq = Wire.read_i64 c in
+              Some { client_id; request_seq }
+          | n -> raise (Wire.Corrupt (Printf.sprintf "bad idempotency flag %d" n))
         in
         let request =
           match tag with
@@ -270,11 +262,9 @@ let decode_request payload =
       | frame -> Stdlib.Ok frame
       | exception Wire.Corrupt m -> Stdlib.Error (Bad_request, m)
 
-let encode_response ?version:(ver = version) resp =
-  if ver <> 1 && ver <> version then
-    invalid_arg (Printf.sprintf "Protocol.encode_response: unknown version %d" ver);
+let encode_response resp =
   let b = Buffer.create 256 in
-  Wire.write_u8 b ver;
+  Wire.write_u8 b version;
   (match resp with
   | Rows r ->
       Wire.write_u8 b 1;
@@ -293,18 +283,8 @@ let encode_response ?version:(ver = version) resp =
       Wire.write_i64 b h.in_flight;
       Wire.write_i64 b h.queued;
       Wire.write_i64 b h.served;
-      if ver >= 2 then Wire.write_string b h.mode
+      Wire.write_string b h.mode
   | Error { code; message } ->
-      (* A v1 peer has no byte for [Degraded]; downgrade it to the
-         lowest common denominator with the mode in the message. *)
-      let code, message =
-        if ver < 2 then
-          match code with
-          | Degraded -> (Server_error, "degraded: " ^ message)
-          | Stale_epoch -> (Server_error, "stale epoch: " ^ message)
-          | _ -> (code, message)
-        else (code, message)
-      in
       Wire.write_u8 b 5;
       Wire.write_u8 b (error_code_byte code);
       Wire.write_string b message
@@ -323,7 +303,7 @@ let decode_response payload =
     let c = Wire.cursor payload in
     match
       let ver = Wire.read_u8 c in
-      if ver <> 1 && ver <> version then
+      if ver <> version then
         raise (Wire.Corrupt (Printf.sprintf "unsupported response version %d" ver));
       let resp =
         match Wire.read_u8 c with
@@ -339,7 +319,7 @@ let decode_response payload =
             let in_flight = Wire.read_i64 c in
             let queued = Wire.read_i64 c in
             let served = Wire.read_i64 c in
-            let mode = if ver >= 2 then Wire.read_string c else "" in
+            let mode = Wire.read_string c in
             Health_report { healthy; detail; in_flight; queued; served; mode }
         | 5 ->
             let code = error_code_of_byte (Wire.read_u8 c) in

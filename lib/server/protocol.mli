@@ -15,17 +15,14 @@
     so the server answers a typed {!constructor-Error} response and the
     session continues.
 
-    Version {!version} (= 2) adds the resilience header: after the
+    Version {!version} (= 2) carries the resilience header: after the
     deadline, a request carries an optional {e idempotency key}
     [(client_id, request_seq)] (flag byte 0/1, then two [i64]s),
     permitted on the live-table tags 6-9.  The server's per-client dedup
     window uses the key to answer a {e replayed} mutation with the
     original [Ack] bytes instead of applying the batch again — the
-    foundation of the client's retry loop.  Decoders accept version 1
-    frames (same layout, no idempotency block) so old clients keep
-    working; responses are encoded at the requester's version.  A
-    request with any other version byte draws [Unsupported_version]
-    (the error frame itself encoded at version 2).
+    foundation of the client's retry loop.  A request with any other
+    version byte draws [Unsupported_version].
 
     Requests carry a deadline in milliseconds (0 = none) — the
     {e remaining} budget as seen by the client at send time, so the
@@ -34,7 +31,7 @@
     hostile bytes: [decode_*] return [Result], never raise. *)
 
 val version : int
-(** Protocol version, currently 2.  Decoders also accept 1. *)
+(** Protocol version, currently 2 — the only one accepted. *)
 
 val default_max_frame_bytes : int
 (** Reader-side payload cap, 8 MiB. *)
@@ -126,7 +123,7 @@ type request_frame = {
 
 type error_code =
   | Bad_request  (** undecodable payload or malformed plan *)
-  | Unsupported_version  (** version byte neither 1 nor {!version} *)
+  | Unsupported_version  (** version byte other than {!version} *)
   | Unknown_relation  (** plan names a relation the catalog lacks *)
   | Overloaded  (** admission queue full: load was shed *)
   | Timed_out  (** the request's deadline expired *)
@@ -134,15 +131,11 @@ type error_code =
   | Server_error  (** execution raised; message has details *)
   | Degraded
       (** read-only degraded mode (disk full or runtime corruption):
-          mutations are rejected, reads keep serving.  Not sent to v1
-          peers — they see [Server_error] with a ["degraded: "] message
-          prefix. *)
+          mutations are rejected, reads keep serving. *)
   | Stale_epoch
       (** the request's shard-map epoch (a [Forward] envelope's stamp,
           or a [Shard_map_set] going backwards) does not match the
-          shard's installed epoch: refetch the map and retry.  Not sent
-          to v1 peers — they see [Server_error] with a
-          ["stale epoch: "] message prefix. *)
+          shard's installed epoch: refetch the map and retry. *)
 
 type health = {
   healthy : bool;
@@ -151,8 +144,7 @@ type health = {
   queued : int;  (** queries waiting for an execution slot *)
   served : int;  (** requests answered since startup *)
   mode : string;
-      (** ["serving"], ["draining"] or ["degraded: <reason>"]; [""] when
-          the report came from a v1 server that predates modes. *)
+      (** ["serving"], ["draining"] or ["degraded: <reason>"]. *)
 }
 
 type response =
@@ -184,22 +176,15 @@ val encode_request : request_frame -> string
     @raise Invalid_argument if [idem] is set on a tag outside 6-9. *)
 
 val decode_request : string -> (request_frame, error_code * string) result
-(** Accepts version 1 and {!version} payloads.
-    [Error (Unsupported_version, _)] on any other version byte,
-    [Error (Bad_request, _)] on anything else malformed. *)
+(** [Error (Unsupported_version, _)] on a version byte other than
+    {!version}, [Error (Bad_request, _)] on anything else malformed. *)
 
-val encode_response : ?version:int -> response -> string
-(** [version] defaults to {!version}; pass [1] to answer a v1 peer
-    (health loses [mode]; [Degraded] downgrades to [Server_error]).
-    @raise Invalid_argument on a version that is neither 1 nor 2. *)
+val encode_response : response -> string
+(** Always encodes at version {!version}. *)
 
 val decode_response : string -> (response, string) result
-(** Accepts version 1 and {!version} payloads. *)
-
-val payload_version : string -> int
-(** First byte of a payload (0 when empty): the peer's protocol version,
-    so a server can encode its reply at the requester's version without
-    decoding the frame twice. *)
+(** [Error] on a version byte other than {!version} or any malformed
+    payload. *)
 
 (** {1 Frame I/O}
 

@@ -64,8 +64,6 @@ type t = {
 
 let port t = match t.net with Some n -> Net.port n | None -> 0
 
-let catalog t = t.cat
-
 let stopping t = match t.net with Some n -> Net.stopping n | None -> false
 
 let now = Unix.gettimeofday
@@ -430,21 +428,18 @@ let shard_map_get t =
 
 (* One request payload in, one encoded response payload out.
 
-   Keyed requests (protocol v2 idempotency keys) pass through the
-   catalog's dedup window: a replay returns the original encoded bytes
-   without re-executing; a fresh key claims a slot that is committed
-   with the encoded response after execution — {e before} the
-   post-execution deadline check, so a mutation that applied but
-   overshot its deadline still leaves its [Ack] behind for the retry.
+   Keyed requests pass through the catalog's dedup window: a replay
+   returns the original encoded bytes without re-executing; a fresh key
+   claims a slot that is committed with the encoded response after
+   execution — {e before} the post-execution deadline check, so a
+   mutation that applied but overshot its deadline still leaves its
+   [Ack] behind for the retry.
    Admission-level failures (shed / queue timeout / draining / degraded
    rejection) release the slot instead: the client may retry and
    succeed later. *)
 let rec handle t payload =
   let arrival = now () in
   Metrics.incr t.c_requests;
-  (* Encode the reply at the requester's version (a v1 peer cannot
-     decode v2 bytes). *)
-  let ver = if P.payload_version payload = 1 then 1 else P.version in
   let record resp =
     Metrics.observe t.h_latency (int_of_float ((now () -. arrival) *. 1e6));
     match resp with
@@ -453,7 +448,7 @@ let rec handle t payload =
   in
   let finish resp =
     record resp;
-    P.encode_response ~version:ver resp
+    P.encode_response resp
   in
   match P.decode_request payload with
   | Error (code, message) -> finish (P.Error { code; message })
@@ -604,7 +599,7 @@ let rec handle t payload =
                         end
                         else begin
                           let resp = execute t request in
-                          let bytes = P.encode_response ~version:ver resp in
+                          let bytes = P.encode_response resp in
                           (* Only settled, re-sendable answers enter the
                              window; errors release the key so a retry
                              can run again (and maybe succeed). *)

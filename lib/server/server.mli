@@ -87,8 +87,6 @@ val start : ?config:config -> ?metrics:Sqp_obs.Metrics.t -> Catalog.t -> t
 val port : t -> int
 (** The actual listening port (useful with [port = 0]). *)
 
-val catalog : t -> Catalog.t
-
 val stop : t -> unit
 (** Graceful drain, as described above.  Idempotent; blocks until every
     session and the pool have been joined. *)

@@ -57,8 +57,7 @@ val decompose_box : ?options:options -> Space.t -> lo:int array -> hi:int array 
     Results are memoized in a bounded process-wide LRU keyed on the full
     input (space, bounds, options) — server sessions and benchmarks
     replay the same boxes, and the decomposition is pure.  The cache is
-    thread-safe and on by default; see {!set_cache_enabled} /
-    [--no-decompose-cache] on [sqp serve] and [bench]. *)
+    thread-safe and on by default; see {!set_cache_enabled}. *)
 
 (** {1 Decomposition cache} *)
 

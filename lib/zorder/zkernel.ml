@@ -449,85 +449,6 @@ let sweep_pairs ~comparisons zl zr emit =
     sweep_pairs_keyed ~comparisons (keyed_of_sorted zl) (keyed_of_sorted zr) emit
   else sweep_pairs_generic ~comparisons zl zr emit
 
-(* The same sweep over pull-based sources (e.g. [Zrun] cursors): the
-   arrays are gone, so the open-element stacks hold the z values
-   themselves (plus arrival ordinals) and grow by doubling. *)
-let sweep_pairs_stream ~comparisons next_l next_r emit =
-  let zs_l = ref (Array.make 16 P.empty) and ix_l = ref (Array.make 16 0) in
-  let zs_r = ref (Array.make 16 P.empty) and ix_r = ref (Array.make 16 0) in
-  let dl = ref 0 and dr = ref 0 in
-  let pairs = ref 0 and max_stack = ref 0 in
-  let push zs ix depth i z =
-    let cap = Array.length !zs in
-    if !depth = cap then begin
-      let zs' = Array.make (2 * cap) P.empty and ix' = Array.make (2 * cap) 0 in
-      Array.blit !zs 0 zs' 0 cap;
-      Array.blit !ix 0 ix' 0 cap;
-      zs := zs';
-      ix := ix'
-    end;
-    !zs.(!depth) <- z;
-    !ix.(!depth) <- i;
-    incr depth
-  in
-  let pop_closed zs depth z =
-    while
-      !depth > 0
-      && (incr comparisons;
-          not (P.is_prefix !zs.(!depth - 1) z))
-    do
-      decr depth
-    done
-  in
-  let note_depth () =
-    let d = !dl + !dr in
-    if d > !max_stack then max_stack := d
-  in
-  let arrive_left li z =
-    pop_closed zs_l dl z;
-    pop_closed zs_r dr z;
-    for s = !dr - 1 downto 0 do
-      incr pairs;
-      emit li !ix_r.(s)
-    done;
-    push zs_l ix_l dl li z;
-    note_depth ()
-  in
-  let arrive_right ri z =
-    pop_closed zs_l dl z;
-    pop_closed zs_r dr z;
-    for s = !dl - 1 downto 0 do
-      incr pairs;
-      emit !ix_l.(s) ri
-    done;
-    push zs_r ix_r dr ri z;
-    note_depth ()
-  in
-  let li = ref 0 and ri = ref 0 in
-  let hl = ref (next_l ()) and hr = ref (next_r ()) in
-  let take_left z =
-    arrive_left !li z;
-    incr li;
-    hl := next_l ()
-  in
-  let take_right z =
-    arrive_right !ri z;
-    incr ri;
-    hr := next_r ()
-  in
-  let continue = ref true in
-  while !continue do
-    match (!hl, !hr) with
-    | Some a, Some b ->
-        incr comparisons;
-        (* <= : on ties the left side arrives first, as in the array sweep. *)
-        if P.compare a b <= 0 then take_left a else take_right b
-    | Some a, None -> take_left a
-    | None, Some b -> take_right b
-    | None, None -> continue := false
-  done;
-  { pairs = !pairs; max_stack = !max_stack }
-
 (* {1 Range merges} *)
 
 let lower_bound ~comparisons zs ~lo ~hi z =

@@ -78,20 +78,6 @@ val sweep_pairs_keyed :
 (** {!sweep_pairs} over pre-keyed sides (from {!sort_keyed}): same sweep,
     same counters, no per-call array extraction. *)
 
-val sweep_pairs_stream :
-  comparisons:int ref ->
-  (unit -> Zpacked.t option) ->
-  (unit -> Zpacked.t option) ->
-  (int -> int -> unit) ->
-  sweep_stats
-(** {!sweep_pairs} over pull-based sorted sources — each call to a
-    source yields the next z value or [None] at the end, so compressed
-    representations (e.g. {!Zrun} cursors via [Zseq.pairs_runs]) join
-    without materializing flat arrays first.  [emit] receives 0-based
-    arrival ordinals per side, which coincide with array indices when
-    the source reads an array.  Same emission order and counters as
-    {!sweep_pairs}. *)
-
 val lower_bound :
   comparisons:int ref -> Zpacked.t array -> lo:int -> hi:int -> Zpacked.t -> int
 (** First index in [\[lo, hi)] with [zs.(i) >= z] (binary search; one

@@ -131,16 +131,9 @@ type cursor = {
   mutable prev : P.t;    (* last value materialized *)
 }
 
-let cursor ?(from = 0) t =
-  if from < 0 || from > t.count then err "cursor start %d out of range" from;
-  if from <> t.count && from mod t.interval <> 0 then
-    err "cursor start %d is not a restart point" from;
-  let pos =
-    if from = t.count then t.stop else t.body + restart_offset t (from / t.interval)
-  in
-  { run = t; idx = from; pos; prev = P.empty }
-
-let cursor_index c = c.idx
+let cursor t =
+  let pos = if t.count = 0 then t.stop else t.body + restart_offset t 0 in
+  { run = t; idx = 0; pos; prev = P.empty }
 
 let next c =
   let t = c.run in
@@ -188,49 +181,6 @@ let decode t =
   let c = cursor t in
   Array.init t.count (fun _ ->
       match next c with Some z -> z | None -> assert false)
-
-let get t i =
-  if i < 0 || i >= t.count then err "index %d out of range" i;
-  let c = cursor ~from:(i / t.interval * t.interval) t in
-  let z = ref P.empty in
-  for _ = i / t.interval * t.interval to i do
-    match next c with Some v -> z := v | None -> assert false
-  done;
-  !z
-
-(* Decode just the full key stored at restart [r] (no predecessor needed). *)
-let restart_key t r =
-  let pos = t.body + restart_offset t r in
-  let len, pos =
-    match t.fixed with
-    | Some l -> (l, pos)
-    | None ->
-        if pos >= t.stop then err "restart %d past the end of the run" r;
-        (u8 t.data pos, pos + 1)
-  in
-  if pos + key_bytes len > t.stop then err "restart %d runs past the end" r;
-  P.append_bytes P.empty ~bytes:t.data ~pos ~nbits:len
-
-let lower_bound t z =
-  if t.count = 0 then 0
-  else begin
-    (* First restart whose key is >= z. *)
-    let lo = ref 0 and hi = ref t.n_restarts in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if P.compare (restart_key t mid) z < 0 then lo := mid + 1 else hi := mid
-    done;
-    (* The answer lies in the restart block before [!lo] (a value >= z can
-       only appear from that block's restart on). *)
-    let start = if !lo = 0 then 0 else (!lo - 1) * t.interval in
-    let c = cursor ~from:start t in
-    let rec scan () =
-      match next c with
-      | None -> t.count
-      | Some v -> if P.compare v z >= 0 then c.idx - 1 else scan ()
-    in
-    scan ()
-  end
 
 let raw_bytes t =
   let variable = t.fixed = None in

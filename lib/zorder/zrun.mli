@@ -7,10 +7,10 @@
     order, the first of each {e restart block} whole and every other as
     [(shared-prefix-length, suffix-bytes)] against its predecessor.
     Restart points every [restart_interval] entries bound the decode
-    chain, so point lookups and {!lower_bound} stay logarithmic over
-    restarts plus a short linear tail — the classic LevelDB block
-    layout, adapted to bit-granular keys via {!Zpacked.take} /
-    {!Zpacked.suffix_bytes} / {!Zpacked.append_bytes}.
+    chain and give {!validate} entry boundaries to check against — the
+    classic LevelDB block layout, adapted to bit-granular keys via
+    {!Zpacked.take} / {!Zpacked.suffix_bytes} / {!Zpacked.append_bytes}.
+    Runs are always decoded whole ({!decode}).
 
     Serialized layout (all integers big-endian):
     {v
@@ -30,9 +30,8 @@
     [Space.total_bits] long), so per-entry length bytes are elided —
     this is what pushes the compression ratio past the 1.5x bar.
 
-    Consumers: v3 {!Sqp_btree.Persist} data pages, [Live] checkpoint
-    base chunks, and the [Zseq] run representation feeding the
-    {!Zkernel} streaming sweeps. *)
+    Consumers: v3 {!Sqp_btree.Persist} data pages and [Live] checkpoint
+    base chunks. *)
 
 type t
 (** An immutable parsed run; a view into its backing string. *)
@@ -76,30 +75,7 @@ val raw_bytes : t -> int
 (** {1 Decoding} *)
 
 val decode : t -> Zpacked.t array
-(** Materialize every value. *)
-
-val get : t -> int -> Zpacked.t
-(** Decode the value at an index, walking from the nearest restart.
-    @raise Invalid_argument if out of range. *)
-
-val lower_bound : t -> Zpacked.t -> int
-(** Index of the first value [>= z] in {!Zpacked.compare} order
-    ([count] if none) — meaningful only on sorted runs.  Binary search
-    over restart keys, then a linear walk within one block. *)
-
-type cursor
-(** A forward iterator that materializes one value at a time — the
-    kernels' lazy read path; O(1) state, no array allocation. *)
-
-val cursor : ?from:int -> t -> cursor
-(** Start at value [from] (default 0), which must be a restart point
-    (a multiple of the interval) or [count]. *)
-
-val cursor_index : cursor -> int
-(** Index of the next value {!next} will return. *)
-
-val next : cursor -> Zpacked.t option
-(** The next value, or [None] past the end.
+(** Materialize every value.
     @raise Invalid_argument on a corrupt entry (truncated suffix,
     shared prefix longer than the predecessor, ...). *)
 

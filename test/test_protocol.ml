@@ -246,12 +246,13 @@ let expect_code code bytes what =
 let test_malformed_requests () =
   expect_code P.Bad_request "" "empty payload";
   expect_code P.Bad_request "\x01" "one byte";
-  (* version 9 *)
+  (* version 9, and the retired version 1 (no idempotency block) *)
   expect_code P.Unsupported_version "\x09\x05\x00\x00\x00\x00" "future version";
+  expect_code P.Unsupported_version "\x01\x05\x00\x00\x00\x00" "version 1";
   (* unknown tag 200 *)
-  expect_code P.Bad_request "\x01\xc8\x00\x00\x00\x00" "unknown tag";
+  expect_code P.Bad_request "\x02\xc8\x00\x00\x00\x00\x00" "unknown tag";
   (* health with trailing bytes *)
-  expect_code P.Bad_request "\x01\x05\x00\x00\x00\x00XX" "trailing bytes";
+  expect_code P.Bad_request "\x02\x05\x00\x00\x00\x00\x00XX" "trailing bytes";
   (* range search truncated mid-array *)
   let full =
     P.encode_request
@@ -342,75 +343,6 @@ let test_malformed_requests () =
     Alcotest.fail "encode accepted idem on Health"
   with Invalid_argument _ -> ()
 
-(* Version-1 peers must keep working against a v2 stack: v1 requests
-   (no idempotency block) decode, and responses encoded at version 1
-   stay within the v1 grammar. *)
-let test_v1_compat () =
-  (* a v1 range-search frame, built byte by byte *)
-  let b = Buffer.create 32 in
-  Wire.write_u8 b 1;
-  Wire.write_u8 b 1;
-  Wire.write_u32 b 250;
-  Wire.write_int_array b [| 1; 2 |];
-  Wire.write_int_array b [| 3; 4 |];
-  let f = req_ok (P.decode_request (Buffer.contents b)) in
-  check Alcotest.(option int) "v1 deadline" (Some 250) f.P.deadline_ms;
-  checkb "v1 has no idem" true (f.P.idem = None);
-  checkb "v1 request" true
-    (f.P.request = P.Range_search { lo = [| 1; 2 |]; hi = [| 3; 4 |] });
-  (* a v1 insert — the idem block must NOT be expected *)
-  let b = Buffer.create 32 in
-  Wire.write_u8 b 1;
-  Wire.write_u8 b 6;
-  Wire.write_u32 b 0;
-  Wire.write_string b "L";
-  Wire.write_point_list b [ ([| 5; 6 |], 9) ];
-  let f = req_ok (P.decode_request (Buffer.contents b)) in
-  checkb "v1 insert" true
-    (f.P.request = P.Insert { table = "L"; points = [ ([| 5; 6 |], 9) ] });
-  (* v1-encoded responses roundtrip and stay decodable *)
-  let health =
-    P.Health_report
-      {
-        healthy = true;
-        detail = "ok";
-        in_flight = 0;
-        queued = 0;
-        served = 7;
-        mode = "serving";
-      }
-  in
-  let bytes = P.encode_response ~version:1 health in
-  check Alcotest.int "v1 response version byte" 1 (P.payload_version bytes);
-  (match P.decode_response bytes with
-  | Ok (P.Health_report h) ->
-      check Alcotest.string "v1 health has no mode" "" h.P.mode;
-      check Alcotest.int "v1 health served" 7 h.P.served
-  | Ok _ -> Alcotest.fail "v1 health decoded to a different kind"
-  | Error m -> Alcotest.failf "v1 health rejected: %s" m);
-  (* Degraded downgrades to Server_error for v1 peers *)
-  (match
-     P.decode_response
-       (P.encode_response ~version:1
-          (P.Error { code = P.Degraded; message = "disk full" }))
-   with
-  | Ok (P.Error { code = P.Server_error; message }) ->
-      check Alcotest.string "downgrade message" "degraded: disk full" message
-  | Ok _ -> Alcotest.fail "v1 Degraded decoded to something else"
-  | Error m -> Alcotest.failf "v1 Degraded rejected: %s" m);
-  (* and version 2 keeps the typed code *)
-  (match
-     P.decode_response
-       (P.encode_response (P.Error { code = P.Degraded; message = "disk full" }))
-   with
-  | Ok (P.Error { code = P.Degraded; _ }) -> ()
-  | _ -> Alcotest.fail "v2 Degraded did not roundtrip");
-  (* unknown encode versions are a programming error *)
-  try
-    ignore (P.encode_response ~version:3 health);
-    Alcotest.fail "version 3 accepted"
-  with Invalid_argument _ -> ()
-
 let test_malformed_responses () =
   List.iter
     (fun (bytes, what) ->
@@ -420,13 +352,14 @@ let test_malformed_responses () =
     [
       ("", "empty");
       ("\x07\x01", "future version");
-      ("\x01\xff", "unknown tag");
-      ("\x01\x02\x00\x00\x00\x09ab", "string length past end");
-      ("\x01\x05\x2a\x00\x00\x00\x00", "unknown error code");
+      ("\x01\x02\x00\x00\x00\x02ok", "version 1");
+      ("\x02\xff", "unknown tag");
+      ("\x02\x02\x00\x00\x00\x09ab", "string length past end");
+      ("\x02\x05\x2a\x00\x00\x00\x00", "unknown error code");
     ];
   (* relation with an inflated tuple count *)
   let b = Buffer.create 64 in
-  Wire.write_u8 b 1;
+  Wire.write_u8 b P.version;
   Wire.write_u8 b 1;
   Wire.write_string b "r";
   Wire.write_schema b (Schema.make [ ("id", Value.TInt) ]);
@@ -605,7 +538,6 @@ let () =
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
           Alcotest.test_case "malformed requests" `Quick test_malformed_requests;
           Alcotest.test_case "malformed responses" `Quick test_malformed_responses;
-          Alcotest.test_case "v1 compatibility" `Quick test_v1_compat;
           Alcotest.test_case "shard map validation" `Quick
             test_shard_map_validation;
         ] );

@@ -294,7 +294,7 @@ let test_malformed_frames_on_the_wire () =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           (* well-framed garbage: typed Bad_request, session survives *)
-          P.write_frame fd "\x01\xde\xad\xbe\xef";
+          P.write_frame fd "\x02\xde\xad\xbe\xef";
           (match P.read_frame fd with
           | Ok payload -> (
               match P.decode_response payload with

@@ -1,6 +1,6 @@
 (* Unit and property tests for the front-coded run codec (Zrun): exact
-   roundtrips in both length modes, restart-point navigation, the
-   seeded-workload compression claim, and corruption detection. *)
+   roundtrips in both length modes, the seeded-workload compression
+   claim, and corruption detection. *)
 
 module Z = Sqp_zorder
 module B = Z.Bitstring
@@ -64,7 +64,7 @@ let test_empty_and_singleton () =
   check "empty validate" true (Run.validate empty = Ok ());
   let one = Run.encode [| pack_exn (B.of_string "1011") |] in
   check_int "singleton count" 1 (Run.count one);
-  check_int "singleton len" 4 (P.length (Run.get one 0))
+  check_int "singleton len" 4 (P.length (Run.decode one).(0))
 
 let test_string_roundtrip_with_offset () =
   let _, zs = seeded_zs 200 in
@@ -73,49 +73,6 @@ let test_string_roundtrip_with_offset () =
   let back = Run.of_string ~pos:6 ~len:(Run.byte_length run) s in
   check "embedded parse" true (equal_arrays (Run.decode run) (Run.decode back));
   check "embedded validate" true (Run.validate back = Ok ())
-
-let test_get_and_lower_bound () =
-  let _, zs = seeded_zs 500 in
-  let run = Run.encode ~restart_interval:8 ~fixed_len:20 zs in
-  List.iter
-    (fun i -> check "get agrees" true (P.compare (Run.get run i) zs.(i) = 0))
-    [ 0; 1; 7; 8; 9; 63; 64; 255; 499 ];
-  (* lower_bound against a linear scan, probing present and absent keys. *)
-  let linear key =
-    let rec go i =
-      if i >= Array.length zs then i
-      else if P.compare zs.(i) key >= 0 then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let rng = W.Rng.create ~seed:5 in
-  for _ = 1 to 200 do
-    let key =
-      if W.Rng.int rng 2 = 0 then zs.(W.Rng.int rng 500)
-      else pack_exn (B.init 20 (fun _ -> W.Rng.int rng 2 = 0))
-    in
-    check_int "lower_bound" (linear key) (Run.lower_bound run key)
-  done;
-  check_int "past the end" 500
-    (Run.lower_bound run (pack_exn (B.init 20 (fun _ -> true))))
-
-let test_cursor_from_restart () =
-  let zs = ragged_zs 100 in
-  let run = Run.encode ~restart_interval:16 zs in
-  let c = Run.cursor ~from:32 run in
-  check_int "cursor index" 32 (Run.cursor_index c);
-  for i = 32 to 99 do
-    match Run.next c with
-    | Some z -> check "cursor value" true (P.compare z zs.(i) = 0)
-    | None -> Alcotest.fail "cursor ended early"
-  done;
-  check "cursor exhausted" true (Run.next c = None);
-  (* A cursor may start at [count] (empty tail) but nowhere mid-block. *)
-  check "cursor at count" true (Run.next (Run.cursor ~from:100 run) = None);
-  (match Run.cursor ~from:17 run with
-  | _ -> Alcotest.fail "mid-block start should raise"
-  | exception Invalid_argument _ -> ())
 
 let test_encode_guards () =
   (match Run.encode ~restart_interval:0 [||] with
@@ -177,11 +134,6 @@ let () =
           Alcotest.test_case "empty and singleton" `Quick test_empty_and_singleton;
           Alcotest.test_case "embedded in a larger string" `Quick
             test_string_roundtrip_with_offset;
-        ] );
-      ( "navigation",
-        [
-          Alcotest.test_case "get + lower_bound" `Quick test_get_and_lower_bound;
-          Alcotest.test_case "cursor from restart" `Quick test_cursor_from_restart;
         ] );
       ( "integrity",
         [

@@ -173,83 +173,6 @@ let test_range_search_oversized_space () =
   check "skip = brute force" true (List.sort Stdlib.compare rows_s = expected);
   check "plain = skip" true (rows_p = rows_s)
 
-(* --- Delta-encoded runs: compressed form vs flat form ---------------- *)
-
-let test_runs_roundtrip () =
-  let wk = Lazy.force wk in
-  let comparisons = ref 0 in
-  let items =
-    Array.to_list
-      (Array.map
-         (fun (p, i) -> (Z.Interleave.shuffle wk.W.Seeded.space p, i))
-         (W.Seeded.tagged_points wk))
-  in
-  match Zseq.of_list ~comparisons items with
-  | None -> Alcotest.fail "seeded z values must pack"
-  | Some t ->
-      (* Small blocks force multi-block runs and cursor block crossings. *)
-      List.iter
-        (fun block ->
-          let r = Zseq.to_runs ~block t in
-          check_int "runs length" (Zseq.length t) (Zseq.runs_length r);
-          let back = Zseq.of_runs r in
-          check "z roundtrip" true (Zseq.packed back = Zseq.packed t);
-          check "payload roundtrip" true (Zseq.payloads back = Zseq.payloads t);
-          (* The cursor streams the same values of_runs materializes. *)
-          let next = Zseq.runs_cursor r in
-          Array.iter
-            (fun z ->
-              match next () with
-              | Some v -> check "cursor value" true (P.compare v z = 0)
-              | None -> Alcotest.fail "cursor ended early")
-            (Zseq.packed t);
-          check "cursor exhausted" true (next () = None))
-        [ 64; 4096 ];
-      (* Full-resolution keys all share one length: fixed mode kicks in
-         and the z blocks beat the raw encoding. *)
-      let r = Zseq.to_runs t in
-      check "compresses" true (Zseq.runs_bytes r < Zseq.runs_raw_bytes r)
-
-let test_pairs_runs_differential () =
-  let left, right = W.Seeded.join_elements (Lazy.force wk) in
-  let comparisons = ref 0 in
-  match (Zseq.of_list ~comparisons left, Zseq.of_list ~comparisons right) with
-  | Some l, Some r ->
-      let flat_pairs, flat_stats = Zseq.pairs ~comparisons l r in
-      List.iter
-        (fun block ->
-          let lr = Zseq.to_runs ~block l and rr = Zseq.to_runs ~block r in
-          let run_pairs, run_stats =
-            Zseq.pairs_runs ~comparisons lr rr
-          in
-          check "identical pairs in identical order" true
-            (flat_pairs = run_pairs);
-          check_int "same pair count" flat_stats.Z.Zkernel.pairs
-            run_stats.Z.Zkernel.pairs;
-          check_int "same max stack" flat_stats.Z.Zkernel.max_stack
-            run_stats.Z.Zkernel.max_stack)
-        [ 16; 4096 ]
-  | _ -> Alcotest.fail "seeded join elements must pack"
-
-let test_pairs_runs_empty_sides () =
-  let comparisons = ref 0 in
-  let some =
-    match Zseq.of_list ~comparisons [ (B.of_string "01", 1) ] with
-    | Some t -> t
-    | None -> assert false
-  in
-  let empty =
-    match Zseq.of_list ~comparisons [] with Some t -> t | None -> assert false
-  in
-  List.iter
-    (fun (l, r) ->
-      let flat, _ = Zseq.pairs ~comparisons l r in
-      let runs, _ =
-        Zseq.pairs_runs ~comparisons (Zseq.to_runs l) (Zseq.to_runs r)
-      in
-      check "empty-side equal" true (flat = runs))
-    [ (empty, empty); (some, empty); (empty, some) ]
-
 (* --- Spatial join: packed merge vs reference merge ------------------ *)
 
 let test_spatial_join_differential () =
@@ -290,12 +213,6 @@ let () =
           Alcotest.test_case "packed = reference = oracle" `Quick test_zmerge_differential;
           Alcotest.test_case "fallback beyond 126 bits" `Quick test_zmerge_fallback_long_elements;
           Alcotest.test_case "empty sides" `Quick test_zmerge_empty_sides;
-        ] );
-      ( "runs",
-        [
-          Alcotest.test_case "roundtrip + cursor" `Quick test_runs_roundtrip;
-          Alcotest.test_case "pairs_runs = pairs" `Quick test_pairs_runs_differential;
-          Alcotest.test_case "empty sides" `Quick test_pairs_runs_empty_sides;
         ] );
       ( "range search",
         [
