@@ -4,11 +4,10 @@
    (page-access counts, element counts, efficiencies — the units the
    paper reports); part 2 runs Bechamel timing micro-benchmarks over the
    main code paths so wall-clock behaviour can be tracked too; part 3
-   is the parallel speedup table (BENCH_parallel.json) and part 4 the
-   packed-kernel table (BENCH_kernels.json).  Serving numbers live in
-   perfbench/.
+   is the packed-kernel table (BENCH_kernels.json).  Serving numbers
+   live in perfbench/.
 
-   Run with: dune exec bench/main.exe [-- --quick | --kernels [--quick]] *)
+   Run with: dune exec bench/main.exe [-- --kernels [--quick]] *)
 
 module Z = Sqp_zorder
 module W = Sqp_workload
@@ -22,8 +21,6 @@ open Toolkit
 let wk = W.Seeded.standard ()
 
 let space = wk.W.Seeded.space
-
-let points = wk.W.Seeded.points
 
 let tagged = W.Seeded.tagged_points wk
 
@@ -166,101 +163,6 @@ let bench_btree =
         (Staged.stage (fun () -> Zindex.of_points ~leaf_capacity:20 space tagged));
     ]
 
-(* {1 Parallel execution} *)
-
-module Pool = Sqp_parallel.Pool
-module Par_rs = Sqp_parallel.Par_range_search
-module Par_join = Sqp_parallel.Par_spatial_join
-
-let pprep = Par_rs.prepare space tagged
-
-(* The speedup workload: a batch of seeded random boxes over the
-   5000-point dataset, answered one task per query. *)
-let par_boxes = wk.W.Seeded.query_boxes
-
-let bench_parallel pool =
-  Test.make_grouped ~name:"parallel"
-    [
-      Test.make ~name:"range-sequential"
-        (Staged.stage (fun () -> Sqp_core.Range_search.search_skip prep query));
-      Test.make ~name:"range-sharded"
-        (Staged.stage (fun () -> Par_rs.search pool pprep query));
-      Test.make ~name:"join-sequential"
-        (Staged.stage (fun () -> Sqp_core.Zmerge.pairs join_l join_r));
-      Test.make ~name:"join-sharded"
-        (Staged.stage (fun () -> Par_join.pairs pool join_l join_r));
-    ]
-
-let time_batch pool =
-  ignore (Par_rs.search_batch pool pprep par_boxes) (* warm-up *);
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let t0 = Unix.gettimeofday () in
-    ignore (Par_rs.search_batch pool pprep par_boxes);
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best
-
-let speedup_table () =
-  let cores = Domain.recommended_domain_count () in
-  let rows =
-    List.map
-      (fun domains -> (domains, Pool.with_pool ~domains time_batch))
-      [ 1; 2; 4; 8 ]
-  in
-  let base = List.assoc 1 rows in
-  print_newline ();
-  Printf.printf
-    "Parallel range-search throughput (%d queries over %d points, %d core%s)\n"
-    (Array.length par_boxes) (Array.length points) cores
-    (if cores = 1 then "" else "s");
-  print_endline "=====================================================================";
-  List.iter
-    (fun (domains, seconds) ->
-      Printf.printf "  %d domain%s  %8.2f ms   speedup %.2fx\n" domains
-        (if domains = 1 then " " else "s")
-        (seconds *. 1e3) (base /. seconds))
-    rows;
-  if cores = 1 then
-    print_endline
-      "  (single core: extra domains add GC-synchronization overhead and no\n\
-      \   parallelism, so speedups < 1x here; >1x needs a multi-core machine)";
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    "{\n  \"workload\": \"range-search batch\",\n  \"queries\": %d,\n  \
-     \"points\": %d,\n  \"cores\": %d,\n  \"runs\": [\n%s\n  ]\n}\n"
-    (Array.length par_boxes) (Array.length points) cores
-    (String.concat ",\n"
-       (List.map
-          (fun (domains, seconds) ->
-            Printf.sprintf
-              "    { \"domains\": %d, \"seconds\": %.6f, \"speedup\": %.3f }"
-              domains seconds (base /. seconds))
-          rows));
-  close_out oc;
-  print_endline "  -> BENCH_parallel.json"
-
-(* Fast correctness smoke for CI: the parallel drivers must agree with
-   the sequential paths on a slice of the bench workload. *)
-let quick_smoke () =
-  let failures = ref 0 in
-  Pool.with_pool ~domains:2 (fun pool ->
-      Array.iter
-        (fun box ->
-          let seq = fst (Sqp_core.Range_search.search_skip prep box) in
-          let par = fst (Par_rs.search pool pprep box) in
-          if seq <> par then incr failures)
-        (Array.sub par_boxes 0 50);
-      let seq_pairs = fst (Sqp_core.Zmerge.pairs join_l join_r) in
-      let par_pairs = fst (Par_join.pairs pool join_l join_r) in
-      if seq_pairs <> par_pairs then incr failures);
-  if !failures = 0 then
-    print_endline "quick smoke: parallel = sequential (50 range queries + join)"
-  else begin
-    Printf.printf "quick smoke: %d mismatches\n" !failures;
-    exit 1
-  end
-
 module R = Sqp_relalg
 
 (* {1 Packed kernel microbenches}
@@ -272,7 +174,7 @@ module R = Sqp_relalg
    ratio is the point.  Writes BENCH_kernels.json. *)
 let kernels_table ~quick () =
   let reps = if quick then 3 else 7 in
-  let n_boxes = if quick then 40 else Array.length par_boxes in
+  let n_boxes = if quick then 40 else Array.length wk.W.Seeded.query_boxes in
   (* Best-of-[reps], but at least [min_span] seconds of repetitions:
      sub-millisecond rows need far more than [reps] samples before the
      minimum settles on this (noisy) class of machine. *)
@@ -297,7 +199,7 @@ let kernels_table ~quick () =
     | Some p -> p
     | None -> failwith "bench: seeded z values must pack"
   in
-  let boxes = Array.sub par_boxes 0 n_boxes in
+  let boxes = Array.sub wk.W.Seeded.query_boxes 0 n_boxes in
   let schema_of name z =
     R.Schema.make [ (name, R.Value.TInt); (z, R.Value.TZval) ]
   in
@@ -368,12 +270,12 @@ let kernels_table ~quick () =
   close_out oc;
   print_endline "  -> BENCH_kernels.json"
 
-let run_bechamel pool =
+let run_bechamel () =
   let tests =
     Test.make_grouped ~name:"sqp"
       [
         bench_zorder; bench_range; bench_join; bench_overlay; bench_ccl;
-        bench_nearest; bench_btree; bench_parallel pool;
+        bench_nearest; bench_btree;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~kde:None () in
@@ -403,20 +305,14 @@ let run_bechamel pool =
     rows
 
 let () =
-  let flags = List.tl (Array.to_list Sys.argv) in
-  List.iter
-    (fun f ->
-      if not (List.mem f [ "--kernels"; "--quick" ]) then begin
-        Printf.eprintf "bench: unknown flag %s (known: --kernels, --quick)\n" f;
-        exit 2
-      end)
-    flags;
-  let has flag = List.mem flag flags in
-  if has "--kernels" then kernels_table ~quick:(has "--quick") ()
-  else if has "--quick" then quick_smoke ()
-  else begin
-    Sqp_core.Reports.run_all ();
-    Pool.with_pool ~domains:2 run_bechamel;
-    speedup_table ();
-    kernels_table ~quick:false ()
-  end
+  match List.tl (Array.to_list Sys.argv) with
+  | [] ->
+      Sqp_core.Reports.run_all ();
+      run_bechamel ();
+      kernels_table ~quick:false ()
+  | [ "--kernels" ] -> kernels_table ~quick:false ()
+  | [ "--kernels"; "--quick" ] | [ "--quick"; "--kernels" ] ->
+      kernels_table ~quick:true ()
+  | _ ->
+      prerr_endline "bench: usage: main.exe [--kernels [--quick]]";
+      exit 2

@@ -144,15 +144,6 @@ let query_cmd =
              Chrome trace_event file (open at chrome://tracing or \
              ui.perfetto.dev).")
   in
-  let parallelism_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "p"; "parallelism" ] ~docv:"N"
-          ~doc:
-            "Execution streams: with 2 or more, the spatial join runs \
-             z-sharded over a domain pool and the analysis includes a \
-             per-shard work table.")
-  in
   let costs_arg =
     Arg.(
       value & flag
@@ -164,7 +155,7 @@ let query_cmd =
              decisions.  With $(b,--analyze), the measured tree gains the \
              predicted-vs-actual table.")
   in
-  let run analyze costs trace parallelism =
+  let run analyze costs trace =
     let module O = Sqp_optimizer in
     let wk = W.Seeded.standard () in
     let tracer =
@@ -189,11 +180,11 @@ let query_cmd =
         let cat = Srv.Catalog.of_seeded wk in
         let st = Srv.Catalog.analyze cat in
         print_endline "EXPLAIN before (size heuristic, no statistics):";
-        print_string (R.Plan.explain ~parallelism plan);
+        print_string (R.Plan.explain plan);
         print_newline ();
         let chosen, decisions = O.Optimizer.choose_plan st plan in
         print_endline "EXPLAIN after (cost-based, statistics from ANALYZE):";
-        print_string (O.Optimizer.explain ~parallelism st chosen);
+        print_string (O.Optimizer.explain st chosen);
         List.iter
           (fun (d : O.Optimizer.join_decision) ->
             Printf.printf
@@ -245,9 +236,9 @@ let query_cmd =
     let plan = match stats_plan with Some (_, p) -> p | None -> plan in
     if analyze then begin
       (match stats_plan with
-      | None -> print_string (R.Plan.explain_analyze ~parallelism plan)
+      | None -> print_string (R.Plan.explain_analyze plan)
       | Some (st, _) ->
-          let a = R.Plan.run_analyze ~parallelism plan in
+          let a = R.Plan.run_analyze plan in
           print_string (R.Plan.render_analysis a);
           print_newline ();
           print_string
@@ -262,10 +253,10 @@ let query_cmd =
     else begin
       (match stats_plan with
       | None ->
-          print_string (R.Plan.explain ~parallelism plan);
+          print_string (R.Plan.explain plan);
           print_newline ()
       | Some _ -> () (* both EXPLAINs already printed above *));
-      Format.printf "%a@." R.Relation.pp (R.Plan.run ~parallelism plan)
+      Format.printf "%a@." R.Relation.pp (R.Plan.run plan)
     end;
     match tracer with
     | None -> ()
@@ -280,7 +271,7 @@ let query_cmd =
          "The Section 4 overlap query over paged (stored) relations, with \
           optional cost-based optimization ($(b,--costs)), EXPLAIN ANALYZE \
           and Chrome-trace output.")
-    Term.(const run $ analyze_arg $ costs_arg $ trace_arg $ parallelism_arg)
+    Term.(const run $ analyze_arg $ costs_arg $ trace_arg)
 
 (* Offline store checking and salvage over the crash-safe page store. *)
 let fsck_cmd =
@@ -391,12 +382,6 @@ let port_arg ~default =
     & info [ "port" ] ~docv:"PORT" ~doc:"TCP port (serve: 0 picks one).")
 
 let serve_cmd =
-  let parallelism_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "p"; "parallelism" ] ~docv:"N"
-          ~doc:"Domains of the shared execution pool.")
-  in
   let in_flight_arg =
     Arg.(
       value & opt int 8
@@ -463,7 +448,7 @@ let serve_cmd =
              rebalance target begins life (rows arrive via the router's \
              chunked copy).")
   in
-  let run host port parallelism max_in_flight max_queue default_deadline_ms
+  let run host port max_in_flight max_queue default_deadline_ms
       n_points n_objects idle_timeout_s frame_timeout_s shard_spec live_empty =
     let wk = Sqp_workload.Seeded.standard ~n_points ~n_objects () in
     let shard =
@@ -498,7 +483,6 @@ let serve_cmd =
         Srv.Server.default_config with
         host;
         port;
-        parallelism;
         max_in_flight;
         max_queue;
         default_deadline_ms;
@@ -512,8 +496,8 @@ let serve_cmd =
        (sqp route --spawn, the cluster tests, CI) parse exactly this. *)
     Printf.printf "SQP_SERVE_PORT=%d\n%!" (Srv.Server.port server);
     Printf.printf
-      "sqp serve: listening on %s:%d (parallelism %d, %d in flight, queue %d)\n"
-      host (Srv.Server.port server) parallelism max_in_flight max_queue;
+      "sqp serve: listening on %s:%d (%d in flight, queue %d)\n"
+      host (Srv.Server.port server) max_in_flight max_queue;
     (match Srv.Catalog.shard_range catalog with
     | Some (zlo, zhi) ->
         Printf.printf "shard: z=[%d,%d]%s\n" zlo zhi
@@ -547,8 +531,7 @@ let serve_cmd =
           SIGTERM/SIGINT, then drain gracefully (in-flight queries finish, \
           new ones are refused) and exit 0.")
     Term.(
-      const run $ host_arg $ port_arg ~default:7477 $ parallelism_arg
-      $ in_flight_arg $ queue_arg $ deadline_arg $ points_arg $ objects_arg
+      const run $ host_arg $ port_arg ~default:7477 $ in_flight_arg $ queue_arg $ deadline_arg $ points_arg $ objects_arg
       $ idle_timeout_arg $ frame_timeout_arg $ shard_arg $ live_empty_arg)
 
 (* The canonical join plan, as a client would send it over the wire. *)

@@ -7,7 +7,16 @@ type 'a t = { zs : P.t array; ps : 'a array; keyed : K.keyed option }
 let of_packed ~comparisons zs ps =
   if Array.length zs <> Array.length ps then
     invalid_arg "Zseq.of_packed: length mismatch";
-  let perm, keyed = K.sort_keyed ~comparisons zs in
+  let perm, keyed =
+    match
+      K.sort_keyed ~comparisons
+        ~len:(fun i -> zs.(i).P.len)
+        ~word:(fun i -> zs.(i).P.w0)
+        (Array.length zs)
+    with
+    | Some (perm, keyed) -> (perm, Some keyed)
+    | None -> (K.sort_perm ~comparisons zs, None)
+  in
   {
     zs = Array.map (fun k -> zs.(k)) perm;
     ps = Array.map (fun k -> ps.(k)) perm;

@@ -2,14 +2,12 @@
     and mergeable snapshots.
 
     A {!t} is a registry: metrics are created (or re-found) by name, and
-    every update is an [Atomic] operation, so shards running on worker
-    domains can bump the same registry — or, for per-shard views, each
-    shard can own a private registry whose {!snapshot}s are {!merge}d
-    into the query-wide total afterwards.  [merge] is associative and
-    commutative (the [test_obs] suite checks this across real domains),
-    which is exactly what makes per-shard accounting exact: merging in
-    any grouping or order yields the same totals, mirroring how
-    [Sqp_storage.Stats.sum] combines per-shard page counters. *)
+    every update is an [Atomic] operation, so concurrent threads and
+    domains can bump the same registry — or each can own a private
+    registry whose {!snapshot}s are {!merge}d into one total afterwards.
+    [merge] is associative and commutative (the [test_obs] suite checks
+    this across real domains), so merging in any grouping or order
+    yields the same totals. *)
 
 type t
 (** A metric registry. *)

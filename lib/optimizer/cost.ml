@@ -8,7 +8,6 @@ type params = {
   refine : float;
   decompose : float;
   page_access : float;
-  parallel_overhead : float;
   distinct_witnesses : float;
       (* mean join witnesses (shared cover elements) per distinct object
          pair; divides a duplicate-eliminating projection over a join *)
@@ -30,7 +29,6 @@ let default_params =
     refine = 3.0;
     decompose = 4.0;
     page_access = 50.0;
-    parallel_overhead = 2000.0;
     distinct_witnesses = 6.0;
     plan_row = 8.0;
   }
@@ -186,14 +184,6 @@ let nested_loop_cost ?(params = default_params) ~left_rows ~right_rows ~pairs
   (params.compare *. left_rows *. right_rows)
   +. (params.outer *. left_rows)
   +. (params.emit *. pairs)
-
-let parallel_merge_cost ?(params = default_params) ~domains ~left_rows
-    ~right_rows ~pairs () =
-  if domains <= 1 then merge_cost ~params ~left_rows ~right_rows ~pairs ()
-  else
-    (merge_cost ~params ~left_rows ~right_rows ~pairs ()
-    /. float_of_int domains)
-    +. (params.parallel_overhead *. float_of_int domains)
 
 let scan_pages_cost ?(params = default_params) ~pages () =
   params.page_access *. float_of_int pages

@@ -15,7 +15,6 @@ type params = {
   refine : float;        (** re-checking one candidate row exactly *)
   decompose : float;     (** producing one cover element *)
   page_access : float;   (** touching one data page (hit or miss) *)
-  parallel_overhead : float;  (** per-domain cost of sharding a merge *)
   distinct_witnesses : float;
       (** mean join witnesses (shared cover elements) per distinct
           object pair; divides a duplicate-eliminating projection over
@@ -116,17 +115,6 @@ val merge_cost :
 val nested_loop_cost :
   ?params:params -> left_rows:float -> right_rows:float -> pairs:float -> unit -> float
 (** Compare every pair of rows, emit the matches. *)
-
-val parallel_merge_cost :
-  ?params:params ->
-  domains:int ->
-  left_rows:float ->
-  right_rows:float ->
-  pairs:float ->
-  unit ->
-  float
-(** {!merge_cost} with its sort/sweep work divided across [domains]
-    and the per-domain sharding overhead added. *)
 
 val scan_pages_cost : ?params:params -> pages:int -> unit -> float
 (** Page-access cost of scanning a paged relation once. *)

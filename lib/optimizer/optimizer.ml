@@ -273,45 +273,6 @@ let choose_plan ?(params = Cost.default_params) stats plan =
   let chosen = go (P.optimize plan) in
   (chosen, List.rev !decisions)
 
-let choose_parallelism ?(params = Cost.default_params) stats ~max_domains plan
-    =
-  if max_domains <= 1 then 1
-  else begin
-    let seq = ref 0.0 and par = ref 0.0 in
-    let est p = info ~params stats (fun _ _ -> ()) p in
-    let rec go = function
-      | P.Scan _ | P.Scan_stored _ -> ()
-      | P.Select (_, i) | P.Project (_, i) | P.Project_all (_, i)
-      | P.Rename (_, i) | P.Sort (_, i) ->
-          go i
-      | P.Natural_join (a, b) | P.Product (a, b) | P.Union (a, b) ->
-          go a;
-          go b
-      | P.Spatial_join { zl; zr; left; right; impl } ->
-          go left;
-          go right;
-          let li = est left and ri = est right in
-          let chosen =
-            match impl with
-            | Some i -> i
-            | None -> P.default_join_impl ~left_rows:li.rows ~right_rows:ri.rows
-          in
-          if chosen = P.Merge then begin
-            let pairs, _ = join_pairs_est li ~zl ri ~zr in
-            seq :=
-              !seq
-              +. Cost.merge_cost ~params ~left_rows:li.rows ~right_rows:ri.rows
-                   ~pairs ();
-            par :=
-              !par
-              +. Cost.parallel_merge_cost ~params ~domains:max_domains
-                   ~left_rows:li.rows ~right_rows:ri.rows ~pairs ()
-          end
-    in
-    go plan;
-    if !seq > 0.0 && !par < !seq then max_domains else 1
-  end
-
 (* {1 EXPLAIN integration} *)
 
 let estimates_table ?params stats plan =
@@ -332,8 +293,8 @@ let cost_column ?params stats root =
     | Some (_, i) -> render_estimate i
     | None -> ""
 
-let explain ?parallelism ?params stats plan =
-  P.explain ?parallelism ~annotate:(cost_column ?params stats plan) plan
+let explain ?params stats plan =
+  P.explain ~annotate:(cost_column ?params stats plan) plan
 
 (* {1 Predicted vs. actual} *)
 

@@ -48,12 +48,6 @@ val choose_plan :
     implementation (decisions reported outside-in).  The returned plan
     returns exactly the same rows (as a multiset) as the input plan. *)
 
-val choose_parallelism :
-  ?params:Cost.params -> Stats.t -> max_domains:int -> Sqp_relalg.Plan.t -> int
-(** 1, or [max_domains] when sharding the plan's merge joins across
-    the pool is predicted to beat their sequential cost including the
-    sharding overhead. *)
-
 val cost_column :
   ?params:Cost.params -> Stats.t -> Sqp_relalg.Plan.t -> Sqp_relalg.Plan.t -> string
 (** [cost_column stats root node] is the EXPLAIN cost annotation for
@@ -62,8 +56,7 @@ val cost_column :
     ["\[cost=... rows=... pages=...\]"] — pass partially applied as
     {!Sqp_relalg.Plan.explain}'s [annotate]. *)
 
-val explain :
-  ?parallelism:int -> ?params:Cost.params -> Stats.t -> Sqp_relalg.Plan.t -> string
+val explain : ?params:Cost.params -> Stats.t -> Sqp_relalg.Plan.t -> string
 (** {!Sqp_relalg.Plan.explain} with the cost column appended to every
     operator line. *)
 

@@ -152,8 +152,7 @@ let resolve_impl impl left_rows right_rows =
 
 let default_join_impl ~left_rows ~right_rows = resolve_impl None left_rows right_rows
 
-let rec run_with pool plan =
-  let run = run_with pool in
+let rec run plan =
   match plan with
   | Scan r -> r
   | Scan_stored st -> Stored.scan st
@@ -174,33 +173,16 @@ let rec run_with pool plan =
             (float_of_int (Relation.cardinality l))
             (float_of_int (Relation.cardinality r))
         with
-        | Merge -> (
-            match pool with
-            | Some pool -> Spatial_join.merge_parallel pool l ~zr:zl r ~zs:zr
-            | None -> Spatial_join.merge l ~zr:zl r ~zs:zr)
+        | Merge -> Spatial_join.merge l ~zr:zl r ~zs:zr
         | Nested_loop -> Spatial_join.nested_loop l ~zr:zl r ~zs:zr
       in
       joined
   | Product (a, b) -> Ops.product (run a) (run b)
   | Union (a, b) -> Ops.union (run a) (run b)
 
-let run ?(parallelism = 1) plan =
-  if parallelism < 1 then invalid_arg "Plan.run: parallelism must be >= 1";
-  if parallelism = 1 then run_with None plan
-  else
-    Sqp_parallel.Pool.with_pool ~domains:parallelism (fun pool ->
-        run_with (Some pool) plan)
-
-(* The server executes many queries over one long-lived pool instead of
-   paying a pool spawn per query; a 1-domain pool degenerates to the
-   sequential path so results stay bit-identical either way. *)
-let run_in_pool pool plan =
-  if Sqp_parallel.Pool.domains pool = 1 then run_with None plan
-  else run_with (Some pool) plan
-
 (* {2 Explain} *)
 
-let explain ?(parallelism = 1) ?annotate plan =
+let explain ?annotate plan =
   let buf = Buffer.create 256 in
   let rec go depth plan =
     let rows = estimated_rows plan in
@@ -243,10 +225,7 @@ let explain ?(parallelism = 1) ?annotate plan =
         let forced = match impl with Some _ -> " (forced)" | None -> "" in
         let impl =
           match resolve_impl impl (estimated_rows left) (estimated_rows right) with
-          | Merge ->
-              if parallelism > 1 then
-                Printf.sprintf "parallel z-merge (%d domains)" parallelism
-              else "z-merge"
+          | Merge -> "z-merge"
           | Nested_loop -> "nested loop"
         in
         line depth "spatial join %s <> %s via %s%s (~%.0f rows)" zl zr impl forced
@@ -271,20 +250,12 @@ let explain ?(parallelism = 1) ?annotate plan =
 
 module Stats = Sqp_storage.Stats
 
-type shard_row = {
-  shard : int;
-  shard_items : int;
-  shard_pairs : int;
-  shard_comparisons : int;
-}
-
 type node_report = {
   op : string;
   rows : int;
   elapsed : float;
   pages : Stats.t;
   node_attrs : (string * int) list;
-  shard_table : shard_row list;
   children : node_report list;
 }
 
@@ -293,7 +264,6 @@ type analysis = {
   report : node_report;
   total_pages : Stats.t;
   wall_seconds : float;
-  parallelism : int;
 }
 
 (* The live Stats counters reachable from the plan's stored scans,
@@ -328,170 +298,125 @@ let join_attrs (s : Spatial_join.stats) =
     ("max_stack", s.Spatial_join.max_stack);
   ]
 
-let row_of_shard_report (r : Sqp_parallel.Par_spatial_join.shard_report) =
-  {
-    shard = r.Sqp_parallel.Par_spatial_join.shard;
-    shard_items = r.Sqp_parallel.Par_spatial_join.items;
-    shard_pairs = r.Sqp_parallel.Par_spatial_join.pairs;
-    shard_comparisons = r.Sqp_parallel.Par_spatial_join.comparisons;
-  }
-
-let analyze_impl ?(parallelism = 1) ?pool plan =
-  if parallelism < 1 then invalid_arg "Plan.run_analyze: parallelism must be >= 1";
-  let parallelism =
-    match pool with
-    | Some p -> Sqp_parallel.Pool.domains p
-    | None -> parallelism
-  in
+let run_analyze plan =
   let sources = stats_sources [] plan in
   let tracer = Sqp_obs.Trace.global () in
   let now = Unix.gettimeofday in
-  let exec pool =
-    (* Children run (and are charged) before their parent's own work, so
-       each node's [pages]/[elapsed] are exclusive: tree sums equal the
-       run's totals exactly. *)
-    let node op children f : Relation.t * node_report =
-      let befores = List.map Stats.snapshot sources in
-      Sqp_obs.Trace.span_begin tracer ("plan." ^ op);
-      let t0 = now () in
-      let rel, node_attrs, shard_table = f () in
-      let elapsed = now () -. t0 in
-      Sqp_obs.Trace.span_end
-        ~attrs:(fun () ->
-          ("rows", Sqp_obs.Trace.Int (Relation.cardinality rel))
-          :: List.map (fun (k, v) -> (k, Sqp_obs.Trace.Int v)) node_attrs)
-        tracer;
-      let pages = delta sources befores in
-      ( rel,
-        {
-          op;
-          rows = Relation.cardinality rel;
-          elapsed;
-          pages;
-          node_attrs;
-          shard_table;
-          children;
-        } )
-    in
-    let simple op children f = node op children (fun () -> (f (), [], [])) in
-    let rec go plan =
-      match plan with
-      | Scan r ->
-          simple
-            (Printf.sprintf "scan %s"
-               (match Relation.name r with "" -> "<anon>" | n -> n))
-            []
-            (fun () -> r)
-      | Scan_stored st ->
-          node
-            (Printf.sprintf "scan stored %s"
-               (match Stored.name st with "" -> "<anon>" | n -> n))
-            []
-            (fun () -> (Stored.scan st, [ ("data_pages", Stored.pages st) ], []))
-      | Select (p, inner) ->
-          let rel, child = go inner in
-          let s = Relation.schema rel in
-          simple
-            (Printf.sprintf "select [%s]" p.description)
-            [ child ]
-            (fun () -> Ops.select (fun tu -> p.test tu s) rel)
-      | Project (names, inner) ->
-          let rel, child = go inner in
-          simple
-            (Printf.sprintf "project distinct {%s}" (String.concat ", " names))
-            [ child ]
-            (fun () -> Ops.project names rel)
-      | Project_all (names, inner) ->
-          let rel, child = go inner in
-          simple
-            (Printf.sprintf "project {%s}" (String.concat ", " names))
-            [ child ]
-            (fun () -> Ops.project_all names rel)
-      | Rename (renames, inner) ->
-          let rel, child = go inner in
-          simple
-            (Printf.sprintf "rename {%s}"
-               (String.concat ", " (List.map (fun (o, n) -> o ^ " -> " ^ n) renames)))
-            [ child ]
-            (fun () -> Ops.rename renames rel)
-      | Sort (keys, inner) ->
-          let rel, child = go inner in
-          simple
-            (Printf.sprintf "sort by {%s}" (String.concat ", " keys))
-            [ child ]
-            (fun () -> Ops.sort_by keys rel)
-      | Natural_join (a, b) ->
-          let ra, ca = go a in
-          let rb, cb = go b in
-          simple "natural join" [ ca; cb ] (fun () -> Ops.natural_join ra rb)
-      | Product (a, b) ->
-          let ra, ca = go a in
-          let rb, cb = go b in
-          simple "product" [ ca; cb ] (fun () -> Ops.product ra rb)
-      | Union (a, b) ->
-          let ra, ca = go a in
-          let rb, cb = go b in
-          simple "union" [ ca; cb ] (fun () -> Ops.union ra rb)
-      | Spatial_join { zl; zr; left; right; impl } ->
-          let rl, cl = go left in
-          let rr, cr = go right in
-          let chosen =
-            resolve_impl impl
-              (float_of_int (Relation.cardinality rl))
-              (float_of_int (Relation.cardinality rr))
-          in
-          let impl, f =
-            match chosen with
-            | Merge -> (
-                match pool with
-                | Some pool ->
-                    ( Printf.sprintf "parallel z-merge (%d domains)"
-                        (Sqp_parallel.Pool.domains pool),
-                      fun () ->
-                        let joined, s, reports =
-                          Spatial_join.merge_parallel_detailed pool rl ~zr:zl rr
-                            ~zs:zr
-                        in
-                        (joined, join_attrs s, List.map row_of_shard_report reports)
-                    )
-                | None ->
-                    ( "z-merge",
-                      fun () ->
-                        let joined, s = Spatial_join.merge rl ~zr:zl rr ~zs:zr in
-                        (joined, join_attrs s, []) ))
-            | Nested_loop ->
-                ( "nested loop",
-                  fun () ->
-                    let joined, s = Spatial_join.nested_loop rl ~zr:zl rr ~zs:zr in
-                    (joined, join_attrs s, []) )
-          in
-          node
-            (Printf.sprintf "spatial join %s <> %s via %s" zl zr impl)
-            [ cl; cr ] f
-    in
-    go plan
+  (* Children run (and are charged) before their parent's own work, so
+     each node's [pages]/[elapsed] are exclusive: tree sums equal the
+     run's totals exactly. *)
+  let node op children f : Relation.t * node_report =
+    let befores = List.map Stats.snapshot sources in
+    Sqp_obs.Trace.span_begin tracer ("plan." ^ op);
+    let t0 = now () in
+    let rel, node_attrs = f () in
+    let elapsed = now () -. t0 in
+    Sqp_obs.Trace.span_end
+      ~attrs:(fun () ->
+        ("rows", Sqp_obs.Trace.Int (Relation.cardinality rel))
+        :: List.map (fun (k, v) -> (k, Sqp_obs.Trace.Int v)) node_attrs)
+      tracer;
+    let pages = delta sources befores in
+    ( rel,
+      {
+        op;
+        rows = Relation.cardinality rel;
+        elapsed;
+        pages;
+        node_attrs;
+        children;
+      } )
+  in
+  let simple op children f = node op children (fun () -> (f (), [])) in
+  let rec go plan =
+    match plan with
+    | Scan r ->
+        simple
+          (Printf.sprintf "scan %s"
+             (match Relation.name r with "" -> "<anon>" | n -> n))
+          []
+          (fun () -> r)
+    | Scan_stored st ->
+        node
+          (Printf.sprintf "scan stored %s"
+             (match Stored.name st with "" -> "<anon>" | n -> n))
+          []
+          (fun () -> (Stored.scan st, [ ("data_pages", Stored.pages st) ]))
+    | Select (p, inner) ->
+        let rel, child = go inner in
+        let s = Relation.schema rel in
+        simple
+          (Printf.sprintf "select [%s]" p.description)
+          [ child ]
+          (fun () -> Ops.select (fun tu -> p.test tu s) rel)
+    | Project (names, inner) ->
+        let rel, child = go inner in
+        simple
+          (Printf.sprintf "project distinct {%s}" (String.concat ", " names))
+          [ child ]
+          (fun () -> Ops.project names rel)
+    | Project_all (names, inner) ->
+        let rel, child = go inner in
+        simple
+          (Printf.sprintf "project {%s}" (String.concat ", " names))
+          [ child ]
+          (fun () -> Ops.project_all names rel)
+    | Rename (renames, inner) ->
+        let rel, child = go inner in
+        simple
+          (Printf.sprintf "rename {%s}"
+             (String.concat ", " (List.map (fun (o, n) -> o ^ " -> " ^ n) renames)))
+          [ child ]
+          (fun () -> Ops.rename renames rel)
+    | Sort (keys, inner) ->
+        let rel, child = go inner in
+        simple
+          (Printf.sprintf "sort by {%s}" (String.concat ", " keys))
+          [ child ]
+          (fun () -> Ops.sort_by keys rel)
+    | Natural_join (a, b) ->
+        let ra, ca = go a in
+        let rb, cb = go b in
+        simple "natural join" [ ca; cb ] (fun () -> Ops.natural_join ra rb)
+    | Product (a, b) ->
+        let ra, ca = go a in
+        let rb, cb = go b in
+        simple "product" [ ca; cb ] (fun () -> Ops.product ra rb)
+    | Union (a, b) ->
+        let ra, ca = go a in
+        let rb, cb = go b in
+        simple "union" [ ca; cb ] (fun () -> Ops.union ra rb)
+    | Spatial_join { zl; zr; left; right; impl } ->
+        let rl, cl = go left in
+        let rr, cr = go right in
+        let chosen =
+          resolve_impl impl
+            (float_of_int (Relation.cardinality rl))
+            (float_of_int (Relation.cardinality rr))
+        in
+        let impl, join =
+          match chosen with
+          | Merge -> ("z-merge", Spatial_join.merge)
+          | Nested_loop -> ("nested loop", Spatial_join.nested_loop)
+        in
+        let f () =
+          let joined, s = join rl ~zr:zl rr ~zs:zr in
+          (joined, join_attrs s)
+        in
+        node
+          (Printf.sprintf "spatial join %s <> %s via %s" zl zr impl)
+          [ cl; cr ] f
   in
   let befores = List.map Stats.snapshot sources in
   Sqp_obs.Trace.span_begin tracer "plan.run_analyze";
   let t0 = now () in
-  let result, report =
-    match pool with
-    | Some p -> exec (if Sqp_parallel.Pool.domains p = 1 then None else Some p)
-    | None ->
-        if parallelism = 1 then exec None
-        else
-          Sqp_parallel.Pool.with_pool ~domains:parallelism (fun pool ->
-              exec (Some pool))
-  in
+  let result, report = go plan in
   let wall_seconds = now () -. t0 in
   Sqp_obs.Trace.span_end
     ~attrs:(fun () -> [ ("rows", Sqp_obs.Trace.Int (Relation.cardinality result)) ])
     tracer;
   let total_pages = delta sources befores in
-  { result; report; total_pages; wall_seconds; parallelism }
-
-let run_analyze ?parallelism plan = analyze_impl ?parallelism plan
-let run_analyze_in_pool pool plan = analyze_impl ~pool plan
+  { result; report; total_pages; wall_seconds }
 
 let render_analysis a =
   let buf = Buffer.create 1024 in
@@ -512,8 +437,7 @@ let render_analysis a =
       Printf.sprintf ", pages: %dr/%dw (pool %dh/%dm)" p.Stats.physical_reads
         p.Stats.physical_writes p.Stats.pool_hits p.Stats.pool_misses
   in
-  line 0 "EXPLAIN ANALYZE (parallelism=%d, wall %.3f ms, total pages: %dr/%dw, pool %dh/%dm)"
-    a.parallelism
+  line 0 "EXPLAIN ANALYZE (wall %.3f ms, total pages: %dr/%dw, pool %dh/%dm)"
     (a.wall_seconds *. 1e3)
     a.total_pages.Stats.physical_reads a.total_pages.Stats.physical_writes
     a.total_pages.Stats.pool_hits a.total_pages.Stats.pool_misses;
@@ -524,19 +448,9 @@ let render_analysis a =
     in
     line depth "%s (rows=%d, %.3f ms%s%s)" r.op r.rows (r.elapsed *. 1e3) attrs
       (pages_str r.pages);
-    if r.shard_table <> [] then begin
-      line (depth + 1) "per-shard: %-6s %8s %8s %12s" "shard" "items" "pairs"
-        "comparisons";
-      List.iter
-        (fun row ->
-          line (depth + 1) "           %-6s %8d %8d %12d"
-            (if row.shard < 0 then "span" else string_of_int row.shard)
-            row.shard_items row.shard_pairs row.shard_comparisons)
-        r.shard_table
-    end;
     List.iter (go (depth + 1)) r.children
   in
   go 0 a.report;
   Buffer.contents buf
 
-let explain_analyze ?parallelism plan = render_analysis (run_analyze ?parallelism plan)
+let explain_analyze plan = render_analysis (run_analyze plan)

@@ -82,26 +82,15 @@ val optimize : t -> t
     their attributes allow; fuse [Select] over [Select]; drop redundant
     [Sort] under [Sort].  Semantics-preserving. *)
 
-val run : ?parallelism:int -> t -> Relation.t
-(** Execute (materializing operator by operator).  [parallelism] (default
-    1) is the number of execution streams: with more than one, a domain
-    pool is created for the duration of the run and every z-merge spatial
-    join executes shard-parallel ({!Spatial_join.merge_parallel}), with
-    results identical to the sequential plan.
-    @raise Invalid_argument if [parallelism < 1]. *)
+val run : t -> Relation.t
+(** Execute (materializing operator by operator) in the calling thread;
+    every z-merge spatial join runs on the flat-array kernel
+    ({!Spatial_join.merge}). *)
 
-val run_in_pool : Sqp_parallel.Pool.t -> t -> Relation.t
-(** Like {!run}, but executing on a caller-provided (long-lived) domain
-    pool instead of spawning one per run — the mode the network server
-    uses, where many concurrent sessions share one pool.  A 1-domain
-    pool takes the plain sequential path; results are identical to
-    {!run} at any parallelism. *)
-
-val explain : ?parallelism:int -> ?annotate:(t -> string) -> t -> string
+val explain : ?annotate:(t -> string) -> t -> string
 (** An indented operator tree with schemas and row estimates, plus the
-    implementation choice for each spatial join — including whether the
-    z-merge would run sequentially or sharded over [parallelism]
-    domains.  A spatial join whose [impl] was forced by the optimizer is
+    implementation choice for each spatial join ([z-merge] or [nested
+    loop]).  A spatial join whose [impl] was forced by the optimizer is
     marked [(forced)].  [annotate], when given, is called on every node
     and its non-empty result is appended to that node's line — the
     optimizer uses it to add the predicted-cost column. *)
@@ -116,14 +105,6 @@ val explain : ?parallelism:int -> ?annotate:(t -> string) -> t -> string
     children are charged separately, so the per-node numbers sum exactly
     to the run's totals). *)
 
-type shard_row = {
-  shard : int;       (** shard index, or [-1] for the spanner pass *)
-  shard_items : int;       (** items the shard swept *)
-  shard_pairs : int;       (** pairs it emitted *)
-  shard_comparisons : int; (** element comparisons it performed *)
-}
-(** One row of the per-shard breakdown a sharded spatial join reports. *)
-
 type node_report = {
   op : string;               (** operator label, as in {!explain} *)
   rows : int;                (** actual output cardinality *)
@@ -132,8 +113,6 @@ type node_report = {
   node_attrs : (string * int) list;
       (** operator-specific counters (e.g. a spatial join's
           [comparisons]) *)
-  shard_table : shard_row list;
-      (** per-shard work, non-empty only for parallel spatial joins *)
   children : node_report list;
 }
 (** Measured execution of one plan operator and its subtree. *)
@@ -144,20 +123,12 @@ type analysis = {
   total_pages : Sqp_storage.Stats.t;
       (** whole-run page accesses; equals {!sum_pages}[ report] *)
   wall_seconds : float;      (** whole-run wall time *)
-  parallelism : int;         (** execution streams used *)
 }
 (** Everything {!run_analyze} measured, plus the result itself. *)
 
-val run_analyze : ?parallelism:int -> t -> analysis
+val run_analyze : t -> analysis
 (** Execute [plan] under measurement.  Produces the same result as
-    {!run} with the same [parallelism] (default 1; with 2 or more, a
-    domain pool is created and z-merge spatial joins run sharded,
-    additionally filling in their [shard_table]).
-    @raise Invalid_argument if [parallelism < 1]. *)
-
-val run_analyze_in_pool : Sqp_parallel.Pool.t -> t -> analysis
-(** {!run_analyze} on a caller-provided pool (see {!run_in_pool}); the
-    analysis's [parallelism] field reports the pool's domain count. *)
+    {!run}. *)
 
 val sum_pages : node_report -> Sqp_storage.Stats.t
 (** Sum of [pages] over the whole report tree.  Always equal, counter
@@ -166,8 +137,7 @@ val sum_pages : node_report -> Sqp_storage.Stats.t
 
 val render_analysis : analysis -> string
 (** The annotated operator tree as text: one line per operator with
-    actual rows, milliseconds, operator counters and page accesses,
-    followed by the per-shard table under any parallel spatial join. *)
+    actual rows, milliseconds, operator counters and page accesses. *)
 
-val explain_analyze : ?parallelism:int -> t -> string
-(** [render_analysis (run_analyze ?parallelism plan)]. *)
+val explain_analyze : t -> string
+(** [render_analysis (run_analyze plan)]. *)

@@ -10,10 +10,14 @@ type stats = {
 let out_schema r s =
   Schema.concat (Relation.schema r) (Relation.schema s)
 
-let zval_of schema attr tu =
-  match Relation.get tu schema attr with
-  | Value.Zval z -> z
-  | _ -> invalid_arg "Spatial_join: z attribute does not hold an element"
+(* The z value of a tuple.  The attribute's position is looked up once,
+   at the first tuple, so an empty side never needs the attribute. *)
+let zval_of schema attr =
+  let k = lazy (Schema.index schema attr) in
+  fun (tu : Relation.tuple) ->
+    match tu.(Lazy.force k) with
+    | Value.Zval z -> z
+    | _ -> invalid_arg "Spatial_join: z attribute does not hold an element"
 
 (* Observability: one span per join with its work counters, plus running
    totals in the ambient metrics registry.  One branch when tracing is
@@ -49,15 +53,16 @@ let observed name join =
 
 let nested_loop_impl r ~zr s ~zs =
   let schema = out_schema r s in
-  let sr = Relation.schema r and ss = Relation.schema s in
+  let zr_at = zval_of (Relation.schema r) zr
+  and zs_at = zval_of (Relation.schema s) zs in
   let comparisons = ref 0 in
   let tuples =
     List.concat_map
       (fun tr ->
-        let zrv = zval_of sr zr tr in
+        let zrv = zr_at tr in
         List.filter_map
           (fun ts ->
-            let zsv = zval_of ss zs ts in
+            let zsv = zs_at ts in
             incr comparisons;
             if B.is_prefix zrv zsv || B.is_prefix zsv zrv then
               Some (Array.append tr ts)
@@ -79,11 +84,12 @@ type side = R | S
 
 let merge_reference_impl r ~zr s ~zs =
   let schema = out_schema r s in
-  let sr = Relation.schema r and ss = Relation.schema s in
+  let zr_at = zval_of (Relation.schema r) zr
+  and zs_at = zval_of (Relation.schema s) zs in
   let comparisons = ref 0 in
   let items =
-    List.map (fun tu -> (zval_of sr zr tu, R, tu)) (Relation.tuples r)
-    @ List.map (fun tu -> (zval_of ss zs tu, S, tu)) (Relation.tuples s)
+    List.map (fun tu -> (zr_at tu, R, tu)) (Relation.tuples r)
+    @ List.map (fun tu -> (zs_at tu, S, tu)) (Relation.tuples s)
   in
   let items =
     List.sort
@@ -144,64 +150,63 @@ let merge_reference_impl r ~zr s ~zs =
 let merge_reference r ~zr s ~zs =
   observed "spatial_join.merge_reference" (fun () -> merge_reference_impl r ~zr s ~zs)
 
-(* Fast path: both sides' z values packed into words, sorted by stable
-   permutation and swept with the flat-array kernel.  Tuple output —
-   content and order — is bit-identical to the reference sweep; any
-   overlong z value falls back wholesale. *)
+(* Fast path: the flat-array kernel sweep.  A narrow side (every z value
+   at most one word) is sorted straight from its tuples' bitstrings into
+   flat keys; if both sides are narrow the sweep runs on those keys and
+   no packed copy is made.  Otherwise both sides are packed and swept as
+   packed records, a narrow side keeping the permutation its keyed sort
+   found (the same sorts [Zseq] runs).  Tuple output — content and order
+   — is bit-identical to the reference sweep; any z value beyond
+   Zpacked.max_bits falls back wholesale. *)
 let merge_impl r ~zr s ~zs =
-  let sr = Relation.schema r and ss = Relation.schema s in
+  let module K = Sqp_zorder.Zkernel in
   let tr = Array.of_list (Relation.tuples r)
   and ts = Array.of_list (Relation.tuples s) in
-  let zrv = Array.map (zval_of sr zr) tr and zsv = Array.map (zval_of ss zs) ts in
-  match (Sqp_zorder.Zpacked.pack_array zrv, Sqp_zorder.Zpacked.pack_array zsv) with
-  | Some pr, Some ps ->
-      let schema = out_schema r s in
-      let comparisons = ref 0 in
-      let perm_r, kr = Sqp_zorder.Zkernel.sort_keyed ~comparisons pr
-      and perm_s, ks = Sqp_zorder.Zkernel.sort_keyed ~comparisons ps in
-      let out = ref [] in
-      let emit li ri =
-        out := Array.append tr.(perm_r.(li)) ts.(perm_s.(ri)) :: !out
-      in
-      let st =
-        match (kr, ks) with
-        | Some kr, Some ks ->
-            Sqp_zorder.Zkernel.sweep_pairs_keyed ~comparisons kr ks emit
-        | _ ->
-            let spr = Array.map (fun k -> pr.(k)) perm_r
-            and sps = Array.map (fun k -> ps.(k)) perm_s in
-            Sqp_zorder.Zkernel.sweep_pairs ~comparisons spr sps emit
-      in
-      ( Relation.make schema (List.rev !out),
+  let zr_at = zval_of (Relation.schema r) zr
+  and zs_at = zval_of (Relation.schema s) zs in
+  let comparisons = ref 0 in
+  let sort_narrow tuples z_at =
+    K.sort_keyed ~comparisons
+      ~len:(fun i -> B.length (z_at tuples.(i)))
+      ~word:(fun i -> Sqp_zorder.Zpacked.first_word (z_at tuples.(i)))
+      (Array.length tuples)
+  in
+  let narrow_r = sort_narrow tr zr_at in
+  let narrow_s = sort_narrow ts zs_at in
+  let out = ref [] in
+  let emit perm_r perm_s li ri =
+    out := Array.append tr.(perm_r.(li)) ts.(perm_s.(ri)) :: !out
+  in
+  let sweep =
+    match (narrow_r, narrow_s) with
+    | Some (perm_r, kr), Some (perm_s, ks) ->
+        Some (K.sweep_pairs_keyed ~comparisons kr ks (emit perm_r perm_s))
+    | _ -> (
+        let pack tuples z_at = Sqp_zorder.Zpacked.pack_array (Array.map z_at tuples) in
+        match (pack tr zr_at, pack ts zs_at) with
+        | Some pr, Some ps ->
+            let sorted packed narrow =
+              let perm =
+                match narrow with
+                | Some (perm, _) -> perm
+                | None -> K.sort_perm ~comparisons packed
+              in
+              (perm, Array.map (fun k -> packed.(k)) perm)
+            in
+            let perm_r, sorted_r = sorted pr narrow_r in
+            let perm_s, sorted_s = sorted ps narrow_s in
+            Some (K.sweep_pairs ~comparisons sorted_r sorted_s (emit perm_r perm_s))
+        | _ -> None)
+  in
+  match sweep with
+  | Some st ->
+      ( Relation.make (out_schema r s) (List.rev !out),
         {
-          pairs = st.Sqp_zorder.Zkernel.pairs;
+          pairs = st.K.pairs;
           comparisons = !comparisons;
           sorted_items = Array.length tr + Array.length ts;
-          max_stack = st.Sqp_zorder.Zkernel.max_stack;
+          max_stack = st.K.max_stack;
         } )
-  | _ -> merge_reference_impl r ~zr s ~zs
+  | None -> merge_reference_impl r ~zr s ~zs
 
 let merge r ~zr s ~zs = observed "spatial_join.merge" (fun () -> merge_impl r ~zr s ~zs)
-
-let merge_parallel_detailed ?shard_bits pool r ~zr s ~zs =
-  let schema = out_schema r s in
-  let sr = Relation.schema r and ss = Relation.schema s in
-  let left = List.map (fun tu -> (zval_of sr zr tu, tu)) (Relation.tuples r) in
-  let right = List.map (fun tu -> (zval_of ss zs tu, tu)) (Relation.tuples s) in
-  let pairs, pstats, reports =
-    Sqp_parallel.Par_spatial_join.pairs_detailed ?shard_bits pool left right
-  in
-  let tuples = List.map (fun (tr, ts) -> Array.append tr ts) pairs in
-  ( Relation.make schema tuples,
-    {
-      pairs = pstats.Sqp_parallel.Par_spatial_join.pairs;
-      comparisons = pstats.Sqp_parallel.Par_spatial_join.comparisons;
-      sorted_items = pstats.Sqp_parallel.Par_spatial_join.sorted_items;
-      max_stack = 0 (* not tracked by the sharded sweeps *);
-    },
-    reports )
-
-let merge_parallel ?shard_bits pool r ~zr s ~zs =
-  observed "spatial_join.merge_parallel" (fun () ->
-      let joined, stats, _ = merge_parallel_detailed ?shard_bits pool r ~zr s ~zs in
-      (joined, stats))

@@ -9,9 +9,8 @@
     - [merge]: sort both inputs into z order and sweep once, keeping a
       stack of currently "open" (containing) elements per side — the
       z-order analogue of sort-merge join.  O(n log n + output).
-    - [merge_parallel]: the same sweep, z-sharded over a domain pool
-      ({!Sqp_parallel.Par_spatial_join}); output identical to [merge],
-      including tuple order.
+    - [merge_reference]: the same sweep over bitstring lists; the
+      differential oracle for [merge].
     - [nested_loop]: compare all pairs; the correctness oracle. *)
 
 type stats = {
@@ -19,16 +18,21 @@ type stats = {
   comparisons : int;   (** element comparisons performed *)
   sorted_items : int;  (** total items sorted (merge only) *)
   max_stack : int;
-      (** deepest combined open-element stack the sweep reached ([merge]
-          only; 0 for [nested_loop] and the sharded plan) *)
+      (** deepest combined open-element stack the sweep reached (0 for
+          [nested_loop]) *)
 }
 
 val merge :
   Relation.t -> zr:string -> Relation.t -> zs:string -> Relation.t * stats
-(** Runs on the packed word kernel ({!Sqp_zorder.Zkernel.sweep_pairs})
-    whenever every z value fits [Zpacked.max_bits] bits, falling back to
-    {!merge_reference} otherwise; both produce the same tuples in the
-    same order.
+(** Runs on the flat-array kernel: when every z value fits one word
+    ({!Sqp_zorder.Zpacked.word_bits}), both sides are sorted straight
+    from their bitstrings into flat keys
+    ({!Sqp_zorder.Zkernel.sort_keyed}) with no packed copy; otherwise,
+    up to [Zpacked.max_bits] bits, over packed records
+    ({!Sqp_zorder.Zkernel.sweep_pairs}); beyond that it falls back to
+    {!merge_reference}.  All produce the same tuples in the same order
+    and the same [pairs], [sorted_items] and [max_stack]; [comparisons]
+    counts each path's own sort and sweep.
     @raise Invalid_argument if attribute names of the two relations
     clash (rename first) or the z attributes hold non-[Zval] values. *)
 
@@ -43,27 +47,3 @@ val nested_loop :
 (** Compare all pairs directly — O(|R| * |S|), the correctness oracle
     and the planner's choice for small inputs.  Same preconditions as
     {!merge}. *)
-
-val merge_parallel :
-  ?shard_bits:int ->
-  Sqp_parallel.Pool.t ->
-  Relation.t ->
-  zr:string ->
-  Relation.t ->
-  zs:string ->
-  Relation.t * stats
-(** Same result (and tuple order) as {!merge}, computed shard-by-shard on
-    the pool.  [stats.comparisons] reflects the parallel plan's own work,
-    so it differs from [merge]'s count; [pairs] is always equal. *)
-
-val merge_parallel_detailed :
-  ?shard_bits:int ->
-  Sqp_parallel.Pool.t ->
-  Relation.t ->
-  zr:string ->
-  Relation.t ->
-  zs:string ->
-  Relation.t * stats * Sqp_parallel.Par_spatial_join.shard_report list
-(** {!merge_parallel}, additionally returning the per-shard work
-    breakdown ({!Sqp_parallel.Par_spatial_join.shard_report}) that
-    EXPLAIN ANALYZE renders as its shard table. *)

@@ -6,7 +6,6 @@ module Storage_error = Sqp_storage.Storage_error
 type config = {
   host : string;
   port : int;
-  parallelism : int;
   max_in_flight : int;
   max_queue : int;
   max_frame_bytes : int;
@@ -21,7 +20,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    parallelism = 2;
     max_in_flight = 8;
     max_queue = 32;
     max_frame_bytes = P.default_max_frame_bytes;
@@ -44,7 +42,6 @@ type cluster_state = {
 type t = {
   config : config;
   cat : Catalog.t;
-  pool : Sqp_parallel.Pool.t;
   adm : Admission.t;
   mutable net : Net.t option;  (* filled right after [Net.start] *)
   mutable stopped : bool;
@@ -254,7 +251,7 @@ let range_search t ~lo ~hi =
       coord_rows (Catalog.space t.cat) (filter_owned_entries t entries)
   | Catalog.Planned ->
       let plan = R.Plan.optimize (Catalog.range_plan t.cat ~lo ~hi) in
-      filter_owned_rows t (R.Plan.run_in_pool t.pool plan)
+      filter_owned_rows t (R.Plan.run plan)
 
 let execute t request =
   match request with
@@ -263,19 +260,18 @@ let execute t request =
           ignore (Catalog.validate_bounds t.cat ~lo ~hi);
           P.Rows (range_search t ~lo ~hi))
   | P.Query wplan ->
-      guard t (fun () -> P.Rows (R.Plan.run_in_pool t.pool (instantiate t wplan)))
+      guard t (fun () -> P.Rows (R.Plan.run (instantiate t wplan)))
   | P.Explain wplan ->
       guard t (fun () ->
           let plan = instantiate t wplan in
-          let parallelism = Sqp_parallel.Pool.domains t.pool in
           P.Text
             (match Catalog.stats t.cat with
-            | None -> R.Plan.explain ~parallelism plan
-            | Some st -> O.Optimizer.explain ~parallelism st plan))
+            | None -> R.Plan.explain plan
+            | Some st -> O.Optimizer.explain st plan))
   | P.Analyze wplan ->
       guard t (fun () ->
           let plan = instantiate t wplan in
-          let a = R.Plan.run_analyze_in_pool t.pool plan in
+          let a = R.Plan.run_analyze plan in
           let rendered =
             match Catalog.stats t.cat with
             | None -> R.Plan.render_analysis a
@@ -634,13 +630,11 @@ let rec handle t payload =
    supplies the payload handler and the admission drain. *)
 
 let start ?(config = default_config) ?metrics cat =
-  if config.parallelism < 1 then invalid_arg "Server.start: parallelism < 1";
   let reg = match metrics with Some m -> m | None -> Metrics.global () in
   let t =
     {
       config;
       cat;
-      pool = Sqp_parallel.Pool.create ~domains:config.parallelism;
       adm =
         Admission.create ~metrics:reg ~max_in_flight:config.max_in_flight
           ~max_queue:config.max_queue ();
@@ -669,14 +663,11 @@ let start ?(config = default_config) ?metrics cat =
       session_io = config.session_io;
     }
   in
-  (match
-     Net.start ~config:net_config ~metrics:reg ~handle:(fun payload ->
-         handle t payload) ()
-   with
-  | net -> t.net <- Some net
-  | exception e ->
-      Sqp_parallel.Pool.shutdown t.pool;
-      raise e);
+  t.net <-
+    Some
+      (Net.start ~config:net_config ~metrics:reg
+         ~handle:(fun payload -> handle t payload)
+         ());
   t
 
 let stop t =
@@ -684,8 +675,8 @@ let stop t =
   let already = t.stopped in
   t.stopped <- true;
   Mutex.unlock t.m;
-  if not already then begin
-    (match t.net with
+  if not already then
+    match t.net with
     | Some net ->
         (* Drain between acceptor shutdown and session teardown: new
            queries are refused, in-flight ones finish and answer. *)
@@ -694,6 +685,4 @@ let stop t =
             Admission.begin_drain t.adm;
             Admission.await_drain t.adm)
           net
-    | None -> ());
-    Sqp_parallel.Pool.shutdown t.pool
-  end
+    | None -> ()

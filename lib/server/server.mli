@@ -2,10 +2,9 @@
 
     One acceptor thread turns connections into {e sessions} (one thread
     each, blocking frame I/O); every request then passes {!Admission}
-    before executing on a {e shared, long-lived} {!Sqp_parallel.Pool} —
-    sessions supply concurrency, the pool supplies parallelism within a
-    query (sharded z-merge joins), and the admission layer bounds how
-    much of either a burst can claim.
+    before its plan executes in the session's own thread
+    ({!Sqp_relalg.Plan.run}) — sessions supply the concurrency, and the
+    admission layer bounds how much of it a burst can claim.
 
     Session lifecycle: [accept] → read frame → decode → (admission) →
     execute → respond → read next frame … until clean EOF, a framing
@@ -45,7 +44,6 @@
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
-  parallelism : int;  (** domains of the shared execution pool *)
   max_in_flight : int;  (** concurrent query executions *)
   max_queue : int;  (** waiters beyond that before shedding *)
   max_frame_bytes : int;  (** per-frame payload cap *)
@@ -67,13 +65,13 @@ type config = {
 }
 
 val default_config : config
-(** [127.0.0.1:0], parallelism 2, 8 in flight, queue 32, 8 MiB frames,
+(** [127.0.0.1:0], 8 in flight, queue 32, 8 MiB frames,
     no default deadline, no session timeouts, honest socket I/O. *)
 
 type t
 
 val start : ?config:config -> ?metrics:Sqp_obs.Metrics.t -> Catalog.t -> t
-(** Bind, listen, spawn the acceptor, spawn the execution pool.
+(** Bind, listen and spawn the acceptor.
     [metrics] (default {!Sqp_obs.Metrics.global}) receives the serving
     instruments: [server.requests], [server.responses.{ok,error}],
     [server.sessions], [server.sessions.aborted] (connection reset /
@@ -89,4 +87,4 @@ val port : t -> int
 
 val stop : t -> unit
 (** Graceful drain, as described above.  Idempotent; blocks until every
-    session and the pool have been joined. *)
+    session has been joined. *)

@@ -57,14 +57,6 @@ let add a b =
 
 let sum ts = List.fold_left add (create ()) ts
 
-let accumulate ~into t =
-  into.physical_reads <- into.physical_reads + t.physical_reads;
-  into.physical_writes <- into.physical_writes + t.physical_writes;
-  into.allocations <- into.allocations + t.allocations;
-  into.frees <- into.frees + t.frees;
-  into.pool_hits <- into.pool_hits + t.pool_hits;
-  into.pool_misses <- into.pool_misses + t.pool_misses
-
 let total_accesses t = t.physical_reads + t.physical_writes
 
 let hit_ratio t =

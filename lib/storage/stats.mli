@@ -30,14 +30,8 @@ val add : t -> t -> t
 (** Counter-wise sum, as a fresh record. *)
 
 val sum : t list -> t
-(** Fold of {!add} over fresh zeros.  This is how per-shard counters from
-    parallel execution are merged back into one exact total: give each
-    shard its own [t], {!snapshot} when it finishes, and [sum] the
-    snapshots. *)
-
-val accumulate : into:t -> t -> unit
-(** Add [t]'s counters into [into] in place ([t] is unchanged).  Safe
-    against aliasing: [accumulate ~into:t t] doubles every counter. *)
+(** Fold of {!add} over fresh zeros — how EXPLAIN ANALYZE totals the
+    page accesses of every stored relation a plan scans. *)
 
 val total_accesses : t -> int
 (** [physical_reads + physical_writes]. *)

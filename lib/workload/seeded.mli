@@ -12,8 +12,7 @@ type t = {
   query : Sqp_geom.Box.t;
       (** the fixed range query covering 1/16 of the space *)
   query_boxes : Sqp_geom.Box.t array;
-      (** random query boxes up to a quarter-side wide (seed 99), the
-          parallel-speedup batch *)
+      (** random query boxes up to a quarter-side wide (seed 99) *)
   left_objects : (int * Sqp_geom.Shape.t) list;
       (** spatial-join side R: random boxes (seed 13), ids from 0 *)
   right_objects : (int * Sqp_geom.Shape.t) list;
@@ -38,5 +37,4 @@ val join_elements :
   t ->
   (Sqp_zorder.Bitstring.t * int) list * (Sqp_zorder.Bitstring.t * int) list
 (** Both join sides decomposed to [(element, object id)] lists under
-    [decompose_options] — the input shape of {!Sqp_core.Zmerge} and
-    {!Sqp_parallel.Par_spatial_join}. *)
+    [decompose_options] — the input shape of {!Sqp_core.Zmerge}. *)

@@ -142,7 +142,7 @@ let box_classifier space ~lo ~hi =
 (* Memo cache for box decompositions.  Server sessions and benchmarks
    replay the same query boxes; the decomposition is pure, so a bounded
    LRU keyed on the full input (space, bounds, options) is safe.  A mutex
-   serializes access — decompose_box runs concurrently on pool domains —
+   serializes access — server sessions call decompose_box concurrently —
    and the decomposition itself is computed outside the lock. *)
 
 type cache_stats = { hits : int; misses : int; evictions : int }
@@ -151,13 +151,9 @@ let default_cache_capacity = 512
 
 let cache_lock = Mutex.create ()
 let cache = ref (Lru.create ~capacity:default_cache_capacity)
-let cache_on = Atomic.make true
 let cache_hits = ref 0
 let cache_misses = ref 0
 let cache_evictions = ref 0
-
-let set_cache_enabled on = Atomic.set cache_on on
-let cache_enabled () = Atomic.get cache_on
 
 let reset_cache ?(capacity = default_cache_capacity) () =
   Mutex.protect cache_lock (fun () ->
@@ -178,43 +174,40 @@ let decompose_box ?options space ~lo ~hi =
   (* Validate eagerly (box_classifier raises on bad bounds) so cache hits
      and misses reject exactly the same inputs. *)
   let classify = box_classifier space ~lo ~hi in
-  if not (Atomic.get cache_on) then run ?options space classify
-  else begin
-    let opts = match options with Some o -> o | None -> default_options in
-    let key =
-      ( Space.dims space,
-        Space.depth space,
-        Array.copy lo,
-        Array.copy hi,
-        (match opts.max_level with Some l -> l | None -> -1),
-        match opts.max_elements with Some b -> b | None -> -1 )
-    in
-    let cached =
-      Mutex.protect cache_lock (fun () ->
-          match Lru.find !cache key with
-          | Some els ->
-              incr cache_hits;
-              Some els
-          | None ->
-              incr cache_misses;
-              None)
-    in
-    match cached with
-    | Some els ->
-        bump_cache_metric "hits";
-        els
-    | None ->
-        bump_cache_metric "misses";
-        let els = run ?options space classify in
-        let evicted =
-          Mutex.protect cache_lock (fun () ->
-              let evicted = Lru.add !cache key els in
-              if evicted then incr cache_evictions;
-              evicted)
-        in
-        if evicted then bump_cache_metric "evictions";
-        els
-  end
+  let opts = match options with Some o -> o | None -> default_options in
+  let key =
+    ( Space.dims space,
+      Space.depth space,
+      Array.copy lo,
+      Array.copy hi,
+      (match opts.max_level with Some l -> l | None -> -1),
+      match opts.max_elements with Some b -> b | None -> -1 )
+  in
+  let cached =
+    Mutex.protect cache_lock (fun () ->
+        match Lru.find !cache key with
+        | Some els ->
+            incr cache_hits;
+            Some els
+        | None ->
+            incr cache_misses;
+            None)
+  in
+  match cached with
+  | Some els ->
+      bump_cache_metric "hits";
+      els
+  | None ->
+      bump_cache_metric "misses";
+      let els = run ?options space classify in
+      let evicted =
+        Mutex.protect cache_lock (fun () ->
+            let evicted = Lru.add !cache key els in
+            if evicted then incr cache_evictions;
+            evicted)
+      in
+      if evicted then bump_cache_metric "evictions";
+      els
 
 let is_exact_cover space classify elements =
   let total = Space.total_bits space in

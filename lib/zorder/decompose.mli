@@ -57,17 +57,11 @@ val decompose_box : ?options:options -> Space.t -> lo:int array -> hi:int array 
     Results are memoized in a bounded process-wide LRU keyed on the full
     input (space, bounds, options) — server sessions and benchmarks
     replay the same boxes, and the decomposition is pure.  The cache is
-    thread-safe and on by default; see {!set_cache_enabled}. *)
+    thread-safe; see {!reset_cache} and {!cache_stats}. *)
 
 (** {1 Decomposition cache} *)
 
 type cache_stats = { hits : int; misses : int; evictions : int }
-
-val set_cache_enabled : bool -> unit
-(** Turn the {!decompose_box} memo cache on or off (default: on).  Off
-    means every call decomposes from scratch. *)
-
-val cache_enabled : unit -> bool
 
 val reset_cache : ?capacity:int -> unit -> unit
 (** Drop all cached decompositions and zero {!cache_stats}; [capacity]

@@ -16,13 +16,9 @@ module P = Zpacked
 (* Signed-order-preserving word key of a narrow value. *)
 let key (z : P.t) = z.P.w0 lxor min_int
 
-let narrow (z : P.t) = z.P.len <= P.word_bits
-
 (* Top-[n] bits of a 63-bit word (0 <= n <= 63); [lsl] by 63 is
    unspecified, hence the guard.  Mirrors Zpacked's private helper. *)
 let mask_first n = if n = 0 then 0 else -1 lsl (P.word_bits - n)
-
-let word_key = key
 
 let element_keys ~total (z : P.t) =
   if total > P.word_bits || z.P.len > total then
@@ -145,26 +141,6 @@ let radix_sort a ~nbits =
   done;
   if !src != a then Array.blit !src 0 a 0 n
 
-(* Single-word encoding of (z value, length, input index): value bits
-   zero-padded to the longest length in the batch, then a 6-bit length,
-   then the index.  Field-by-field order of the encoding = padded-word
-   order, length on ties, input order last — exactly z order made stable
-   — so sorting the encoded ints IS the stable z sort.  Large batches go
-   through the radix sort and perform {e zero} comparisons (the counter
-   stays honest: nothing was compared). *)
-let sort_perm_encoded ~comparisons zs ~maxlen ~ib =
-  let n = Array.length zs in
-  let enc =
-    Array.init n (fun i ->
-        let z = zs.(i) in
-        ((z.P.w0 lsr (P.word_bits - maxlen)) lsl (6 + ib))
-        lor (z.P.len lsl ib) lor i)
-  in
-  if n < 64 then sort_ints ~comparisons enc
-  else radix_sort enc ~nbits:(maxlen + 6 + ib);
-  let mask = (1 lsl ib) - 1 in
-  Array.map (fun e -> e land mask) enc
-
 (* Stable mergesort of the permutation [a] by [(ks, ls)], all comparisons
    inlined int-array reads — no closure per probe, which is most of the
    win over [Array.stable_sort] on boxed values. *)
@@ -212,83 +188,71 @@ let sort_perm_narrow ~comparisons ks ls n =
   a
 
 let sort_perm ~comparisons zs =
-  let n = Array.length zs in
-  if n = 0 then [||]
-  else if Array.for_all narrow zs then begin
-    let maxlen =
-      Array.fold_left (fun m (z : P.t) -> if z.P.len > m then z.P.len else m) 0 zs
-    in
-    let ib = bits_for (n - 1) in
-    if maxlen + 6 + ib <= 62 then
-      (* value + length + index fit one non-negative word *)
-      sort_perm_encoded ~comparisons zs ~maxlen ~ib
-    else
-      (* Word keys break all but exact-prefix ties; lengths settle those. *)
-      let ks = Array.map key zs
-      and ls = Array.map (fun (z : P.t) -> z.P.len) zs in
-      sort_perm_narrow ~comparisons ks ls n
-  end
-  else begin
-    let perm = Array.init n (fun i -> i) in
-    Array.stable_sort
-      (fun i j ->
-        incr comparisons;
-        P.compare zs.(i) zs.(j))
-      perm;
-    perm
-  end
+  let perm = Array.init (Array.length zs) (fun i -> i) in
+  Array.stable_sort
+    (fun i j ->
+      incr comparisons;
+      P.compare zs.(i) zs.(j))
+    perm;
+  perm
 
 (* The sweep's working form of an all-narrow batch, already z-sorted:
    word key, length and prefix mask of each value in flat int arrays. *)
 type keyed = { kks : int array; kls : int array; kms : int array }
 
-let keyed_of_sorted zs =
-  {
-    kks = Array.map key zs;
-    kls = Array.map (fun (z : P.t) -> z.P.len) zs;
-    kms = Array.map (fun (z : P.t) -> mask_first z.P.len) zs;
-  }
+(* Longest length of the batch, or -1 if some value is not narrow. *)
+let narrow_maxlen ~len n =
+  let rec go i m =
+    if i = n then m
+    else
+      let l = len i in
+      if l > P.word_bits then -1 else go (i + 1) (if l > m then l else m)
+  in
+  go 0 0
 
-let sort_keyed ~comparisons zs =
-  let n = Array.length zs in
-  if n = 0 then ([||], Some { kks = [||]; kls = [||]; kms = [||] })
-  else if Array.for_all narrow zs then begin
-    let maxlen =
-      Array.fold_left (fun m (z : P.t) -> if z.P.len > m then z.P.len else m) 0 zs
-    in
+let sort_keyed ~comparisons ~len ~word n =
+  let maxlen = narrow_maxlen ~len n in
+  if maxlen < 0 then None
+  else if n = 0 then Some ([||], { kks = [||]; kls = [||]; kms = [||] })
+  else begin
     let ib = bits_for (n - 1) in
     if maxlen + 6 + ib <= 62 then begin
-      (* Encoded sort, then decode permutation, keys, lengths and masks
-         from the sorted encodings in a single pass — the sweep never
-         touches the boxed records again. *)
+      (* Single-word encoding of (z value, length, input index): value
+         bits zero-padded to the longest length in the batch, then a 6-bit
+         length, then the index.  Field-by-field order of the encoding =
+         padded-word order, length on ties, input order last — exactly z
+         order made stable — so sorting the encoded ints IS the stable z
+         sort.  Large batches go through the radix sort and perform
+         {e zero} comparisons (the counter stays honest: nothing was
+         compared). *)
+      let shift = P.word_bits - maxlen in
       let enc =
         Array.init n (fun i ->
-            let z = zs.(i) in
-            ((z.P.w0 lsr (P.word_bits - maxlen)) lsl (6 + ib))
-            lor (z.P.len lsl ib) lor i)
+            ((word i lsr shift) lsl (6 + ib)) lor (len i lsl ib) lor i)
       in
       if n < 64 then sort_ints ~comparisons enc
       else radix_sort enc ~nbits:(maxlen + 6 + ib);
+      (* Decode keys, lengths and masks from the sorted encodings in one
+         pass, leaving the permutation in [enc] itself. *)
       let imask = (1 lsl ib) - 1 in
-      let perm = Array.make n 0 in
       let kks = Array.make n 0 and kls = Array.make n 0 and kms = Array.make n 0 in
-      let shift = P.word_bits - maxlen in
       for r = 0 to n - 1 do
         let e = enc.(r) in
-        perm.(r) <- e land imask;
-        let len = (e lsr ib) land 63 in
-        kls.(r) <- len;
-        kms.(r) <- mask_first len;
-        kks.(r) <- ((e lsr (6 + ib)) lsl shift) lxor min_int
+        let l = (e lsr ib) land 63 in
+        kls.(r) <- l;
+        kms.(r) <- mask_first l;
+        kks.(r) <- ((e lsr (6 + ib)) lsl shift) lxor min_int;
+        enc.(r) <- e land imask
       done;
-      (perm, Some { kks; kls; kms })
+      Some (enc, { kks; kls; kms })
     end
     else begin
-      let ks = Array.map key zs
-      and ls = Array.map (fun (z : P.t) -> z.P.len) zs in
+      (* Word keys break all but exact-prefix ties; lengths settle those. *)
+      let ks = Array.init n (fun i -> word i lxor min_int)
+      and ls = Array.init n len in
       let perm = sort_perm_narrow ~comparisons ks ls n in
-      ( perm,
-        Some
+      Some
+        ( perm,
           {
             kks = Array.map (fun i -> ks.(i)) perm;
             kls = Array.map (fun i -> ls.(i)) perm;
@@ -296,13 +260,12 @@ let sort_keyed ~comparisons zs =
           } )
     end
   end
-  else (sort_perm ~comparisons zs, None)
 
 (* {1 Containment sweep} *)
 
 type sweep_stats = { pairs : int; max_stack : int }
 
-let sweep_pairs_generic ~comparisons zl zr emit =
+let sweep_pairs ~comparisons zl zr emit =
   let nl = Array.length zl and nr = Array.length zr in
   let stack_l = Array.make (max 1 nl) 0 and stack_r = Array.make (max 1 nr) 0 in
   let dl = ref 0 and dr = ref 0 in
@@ -444,11 +407,6 @@ let sweep_pairs_keyed ~comparisons l r emit =
   done;
   { pairs = !pairs; max_stack = !max_stack }
 
-let sweep_pairs ~comparisons zl zr emit =
-  if Array.for_all narrow zl && Array.for_all narrow zr then
-    sweep_pairs_keyed ~comparisons (keyed_of_sorted zl) (keyed_of_sorted zr) emit
-  else sweep_pairs_generic ~comparisons zl zr emit
-
 (* {1 Range merges} *)
 
 let lower_bound ~comparisons zs ~lo ~hi z =
@@ -551,23 +509,23 @@ let first_live_range ~comparisons ranges z =
   done;
   !lo
 
-let range_skip_generic ~i0 ~i1 zs ranges emit =
-  let nb = Array.length ranges in
+let range_skip zs ranges emit =
+  let np = Array.length zs and nb = Array.length ranges in
   let point_steps = ref 0 and element_steps = ref 0 in
   let point_jumps = ref 0 and element_jumps = ref 0 in
   let comparisons = ref 0 in
-  let i = ref i0 and j = ref 0 in
-  if i1 > i0 && nb > 0 then begin
+  let i = ref 0 and j = ref 0 in
+  if np > 0 && nb > 0 then begin
     (* Initial random access: position P at the box's first z value. *)
-    i := lower_bound ~comparisons zs ~lo:i0 ~hi:i1 ranges.(0).rlo;
+    i := lower_bound ~comparisons zs ~lo:0 ~hi:np ranges.(0).rlo;
     incr point_jumps
   end;
-  while !i < i1 && !j < nb do
+  while !i < np && !j < nb do
     let z = zs.(!i) and r = ranges.(!j) in
     incr comparisons;
     if P.compare z r.rlo < 0 then begin
       (* Point is before the current element: jump P forward. *)
-      i := lower_bound ~comparisons zs ~lo:!i ~hi:i1 r.rlo;
+      i := lower_bound ~comparisons zs ~lo:!i ~hi:np r.rlo;
       incr point_jumps
     end
     else begin
@@ -610,21 +568,21 @@ let first_live_key ~comparisons khi k =
   done;
   !lo
 
-let range_skip_keys_loop ~i0 ~i1 ks { klo; khi } emit =
-  let nb = Array.length klo in
+let range_skip_keys ks { klo; khi } emit =
+  let np = Array.length ks and nb = Array.length klo in
   let point_steps = ref 0 and element_steps = ref 0 in
   let point_jumps = ref 0 and element_jumps = ref 0 in
   let comparisons = ref 0 in
-  let i = ref i0 and j = ref 0 in
-  if i1 > i0 && nb > 0 then begin
-    i := lower_bound_key ~comparisons ks ~lo:i0 ~hi:i1 klo.(0);
+  let i = ref 0 and j = ref 0 in
+  if np > 0 && nb > 0 then begin
+    i := lower_bound_key ~comparisons ks ~lo:0 ~hi:np klo.(0);
     incr point_jumps
   end;
-  while !i < i1 && !j < nb do
+  while !i < np && !j < nb do
     let k = ks.(!i) in
     incr comparisons;
     if k < klo.(!j) then begin
-      i := lower_bound_key ~comparisons ks ~lo:!i ~hi:i1 klo.(!j);
+      i := lower_bound_key ~comparisons ks ~lo:!i ~hi:np klo.(!j);
       incr point_jumps
     end
     else begin
@@ -647,11 +605,3 @@ let range_skip_keys_loop ~i0 ~i1 ks { klo; khi } emit =
     element_jumps = !element_jumps;
     comparisons = !comparisons;
   }
-
-let range_skip ?(i0 = 0) ?i1 zs ranges emit =
-  let i1 = match i1 with Some i1 -> i1 | None -> Array.length zs in
-  range_skip_generic ~i0 ~i1 zs ranges emit
-
-let range_skip_keys ?(i0 = 0) ?i1 ks ranges emit =
-  let i1 = match i1 with Some i1 -> i1 | None -> Array.length ks in
-  range_skip_keys_loop ~i0 ~i1 ks ranges emit

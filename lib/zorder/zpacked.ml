@@ -91,22 +91,26 @@ let pad_to t n b =
    w0/w1 boundary (bits 56..62 end w0, bit 63 starts w1); byte 15's two
    low bits would be string bits 126/127, which cannot exist (len <= 126)
    and read as zero by the Bitstring invariant. *)
+let first_word b =
+  let w0 = ref 0 in
+  for k = 0 to min 7 (((Bitstring.length b + 7) / 8) - 1) do
+    let v = Bitstring.byte b k in
+    w0 := !w0 lor (if k < 7 then v lsl (55 - (8 * k)) else v lsr 1)
+  done;
+  !w0
+
 let of_bitstring b =
   let len = Bitstring.length b in
   if len > max_bits then None
   else begin
-    let w0 = ref 0 and w1 = ref 0 in
-    for k = 0 to ((len + 7) / 8) - 1 do
+    let w1 = ref 0 in
+    for k = 7 to ((len + 7) / 8) - 1 do
       let v = Bitstring.byte b k in
-      if k < 7 then w0 := !w0 lor (v lsl (55 - (8 * k)))
-      else if k = 7 then begin
-        w0 := !w0 lor (v lsr 1);
-        w1 := !w1 lor ((v land 1) lsl 62)
-      end
+      if k = 7 then w1 := (v land 1) lsl 62
       else if k < 15 then w1 := !w1 lor (v lsl (118 - (8 * k)))
       else w1 := !w1 lor (v lsr 2)
     done;
-    Some { len; w0 = !w0; w1 = !w1 }
+    Some { len; w0 = first_word b; w1 = !w1 }
   end
 
 exception Too_long

@@ -44,6 +44,12 @@ val empty : t
 val of_bitstring : Bitstring.t -> t option
 (** Lossless packing; [None] iff [Bitstring.length b > max_bits]. *)
 
+val first_word : Bitstring.t -> int
+(** The [w0] word of [of_bitstring b] — the first {!word_bits} bits of
+    [b], MSB-first, zero-filled — without building the record.  For a
+    narrow value ([length b <= word_bits]) it holds the whole value, which
+    is how {!Zkernel.sort_keyed} encodes bitstrings directly. *)
+
 val pack_array : Bitstring.t array -> t array option
 (** Pack every element or — if any is longer than {!max_bits} — none
     ([None] tells the caller to stay on the reference path). *)

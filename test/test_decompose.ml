@@ -154,7 +154,6 @@ let test_classifier_classes () =
 
 let test_cache_hit_miss () =
   D.reset_cache ();
-  D.set_cache_enabled true;
   let lo = [| 1; 0 |] and hi = [| 3; 4 |] in
   let first = D.decompose_box s23 ~lo ~hi in
   let stats = D.cache_stats () in
@@ -199,20 +198,6 @@ let test_cache_eviction () =
   check_int "re-decomposed after eviction" 4 stats.D.misses;
   check_int "no hits in this sequence" 0 stats.D.hits;
   D.reset_cache ()
-
-let test_cache_disabled () =
-  D.reset_cache ();
-  D.set_cache_enabled false;
-  check "reports disabled" false (D.cache_enabled ());
-  let lo = [| 1; 0 |] and hi = [| 3; 4 |] in
-  let a = D.decompose_box s23 ~lo ~hi in
-  let b = D.decompose_box s23 ~lo ~hi in
-  check "still correct" true (List.equal B.equal a b);
-  let stats = D.cache_stats () in
-  check_int "no misses recorded" 0 stats.D.misses;
-  check_int "no hits recorded" 0 stats.D.hits;
-  D.set_cache_enabled true;
-  check "re-enabled" true (D.cache_enabled ())
 
 let test_cache_invalid_box_still_raises () =
   D.reset_cache ();
@@ -319,7 +304,6 @@ let () =
           Alcotest.test_case "key covers box, options, space" `Quick
             test_cache_distinguishes_inputs;
           Alcotest.test_case "LRU eviction" `Quick test_cache_eviction;
-          Alcotest.test_case "escape hatch" `Quick test_cache_disabled;
           Alcotest.test_case "invalid boxes still raise" `Quick
             test_cache_invalid_box_still_raises;
           Alcotest.test_case "lru unit" `Quick test_lru_unit;

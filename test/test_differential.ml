@@ -3,16 +3,16 @@
    One seeded harness generates random point sets and query boxes, and
    every range-search engine in the repository must agree on every query:
    Linear_scan (the trivial oracle), the in-memory merges (plain and
-   skip), the zkd B+-tree (all four strategies), the bucket kd-tree, and
-   the new domain-parallel driver.  Likewise the parallel spatial join
-   must match the sequential containment merge exactly (including order)
-   and the nested-loop oracle as a multiset. *)
+   skip), the zkd B+-tree (all four strategies) and the bucket kd-tree.
+   Likewise the relational spatial join must match its bitstring
+   reference sweep exactly (rows in order, and counters) on every kind
+   of batch its kernel distinguishes, and the nested-loop oracle as a
+   multiset. *)
 
 module Z = Sqp_zorder
 module B = Z.Bitstring
 module W = Sqp_workload
 module RS = Sqp_core.Range_search
-module Par = Sqp_parallel
 module Zindex = Sqp_btree.Zindex
 
 let check = Alcotest.(check bool)
@@ -28,14 +28,13 @@ let random_box rng side =
   let y1 = W.Rng.int rng side and y2 = W.Rng.int rng side in
   Sqp_geom.Box.make ~lo:[| min x1 x2; min y1 y2 |] ~hi:[| max x1 x2; max y1 y2 |]
 
-let range_case ~name ~dataset ~depth ~n ~queries ~seed pool =
+let range_case ~name ~dataset ~depth ~n ~queries ~seed =
   let space = Z.Space.make ~dims:2 ~depth in
   let side = Z.Space.side space in
   let rng = W.Rng.create ~seed in
   let pts = W.Datagen.with_ids (W.Datagen.generate rng dataset ~side ~n) in
   let linear = Sqp_kdtree.Linear_scan.build ~page_capacity:20 pts in
   let prep = RS.prepare space pts in
-  let pprep = Par.Par_range_search.prepare space pts in
   let index = Zindex.of_points ~leaf_capacity:20 space pts in
   let kd = Sqp_kdtree.Paged_kdtree.build ~page_capacity:20 pts in
   let qrng = W.Rng.create ~seed:(seed + 1) in
@@ -52,9 +51,6 @@ let range_case ~name ~dataset ~depth ~n ~queries ~seed pool =
         ("zkd-bigmin", canon (fst (Zindex.range_search ~strategy:Zindex.Bigmin index box)));
         ("zkd-scan", canon (fst (Zindex.range_search ~strategy:Zindex.Scan index box)));
         ("paged-kdtree", canon (fst (Sqp_kdtree.Paged_kdtree.range_search kd box)));
-        ("par-sharded", canon (fst (Par.Par_range_search.search pool pprep box)));
-        ( "par-sharded-deep",
-          canon (fst (Par.Par_range_search.search ~shard_bits:5 pool pprep box)) );
       ]
     in
     List.iter
@@ -66,19 +62,16 @@ let range_case ~name ~dataset ~depth ~n ~queries ~seed pool =
   done
 
 let test_range_uniform () =
-  Par.Pool.with_pool ~domains:2 (fun pool ->
-      range_case ~name:"uniform" ~dataset:W.Datagen.Uniform ~depth:6 ~n:300
-        ~queries:70 ~seed:11 pool)
+  range_case ~name:"uniform" ~dataset:W.Datagen.Uniform ~depth:6 ~n:300
+    ~queries:70 ~seed:11
 
 let test_range_clustered () =
-  Par.Pool.with_pool ~domains:3 (fun pool ->
-      range_case ~name:"clustered" ~dataset:W.Datagen.Clustered ~depth:7 ~n:300
-        ~queries:70 ~seed:22 pool)
+  range_case ~name:"clustered" ~dataset:W.Datagen.Clustered ~depth:7 ~n:300
+    ~queries:70 ~seed:22
 
 let test_range_diagonal () =
-  Par.Pool.with_pool ~domains:2 (fun pool ->
-      range_case ~name:"diagonal" ~dataset:W.Datagen.Diagonal ~depth:8 ~n:300
-        ~queries:60 ~seed:33 pool)
+  range_case ~name:"diagonal" ~dataset:W.Datagen.Diagonal ~depth:8 ~n:300
+    ~queries:60 ~seed:33
 
 (* The paper's extreme shapes: degenerate, full-space and border-hugging
    query boxes, against every engine. *)
@@ -89,7 +82,6 @@ let test_range_extreme_boxes () =
   let pts = W.Datagen.with_ids (W.Datagen.uniform rng ~side ~n:250 ~dims:2) in
   let linear = Sqp_kdtree.Linear_scan.build pts in
   let prep = RS.prepare space pts in
-  let pprep = Par.Par_range_search.prepare space pts in
   let index = Zindex.of_points ~leaf_capacity:20 space pts in
   let boxes =
     [
@@ -102,42 +94,24 @@ let test_range_extreme_boxes () =
       Sqp_geom.Box.of_ranges [ (1, side - 2); (1, side - 2) ];       (* all-crossing *)
     ]
   in
-  Par.Pool.with_pool ~domains:4 (fun pool ->
-      List.iter
-        (fun box ->
-          let expected = canon (fst (Sqp_kdtree.Linear_scan.range_search linear box)) in
-          check "plain" true (canon (fst (RS.search_plain prep box)) = expected);
-          check "skip" true (canon (fst (RS.search_skip prep box)) = expected);
-          check "zkd" true (canon (fst (Zindex.range_search index box)) = expected);
-          check "par" true
-            (canon (fst (Par.Par_range_search.search pool pprep box)) = expected);
-          check "par deep" true
-            (canon (fst (Par.Par_range_search.search ~shard_bits:6 pool pprep box))
-            = expected))
-        boxes)
-
-(* The parallel driver's result must equal the sequential skip-merge
-   list *exactly* — same points, same z order — not just as a set. *)
-let test_par_range_bit_identical () =
-  let space = Z.Space.make ~dims:2 ~depth:6 in
-  let side = Z.Space.side space in
-  let rng = W.Rng.create ~seed:7 in
-  let pts = W.Datagen.with_ids (W.Datagen.uniform rng ~side ~n:400 ~dims:2) in
-  let prep = RS.prepare space pts in
-  let pprep = Par.Par_range_search.prepare space pts in
-  let qrng = W.Rng.create ~seed:8 in
-  Par.Pool.with_pool ~domains:3 (fun pool ->
-      for _ = 1 to 200 do
-        let box = random_box qrng side in
-        let seq = fst (RS.search_skip prep box) in
-        List.iter
-          (fun bits ->
-            let par = fst (Par.Par_range_search.search ~shard_bits:bits pool pprep box) in
-            if par <> seq then Alcotest.failf "shard_bits %d: order or contents differ" bits)
-          [ 0; 1; 3; 5; 8 ]
-      done)
+  List.iter
+    (fun box ->
+      let expected = canon (fst (Sqp_kdtree.Linear_scan.range_search linear box)) in
+      check "plain" true (canon (fst (RS.search_plain prep box)) = expected);
+      check "skip" true (canon (fst (RS.search_skip prep box)) = expected);
+      check "zkd" true (canon (fst (Zindex.range_search index box)) = expected))
+    boxes
 
 (* {1 Spatial join} *)
+
+(* [n] random z values built as random-length prefixes of [base] plus up
+   to 6 random bits, so that containment pairs (within and across two
+   batches of one base), equal values and every length up to
+   [length base + 6] all occur. *)
+let z_batch rng ~n base =
+  List.init n (fun i ->
+      let extra = B.init (W.Rng.int rng 7) (fun _ -> W.Rng.bool rng) in
+      (B.concat (B.take base (W.Rng.int rng (B.length base + 1))) extra, i))
 
 let join_inputs ~seed ~n ~max_level space =
   let side = Z.Space.side space in
@@ -161,32 +135,20 @@ let join_inputs ~seed ~n ~max_level space =
   in
   (tag_of (objs 0), tag_of (objs 1000))
 
-let test_par_join_matches_sequential_and_oracle () =
-  let space = Z.Space.make ~dims:2 ~depth:5 in
-  Par.Pool.with_pool ~domains:3 (fun pool ->
-      List.iter
-        (fun (seed, n, max_level) ->
-          let left, right = join_inputs ~seed ~n ~max_level space in
-          let seq, seq_stats = Sqp_core.Zmerge.pairs left right in
-          let oracle, _ = Sqp_core.Zmerge.pairs_naive left right in
-          List.iter
-            (fun bits ->
-              let par, par_stats =
-                Par.Par_spatial_join.pairs ~shard_bits:bits pool left right
-              in
-              if par <> seq then
-                Alcotest.failf "seed %d bits %d: parallel join differs from merge" seed
-                  bits;
-              check_int "pairs counter exact" seq_stats.Sqp_core.Zmerge.pairs
-                par_stats.Par.Par_spatial_join.pairs;
-              check "matches nested-loop oracle" true
-                (List.sort compare par = List.sort compare oracle))
-            [ 0; 2; 4; 6 ])
-        [ (101, 12, 6); (202, 20, 8); (303, 30, 10); (404, 8, 4) ])
-
-let test_par_join_relation_level () =
-  let space = Z.Space.make ~dims:2 ~depth:5 in
+(* The relational join against its reference sweep on each kind of batch
+   the kernel tells apart: narrow (at most 63-bit) batches under 64 items
+   (comparison sort) and from 64 items (radix sort), narrow values too
+   long to encode with their index (merge sort), batches with values of
+   64-126 bits on one or both sides (packed sweep) and one with a value
+   over 126 bits (reference sweep).  Rows must agree in order; [pairs],
+   [sorted_items] and [max_stack] always.  [comparisons] counts the
+   path's own sort and sweep (a radix sort compares nothing), so it
+   equals the reference's only where the reference ran; elsewhere it
+   must equal [Zmerge.pairs]' count for the same z values, which runs
+   the same sorts from packed values. *)
+let test_join_relation_level () =
   let module R = Sqp_relalg in
+  let module SJ = R.Spatial_join in
   let schema_of name z =
     R.Schema.make [ (name, R.Value.TInt); (z, R.Value.TZval) ]
   in
@@ -194,17 +156,50 @@ let test_par_join_relation_level () =
     R.Relation.make ~name (schema_of name z)
       (List.map (fun (e, id) -> [| R.Value.Int id; R.Value.Zval e |]) items)
   in
-  let left, right = join_inputs ~seed:55 ~n:25 ~max_level:8 space in
-  let r = rel_of "rid" "zr" left and s = rel_of "sid" "zs" right in
-  let seq, seq_stats = R.Spatial_join.merge r ~zr:"zr" s ~zs:"zs" in
-  let naive, _ = R.Spatial_join.nested_loop r ~zr:"zr" s ~zs:"zs" in
-  Par.Pool.with_pool ~domains:4 (fun pool ->
-      let par, par_stats = R.Spatial_join.merge_parallel pool r ~zr:"zr" s ~zs:"zs" in
-      check "tuples bit-identical to merge" true
-        (R.Relation.tuples par = R.Relation.tuples seq);
-      check_int "pairs exact" seq_stats.R.Spatial_join.pairs
-        par_stats.R.Spatial_join.pairs;
-      check "multiset equals nested loop" true (R.Relation.equal_contents par naive))
+  let rng = W.Rng.create ~seed:55 in
+  let base len = B.init len (fun _ -> W.Rng.bool rng) in
+  let sides ~n ~m len =
+    let b = base len in
+    let left = z_batch rng ~n b in
+    (left, z_batch rng ~n:m b)
+  in
+  let case ?(reference_ran = false) name (left, right) =
+    (name, left, right, reference_ran)
+  in
+  let kinds =
+    [
+      case "under 64 items" (sides ~n:30 ~m:50 20);
+      case "64 items or more" (sides ~n:150 ~m:300 20);
+      case "decomposed boxes"
+        (join_inputs ~seed:55 ~n:25 ~max_level:8 (Z.Space.make ~dims:2 ~depth:5));
+      case "narrow, merge sort" (sides ~n:80 ~m:90 55);
+      case "64-126 bits" (sides ~n:80 ~m:90 90);
+      (let b = base 90 in
+       let left = z_batch rng ~n:80 (B.take b 20) in
+       case "narrow beside 64-126 bits" (left, z_batch rng ~n:90 b));
+      (let left, right = sides ~n:80 ~m:90 90 in
+       let over_126 = (B.init 130 (fun i -> i mod 3 = 0), 999) in
+       case "over 126 bits" ~reference_ran:true (left, over_126 :: right));
+    ]
+  in
+  List.iter
+    (fun (kind, left, right, reference_ran) ->
+      let r = rel_of "rid" "zr" left and s = rel_of "sid" "zs" right in
+      let joined, st = SJ.merge r ~zr:"zr" s ~zs:"zs" in
+      let joined_ref, st_ref = SJ.merge_reference r ~zr:"zr" s ~zs:"zs" in
+      let naive, _ = SJ.nested_loop r ~zr:"zr" s ~zs:"zs" in
+      if R.Relation.tuples joined <> R.Relation.tuples joined_ref then
+        Alcotest.failf "%s: rows differ from the reference sweep" kind;
+      check_int (kind ^ ": pairs") st_ref.SJ.pairs st.SJ.pairs;
+      check_int (kind ^ ": sorted_items") st_ref.SJ.sorted_items st.SJ.sorted_items;
+      check_int (kind ^ ": max_stack") st_ref.SJ.max_stack st.SJ.max_stack;
+      check_int (kind ^ ": comparisons")
+        (if reference_ran then st_ref.SJ.comparisons
+         else (snd (Sqp_core.Zmerge.pairs left right)).Sqp_core.Zmerge.comparisons)
+        st.SJ.comparisons;
+      check (kind ^ ": multiset equals nested loop") true
+        (R.Relation.equal_contents joined naive))
+    kinds
 
 let () =
   Alcotest.run "differential"
@@ -215,12 +210,7 @@ let () =
           Alcotest.test_case "clustered dataset" `Quick test_range_clustered;
           Alcotest.test_case "diagonal dataset" `Quick test_range_diagonal;
           Alcotest.test_case "extreme boxes" `Quick test_range_extreme_boxes;
-          Alcotest.test_case "parallel bit-identical" `Quick test_par_range_bit_identical;
         ] );
       ( "spatial join",
-        [
-          Alcotest.test_case "parallel = merge = oracle" `Quick
-            test_par_join_matches_sequential_and_oracle;
-          Alcotest.test_case "relation level" `Quick test_par_join_relation_level;
-        ] );
+        [ Alcotest.test_case "relation level" `Quick test_join_relation_level ] );
     ]

@@ -18,7 +18,6 @@ module Faulty_io = Sqp_storage.Faulty_io
 module Journal = Sqp_storage.Journal
 module Z = Sqp_zorder
 module WG = Workload_gen
-module Pool = Sqp_parallel.Pool
 
 let check = Alcotest.(check bool)
 
@@ -525,12 +524,12 @@ let concurrency () =
     done;
     []
   in
-  let results =
-    Pool.with_pool ~domains:(nwriters + 2) (fun pool ->
-        Pool.run pool
-          (List.init nwriters (fun w -> writer w) @ [ reader; reader ]))
+  (* The calling domain waits; the writers and the two readers each run
+     on a domain of their own. *)
+  let domains =
+    List.map Domain.spawn (List.init nwriters writer @ [ reader; reader ])
   in
-  let committed = List.concat results in
+  let committed = List.concat_map Domain.join domains in
   check "every batch got a distinct sequence number" true
     (let seqs = List.map fst committed in
      List.length (List.sort_uniq compare seqs) = List.length seqs);

@@ -243,15 +243,11 @@ let analyze_fixture () =
             impl = None;
           } ) )
 
-let rec join_node (n : R.Plan.node_report) =
-  if n.R.Plan.shard_table <> [] then Some n
-  else List.find_map join_node n.R.Plan.children
-
-let analyze_invariants ~parallelism =
+let test_analyze_sequential () =
   let r, s, plan = analyze_fixture () in
   let before_r = Stats.snapshot (R.Stored.stats r)
   and before_s = Stats.snapshot (R.Stored.stats s) in
-  let a = R.Plan.run_analyze ~parallelism plan in
+  let a = R.Plan.run_analyze plan in
   (* Golden invariant: per-node exclusive page counts sum exactly to the
      run's total, which equals the externally measured Stats delta. *)
   stats_eq "tree sums to total" (R.Plan.sum_pages a.R.Plan.report)
@@ -267,31 +263,7 @@ let analyze_invariants ~parallelism =
     a.R.Plan.total_pages;
   check "run touched pages at all" true
     (Stats.total_accesses a.R.Plan.total_pages > 0
-    || a.R.Plan.total_pages.Stats.pool_misses > 0);
-  a
-
-let test_analyze_sequential () =
-  let a = analyze_invariants ~parallelism:1 in
-  check_int "sequential" 1 a.R.Plan.parallelism;
-  check "no shard table when sequential" true (join_node a.R.Plan.report = None)
-
-let test_analyze_parallel_matches () =
-  let seq = analyze_invariants ~parallelism:1 in
-  let par = analyze_invariants ~parallelism:2 in
-  check "same result as sequential" true
-    (R.Relation.equal_contents seq.R.Plan.result par.R.Plan.result);
-  match join_node par.R.Plan.report with
-  | None -> Alcotest.fail "parallel join reported no shard table"
-  | Some n ->
-      check "several shards" true (List.length n.R.Plan.shard_table >= 2);
-      let pairs =
-        List.fold_left
-          (fun acc row -> acc + row.R.Plan.shard_pairs)
-          0 n.R.Plan.shard_table
-      in
-      check_int "shard pairs sum to the join's pairs"
-        (List.assoc "pairs" n.R.Plan.node_attrs)
-        pairs
+    || a.R.Plan.total_pages.Stats.pool_misses > 0)
 
 let test_analyze_agrees_with_run () =
   let _, _, plan = analyze_fixture () in
@@ -325,8 +297,6 @@ let () =
       ( "explain-analyze",
         [
           Alcotest.test_case "sequential accounting" `Quick test_analyze_sequential;
-          Alcotest.test_case "parallel accounting and shard table" `Quick
-            test_analyze_parallel_matches;
           Alcotest.test_case "agrees with run" `Quick test_analyze_agrees_with_run;
         ] );
     ]

@@ -237,7 +237,7 @@ let test_optimizer_overrides_heuristic () =
       checkb "override keeps the rows" true
         (R.Relation.equal_contents (R.Plan.run plan) (R.Plan.run chosen))
 
-(* {1 Explain and parallelism} *)
+(* {1 Explain} *)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -252,12 +252,6 @@ let test_explain_cost_column () =
        (fun line -> String.trim line = "" || contains line "[cost=")
        (String.split_on_char '\n' text));
   checkb "forced choice is marked" true (contains text "(forced)")
-
-let test_choose_parallelism () =
-  let p1 = O.Optimizer.choose_parallelism stats ~max_domains:1 overlap in
-  checki "max_domains 1" 1 p1;
-  let p4 = O.Optimizer.choose_parallelism stats ~max_domains:4 overlap in
-  checkb "either sequential or the full pool" true (p4 = 1 || p4 = 4)
 
 let () =
   Alcotest.run "optimizer"
@@ -289,7 +283,5 @@ let () =
       ( "explain",
         [
           Alcotest.test_case "cost column" `Quick test_explain_cost_column;
-          Alcotest.test_case "parallelism choice" `Quick
-            test_choose_parallelism;
         ] );
     ]

@@ -57,15 +57,6 @@ let test_stats_add_sum () =
   check "sum of none is zero" true (S.Stats.sum [] = S.Stats.create ());
   check "sum folds add" true (S.Stats.sum [ a; b; c ] = fill 22 44 66 88 110 132)
 
-let test_stats_accumulate_aliasing () =
-  let a = fill 1 2 3 4 5 6 and b = fill 10 20 30 40 50 60 in
-  S.Stats.accumulate ~into:a b;
-  check "accumulate adds in place" true (a = fill 11 22 33 44 55 66);
-  check "source unchanged" true (b = fill 10 20 30 40 50 60);
-  (* The aliased call must double, not loop or zero. *)
-  S.Stats.accumulate ~into:b b;
-  check "self-accumulate doubles" true (b = fill 20 40 60 80 100 120)
-
 (* {1 Pager} *)
 
 let test_pager_basic () =
@@ -269,8 +260,6 @@ let () =
           Alcotest.test_case "zero ratio" `Quick test_stats_zero_ratio;
           Alcotest.test_case "diff under aliasing" `Quick test_stats_diff_aliasing;
           Alcotest.test_case "add and sum" `Quick test_stats_add_sum;
-          Alcotest.test_case "accumulate under aliasing" `Quick
-            test_stats_accumulate_aliasing;
         ] );
       ( "pager",
         [
