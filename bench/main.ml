@@ -4,7 +4,7 @@
    (page-access counts, element counts, efficiencies — the units the
    paper reports); part 2 runs Bechamel timing micro-benchmarks over the
    main code paths so wall-clock behaviour can be tracked too; part 3
-   is the packed-kernel table (BENCH_kernels.json).  Serving numbers
+   is the int-key kernel table (BENCH_kernels.json).  Serving numbers
    live in perfbench/.
 
    Run with: dune exec bench/main.exe [-- --kernels [--quick]] *)
@@ -165,25 +165,31 @@ let bench_btree =
 
 module R = Sqp_relalg
 
-(* {1 Packed kernel microbenches}
+(* {1 Int-key kernel microbenches}
 
-   Packed (Zpacked/Zkernel) vs reference (Bitstring/list) on the query
-   hot paths: z compare (via sorting), the Zmerge containment sweep, both
-   range-search merges, and the relational spatial join.  Hand-rolled
-   best-of-N wall clock — the two sides run identical workloads, so the
-   ratio is the point.  Writes BENCH_kernels.json. *)
+   Kernel (Zkernel's flat int keys) vs reference (Bitstring/list) on the
+   query hot paths: the stable z sort the joins run, the Zmerge
+   containment sweep, both range-search merges, and the relational
+   spatial join.  Each range merge is timed cold (the decompose cache
+   emptied before every repetition, so every box is decomposed) and warm
+   (every box's cover cached by the warm-up).  Hand-rolled best-of-N
+   wall clock — the two sides run identical workloads, so the ratio is
+   the point.  Writes BENCH_kernels.json. *)
 let kernels_table ~quick () =
   let reps = if quick then 3 else 7 in
   let n_boxes = if quick then 40 else Array.length wk.W.Seeded.query_boxes in
   (* Best-of-[reps], but at least [min_span] seconds of repetitions:
      sub-millisecond rows need far more than [reps] samples before the
-     minimum settles on this (noisy) class of machine. *)
+     minimum settles on this (noisy) class of machine.  [before] runs
+     untimed ahead of every repetition. *)
   let min_span = if quick then 0.05 else 0.5 in
-  let time_best f =
+  let time_best before f =
+    before ();
     ignore (f ()) (* warm-up (also warms the decompose cache) *);
     let best = ref infinity in
     let spent = ref 0.0 and runs = ref 0 in
     while !runs < reps || !spent < min_span do
+      before ();
       let t0 = Unix.gettimeofday () in
       ignore (f ());
       let dt = Unix.gettimeofday () -. t0 in
@@ -194,11 +200,6 @@ let kernels_table ~quick () =
     !best
   in
   let zs_bits = Array.map (fun (p, _) -> Z.Interleave.shuffle space p) tagged in
-  let zs_packed =
-    match Z.Zpacked.pack_array zs_bits with
-    | Some p -> p
-    | None -> failwith "bench: seeded z values must pack"
-  in
   let boxes = Array.sub wk.W.Seeded.query_boxes 0 n_boxes in
   let schema_of name z =
     R.Schema.make [ (name, R.Value.TInt); (z, R.Value.TZval) ]
@@ -209,63 +210,69 @@ let kernels_table ~quick () =
   in
   let join_rel_r = rel_of "rid" "zr" join_l
   and join_rel_s = rel_of "sid" "zs" join_r in
+  let cold () = Z.Decompose.reset_cache () in
+  let range_rows name reference kernel =
+    let over search () = Array.iter (fun b -> ignore (search prep b)) boxes in
+    List.map
+      (fun (temp, before) ->
+        ( Printf.sprintf "%s %s(%d boxes)" name temp n_boxes,
+          before,
+          over reference,
+          over kernel ))
+      [ ("cold", cold); ("warm", ignore) ]
+  in
   let rows =
     List.map
-      (fun (name, reference, packed) ->
-        let reference_seconds = time_best reference in
-        let packed_seconds = time_best packed in
-        (name, reference_seconds, packed_seconds))
-      [
-        ( "compare(sort 5000 z values)",
-          (fun () -> Array.sort Z.Bitstring.compare (Array.copy zs_bits)),
-          fun () -> Array.sort Z.Zpacked.compare (Array.copy zs_packed) );
-        ( "merge(zmerge 48x48 join)",
-          (fun () -> ignore (Sqp_core.Zmerge.pairs_reference join_l join_r)),
-          fun () -> ignore (Sqp_core.Zmerge.pairs join_l join_r) );
-        ( Printf.sprintf "range-search-plain(%d boxes)" n_boxes,
-          (fun () ->
-            Array.iter
-              (fun b -> ignore (Sqp_core.Range_search.search_plain_reference prep b))
-              boxes),
-          fun () ->
-            Array.iter
-              (fun b -> ignore (Sqp_core.Range_search.search_plain prep b))
-              boxes );
-        ( Printf.sprintf "range-search-skip(%d boxes)" n_boxes,
-          (fun () ->
-            Array.iter
-              (fun b -> ignore (Sqp_core.Range_search.search_skip_reference prep b))
-              boxes),
-          fun () ->
-            Array.iter
-              (fun b -> ignore (Sqp_core.Range_search.search_skip prep b))
-              boxes );
-        ( "join(spatial-join merge)",
-          (fun () ->
-            ignore (R.Spatial_join.merge_reference join_rel_r ~zr:"zr" join_rel_s ~zs:"zs")),
-          fun () ->
-            ignore (R.Spatial_join.merge join_rel_r ~zr:"zr" join_rel_s ~zs:"zs") );
-      ]
+      (fun (name, before, reference, kernel) ->
+        let reference_seconds = time_best before reference in
+        let kernel_seconds = time_best before kernel in
+        (name, reference_seconds, kernel_seconds))
+      ([
+         ( Printf.sprintf "sort(%d z values)" (Array.length zs_bits),
+           ignore,
+           (fun () -> Array.stable_sort Z.Bitstring.compare (Array.copy zs_bits)),
+           fun () ->
+             ignore
+               (Z.Zkernel.sort_keyed ~comparisons:(ref 0) (Array.get zs_bits)
+                  (Array.length zs_bits)) );
+         ( "merge(zmerge 48x48 join)",
+           ignore,
+           (fun () -> ignore (Sqp_core.Zmerge.pairs_reference join_l join_r)),
+           fun () -> ignore (Sqp_core.Zmerge.pairs join_l join_r) );
+       ]
+      @ range_rows "range-search-plain" Sqp_core.Range_search.search_plain_reference
+          Sqp_core.Range_search.search_plain
+      @ range_rows "range-search-skip" Sqp_core.Range_search.search_skip_reference
+          Sqp_core.Range_search.search_skip
+      @ [
+          ( "join(spatial-join merge)",
+            ignore,
+            (fun () ->
+              ignore
+                (R.Spatial_join.merge_reference join_rel_r ~zr:"zr" join_rel_s ~zs:"zs")),
+            fun () ->
+              ignore (R.Spatial_join.merge join_rel_r ~zr:"zr" join_rel_s ~zs:"zs") );
+        ])
   in
   print_newline ();
-  Printf.printf "Packed z-value kernels vs bitstring reference (best of %d)\n"
+  Printf.printf "Int-key z-value kernels vs bitstring reference (best of %d)\n"
     reps;
   print_endline "=====================================================================";
-  Printf.printf "  %-34s %12s %12s %9s\n" "kernel" "reference" "packed" "speedup";
+  Printf.printf "  %-36s %12s %12s %9s\n" "kernel" "reference" "kernel" "speedup";
   List.iter
-    (fun (name, rs, ps) ->
-      Printf.printf "  %-34s %9.3f ms %9.3f ms %8.2fx\n" name (rs *. 1e3)
-        (ps *. 1e3) (rs /. ps))
+    (fun (name, rs, ks) ->
+      Printf.printf "  %-36s %9.3f ms %9.3f ms %8.2fx\n" name (rs *. 1e3)
+        (ks *. 1e3) (rs /. ks))
     rows;
   let oc = open_out "BENCH_kernels.json" in
   Printf.fprintf oc "{\n  \"benchmark\": \"kernels\",\n  \"rows\": [\n%s\n  ]\n}\n"
     (String.concat ",\n"
        (List.map
-          (fun (name, rs, ps) ->
+          (fun (name, rs, ks) ->
             Printf.sprintf
               "    { \"name\": %S, \"reference_seconds\": %.6f, \
-               \"packed_seconds\": %.6f, \"speedup\": %.2f }"
-              name rs ps (rs /. ps))
+               \"kernel_seconds\": %.6f, \"speedup\": %.2f }"
+              name rs ks (rs /. ks))
           rows));
   close_out oc;
   print_endline "  -> BENCH_kernels.json"

@@ -6,12 +6,10 @@ type 'a prepared = {
   space : space;
   zs : Z.Bitstring.t array;            (* sorted *)
   pts : (Sqp_geom.Point.t * 'a) array; (* aligned with zs *)
-  pz : Z.Zpacked.t array option;
-      (* zs packed into words, when the space fits Zpacked.max_bits;
-         None sends every search down the bitstring reference path *)
   keys : int array option;
-      (* single-word keys for pz, when the whole space fits one 63-bit
-         word: the kernels then merge over flat int arrays *)
+      (* zs as int keys, when the space's z values fit one 63-bit word:
+         the kernels then merge over flat int arrays.  None sends every
+         search down the bitstring reference path. *)
 }
 
 let prepare space points =
@@ -20,14 +18,12 @@ let prepare space points =
   in
   Array.sort (fun (a, _) (b, _) -> Z.Bitstring.compare a b) tagged;
   let zs = Array.map fst tagged in
-  let pz = if Z.Zpacked.fits_space space then Z.Zpacked.pack_array zs else None in
-  {
-    space;
-    zs;
-    pts = Array.map snd tagged;
-    pz;
-    keys = Option.bind pz Z.Zkernel.uniform_word_keys;
-  }
+  let keys =
+    if Z.Space.total_bits space <= Z.Zpacked.word_bits then
+      Some (Array.map Z.Zkernel.word_key zs)
+    else None
+  in
+  { space; zs; pts = Array.map snd tagged; keys }
 
 let prepared_length p = Array.length p.zs
 
@@ -54,47 +50,21 @@ let box_ranges prep box =
          })
        els)
 
-(* The same scan ranges, built directly in packed form: elements of a
-   fitting space always pack, and padding is O(1) word arithmetic. *)
-let packed_ranges prep box =
-  let total = Z.Space.total_bits prep.space in
-  let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
-  let els = Z.Decompose.decompose_box prep.space ~lo ~hi in
-  Array.of_list
-    (List.map
-       (fun e ->
-         let p =
-           match Z.Zpacked.of_bitstring e with
-           | Some p -> p
-           | None -> assert false (* fits_space checked at prepare *)
-         in
-         {
-           Z.Zkernel.rlo = Z.Zpacked.pad_to p total false;
-           rhi = Z.Zpacked.pad_to p total true;
-         })
-       els)
-
-(* And as bare word keys for narrow spaces: two flat int arrays, no
-   intermediate packed pairs — per-query range construction is a large
-   share of a cache-warm search, so it is kept allocation-lean. *)
+(* The same scan ranges as int keys, for spaces that fit one word: two
+   flat int arrays read from each element's length and first word —
+   per-query range construction is a large share of a cache-warm search,
+   so it is kept allocation-lean. *)
 let key_ranges prep box =
   let total = Z.Space.total_bits prep.space in
   let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
   let els = Z.Decompose.decompose_box prep.space ~lo ~hi in
   let n = List.length els in
   let klo = Array.make n 0 and khi = Array.make n 0 in
-  let j = ref 0 in
-  List.iter
-    (fun e ->
-      let p =
-        match Z.Zpacked.of_bitstring e with
-        | Some p -> p
-        | None -> assert false (* narrow spaces a fortiori fit *)
-      in
-      let lo_k, hi_k = Z.Zkernel.element_keys ~total p in
-      klo.(!j) <- lo_k;
-      khi.(!j) <- hi_k;
-      incr j)
+  List.iteri
+    (fun j e ->
+      let lo_k, hi_k = Z.Zkernel.element_keys ~total e in
+      klo.(j) <- lo_k;
+      khi.(j) <- hi_k)
     els;
   { Z.Zkernel.klo; khi }
 
@@ -147,8 +117,7 @@ let counters_of_kernel (c : Z.Zkernel.range_counters) =
 
 let search_plain_reference_impl prep box =
   match clip prep box with
-  | None ->
-      ([], { point_steps = 0; element_steps = 0; point_jumps = 0; element_jumps = 0; comparisons = 0 })
+  | None -> ([], no_counters)
   | Some box ->
       let ranges = box_ranges prep box in
       let np = Array.length prep.zs and nb = Array.length ranges in
@@ -187,21 +156,21 @@ let search_plain_reference_impl prep box =
 let search_plain_reference prep box =
   observed "range_search.plain_reference" search_plain_reference_impl prep box
 
-let search_plain_impl prep box =
-  match prep.pz with
-  | None -> search_plain_reference_impl prep box
-  | Some pz -> (
+(* The int-key kernel when the prepared set has keys, else [reference];
+   rows and counters are the same either way. *)
+let search_keys reference merge prep box =
+  match prep.keys with
+  | None -> reference prep box
+  | Some ks -> (
       match clip prep box with
       | None -> ([], no_counters)
       | Some box ->
           let acc = ref [] in
-          let emit i = acc := prep.pts.(i) :: !acc in
-          let c =
-            match prep.keys with
-            | Some ks -> Z.Zkernel.range_plain_keys ks (key_ranges prep box) emit
-            | None -> Z.Zkernel.range_plain pz (packed_ranges prep box) emit
-          in
+          let c = merge ks (key_ranges prep box) (fun i -> acc := prep.pts.(i) :: !acc) in
           (List.rev !acc, counters_of_kernel c))
+
+let search_plain_impl prep box =
+  search_keys search_plain_reference_impl Z.Zkernel.range_plain_keys prep box
 
 let search_plain prep box = observed "range_search.plain" search_plain_impl prep box
 
@@ -228,8 +197,7 @@ let first_live_range ranges z comparisons =
 
 let search_skip_reference_impl prep box =
   match clip prep box with
-  | None ->
-      ([], { point_steps = 0; element_steps = 0; point_jumps = 0; element_jumps = 0; comparisons = 0 })
+  | None -> ([], no_counters)
   | Some box ->
       let ranges = box_ranges prep box in
       let np = Array.length prep.zs and nb = Array.length ranges in
@@ -280,20 +248,7 @@ let search_skip_reference prep box =
   observed "range_search.skip_reference" search_skip_reference_impl prep box
 
 let search_skip_impl prep box =
-  match prep.pz with
-  | None -> search_skip_reference_impl prep box
-  | Some pz -> (
-      match clip prep box with
-      | None -> ([], no_counters)
-      | Some box ->
-          let acc = ref [] in
-          let emit i = acc := prep.pts.(i) :: !acc in
-          let c =
-            match prep.keys with
-            | Some ks -> Z.Zkernel.range_skip_keys ks (key_ranges prep box) emit
-            | None -> Z.Zkernel.range_skip pz (packed_ranges prep box) emit
-          in
-          (List.rev !acc, counters_of_kernel c))
+  search_keys search_skip_reference_impl Z.Zkernel.range_skip_keys prep box
 
 let search_skip prep box = observed "range_search.skip" search_skip_impl prep box
 

@@ -17,7 +17,10 @@ type 'a prepared
 (** The sorted point sequence P ([z, point, payload]). *)
 
 val prepare : space -> (Sqp_geom.Point.t * 'a) array -> 'a prepared
-(** Step 1: shuffle every point and sort by z value. *)
+(** Step 1: shuffle every point and sort by z value.  When the space's z
+    values fit one word ([total_bits <= Zpacked.word_bits] = 63), the
+    sorted values are also keyed for {!Sqp_zorder.Zkernel}'s int-key
+    merges. *)
 
 val prepared_length : 'a prepared -> int
 
@@ -32,16 +35,18 @@ type counters = {
 val search_plain :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
 (** The unoptimized merge: walk both sequences entry by entry.  Runs on
-    the packed word kernel ({!Sqp_zorder.Zkernel.range_plain}) whenever
-    the space fits [Zpacked.max_bits] bits; results {e and counters} are
-    identical to {!search_plain_reference} either way. *)
+    the int-key kernel ({!Sqp_zorder.Zkernel.range_plain_keys}) when the
+    space's z values fit one word (63 bits) and on
+    {!search_plain_reference} otherwise; results {e and counters} are the
+    reference's either way. *)
 
 val search_skip :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
 (** The optimized merge: when the current point z value leaves the
     current element, binary-search the other sequence ("parts of the
-    space that could not possibly contribute are skipped").  Packed
-    kernel + bitstring fallback, like {!search_plain}. *)
+    space that could not possibly contribute are skipped").  Int-key
+    kernel ({!Sqp_zorder.Zkernel.range_skip_keys}) up to 63 bits, else
+    {!search_skip_reference}, like {!search_plain}. *)
 
 val search_plain_reference :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters

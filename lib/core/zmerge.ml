@@ -94,26 +94,27 @@ let pairs_reference_impl left right =
 let pairs_reference left right =
   observed "zmerge.pairs_reference" pairs_reference_impl left right
 
-(* Fast path: pack both sides into word-encoded z values and run the
-   flat-array kernel sweep; output (content and order) is bit-identical
-   to the reference.  Any z value longer than Zpacked.max_bits sends the
-   whole call to the reference path. *)
+(* Fast path: the int-key kernel sorts both sides and sweeps; output
+   (content and order) is bit-identical to the reference.  Any z value
+   longer than one word sends the whole call to the reference path. *)
 let pairs_impl left right =
   let zl = Array.of_list (List.map fst left)
   and zr = Array.of_list (List.map fst right) in
-  match (Sqp_zorder.Zpacked.pack_array zl, Sqp_zorder.Zpacked.pack_array zr) with
-  | Some pl, Some pr ->
-      let comparisons = ref 0 in
-      let l = Zseq.of_packed ~comparisons pl (Array.of_list (List.map snd left))
-      and r = Zseq.of_packed ~comparisons pr (Array.of_list (List.map snd right)) in
-      let out, st = Zseq.pairs ~comparisons l r in
-      ( out,
+  let pl = Array.of_list (List.map snd left)
+  and pr = Array.of_list (List.map snd right) in
+  let comparisons = ref 0 and out = ref [] in
+  match
+    Sqp_zorder.Zkernel.pairs ~comparisons (Array.get zl) (Array.length zl)
+      (Array.get zr) (Array.length zr) (fun i j -> out := (pl.(i), pr.(j)) :: !out)
+  with
+  | Some st ->
+      ( List.rev !out,
         {
           pairs = st.Sqp_zorder.Zkernel.pairs;
-          items = Zseq.length l + Zseq.length r;
+          items = Array.length zl + Array.length zr;
           comparisons = !comparisons;
         } )
-  | _ -> pairs_reference_impl left right
+  | None -> pairs_reference_impl left right
 
 let pairs left right = observed "zmerge.pairs" pairs_impl left right
 

@@ -11,11 +11,10 @@ val pairs :
   (Sqp_zorder.Element.t * 'a) list ->
   (Sqp_zorder.Element.t * 'b) list ->
   ('a * 'b) list * stats
-(** Stack-based single sweep, O(n log n + output).  Runs on the packed
-    flat-array kernel ({!Sqp_zorder.Zkernel} over {!Zseq}) whenever every
-    z value fits [Zpacked.max_bits] bits, falling back to
-    {!pairs_reference} otherwise; both paths produce the same pairs in
-    the same order. *)
+(** Stack-based single sweep, O(n log n + output).  Runs on the int-key
+    kernel ({!Sqp_zorder.Zkernel.pairs}) when every z value fits one word
+    ([Zpacked.word_bits] = 63 bits), and on {!pairs_reference} otherwise;
+    both paths produce the same pairs in the same order. *)
 
 val pairs_reference :
   (Sqp_zorder.Element.t * 'a) list ->

@@ -13,7 +13,7 @@ type params = {
          pair; divides a duplicate-eliminating projection over a join *)
   plan_row : float;
       (* interpretive overhead per row flowing through a plan operator
-         (boxed tuples, schema lookups) relative to the packed direct
+         (boxed tuples, schema lookups) relative to the int-key direct
          kernels — the constant that separates the two range executors *)
 }
 

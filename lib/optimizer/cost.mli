@@ -21,7 +21,7 @@ type params = {
           a join's output *)
   plan_row : float;
       (** interpretive overhead per row flowing through a plan operator
-          (boxed tuples, schema lookups) relative to the packed direct
+          (boxed tuples, schema lookups) relative to the int-key direct
           kernels; see {!plan_path_cost} *)
 }
 

@@ -150,55 +150,25 @@ let merge_reference_impl r ~zr s ~zs =
 let merge_reference r ~zr s ~zs =
   observed "spatial_join.merge_reference" (fun () -> merge_reference_impl r ~zr s ~zs)
 
-(* Fast path: the flat-array kernel sweep.  A narrow side (every z value
-   at most one word) is sorted straight from its tuples' bitstrings into
-   flat keys; if both sides are narrow the sweep runs on those keys and
-   no packed copy is made.  Otherwise both sides are packed and swept as
-   packed records, a narrow side keeping the permutation its keyed sort
-   found (the same sorts [Zseq] runs).  Tuple output — content and order
-   — is bit-identical to the reference sweep; any z value beyond
-   Zpacked.max_bits falls back wholesale. *)
+(* Fast path: the int-key kernel sorts both sides straight from their
+   tuples' bitstrings and sweeps.  Tuple output — content and order — is
+   bit-identical to the reference sweep; any z value longer than one word
+   sends the whole join to the reference. *)
 let merge_impl r ~zr s ~zs =
   let module K = Sqp_zorder.Zkernel in
   let tr = Array.of_list (Relation.tuples r)
   and ts = Array.of_list (Relation.tuples s) in
   let zr_at = zval_of (Relation.schema r) zr
   and zs_at = zval_of (Relation.schema s) zs in
-  let comparisons = ref 0 in
-  let sort_narrow tuples z_at =
-    K.sort_keyed ~comparisons
-      ~len:(fun i -> B.length (z_at tuples.(i)))
-      ~word:(fun i -> Sqp_zorder.Zpacked.first_word (z_at tuples.(i)))
-      (Array.length tuples)
-  in
-  let narrow_r = sort_narrow tr zr_at in
-  let narrow_s = sort_narrow ts zs_at in
-  let out = ref [] in
-  let emit perm_r perm_s li ri =
-    out := Array.append tr.(perm_r.(li)) ts.(perm_s.(ri)) :: !out
-  in
-  let sweep =
-    match (narrow_r, narrow_s) with
-    | Some (perm_r, kr), Some (perm_s, ks) ->
-        Some (K.sweep_pairs_keyed ~comparisons kr ks (emit perm_r perm_s))
-    | _ -> (
-        let pack tuples z_at = Sqp_zorder.Zpacked.pack_array (Array.map z_at tuples) in
-        match (pack tr zr_at, pack ts zs_at) with
-        | Some pr, Some ps ->
-            let sorted packed narrow =
-              let perm =
-                match narrow with
-                | Some (perm, _) -> perm
-                | None -> K.sort_perm ~comparisons packed
-              in
-              (perm, Array.map (fun k -> packed.(k)) perm)
-            in
-            let perm_r, sorted_r = sorted pr narrow_r in
-            let perm_s, sorted_s = sorted ps narrow_s in
-            Some (K.sweep_pairs ~comparisons sorted_r sorted_s (emit perm_r perm_s))
-        | _ -> None)
-  in
-  match sweep with
+  let comparisons = ref 0 and out = ref [] in
+  match
+    K.pairs ~comparisons
+      (fun i -> zr_at tr.(i))
+      (Array.length tr)
+      (fun i -> zs_at ts.(i))
+      (Array.length ts)
+      (fun i j -> out := Array.append tr.(i) ts.(j) :: !out)
+  with
   | Some st ->
       ( Relation.make (out_schema r s) (List.rev !out),
         {

@@ -24,15 +24,14 @@ type stats = {
 
 val merge :
   Relation.t -> zr:string -> Relation.t -> zs:string -> Relation.t * stats
-(** Runs on the flat-array kernel: when every z value fits one word
-    ({!Sqp_zorder.Zpacked.word_bits}), both sides are sorted straight
-    from their bitstrings into flat keys
-    ({!Sqp_zorder.Zkernel.sort_keyed}) with no packed copy; otherwise,
-    up to [Zpacked.max_bits] bits, over packed records
-    ({!Sqp_zorder.Zkernel.sweep_pairs}); beyond that it falls back to
-    {!merge_reference}.  All produce the same tuples in the same order
+(** Runs on the int-key kernel ({!Sqp_zorder.Zkernel.pairs}) when every
+    z value fits one word ({!Sqp_zorder.Zpacked.word_bits} = 63 bits):
+    both sides are sorted straight from their bitstrings into flat int
+    keys and swept once.  A batch holding a longer value runs
+    {!merge_reference}.  Both produce the same tuples in the same order
     and the same [pairs], [sorted_items] and [max_stack]; [comparisons]
-    counts each path's own sort and sweep.
+    counts each path's own sort and sweep (the kernel's radix sort of 64
+    or more values compares nothing).
     @raise Invalid_argument if attribute names of the two relations
     clash (rename first) or the z attributes hold non-[Zval] values. *)
 

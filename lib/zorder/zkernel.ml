@@ -1,40 +1,30 @@
-(* Flat-array kernels mirroring the list-based reference sweeps.  Control
+(* Int-key kernels mirroring the list-based reference sweeps.  Control
    flow — and therefore counter semantics — is kept in lockstep with the
    bitstring implementations these accelerate; see the .mli notes and the
-   differential suite in test/test_zseq.ml.
+   differential suites in test/test_zseq.ml and test/test_differential.ml.
 
-   Every kernel has two interchangeable loops: a generic one over packed
-   records (any length up to Zpacked.max_bits) and a "narrow" one used
-   when every value fits a single 63-bit word.  A narrow z value is
-   word-encoded as [w0 lxor min_int] — flipping the sign bit turns
-   unsigned word order into signed order — so the hot loops run over
-   plain [int array]s where a z comparison is one machine comparison and
-   a prefix test is one masked xor. *)
+   A z value of at most 63 bits is word-encoded as [w0 lxor min_int],
+   where [w0] is its first word ({!Zpacked.first_word}) — flipping the
+   sign bit turns unsigned word order into signed order — so the loops
+   run over plain [int array]s where a z comparison is one machine
+   comparison and a prefix test is one masked xor.  Longer values never
+   reach this module: callers run their bitstring reference instead. *)
 
 module P = Zpacked
 
-(* Signed-order-preserving word key of a narrow value. *)
-let key (z : P.t) = z.P.w0 lxor min_int
+let word_key b = P.first_word b lxor min_int
 
 (* Top-[n] bits of a 63-bit word (0 <= n <= 63); [lsl] by 63 is
    unspecified, hence the guard.  Mirrors Zpacked's private helper. *)
 let mask_first n = if n = 0 then 0 else -1 lsl (P.word_bits - n)
 
-let element_keys ~total (z : P.t) =
-  if total > P.word_bits || z.P.len > total then
-    invalid_arg "Zkernel.element_keys";
+let element_keys ~total e =
+  let len = Bitstring.length e in
+  if total > P.word_bits || len > total then invalid_arg "Zkernel.element_keys";
   (* Scan range of the element: zero-padding leaves the word unchanged,
      one-padding sets the bits between len and total. *)
-  (key z, (z.P.w0 lor (mask_first total lxor mask_first z.P.len)) lxor min_int)
-
-let uniform_word_keys zs =
-  let n = Array.length zs in
-  if n = 0 then None
-  else
-    let len0 = zs.(0).P.len in
-    if len0 <= P.word_bits && Array.for_all (fun (z : P.t) -> z.P.len = len0) zs
-    then Some (Array.map key zs)
-    else None
+  let w0 = P.first_word e in
+  (w0 lxor min_int, (w0 lor (mask_first total lxor mask_first len)) lxor min_int)
 
 (* {1 Sorting} *)
 
@@ -187,34 +177,26 @@ let sort_perm_narrow ~comparisons ks ls n =
   sort 0 n;
   a
 
-let sort_perm ~comparisons zs =
-  let perm = Array.init (Array.length zs) (fun i -> i) in
-  Array.stable_sort
-    (fun i j ->
-      incr comparisons;
-      P.compare zs.(i) zs.(j))
-    perm;
-  perm
-
 (* The sweep's working form of an all-narrow batch, already z-sorted:
    word key, length and prefix mask of each value in flat int arrays. *)
 type keyed = { kks : int array; kls : int array; kms : int array }
 
 (* Longest length of the batch, or -1 if some value is not narrow. *)
-let narrow_maxlen ~len n =
+let narrow_maxlen z n =
   let rec go i m =
     if i = n then m
     else
-      let l = len i in
+      let l = Bitstring.length (z i) in
       if l > P.word_bits then -1 else go (i + 1) (if l > m then l else m)
   in
   go 0 0
 
-let sort_keyed ~comparisons ~len ~word n =
-  let maxlen = narrow_maxlen ~len n in
+let sort_keyed ~comparisons z n =
+  let maxlen = narrow_maxlen z n in
   if maxlen < 0 then None
   else if n = 0 then Some ([||], { kks = [||]; kls = [||]; kms = [||] })
   else begin
+    let len i = Bitstring.length (z i) and word i = P.first_word (z i) in
     let ib = bits_for (n - 1) in
     if maxlen + 6 + ib <= 62 then begin
       (* Single-word encoding of (z value, length, input index): value
@@ -265,78 +247,12 @@ let sort_keyed ~comparisons ~len ~word n =
 
 type sweep_stats = { pairs : int; max_stack : int }
 
-let sweep_pairs ~comparisons zl zr emit =
-  let nl = Array.length zl and nr = Array.length zr in
-  let stack_l = Array.make (max 1 nl) 0 and stack_r = Array.make (max 1 nr) 0 in
-  let dl = ref 0 and dr = ref 0 in
-  let pairs = ref 0 and max_stack = ref 0 in
-  (* Pop entries that are no longer prefixes of the sweep position; like
-     the list version, the surviving top entry also costs one test. *)
-  let pop_closed zs stack depth z =
-    while
-      !depth > 0
-      && (incr comparisons;
-          not (P.is_prefix zs.(stack.(!depth - 1)) z))
-    do
-      decr depth
-    done
-  in
-  let note_depth () =
-    let d = !dl + !dr in
-    if d > !max_stack then max_stack := d
-  in
-  let arrive_left li =
-    let z = zl.(li) in
-    pop_closed zl stack_l dl z;
-    pop_closed zr stack_r dr z;
-    for s = !dr - 1 downto 0 do
-      incr pairs;
-      emit li stack_r.(s)
-    done;
-    stack_l.(!dl) <- li;
-    incr dl;
-    note_depth ()
-  in
-  let arrive_right ri =
-    let z = zr.(ri) in
-    pop_closed zl stack_l dl z;
-    pop_closed zr stack_r dr z;
-    for s = !dl - 1 downto 0 do
-      incr pairs;
-      emit stack_l.(s) ri
-    done;
-    stack_r.(!dr) <- ri;
-    incr dr;
-    note_depth ()
-  in
-  let i = ref 0 and j = ref 0 in
-  while !i < nl && !j < nr do
-    incr comparisons;
-    (* <= : on ties the left side arrives first, as in a stable sort of
-       left-then-right. *)
-    if P.compare zl.(!i) zr.(!j) <= 0 then begin
-      arrive_left !i;
-      incr i
-    end
-    else begin
-      arrive_right !j;
-      incr j
-    end
-  done;
-  while !i < nl do
-    arrive_left !i;
-    incr i
-  done;
-  while !j < nr do
-    arrive_right !j;
-    incr j
-  done;
-  { pairs = !pairs; max_stack = !max_stack }
-
-(* Same sweep, same counters, but every z is (key, len, prefix mask) in
-   three flat int arrays: the merge head is one word comparison (plus a
-   length comparison on exact-word ties) and a stack pop test is one
-   masked xor. *)
+(* The containment sweep over two sorted keyed sides, one open-element
+   stack per side.  Every z is (key, len, prefix mask) in three flat int
+   arrays: the merge head is one word comparison (plus a length
+   comparison on exact-word ties) and a stack pop test is one masked
+   xor; like the list version, the surviving top entry also costs one
+   test. *)
 let sweep_pairs_keyed ~comparisons l r emit =
   let kl = l.kks and ll = l.kls and ml = l.kms in
   let kr = r.kks and lr = r.kls and mr = r.kms in
@@ -407,18 +323,18 @@ let sweep_pairs_keyed ~comparisons l r emit =
   done;
   { pairs = !pairs; max_stack = !max_stack }
 
+let pairs ~comparisons zl nl zr nr emit =
+  match sort_keyed ~comparisons zl nl with
+  | None -> None
+  | Some (perm_l, kl) -> (
+      match sort_keyed ~comparisons zr nr with
+      | None -> None
+      | Some (perm_r, kr) ->
+          Some
+            (sweep_pairs_keyed ~comparisons kl kr (fun li ri ->
+                 emit perm_l.(li) perm_r.(ri))))
+
 (* {1 Range merges} *)
-
-let lower_bound ~comparisons zs ~lo ~hi z =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    incr comparisons;
-    if P.compare zs.(mid) z < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-type range = { rlo : P.t; rhi : P.t }
 
 type range_counters = {
   point_steps : int;
@@ -427,38 +343,6 @@ type range_counters = {
   element_jumps : int;
   comparisons : int;
 }
-
-let range_plain_generic zs ranges emit =
-  let np = Array.length zs and nb = Array.length ranges in
-  let point_steps = ref 0 and element_steps = ref 0 and comparisons = ref 0 in
-  let i = ref 0 and j = ref 0 in
-  while !i < np && !j < nb do
-    let z = zs.(!i) and r = ranges.(!j) in
-    incr comparisons;
-    if P.compare z r.rlo < 0 then begin
-      incr i;
-      incr point_steps
-    end
-    else begin
-      incr comparisons;
-      if P.compare z r.rhi > 0 then begin
-        incr j;
-        incr element_steps
-      end
-      else begin
-        emit !i;
-        incr i;
-        incr point_steps
-      end
-    end
-  done;
-  {
-    point_steps = !point_steps;
-    element_steps = !element_steps;
-    point_jumps = 0;
-    element_jumps = 0;
-    comparisons = !comparisons;
-  }
 
 (* Point z values all share one narrow length and range bounds are padded
    to that same length, so every comparison in the merge is between
@@ -494,59 +378,6 @@ let range_plain_keys ks { klo; khi } emit =
     element_steps = !element_steps;
     point_jumps = 0;
     element_jumps = 0;
-    comparisons = !comparisons;
-  }
-
-let range_plain zs ranges emit = range_plain_generic zs ranges emit
-
-(* First index in [ranges] with rhi >= z. *)
-let first_live_range ~comparisons ranges z =
-  let lo = ref 0 and hi = ref (Array.length ranges) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    incr comparisons;
-    if P.compare ranges.(mid).rhi z < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let range_skip zs ranges emit =
-  let np = Array.length zs and nb = Array.length ranges in
-  let point_steps = ref 0 and element_steps = ref 0 in
-  let point_jumps = ref 0 and element_jumps = ref 0 in
-  let comparisons = ref 0 in
-  let i = ref 0 and j = ref 0 in
-  if np > 0 && nb > 0 then begin
-    (* Initial random access: position P at the box's first z value. *)
-    i := lower_bound ~comparisons zs ~lo:0 ~hi:np ranges.(0).rlo;
-    incr point_jumps
-  end;
-  while !i < np && !j < nb do
-    let z = zs.(!i) and r = ranges.(!j) in
-    incr comparisons;
-    if P.compare z r.rlo < 0 then begin
-      (* Point is before the current element: jump P forward. *)
-      i := lower_bound ~comparisons zs ~lo:!i ~hi:np r.rlo;
-      incr point_jumps
-    end
-    else begin
-      incr comparisons;
-      if P.compare z r.rhi > 0 then begin
-        (* Point is past the current element: jump B forward. *)
-        j := first_live_range ~comparisons ranges z;
-        incr element_jumps
-      end
-      else begin
-        emit !i;
-        incr i;
-        incr point_steps
-      end
-    end
-  done;
-  {
-    point_steps = !point_steps;
-    element_steps = !element_steps;
-    point_jumps = !point_jumps;
-    element_jumps = !element_jumps;
     comparisons = !comparisons;
   }
 

@@ -1,100 +1,73 @@
-(** Index-based merge kernels over packed z values.
+(** Int-key merge kernels: the z-order sort, containment sweep and range
+    merges over flat [int array]s.
 
-    The inner loops shared by [Zmerge], [Range_search] and
-    [Spatial_join]'s packed fast paths: flat-array, allocation-free per
-    step, with the same control flow (and hence the same exact work
-    counters, where the reference documents them) as the list-based
-    bitstring implementations they mirror.  All functions take a
+    The inner loops of [Zmerge.pairs], [Range_search.search_plain] /
+    [search_skip] and [Spatial_join.merge] for z values of at most
+    [Zpacked.word_bits] = 63 bits (any 2-D space of depth 31 or less).
+    Such a value is word-encoded as a sign-flipped integer whose native
+    order is z order ({!word_key}), so the hot loops run over flat int
+    arrays: one machine comparison per z comparison, one masked xor per
+    prefix test.  A batch or space with a longer value is never handed
+    here — those callers run their bitstring [*_reference]
+    implementation instead.
+
+    Control flow mirrors the list-based bitstring references, so results
+    come out in the same order and the exact work counters (where the
+    reference documents them) are the same.  The sort and sweep take a
     [comparisons] accumulator that is incremented once per z comparison
-    or prefix test actually performed.
+    or prefix test actually performed. *)
 
-    Each kernel comes as a generic loop over packed records and a
-    {e narrow} loop used when every value fits one 63-bit word (spaces up to [total_bits <= Zpacked.word_bits], e.g. any 2-D
-    space of depth 31 or less).  Narrow values are word-encoded as
-    sign-flipped integers whose native order is z order, so the hot loops
-    run over flat [int array]s: one machine comparison per z comparison,
-    one masked xor per prefix test.  Both loops execute the same control
-    flow, so counters do not depend on which one ran. *)
+val word_key : Bitstring.t -> int
+(** The int key of a z value of at most 63 bits: its first word
+    ({!Zpacked.first_word}) with the sign bit flipped.  Among values of
+    equal length, native [int] order is z order. *)
 
-val sort_perm : comparisons:int ref -> Zpacked.t array -> int array
-(** Stable sorting permutation of a packed batch: [perm] such that
-    [zs.(perm.(0)) <= zs.(perm.(1)) <= ...], equal z values keeping their
-    input order (same tie rule as [List.sort] on a tagged list).  One
-    counted comparison per {!Zpacked.compare}; the path for batches with
-    a value wider than one word — narrow batches go through
-    {!sort_keyed}. *)
+val element_keys : total:int -> Bitstring.t -> int * int
+(** [(klo, khi)] int keys of a decomposed element's inclusive scan range
+    in a space of [total] bits — the keys of [Bitstring.pad_to e total
+    false] and [pad_to e total true], read from the element's length and
+    first word without building the padded values.
+    @raise Invalid_argument if [total > Zpacked.word_bits] or the element
+    is longer than [total]. *)
+
+(** {1 Sort and containment sweep} *)
 
 type keyed
 (** An all-narrow batch in z-sorted order, as the flat word-key / length
-    / prefix-mask arrays the containment sweep reads — built once by
-    {!sort_keyed} so {!sweep_pairs_keyed} never touches a boxed z
-    value. *)
+    / prefix-mask arrays the containment sweep reads. *)
 
 val sort_keyed :
-  comparisons:int ref ->
-  len:(int -> int) ->
-  word:(int -> int) ->
-  int ->
-  (int array * keyed) option
-(** [sort_keyed ~comparisons ~len ~word n] stable-sorts the [n] z values
-    whose length and first word are [len i] and [word i] (the [w0] of
-    value [i]: {!Zpacked.first_word} of a bitstring, or a packed value's
-    own [w0]), reading them straight into single-int encodings — no
-    packed copy of the batch is made.  Returns the sorting permutation
-    (same order and tie rule as {!sort_perm}) and the batch's {!keyed}
-    form, or [None] as soon as some value is wider than
-    [Zpacked.word_bits]; callers then pack the batch and use {!sort_perm}
-    and {!sweep_pairs}.  Batches under 64 values are sorted with counted
-    comparisons, larger ones with a radix sort that compares nothing. *)
-
-val uniform_word_keys : Zpacked.t array -> int array option
-(** Word-encode a non-empty array of narrow z values of {e equal
-    lengths}: [Some keys] with [keys] in the same order as the input and
-    native [int] order equal to z order, or [None] if the array is empty,
-    any value is longer than [Zpacked.word_bits], or lengths differ
-    (equal-length is what lets the length tiebreak be dropped).  Computed
-    once at prepare time by [Range_search] and fed to
-    {!range_plain_keys} / {!range_skip_keys}. *)
-
-val element_keys : total:int -> Zpacked.t -> int * int
-(** [(klo, khi)] word keys of a decomposed element's inclusive scan range
-    in a space of [total] bits — [pad_to total false] / [pad_to total
-    true] without building the padded values.
-    @raise Invalid_argument if [total > Zpacked.word_bits] or the element
-    is longer than [total]. *)
+  comparisons:int ref -> (int -> Bitstring.t) -> int -> (int array * keyed) option
+(** [sort_keyed ~comparisons z n] stable-sorts the [n] z values [z 0 ..
+    z (n - 1)] (equal values keep their input order, the tie rule of
+    [List.sort] on a tagged list), reading them straight into single-int
+    encodings.  Returns the sorting permutation and the batch's {!keyed}
+    form, or [None] if some value is longer than [Zpacked.word_bits].
+    Batches under 64 values are sorted with counted comparisons, larger
+    ones with a radix sort that compares nothing. *)
 
 type sweep_stats = { pairs : int; max_stack : int }
 (** [pairs]: emissions; [max_stack]: deepest combined open-element stack
     (measured after each arrival, as [Spatial_join.merge] does). *)
 
-val sweep_pairs :
+val pairs :
   comparisons:int ref ->
-  Zpacked.t array ->
-  Zpacked.t array ->
+  (int -> Bitstring.t) ->
+  int ->
+  (int -> Bitstring.t) ->
+  int ->
   (int -> int -> unit) ->
-  sweep_stats
-(** [sweep_pairs ~comparisons zl zr emit] merges the two {e sorted}
-    arrays (ties take the left side, matching a stable sort of
-    left-then-right) and sweeps with one open-element stack per side,
-    calling [emit li ri] for every containment pair — newest open element
-    first, exactly the emission order of the list sweeps.  The loop over
-    packed records, for batches that are not all narrow. *)
+  sweep_stats option
+(** [pairs ~comparisons zl nl zr nr emit] is the containment join of two
+    unsorted batches: {!sort_keyed} on each side, then one merge sweep
+    (ties take the left side, matching a stable sort of left-then-right)
+    with one open-element stack per side, calling [emit i j] with input
+    indices for every pair where one value is a prefix of the other —
+    newest open element first, exactly the emission order of the list
+    sweeps.  [None], with nothing emitted, if some value on either side
+    is longer than [Zpacked.word_bits]. *)
 
-val sweep_pairs_keyed :
-  comparisons:int ref -> keyed -> keyed -> (int -> int -> unit) -> sweep_stats
-(** {!sweep_pairs} over pre-keyed sides (from {!sort_keyed}): same sweep,
-    same counters, every z comparison one machine-word comparison.
-    [emit] receives positions in sorted order; map them back through the
-    permutations {!sort_keyed} returned. *)
-
-val lower_bound :
-  comparisons:int ref -> Zpacked.t array -> lo:int -> hi:int -> Zpacked.t -> int
-(** First index in [\[lo, hi)] with [zs.(i) >= z] (binary search; one
-    counted comparison per probe). *)
-
-type range = { rlo : Zpacked.t; rhi : Zpacked.t }
-(** One decomposed query element as its inclusive z scan range
-    ([pad_to total false] / [pad_to total true]). *)
+(** {1 Range merges} *)
 
 type range_counters = {
   point_steps : int;
@@ -104,28 +77,21 @@ type range_counters = {
   comparisons : int;
 }
 
-val range_plain : Zpacked.t array -> range array -> (int -> unit) -> range_counters
-(** Figure 5's plain two-sequence merge over the sorted point z array and
-    the ascending range array; [emit i] is called for each reported point
-    index, in ascending order.  Counter-for-counter identical to
-    [Range_search.search_plain_reference]. *)
-
-val range_skip : Zpacked.t array -> range array -> (int -> unit) -> range_counters
-(** The skip variant: binary-search jumps over the point array instead of
-    stepping, exactly mirroring [Range_search.search_skip_reference]. *)
-
 type key_ranges = { klo : int array; khi : int array }
-(** The ascending scan ranges of a query, as word keys (built per query
-    with {!element_keys} — two flat int arrays instead of
-    an array of packed pairs).  Point z values all share one narrow
-    length and range bounds are padded to that same length, so in the
-    merges below word order alone decides every comparison. *)
+(** The ascending scan ranges of a query as int keys (built per query
+    with {!element_keys}).  Point z values all share one length and range
+    bounds are padded to that same length, so in the merges below key
+    order alone decides every comparison. *)
 
 val range_plain_keys : int array -> key_ranges -> (int -> unit) -> range_counters
-(** {!range_plain} in the narrow encoding: same control flow, same
-    counters, every comparison one machine-word comparison.  The first
-    argument is {!uniform_word_keys} of the sorted point array. *)
+(** Figure 5's plain two-sequence merge over the sorted point keys
+    ({!word_key} of each point's z value) and the ascending ranges;
+    [emit i] is called for each reported point index, in ascending
+    order.  Counter-for-counter identical to
+    [Range_search.search_plain_reference]. *)
 
 val range_skip_keys : int array -> key_ranges -> (int -> unit) -> range_counters
-(** {!range_skip} in the narrow encoding; arguments as in
+(** The skip variant: binary-search jumps over the point keys instead of
+    stepping, counter-for-counter identical to
+    [Range_search.search_skip_reference].  Arguments as in
     {!range_plain_keys}. *)

@@ -16,39 +16,9 @@ let length t = t.len
    unspecified in OCaml, hence the guard. *)
 let mask_first n = if n = 0 then 0 else -1 lsl (word_bits - n)
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Zpacked.get";
-  if i < word_bits then (t.w0 lsr (62 - i)) land 1 = 1
-  else (t.w1 lsr (125 - i)) land 1 = 1
-
-(* The sign bit of a word is a data bit (z bit 0 / 63), so order compares
-   must be unsigned. *)
-let ucmp (a : int) (b : int) =
-  (* Flipping the sign bit turns unsigned order into signed order. *)
-  let a = a lxor min_int and b = b lxor min_int in
-  if a < b then -1 else if a > b then 1 else 0
-
-(* Zero-padding both values to 126 bits preserves their relative
-   lexicographic order except for exact-prefix pairs, where the padded
-   words tie and the shorter (the prefix, which sorts first) wins on
-   [len].  The invariant gives us the padded words for free. *)
-let compare a b =
-  let c = ucmp a.w0 b.w0 in
-  if c <> 0 then c
-  else
-    let c = ucmp a.w1 b.w1 in
-    if c <> 0 then c else Stdlib.compare a.len b.len
-
-let equal a b = a.len = b.len && a.w0 = b.w0 && a.w1 = b.w1
-
-let is_prefix p t =
-  p.len <= t.len
-  &&
-  if p.len <= word_bits then (p.w0 lxor t.w0) land mask_first p.len = 0
-  else
-    p.w0 = t.w0 && (p.w1 lxor t.w1) land mask_first (p.len - word_bits) = 0
-
-let contains = is_prefix
+(* Bit [i] of the value, as 0/1. *)
+let bit t i =
+  if i < word_bits then (t.w0 lsr (62 - i)) land 1 else (t.w1 lsr (125 - i)) land 1
 
 (* Index of the highest set bit (0-based from the LSB); [x <> 0].  Works
    on words with the sign bit set because [lsr] is a logical shift. *)
@@ -69,22 +39,6 @@ let common_prefix_len a b =
   else
     let d1 = a.w1 lxor b.w1 in
     if d1 <> 0 then min m (word_bits + 62 - floor_log2 d1) else m
-
-let pad_to t n b =
-  if n < t.len then invalid_arg "Zpacked.pad_to: shorter than the value";
-  if n > max_bits then invalid_arg "Zpacked.pad_to: beyond max_bits";
-  if not b then { t with len = n }
-  else
-    (* Set bits [len, n): per word, top-n-bits minus top-len-bits. *)
-    let w0 =
-      t.w0 lor (mask_first (min n word_bits) lxor mask_first (min t.len word_bits))
-    in
-    let w1 =
-      t.w1
-      lor (mask_first (max 0 (n - word_bits))
-          lxor mask_first (max 0 (t.len - word_bits)))
-    in
-    { len = n; w0; w1 }
 
 (* Bytewise packing: storage byte k holds string bits [8k .. 8k+7]
    MSB-first, so each byte lands with one shift.  Byte 7 straddles the
@@ -113,18 +67,7 @@ let of_bitstring b =
     Some { len; w0 = first_word b; w1 = !w1 }
   end
 
-exception Too_long
-
-let pack_array bs =
-  match
-    Array.map
-      (fun b -> match of_bitstring b with Some p -> p | None -> raise Too_long)
-      bs
-  with
-  | packed -> Some packed
-  | exception Too_long -> None
-
-let to_bitstring t = Bitstring.init t.len (fun i -> get t i)
+let to_bitstring t = Bitstring.init t.len (fun i -> bit t i = 1)
 
 let fits_space space = Space.total_bits space <= max_bits
 
@@ -161,11 +104,7 @@ let unshuffle space t =
   for j = 0 to t.len - 1 do
     let axis = j mod k in
     let v, len = prefixes.(axis) in
-    let b =
-      if j < word_bits then (t.w0 lsr (62 - j)) land 1
-      else (t.w1 lsr (125 - j)) land 1
-    in
-    prefixes.(axis) <- ((v lsl 1) lor b, len + 1)
+    prefixes.(axis) <- ((v lsl 1) lor bit t j, len + 1)
   done;
   prefixes
 
@@ -176,10 +115,6 @@ let take t n =
     w0 = t.w0 land mask_first (min n word_bits);
     w1 = t.w1 land mask_first (max 0 (n - word_bits));
   }
-
-(* Bit [i] of the value, as 0/1, without the bounds check of [get]. *)
-let bit t i =
-  if i < word_bits then (t.w0 lsr (62 - i)) land 1 else (t.w1 lsr (125 - i)) land 1
 
 let suffix_bytes t ~pos =
   if pos < 0 || pos > t.len then invalid_arg "Zpacked.suffix_bytes";
@@ -206,12 +141,3 @@ let append_bytes t ~bytes ~pos ~nbits =
     end
   done;
   { len = t.len + nbits; w0 = !w0; w1 = !w1 }
-
-let hash t = Hashtbl.hash (t.len, t.w0, t.w1)
-
-let pp ppf t =
-  if t.len = 0 then Format.pp_print_string ppf "<>"
-  else
-    for i = 0 to t.len - 1 do
-      Format.pp_print_char ppf (if get t i then '1' else '0')
-    done

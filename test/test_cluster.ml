@@ -609,90 +609,129 @@ let test_rebalance () = List.iter rebalance_seed seeds
    lost — as soon as a mutation touches that table anywhere in the
    moving range (above the watermark included: a row landing in the
    not-yet-copied suffix would never be copied, then hidden at the
-   flip).  The source is seeded heavy so the copy is slow enough that
-   the racing writes reliably land mid-move. *)
+   flip).  The interleaving is driven, not raced: the target's
+   [on_execute] hook holds the split's first chunk write until one "M"
+   insert through the router has returned.  That insert lands in the
+   moving range's second chunk, outside the chunk being copied, so the
+   router's gate lets it through instead of waiting on the held copy. *)
 let test_split_abort () =
+  (* 2-d depth 7: z values of 14 bits.  Splitting at z = 8192 moves
+     [8192, 16383], two 4096-cell chunks: [8192, 12287] holds the
+     points with x >= 64 and y < 64, [12288, 16383] those with both
+     coordinates >= 64. *)
+  let space = Space.make ~dims:2 ~depth:7 in
+  let at = 8192 and second_chunk = 12288 in
+  let full_hi = [| Space.side space - 1; Space.side space - 1 |] in
+  let z_of p = SM.z_of_point space p in
   let mk_live () =
-    Live.create ~encode:string_of_int ~decode:int_of_string small_space
+    Live.create ~encode:string_of_int ~decode:int_of_string space
   in
-  let lv_src = mk_live ()
-  and lv_dst = mk_live ()
-  and lv_src_m = mk_live ()
-  and lv_dst_m = mk_live () in
-  let mk lv lvm =
-    Server.start ~metrics:(M.create ())
-      (Catalog.make
-         ~lives:[ ("L", lv); ("M", lvm) ]
-         ~space:small_space ~points:[] ~relations:[] ())
+  (* the hook's state: `Idle until the first executed request on the
+     target (the split's first chunk write), `Held while that request
+     waits, `Released once the M insert has returned *)
+  let hook = Mutex.create () and hook_cv = Condition.create () in
+  let state = ref `Idle and split_done = ref false in
+  let on_execute () =
+    Mutex.lock hook;
+    if !state = `Idle then begin
+      state := `Held;
+      Condition.broadcast hook_cv;
+      while !state = `Held do
+        Condition.wait hook_cv hook
+      done
+    end;
+    Mutex.unlock hook
   in
-  let src = mk lv_src lv_src_m and dst = mk lv_dst lv_dst_m in
+  let mk ?config lv lvm =
+    Server.start ?config ~metrics:(M.create ())
+      (Catalog.make ~lives:[ ("L", lv); ("M", lvm) ] ~space ~points:[]
+         ~relations:[] ())
+  in
+  let src = mk (mk_live ()) (mk_live ())
+  and dst =
+    mk
+      ~config:{ Server.default_config with on_execute }
+      (mk_live ()) (mk_live ())
+  in
   Fun.protect
     ~finally:(fun () ->
       Server.stop src;
       Server.stop dst)
     (fun () ->
       let router =
-        Router.start ~metrics:(M.create ()) ~space:small_space
-          ~map:(SM.even small_space [ ("127.0.0.1", Server.port src) ])
+        Router.start ~metrics:(M.create ()) ~space
+          ~map:(SM.even space [ ("127.0.0.1", Server.port src) ])
           ()
       in
       Fun.protect
         ~finally:(fun () -> Router.stop router)
         (fun () ->
-          let at = 1 lsl 11 in
           Client.with_connect ~port:(Router.port router) ~client_id:91
             (fun cl ->
-              for b = 0 to 99 do
-                let batch =
-                  List.init 100 (fun j ->
-                      let i = (b * 100) + j in
-                      ([| i mod small_side; i * 7 mod small_side |], i))
-                in
-                ignore (reply_ok "seed L" (Client.insert cl ~table:"L" batch))
-              done;
-              (* run the split in a background thread and write "M" from
-                 this one until it returns — the writes then necessarily
-                 span the whole move, so at least one is gated while the
-                 rebalance is live.  Both coordinates >= 32, so z >= at
-                 whatever the interleave order — every write is in the
-                 moving range. *)
+              (* seed L in the first chunk, so copying it writes to the
+                 target (copy_chunk skips empty chunks) *)
+              let seed =
+                List.init 50 (fun i -> ([| 64 + i; i * 7 mod 64 |], i))
+              in
+              List.iter
+                (fun (p, _) ->
+                  let z = z_of p in
+                  checkb "L seed in the first chunk" true
+                    (z >= at && z < second_chunk))
+                seed;
+              ignore (reply_ok "seed L" (Client.insert cl ~table:"L" seed));
               let result = ref None in
               let splitter =
                 Thread.create
                   (fun () ->
-                    result :=
-                      Some
-                        (Router.split router ~tables:[ "L" ] ~from_:0 ~at
-                           ~host:"127.0.0.1" ~port:(Server.port dst)))
+                    let r =
+                      Router.split router ~tables:[ "L" ] ~from_:0 ~at
+                        ~host:"127.0.0.1" ~port:(Server.port dst)
+                    in
+                    Mutex.lock hook;
+                    result := Some r;
+                    split_done := true;
+                    Condition.broadcast hook_cv;
+                    Mutex.unlock hook)
                   ()
               in
-              let oracle_m = ref [] in
-              let j = ref 0 in
-              while !result = None do
-                let c = 32 + (!j mod 32) in
-                (match Client.insert cl ~table:"M" [ ([| c; c |], !j) ] with
-                | Ok _ -> oracle_m := ([| c; c |], !j) :: !oracle_m
-                | Error _ -> ());
-                incr j
+              (* wait until the first chunk write is held on the target *)
+              Mutex.lock hook;
+              while !state = `Idle && not !split_done do
+                Condition.wait hook_cv hook
               done;
+              let held = !state = `Held in
+              Mutex.unlock hook;
+              checkb "first chunk write reached the target" true held;
+              let m_point = [| 100; 100 |] in
+              checkb "M write in the moving range, outside the held chunk"
+                true
+                (z_of m_point >= second_chunk);
+              let applied, _ =
+                reply_ok "M insert during the split"
+                  (Client.insert cl ~table:"M" [ (m_point, 7) ])
+              in
+              checki "M insert applied" 1 applied;
+              Mutex.lock hook;
+              state := `Released;
+              Condition.broadcast hook_cv;
+              Mutex.unlock hook;
               Thread.join splitter;
               (match Option.get !result with
               | Error m ->
                   checkb "abort names the orphaned table" true
-                    (String.length m > 0)
-              | Ok () -> Alcotest.fail "L-only split succeeded under M writes");
+                    (contains m "\"M\"")
+              | Ok () -> Alcotest.fail "L-only split succeeded under an M write");
               checki "map unflipped after abort" 1
                 (Router.map router).SM.epoch;
               checki "single entry still" 1
                 (List.length (Router.map router).SM.entries);
-              (* nothing lost: every acked M write is still served *)
+              (* nothing lost: the acked M write is still served *)
               let got =
                 reply_ok "M scan after abort"
-                  (Client.live_range cl ~table:"M" ~lo:small_full_lo
-                     ~hi:small_full_hi)
+                  (Client.live_range cl ~table:"M" ~lo:[| 0; 0 |] ~hi:full_hi)
               in
-              checki "M rows all intact after abort"
-                (List.length !oracle_m)
+              checki "M rows all intact after abort" 1
                 (List.length (Relation.tuples got));
               (* and the cluster still serves mutations normally *)
               let applied, _ =

@@ -138,14 +138,14 @@ let join_inputs ~seed ~n ~max_level space =
 (* The relational join against its reference sweep on each kind of batch
    the kernel tells apart: narrow (at most 63-bit) batches under 64 items
    (comparison sort) and from 64 items (radix sort), narrow values too
-   long to encode with their index (merge sort), batches with values of
-   64-126 bits on one or both sides (packed sweep) and one with a value
-   over 126 bits (reference sweep).  Rows must agree in order; [pairs],
+   long to encode with their index (merge sort, up to a longest value of
+   exactly 63 bits), and batches with a value over 63 bits on one or both
+   sides (reference sweep).  Rows must agree in order; [pairs],
    [sorted_items] and [max_stack] always.  [comparisons] counts the
    path's own sort and sweep (a radix sort compares nothing), so it
    equals the reference's only where the reference ran; elsewhere it
    must equal [Zmerge.pairs]' count for the same z values, which runs
-   the same sorts from packed values. *)
+   the same kernel sorts and sweep. *)
 let test_join_relation_level () =
   let module R = Sqp_relalg in
   let module SJ = R.Spatial_join in
@@ -173,10 +173,17 @@ let test_join_relation_level () =
       case "decomposed boxes"
         (join_inputs ~seed:55 ~n:25 ~max_level:8 (Z.Space.make ~dims:2 ~depth:5));
       case "narrow, merge sort" (sides ~n:80 ~m:90 55);
-      case "64-126 bits" (sides ~n:80 ~m:90 90);
+      (* z_batch adds at most 6 bits to the 57-bit base: the 63-bit
+         value is the longest, the widest the kernel takes *)
+      (let b = base 57 in
+       let left = z_batch rng ~n:80 b in
+       let at_63 = (B.concat b (B.of_string "101101"), 999) in
+       case "longest value exactly 63 bits" (left, at_63 :: z_batch rng ~n:90 b));
+      case "64-126 bits" ~reference_ran:true (sides ~n:80 ~m:90 90);
       (let b = base 90 in
        let left = z_batch rng ~n:80 (B.take b 20) in
-       case "narrow beside 64-126 bits" (left, z_batch rng ~n:90 b));
+       case "narrow beside 64-126 bits" ~reference_ran:true
+         (left, z_batch rng ~n:90 b));
       (let left, right = sides ~n:80 ~m:90 90 in
        let over_126 = (B.init 130 (fun i -> i mod 3 = 0), 999) in
        case "over 126 bits" ~reference_ran:true (left, over_126 :: right));

@@ -1,10 +1,13 @@
 (* Differential fuzz: Zpacked must agree with Bitstring — the reference
-   representation — on every observation, wherever both apply (lengths up
-   to Zpacked.max_bits), and refuse (None) beyond. *)
+   representation — on every observation the storage codec makes,
+   wherever both apply (lengths up to Zpacked.max_bits), and refuse
+   (None) beyond.  The int keys Zkernel reads from a value's first word
+   must pad and sort exactly as the reference does. *)
 
 module Z = Sqp_zorder
 module B = Z.Bitstring
 module P = Z.Zpacked
+module K = Z.Zkernel
 module Rng = Sqp_workload.Rng
 
 let check = Alcotest.(check bool)
@@ -16,6 +19,9 @@ let pack_exn b =
   | None -> Alcotest.failf "of_bitstring refused %d bits" (B.length b)
 
 let random_bits rng len = B.init len (fun _ -> Rng.bool rng)
+
+(* Packed values compared through the reference representation. *)
+let same pa pb = B.equal (P.to_bitstring pa) (P.to_bitstring pb)
 
 (* Pairs biased toward the interesting cases: exact prefixes, one-bit
    perturbations near the end, shared long prefixes — plus independent
@@ -39,20 +45,12 @@ let random_pair rng =
   in
   (a, b)
 
-let sign x = Stdlib.compare x 0
-
 let test_agree_with_bitstring () =
   let rng = Rng.create ~seed:4242 in
   for _ = 1 to 3000 do
     let a, b = random_pair rng in
-    let pa = pack_exn a and pb = pack_exn b in
-    check_int "compare" (sign (B.compare a b)) (sign (P.compare pa pb));
-    check "equal" (B.equal a b) (P.equal pa pb);
-    check "is_prefix a b" (B.is_prefix a b) (P.is_prefix pa pb);
-    check "is_prefix b a" (B.is_prefix b a) (P.is_prefix pb pa);
-    check "contains" (P.is_prefix pa pb) (P.contains pa pb);
     check_int "common_prefix_len" (B.common_prefix_len a b)
-      (P.common_prefix_len pa pb)
+      (P.common_prefix_len (pack_exn a) (pack_exn b))
   done
 
 let test_observation_roundtrip () =
@@ -61,30 +59,43 @@ let test_observation_roundtrip () =
     let a = random_bits rng (Rng.int rng (P.max_bits + 1)) in
     let pa = pack_exn a in
     check_int "length" (B.length a) (P.length pa);
-    for i = 0 to B.length a - 1 do
-      check "get" (B.get a i) (P.get pa i)
-    done;
     check "to_bitstring roundtrip" true (B.equal (P.to_bitstring pa) a)
   done
 
+(* A scan range's int keys are the keys of the element padded with
+   zeros and with ones to the space's length. *)
 let test_pad_to () =
   let rng = Rng.create ~seed:31337 in
   for _ = 1 to 500 do
-    let a = random_bits rng (Rng.int rng (P.max_bits + 1)) in
-    let pa = pack_exn a in
-    let n = Rng.int_in rng (B.length a) P.max_bits in
-    List.iter
-      (fun bit ->
-        check "pad_to agrees" true
-          (B.equal (P.to_bitstring (P.pad_to pa n bit)) (B.pad_to a n bit)))
-      [ false; true ]
+    let a = random_bits rng (Rng.int rng (P.word_bits + 1)) in
+    let n = Rng.int_in rng (B.length a) P.word_bits in
+    check "pad_to agrees" true
+      (K.element_keys ~total:n a
+      = (K.word_key (B.pad_to a n false), K.word_key (B.pad_to a n true)))
   done;
-  (match P.pad_to (pack_exn (B.of_string "01")) 1 false with
+  (match K.element_keys ~total:1 (B.of_string "01") with
   | _ -> Alcotest.fail "pad_to shorter should raise"
   | exception Invalid_argument _ -> ());
-  match P.pad_to P.empty (P.max_bits + 1) true with
-  | _ -> Alcotest.fail "pad_to beyond max_bits should raise"
+  match K.element_keys ~total:(P.word_bits + 1) B.empty with
+  | _ -> Alcotest.fail "pad_to beyond word_bits should raise"
   | exception Invalid_argument _ -> ()
+
+let test_order_is_total () =
+  (* The kernel sort and a stable sort of the reference representation
+     must produce the same sequence, ties in input order, on each of the
+     kernel's three sorts: counted (under 64 values), radix, and the
+     merge sort for values too long to encode with their index. *)
+  let rng = Rng.create ~seed:60902 in
+  List.iter
+    (fun (n, maxlen) ->
+      let pool = Array.init (n / 2) (fun _ -> random_bits rng (Rng.int rng (maxlen + 1))) in
+      let bits = Array.init n (fun _ -> pool.(Rng.int rng (Array.length pool))) in
+      let expect = Array.init n Fun.id in
+      Array.stable_sort (fun i j -> B.compare bits.(i) bits.(j)) expect;
+      match K.sort_keyed ~comparisons:(ref 0) (Array.get bits) n with
+      | None -> Alcotest.fail "narrow batch refused"
+      | Some (perm, _) -> check "same sort order" true (perm = expect))
+    [ (40, 20); (500, 20); (500, P.word_bits) ]
 
 let test_fallback_boundary () =
   let rng = Rng.create ~seed:555 in
@@ -95,11 +106,7 @@ let test_fallback_boundary () =
     (B.equal (P.to_bitstring (pack_exn at)) at);
   (* ...one more does not *)
   let over = random_bits rng (P.max_bits + 1) in
-  check "127 bits refused" true (P.of_bitstring over = None);
-  (* pack_array is all-or-nothing *)
-  check "pack_array ok" true (P.pack_array [| at; B.empty |] <> None);
-  check "pack_array refuses the whole batch" true
-    (P.pack_array [| at; over; B.empty |] = None)
+  check "127 bits refused" true (P.of_bitstring over = None)
 
 let test_word_boundary_cases () =
   (* Hand-picked strings straddling the w0/w1 boundary at bit 63. *)
@@ -118,11 +125,8 @@ let test_word_boundary_cases () =
     (fun a ->
       List.iter
         (fun b ->
-          let pa = pack_exn a and pb = pack_exn b in
-          check_int "compare" (sign (B.compare a b)) (sign (P.compare pa pb));
-          check "is_prefix" (B.is_prefix a b) (P.is_prefix pa pb);
           check_int "common_prefix_len" (B.common_prefix_len a b)
-            (P.common_prefix_len pa pb))
+            (P.common_prefix_len (pack_exn a) (pack_exn b)))
         cases)
     cases
 
@@ -170,19 +174,6 @@ let test_fits_space () =
   | _ -> Alcotest.fail "shuffle on an oversized space should raise"
   | exception Invalid_argument _ -> ()
 
-let test_order_is_total () =
-  (* Sorting packed and reference representations of the same set must
-     produce the same sequence. *)
-  let rng = Rng.create ~seed:60902 in
-  let bits = Array.init 500 (fun _ -> random_bits rng (Rng.int rng 127)) in
-  let packed = Array.map pack_exn bits in
-  let b = Array.copy bits and p = Array.copy packed in
-  Array.sort B.compare b;
-  Array.sort P.compare p;
-  Array.iteri
-    (fun i pb -> check "same sort order" true (B.equal (P.to_bitstring pb) b.(i)))
-    p
-
 (* The Zrun building blocks: take / suffix_bytes / append_bytes must
    compose back to the identity at every split point, and the stored
    suffix must match a reference bit-by-bit extraction. *)
@@ -203,16 +194,16 @@ let test_surgery_roundtrip () =
         let c = Char.code c in
         for bit = 0 to 7 do
           let idx = s + (8 * i) + bit in
-          let expect = idx < P.length pa && P.get pa idx in
+          let expect = idx < B.length a && B.get a idx in
           check "suffix bit" expect (c land (0x80 lsr bit) <> 0)
         done)
       suffix;
     check "split/rejoin identity" true
-      (P.equal pa (P.append_bytes (P.take pa s) ~bytes:suffix ~pos:0 ~nbits:tail));
+      (same pa (P.append_bytes (P.take pa s) ~bytes:suffix ~pos:0 ~nbits:tail));
     (* reading the suffix out of a larger buffer, as Zrun does *)
     let embedded = "\xAA\xBB" ^ suffix ^ "\xCC" in
     check "embedded rejoin" true
-      (P.equal pa (P.append_bytes (P.take pa s) ~bytes:embedded ~pos:2 ~nbits:tail))
+      (same pa (P.append_bytes (P.take pa s) ~bytes:embedded ~pos:2 ~nbits:tail))
   done;
   (* grafting a suffix onto a different prefix keeps exactly those bits *)
   let rng = Rng.create ~seed:881 in
@@ -226,9 +217,10 @@ let test_surgery_roundtrip () =
       P.append_bytes prefix ~bytes:(P.suffix_bytes a ~pos:s) ~pos:0 ~nbits:tail
     in
     check_int "grafted length" (prefix_len + tail) (P.length grafted);
-    check "grafted prefix" true (P.equal prefix (P.take grafted prefix_len));
+    check "grafted prefix" true (same prefix (P.take grafted prefix_len));
+    let ab = P.to_bitstring a and gb = P.to_bitstring grafted in
     for i = 0 to tail - 1 do
-      check "grafted suffix bit" (P.get a (s + i)) (P.get grafted (prefix_len + i))
+      check "grafted suffix bit" (B.get ab (s + i)) (B.get gb (prefix_len + i))
     done
   done
 
@@ -256,19 +248,11 @@ let test_surgery_guards () =
   (* boundary cases that must NOT raise *)
   check "empty suffix of empty" true (P.suffix_bytes P.empty ~pos:0 = "");
   check "append nothing" true
-    (P.equal p (P.append_bytes p ~bytes:"" ~pos:0 ~nbits:0));
+    (same p (P.append_bytes p ~bytes:"" ~pos:0 ~nbits:0));
   check_int "append up to max_bits" P.max_bits
     (P.length
        (P.append_bytes (P.take full 120)
           ~bytes:(P.suffix_bytes full ~pos:120) ~pos:0 ~nbits:6))
-
-let test_hash_consistent () =
-  let rng = Rng.create ~seed:11 in
-  for _ = 1 to 200 do
-    let a = random_bits rng (Rng.int rng 127) in
-    check_int "hash stable across conversions" (P.hash (pack_exn a))
-      (P.hash (pack_exn (P.to_bitstring (pack_exn a))))
-  done
 
 let () =
   Alcotest.run "zpacked"
@@ -296,6 +280,4 @@ let () =
             test_surgery_roundtrip;
           Alcotest.test_case "guards" `Quick test_surgery_guards;
         ] );
-      ( "misc",
-        [ Alcotest.test_case "hash" `Quick test_hash_consistent ] );
     ]

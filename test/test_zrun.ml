@@ -19,9 +19,9 @@ let seeded_zs n =
   let space = Z.Space.make ~dims:2 ~depth:10 in
   let rng = W.Rng.create ~seed:77 in
   let pts = W.Datagen.uniform rng ~side:1024 ~n ~dims:2 in
-  let zs = Array.map (fun p -> pack_exn (Z.Interleave.shuffle space p)) pts in
-  Array.sort P.compare zs;
-  (space, zs)
+  let zs = Array.map (Z.Interleave.shuffle space) pts in
+  Array.sort B.compare zs;
+  (space, Array.map pack_exn zs)
 
 (* Random variable-length values (not sorted, lengths 0..60). *)
 let ragged_zs n =
@@ -32,7 +32,9 @@ let ragged_zs n =
 
 let equal_arrays a b =
   Array.length a = Array.length b
-  && Array.for_all2 (fun x y -> P.compare x y = 0 && P.length x = P.length y) a b
+  && Array.for_all2
+       (fun x y -> B.equal (P.to_bitstring x) (P.to_bitstring y))
+       a b
 
 let test_roundtrip_fixed () =
   (* 5000 points — the standard workload's density, where neighbors

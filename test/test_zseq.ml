@@ -1,15 +1,15 @@
-(* Differential suite for the packed kernels: the fast paths of Zmerge,
+(* Differential suite for the int-key kernels: the fast paths of Zmerge,
    Range_search and Spatial_join must reproduce the bitstring reference
    implementations bit for bit (same rows, same order — and for range
-   search, the same counters) on the seeded workloads, and the fallback
-   beyond Zpacked.max_bits must stay correct. *)
+   search, the same counters) on the seeded workloads, and the one
+   fallback rule — a z value over Zpacked.word_bits = 63 bits runs the
+   reference — must hold at its edge. *)
 
 module Z = Sqp_zorder
 module B = Z.Bitstring
-module P = Z.Zpacked
+module K = Z.Zkernel
 module W = Sqp_workload
 module RS = Sqp_core.Range_search
-module Zseq = Sqp_core.Zseq
 module Zmerge = Sqp_core.Zmerge
 module SJ = Sqp_relalg.Spatial_join
 
@@ -18,68 +18,78 @@ let check_int = Alcotest.(check int)
 
 let wk = lazy (W.Seeded.standard ())
 
-(* --- Zseq unit behaviour ------------------------------------------- *)
-
-let pack_exn b =
-  match P.of_bitstring b with Some p -> p | None -> assert false
+(* --- Z-sorted sequences: the kernel's sort and lower bound ---------- *)
 
 let test_zseq_sorts_stably () =
   let comparisons = ref 0 in
   let items =
-    [
-      (B.of_string "10", "a");
-      (B.of_string "01", "b");
-      (B.of_string "10", "c");
-      (B.of_string "0", "d");
-      (B.of_string "10", "e");
-    ]
+    [| ("10", "a"); ("01", "b"); ("10", "c"); ("0", "d"); ("10", "e") |]
   in
-  match Zseq.of_list ~comparisons items with
-  | None -> Alcotest.fail "short strings must pack"
-  | Some t ->
+  let z i = B.of_string (fst items.(i)) in
+  match K.sort_keyed ~comparisons z (Array.length items) with
+  | None -> Alcotest.fail "short strings must sort on int keys"
+  | Some (perm, _) ->
       Alcotest.(check (list string))
         "z order, ties in input order" [ "d"; "b"; "a"; "c"; "e" ]
-        (List.init (Zseq.length t) (Zseq.payload t));
+        (Array.to_list (Array.map (fun i -> snd items.(i)) perm));
       check "counted sort work" true (!comparisons > 0)
 
-let test_zseq_of_sorted_validates () =
-  let zs = Array.map (fun s -> pack_exn (B.of_string s)) [| "1"; "0" |] in
-  match Zseq.of_sorted zs [| 0; 1 |] with
-  | _ -> Alcotest.fail "descending input should raise"
-  | exception Invalid_argument _ -> (
-      match Zseq.of_sorted zs [| 0 |] with
-      | _ -> Alcotest.fail "length mismatch should raise"
-      | exception Invalid_argument _ -> ())
-
+(* The skip merge's first jump lands on the lower bound of the range's
+   low key, so a range reaching the top of the space reports exactly the
+   points from that bound on. *)
 let test_zseq_lower_bound () =
-  let comparisons = ref 0 in
-  let strings = [ "00"; "01"; "01"; "10"; "11" ] in
-  let t =
-    match Zseq.of_list ~comparisons (List.map (fun s -> (B.of_string s, s)) strings) with
-    | Some t -> t
-    | None -> assert false
-  in
-  let linear key =
-    let rec go i = if i >= Zseq.length t then i
-      else if P.compare (Zseq.z t i) key >= 0 then i
-      else go (i + 1)
+  let check_bounds ~total ks elements =
+    let top = snd (K.element_keys ~total B.empty) in
+    let linear k =
+      let rec go i = if i >= Array.length ks || ks.(i) >= k then i else go (i + 1) in
+      go 0
     in
-    go 0
+    List.iter
+      (fun e ->
+        let klo, _ = K.element_keys ~total e in
+        let hits = ref [] in
+        let c =
+          K.range_skip_keys ks { K.klo = [| klo |]; khi = [| top |] } (fun i ->
+              hits := i :: !hits)
+        in
+        let lb = linear klo in
+        Alcotest.(check (list int))
+          ("lower_bound " ^ B.to_string e)
+          (List.init (Array.length ks - lb) (fun i -> lb + i))
+          (List.rev !hits);
+        check_int "one jump" (if Array.length ks = 0 then 0 else 1) c.K.point_jumps)
+      elements
   in
-  List.iter
-    (fun s ->
-      let key = pack_exn (B.of_string s) in
-      check_int ("lower_bound " ^ s) (linear key)
-        (Zseq.lower_bound ~comparisons t key))
-    [ ""; "0"; "00"; "01"; "011"; "10"; "11"; "111" ]
+  let strings = [| "00"; "01"; "01"; "10"; "11" |] in
+  check_bounds ~total:2
+    (Array.map (fun s -> K.word_key (B.of_string s)) strings)
+    (List.map B.of_string [ ""; "0"; "00"; "01"; "1"; "10"; "11" ]);
+  check_bounds ~total:2 [||] [ B.empty ];
+  (* seeded: duplicate-heavy sorted keys in a 12-bit space *)
+  let rng = W.Rng.create ~seed:4711 in
+  let random_bits len = B.init len (fun _ -> W.Rng.bool rng) in
+  let pool = Array.init 60 (fun _ -> K.word_key (random_bits 12)) in
+  let ks = Array.init 200 (fun _ -> pool.(W.Rng.int rng 60)) in
+  Array.sort compare ks;
+  check_bounds ~total:12 ks (List.init 300 (fun _ -> random_bits (W.Rng.int rng 13)))
 
-let test_zseq_of_list_refuses_long () =
+let test_zseq_refuses_long () =
   let comparisons = ref 0 in
-  let long = B.init (P.max_bits + 1) (fun i -> i mod 2 = 0) in
+  let bits n = B.init n (fun i -> i mod 2 = 0) in
+  let long = [| B.empty; bits (Z.Zpacked.word_bits + 1) |] in
   check "long element -> None" true
-    (Zseq.of_list ~comparisons [ (B.empty, 0); (long, 1) ] = None)
+    (K.sort_keyed ~comparisons (Array.get long) 2 = None);
+  check "one word sorts" true
+    (K.sort_keyed ~comparisons (Array.get [| B.empty; bits Z.Zpacked.word_bits |]) 2
+    <> None);
+  let emitted = ref 0 in
+  check "join refuses" true
+    (K.pairs ~comparisons (Array.get long) 2 (Array.get [| B.empty |]) 1
+       (fun _ _ -> incr emitted)
+    = None);
+  check_int "nothing emitted" 0 !emitted
 
-(* --- Zmerge: packed vs reference vs naive --------------------------- *)
+(* --- Zmerge: kernel vs reference vs naive --------------------------- *)
 
 let canon pairs = List.sort Stdlib.compare pairs
 
@@ -95,17 +105,22 @@ let test_zmerge_differential () =
   check_int "naive pair count" fs.Zmerge.pairs ns.Zmerge.pairs
 
 let test_zmerge_fallback_long_elements () =
-  (* 130-bit elements exceed Zpacked.max_bits: pairs must silently use
-     the reference sweep and still match the naive oracle. *)
-  let base = B.init 128 (fun i -> i mod 3 = 0) in
-  let extend bits = B.concat base (B.of_string bits) in
-  let left = [ (base, "l0"); (extend "01", "l1"); (B.empty, "l2") ] in
-  let right = [ (extend "0", "r0"); (extend "11", "r1"); (base, "r2") ] in
-  let fast, _ = Zmerge.pairs left right in
-  let ref_, _ = Zmerge.pairs_reference left right in
-  let naive, _ = Zmerge.pairs_naive left right in
-  check "fallback = reference" true (fast = ref_);
-  check "fallback = oracle (multiset)" true (canon fast = canon naive)
+  (* A 64-bit and a 130-bit longest element both exceed one word: pairs
+     must silently use the reference sweep — its pairs and counters —
+     and still match the naive oracle. *)
+  List.iter
+    (fun base_len ->
+      let base = B.init base_len (fun i -> i mod 3 = 0) in
+      let extend bits = B.concat base (B.of_string bits) in
+      let left = [ (base, "l0"); (extend "01", "l1"); (B.empty, "l2") ] in
+      let right = [ (extend "0", "r0"); (extend "11", "r1"); (base, "r2") ] in
+      let fast, fs = Zmerge.pairs left right in
+      let ref_, rs = Zmerge.pairs_reference left right in
+      let naive, _ = Zmerge.pairs_naive left right in
+      check "fallback = reference" true (fast = ref_);
+      check "fallback stats = reference" true (fs = rs);
+      check "fallback = oracle (multiset)" true (canon fast = canon naive))
+    [ 62; 128 ]
 
 let test_zmerge_empty_sides () =
   let some = [ (B.of_string "01", 1) ] in
@@ -117,7 +132,7 @@ let test_zmerge_empty_sides () =
       check_int "empty-side pairs" fs.Zmerge.pairs rs.Zmerge.pairs)
     [ ([], []); (some, []); ([], some) ]
 
-(* --- Range search: packed vs reference, rows AND counters ----------- *)
+(* --- Range search: kernel vs reference, rows AND counters ----------- *)
 
 let counters_equal (a : RS.counters) (b : RS.counters) =
   a.point_steps = b.point_steps
@@ -146,34 +161,42 @@ let test_range_search_differential () =
     (wk.W.Seeded.query :: boxes)
 
 let test_range_search_oversized_space () =
-  (* 3 x 43 = 129 bits: prepare must fall back (packed path impossible)
-     and the searches must still agree with a brute-force filter. *)
-  let space = Z.Space.make ~dims:3 ~depth:43 in
-  check "space does not fit packed" false (P.fits_space space);
-  let rng = W.Rng.create ~seed:2024 in
-  let pts =
-    Array.init 200 (fun i ->
-        (Array.init 3 (fun _ -> W.Rng.int rng 64), i))
-  in
-  let prep = RS.prepare space pts in
-  let lo = [| 8; 8; 8 |] and hi = [| 40; 40; 40 |] in
-  let box = Sqp_geom.Box.make ~lo ~hi in
-  let expected =
-    List.sort Stdlib.compare
-      (Array.to_list pts
-      |> List.filter_map (fun (p, v) ->
-             let inside =
-               p.(0) >= 8 && p.(0) <= 40 && p.(1) >= 8 && p.(1) <= 40
-               && p.(2) >= 8 && p.(2) <= 40
-             in
-             if inside then Some (p, v) else None))
-  in
-  let rows_s, _ = RS.search_skip prep box in
-  let rows_p, _ = RS.search_plain prep box in
-  check "skip = brute force" true (List.sort Stdlib.compare rows_s = expected);
-  check "plain = skip" true (rows_p = rows_s)
+  (* The fallback rule at its edge: 63 bits (3 x 21) runs the int-key
+     kernel; 64 (2 x 32), 126 (3 x 42) and 129 (3 x 43) bits run the
+     bitstring reference.  Either way rows and all five counters equal
+     the reference's, and rows equal a brute-force filter. *)
+  List.iter
+    (fun (dims, depth) ->
+      let space = Z.Space.make ~dims ~depth in
+      let rng = W.Rng.create ~seed:2024 in
+      let pts =
+        Array.init 200 (fun i ->
+            (Array.init dims (fun _ -> W.Rng.int rng 64), i))
+      in
+      let prep = RS.prepare space pts in
+      let box =
+        Sqp_geom.Box.make ~lo:(Array.make dims 8) ~hi:(Array.make dims 40)
+      in
+      let expected =
+        List.sort Stdlib.compare
+          (Array.to_list pts
+          |> List.filter (fun (p, _) -> Array.for_all (fun c -> c >= 8 && c <= 40) p))
+      in
+      let label = Printf.sprintf "%d bits: " (Z.Space.total_bits space) in
+      List.iter
+        (fun (name, search, reference) ->
+          let rows, c = search prep box and rows_r, cr = reference prep box in
+          check (label ^ name ^ " rows = reference") true (rows = rows_r);
+          check (label ^ name ^ " counters = reference") true (counters_equal c cr);
+          check (label ^ name ^ " = brute force") true
+            (List.sort Stdlib.compare rows = expected))
+        [
+          ("plain", RS.search_plain, RS.search_plain_reference);
+          ("skip", RS.search_skip, RS.search_skip_reference);
+        ])
+    [ (3, 21); (2, 32); (3, 42); (3, 43) ]
 
-(* --- Spatial join: packed merge vs reference merge ------------------ *)
+(* --- Spatial join: kernel merge vs reference merge ------------------ *)
 
 let test_spatial_join_differential () =
   let wk = Lazy.force wk in
@@ -204,9 +227,8 @@ let () =
       ( "zseq",
         [
           Alcotest.test_case "stable sort" `Quick test_zseq_sorts_stably;
-          Alcotest.test_case "of_sorted validates" `Quick test_zseq_of_sorted_validates;
           Alcotest.test_case "lower_bound" `Quick test_zseq_lower_bound;
-          Alcotest.test_case "refuses long z" `Quick test_zseq_of_list_refuses_long;
+          Alcotest.test_case "refuses long z" `Quick test_zseq_refuses_long;
         ] );
       ( "zmerge",
         [
