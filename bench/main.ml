@@ -169,27 +169,24 @@ module R = Sqp_relalg
 
    Kernel (Zkernel's flat int keys) vs reference (Bitstring/list) on the
    query hot paths: the stable z sort the joins run, the Zmerge
-   containment sweep, both range-search merges, and the relational
-   spatial join.  Each range merge is timed cold (the decompose cache
-   emptied before every repetition, so every box is decomposed) and warm
-   (every box's cover cached by the warm-up).  Hand-rolled best-of-N
-   wall clock — the two sides run identical workloads, so the ratio is
-   the point.  Writes BENCH_kernels.json. *)
+   containment sweep, the box decomposition every range runs
+   (decompose_box's int-bounds recursion vs [run] with box_classifier),
+   both range-search merges (each decomposing its boxes), and the
+   relational spatial join.  Hand-rolled best-of-N wall clock — the two
+   sides run identical workloads, so the ratio is the point.  Writes
+   BENCH_kernels.json. *)
 let kernels_table ~quick () =
   let reps = if quick then 3 else 7 in
   let n_boxes = if quick then 40 else Array.length wk.W.Seeded.query_boxes in
   (* Best-of-[reps], but at least [min_span] seconds of repetitions:
      sub-millisecond rows need far more than [reps] samples before the
-     minimum settles on this (noisy) class of machine.  [before] runs
-     untimed ahead of every repetition. *)
+     minimum settles on this (noisy) class of machine. *)
   let min_span = if quick then 0.05 else 0.5 in
-  let time_best before f =
-    before ();
-    ignore (f ()) (* warm-up (also warms the decompose cache) *);
+  let time_best f =
+    ignore (f ()) (* warm-up *);
     let best = ref infinity in
     let spent = ref 0.0 and runs = ref 0 in
     while !runs < reps || !spent < min_span do
-      before ();
       let t0 = Unix.gettimeofday () in
       ignore (f ());
       let dt = Unix.gettimeofday () -. t0 in
@@ -210,49 +207,48 @@ let kernels_table ~quick () =
   in
   let join_rel_r = rel_of "rid" "zr" join_l
   and join_rel_s = rel_of "sid" "zs" join_r in
-  let cold () = Z.Decompose.reset_cache () in
-  let range_rows name reference kernel =
-    let over search () = Array.iter (fun b -> ignore (search prep b)) boxes in
-    List.map
-      (fun (temp, before) ->
-        ( Printf.sprintf "%s %s(%d boxes)" name temp n_boxes,
-          before,
-          over reference,
-          over kernel ))
-      [ ("cold", cold); ("warm", ignore) ]
+  let boxes_row name reference kernel =
+    let over f () = Array.iter f boxes in
+    (Printf.sprintf "%s(%d boxes)" name n_boxes, over reference, over kernel)
   in
+  let range_row name reference kernel =
+    boxes_row name (fun b -> ignore (reference prep b)) (fun b -> ignore (kernel prep b))
+  in
+  let corners b = (Sqp_geom.Box.lo b, Sqp_geom.Box.hi b) in
   let rows =
     List.map
-      (fun (name, before, reference, kernel) ->
-        let reference_seconds = time_best before reference in
-        let kernel_seconds = time_best before kernel in
+      (fun (name, reference, kernel) ->
+        let reference_seconds = time_best reference in
+        let kernel_seconds = time_best kernel in
         (name, reference_seconds, kernel_seconds))
-      ([
+      [
          ( Printf.sprintf "sort(%d z values)" (Array.length zs_bits),
-           ignore,
            (fun () -> Array.stable_sort Z.Bitstring.compare (Array.copy zs_bits)),
            fun () ->
              ignore
                (Z.Zkernel.sort_keyed ~comparisons:(ref 0) (Array.get zs_bits)
                   (Array.length zs_bits)) );
          ( "merge(zmerge 48x48 join)",
-           ignore,
            (fun () -> ignore (Sqp_core.Zmerge.pairs_reference join_l join_r)),
            fun () -> ignore (Sqp_core.Zmerge.pairs join_l join_r) );
+         boxes_row "decompose"
+           (fun b ->
+             let lo, hi = corners b in
+             ignore (Z.Decompose.run space (Z.Decompose.box_classifier space ~lo ~hi)))
+           (fun b ->
+             let lo, hi = corners b in
+             ignore (Z.Decompose.decompose_box space ~lo ~hi));
+         range_row "range-search-plain" Sqp_core.Range_search.search_plain_reference
+           Sqp_core.Range_search.search_plain;
+         range_row "range-search-skip" Sqp_core.Range_search.search_skip_reference
+           Sqp_core.Range_search.search_skip;
+         ( "join(spatial-join merge)",
+           (fun () ->
+             ignore
+               (R.Spatial_join.merge_reference join_rel_r ~zr:"zr" join_rel_s ~zs:"zs")),
+           fun () ->
+             ignore (R.Spatial_join.merge join_rel_r ~zr:"zr" join_rel_s ~zs:"zs") );
        ]
-      @ range_rows "range-search-plain" Sqp_core.Range_search.search_plain_reference
-          Sqp_core.Range_search.search_plain
-      @ range_rows "range-search-skip" Sqp_core.Range_search.search_skip_reference
-          Sqp_core.Range_search.search_skip
-      @ [
-          ( "join(spatial-join merge)",
-            ignore,
-            (fun () ->
-              ignore
-                (R.Spatial_join.merge_reference join_rel_r ~zr:"zr" join_rel_s ~zs:"zs")),
-            fun () ->
-              ignore (R.Spatial_join.merge join_rel_r ~zr:"zr" join_rel_s ~zs:"zs") );
-        ])
   in
   print_newline ();
   Printf.printf "Int-key z-value kernels vs bitstring reference (best of %d)\n"

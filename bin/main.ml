@@ -381,6 +381,16 @@ let port_arg ~default =
     value & opt int default
     & info [ "port" ] ~docv:"PORT" ~doc:"TCP port (serve: 0 picks one).")
 
+(* SIGTERM and SIGINT set the returned flag.  Serve and route install
+   this before they listen: a signal sent as soon as the node answers
+   must drain it, not kill it. *)
+let stop_on_signal () =
+  let stop_requested = ref false in
+  let on_signal _ = stop_requested := true in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  stop_requested
+
 let serve_cmd =
   let in_flight_arg =
     Arg.(
@@ -491,6 +501,7 @@ let serve_cmd =
           (if frame_timeout_s > 0. then Some frame_timeout_s else None);
       }
     in
+    let stop_requested = stop_on_signal () in
     let server = Srv.Server.start ~config catalog in
     (* Machine-parseable bound-port line, first and flushed: orchestrators
        (sqp route --spawn, the cluster tests, CI) parse exactly this. *)
@@ -509,10 +520,6 @@ let serve_cmd =
          @ List.map
              (fun n -> n ^ " (live)")
              (Srv.Catalog.live_names catalog)));
-    let stop_requested = ref false in
-    let on_signal _ = stop_requested := true in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
     while not !stop_requested do
       Thread.delay 0.05
     done;
@@ -1026,6 +1033,7 @@ let route_cmd =
     in
     let map = Srv.Shard_map.even space endpoints in
     let config = { Sqp_cluster.Router.default_config with host; port } in
+    let stop_requested = stop_on_signal () in
     let router =
       try Sqp_cluster.Router.start ~config ~space ~map ()
       with e ->
@@ -1041,10 +1049,6 @@ let route_cmd =
         Printf.printf "  shard %d: %s:%d z=[%d,%d]\n%!" i e.host e.port e.zlo
           e.zhi)
       map.Srv.Shard_map.entries;
-    let stop_requested = ref false in
-    let on_signal _ = stop_requested := true in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
     while not !stop_requested do
       Thread.delay 0.05
     done;

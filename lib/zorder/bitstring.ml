@@ -91,20 +91,24 @@ let concat a b =
     { data; len }
   end
 
+(* The first [n] bits of [src] as a fresh string; the bits past [n] in
+   the last byte are zeroed to restore the invariant. *)
+let prefix_of src n =
+  let data = Bytes.sub src 0 (bytes_needed n) in
+  if n land 7 <> 0 then begin
+    let last = Bytes.length data - 1 in
+    let keep = 0xff lsl (8 - (n land 7)) land 0xff in
+    Bytes.set data last (Char.chr (Char.code (Bytes.get data last) land keep))
+  end;
+  { data; len = n }
+
+let of_bytes buf n =
+  if n < 0 || n > 8 * Bytes.length buf then invalid_arg "Bitstring.of_bytes";
+  prefix_of buf n
+
 let take t n =
   if n < 0 || n > t.len then invalid_arg "Bitstring.take";
-  if n = t.len then t
-  else begin
-    let data = Bytes.make (bytes_needed n) '\000' in
-    Bytes.blit t.data 0 data 0 (Bytes.length data);
-    (* Zero the bits past [n] in the last byte to restore the invariant. *)
-    if n land 7 <> 0 then begin
-      let last = Bytes.length data - 1 in
-      let keep = 0xff lsl (8 - (n land 7)) land 0xff in
-      Bytes.set data last (Char.chr (Char.code (Bytes.get data last) land keep))
-    end;
-    { data; len = n }
-  end
+  if n = t.len then t else prefix_of t.data n
 
 let drop t n =
   if n < 0 || n > t.len then invalid_arg "Bitstring.drop";

@@ -31,6 +31,12 @@ val of_int : int -> width:int -> t
 val init : int -> (int -> bool) -> t
 (** [init n f] is the [n]-bit string whose [i]-th bit is [f i]. *)
 
+val of_bytes : Bytes.t -> int -> t
+(** [of_bytes buf n] is the first [n] bits of [buf], read MSB-first (the
+    layout {!byte} exposes); [buf] is copied and its bits past [n] are
+    ignored, so a caller can grow a z prefix in one reusable buffer.
+    @raise Invalid_argument if [n < 0] or [n > 8 * Bytes.length buf]. *)
+
 (** {1 Observation} *)
 
 val length : t -> int

@@ -38,12 +38,14 @@ let run_impl ~options space classify =
   in
   List.rev (go Element.root [])
 
-let run ?(options = default_options) space classify =
-  if not (Sqp_obs.Trace.global_enabled ()) then run_impl ~options space classify
+(* With global tracing on, record the [decompose] span and metrics
+   around one decomposition. *)
+let traced decompose =
+  if not (Sqp_obs.Trace.global_enabled ()) then decompose ()
   else begin
     let tracer = Sqp_obs.Trace.global () in
     Sqp_obs.Trace.span_begin tracer "decompose";
-    let elements = run_impl ~options space classify in
+    let elements = decompose () in
     let n = List.length elements in
     Sqp_obs.Trace.span_end
       ~attrs:(fun () -> [ ("elements", Sqp_obs.Trace.Int n) ])
@@ -56,6 +58,9 @@ let run ?(options = default_options) space classify =
       n;
     elements
   end
+
+let run ?(options = default_options) space classify =
+  traced (fun () -> run_impl ~options space classify)
 
 let count ?(options = default_options) space classify =
   let max_level = effective_max_level space options in
@@ -119,7 +124,7 @@ let seq_from space classify zmin =
   in
   step [ Element.root ]
 
-let box_classifier space ~lo ~hi =
+let check_box space ~lo ~hi =
   let k = Space.dims space in
   if Array.length lo <> k || Array.length hi <> k then
     invalid_arg "Decompose.box_classifier: wrong arity";
@@ -127,7 +132,11 @@ let box_classifier space ~lo ~hi =
     if lo.(i) > hi.(i) then invalid_arg "Decompose.box_classifier: lo > hi";
     if not (Space.valid_coord space lo.(i) && Space.valid_coord space hi.(i)) then
       invalid_arg "Decompose.box_classifier: bounds out of grid"
-  done;
+  done
+
+let box_classifier space ~lo ~hi =
+  check_box space ~lo ~hi;
+  let k = Space.dims space in
   fun e ->
     let elo, ehi = Element.box space e in
     let rec check i inside =
@@ -139,75 +148,70 @@ let box_classifier space ~lo ~hi =
     in
     check 0 true
 
-(* Memo cache for box decompositions.  Server sessions and benchmarks
-   replay the same query boxes; the decomposition is pure, so a bounded
-   LRU keyed on the full input (space, bounds, options) is safe.  A mutex
-   serializes access — server sessions call decompose_box concurrently —
-   and the decomposition itself is computed outside the lock. *)
-
-type cache_stats = { hits : int; misses : int; evictions : int }
-
-let default_cache_capacity = 512
-
-let cache_lock = Mutex.create ()
-let cache = ref (Lru.create ~capacity:default_cache_capacity)
-let cache_hits = ref 0
-let cache_misses = ref 0
-let cache_evictions = ref 0
-
-let reset_cache ?(capacity = default_cache_capacity) () =
-  Mutex.protect cache_lock (fun () ->
-      cache := Lru.create ~capacity;
-      cache_hits := 0;
-      cache_misses := 0;
-      cache_evictions := 0)
-
-let cache_stats () =
-  Mutex.protect cache_lock (fun () ->
-      { hits = !cache_hits; misses = !cache_misses; evictions = !cache_evictions })
-
-let bump_cache_metric suffix =
-  Sqp_obs.Metrics.incr
-    (Sqp_obs.Metrics.counter (Sqp_obs.Metrics.global ()) ("decompose.cache." ^ suffix))
-
-let decompose_box ?options space ~lo ~hi =
-  (* Validate eagerly (box_classifier raises on bad bounds) so cache hits
-     and misses reject exactly the same inputs. *)
-  let classify = box_classifier space ~lo ~hi in
-  let opts = match options with Some o -> o | None -> default_options in
-  let key =
-    ( Space.dims space,
-      Space.depth space,
-      Array.copy lo,
-      Array.copy hi,
-      (match opts.max_level with Some l -> l | None -> -1),
-      match opts.max_elements with Some b -> b | None -> -1 )
+(* [run] with [box_classifier], without building an element to classify
+   it: the recursion carries the current element's per-axis bounds in
+   [elo]/[ehi], updated in place along the split axis, and [crossing],
+   the number of axes on which the element is not inside the box.  A
+   split changes only the split axis, so a child is [Outside] iff it
+   misses the box on that axis, and [Inside] once [crossing] reaches 0.
+   The z prefix lives in the bit buffer [z]; bit [level] is written on
+   the way down, so bits [0, level) always spell the current element. *)
+let box_impl ~options space ~lo ~hi =
+  let k = Space.dims space in
+  let max_level = effective_max_level space options in
+  let budget = Option.value options.max_elements ~default:max_int in
+  let last = Space.side space - 1 in
+  let elo = Array.make k 0 and ehi = Array.make k last in
+  let root_crossing = ref 0 in
+  for i = 0 to k - 1 do
+    if lo.(i) > 0 || hi.(i) < last then incr root_crossing
+  done;
+  let z = Bytes.make ((max_level + 7) / 8) '\000' in
+  let set_bit level bit =
+    let i = level lsr 3 and mask = 0x80 lsr (level land 7) in
+    let c = Char.code (Bytes.unsafe_get z i) in
+    Bytes.unsafe_set z i (Char.unsafe_chr (if bit then c lor mask else c land lnot mask))
   in
-  let cached =
-    Mutex.protect cache_lock (fun () ->
-        match Lru.find !cache key with
-        | Some els ->
-            incr cache_hits;
-            Some els
-        | None ->
-            incr cache_misses;
-            None)
-  in
-  match cached with
-  | Some els ->
-      bump_cache_metric "hits";
-      els
-  | None ->
-      bump_cache_metric "misses";
-      let els = run ?options space classify in
-      let evicted =
-        Mutex.protect cache_lock (fun () ->
-            let evicted = Lru.add !cache key els in
-            if evicted then incr cache_evictions;
-            evicted)
+  let emitted = ref 0 in
+  (* Accumulate in reverse z order, low child first, then reverse. *)
+  let rec go level crossing acc =
+    if crossing = 0 || level >= max_level || !emitted >= budget then begin
+      incr emitted;
+      Bitstring.of_bytes z level :: acc
+    end
+    else begin
+      let a = level mod k in
+      let l = elo.(a) and h = ehi.(a) in
+      let mid = l + ((h - l + 1) / 2) in
+      set_bit level false;
+      let acc = child level crossing a ~clo:l ~chi:(mid - 1) acc in
+      set_bit level true;
+      child level crossing a ~clo:mid ~chi:h acc
+    end
+  and child level crossing a ~clo ~chi acc =
+    if chi < lo.(a) || clo > hi.(a) then acc
+    else begin
+      let l = elo.(a) and h = ehi.(a) in
+      let crossing =
+        if lo.(a) <= clo && chi <= hi.(a) && not (lo.(a) <= l && h <= hi.(a)) then
+          crossing - 1
+        else crossing
       in
-      if evicted then bump_cache_metric "evictions";
-      els
+      elo.(a) <- clo;
+      ehi.(a) <- chi;
+      let acc = go (level + 1) crossing acc in
+      elo.(a) <- l;
+      ehi.(a) <- h;
+      acc
+    end
+  in
+  List.rev (go 0 !root_crossing [])
+
+let decompose_box ?(options = default_options) space ~lo ~hi =
+  check_box space ~lo ~hi;
+  traced (fun () -> box_impl ~options space ~lo ~hi)
+
+let reset_cache () = ()
 
 let is_exact_cover space classify elements =
   let total = Space.total_bits space in

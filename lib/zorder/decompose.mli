@@ -52,24 +52,18 @@ val box_classifier : Space.t -> lo:int array -> hi:int array -> classifier
     or out of the grid). *)
 
 val decompose_box : ?options:options -> Space.t -> lo:int array -> hi:int array -> Element.t list
-(** [run] with {!box_classifier}; the decomposition of Figure 2.
+(** [run ?options space (box_classifier space ~lo ~hi)], element for
+    element; the decomposition of Figure 2.
 
-    Results are memoized in a bounded process-wide LRU keyed on the full
-    input (space, bounds, options) — server sessions and benchmarks
-    replay the same boxes, and the decomposition is pure.  The cache is
-    thread-safe; see {!reset_cache} and {!cache_stats}. *)
+    Computed per call with int compares on the elements' per-axis bounds
+    (no element is built to be classified, and nothing is memoized), so
+    it is cheap enough for every request.  Traced like {!run}.
+    @raise Invalid_argument on the inputs {!box_classifier} rejects. *)
 
-(** {1 Decomposition cache} *)
-
-type cache_stats = { hits : int; misses : int; evictions : int }
-
-val reset_cache : ?capacity:int -> unit -> unit
-(** Drop all cached decompositions and zero {!cache_stats}; [capacity]
-    (default 512) bounds the number of retained boxes. *)
-
-val cache_stats : unit -> cache_stats
-(** Hit/miss/eviction totals since the last {!reset_cache}.  The same
-    totals are mirrored to the [decompose.cache.*] metrics counters. *)
+val reset_cache : unit -> unit
+(** Does nothing: there is no decomposition cache.  It stays only
+    because the serving benchmark ([perfbench/zbench.ml]) still calls
+    it, and goes when that benchmark next changes. *)
 
 val count : ?options:options -> Space.t -> classifier -> int
 (** Number of elements [run] would produce, without materializing them. *)

@@ -69,16 +69,30 @@ let test_border_touching_boxes () =
     cases
 
 let test_invalid_box () =
+  (* Rejected under every budget, even one that would stop at the root,
+     exactly where box_classifier rejects them. *)
+  let deep = Z.Space.make ~dims:1 ~depth:62 in
   List.iter
-    (fun (lo, hi) ->
-      match D.decompose_box s23 ~lo ~hi with
-      | _ -> Alcotest.fail "expected Invalid_argument"
-      | exception Invalid_argument _ -> ())
+    (fun (space, lo, hi) ->
+      List.iter
+        (fun options ->
+          (match D.box_classifier space ~lo ~hi Z.Element.root with
+          | _ -> Alcotest.fail "box_classifier: expected Invalid_argument"
+          | exception Invalid_argument _ -> ());
+          match D.decompose_box ~options space ~lo ~hi with
+          | _ -> Alcotest.fail "decompose_box: expected Invalid_argument"
+          | exception Invalid_argument _ -> ())
+        [
+          D.default_options;
+          { D.max_level = Some 0; max_elements = None };
+          { D.max_level = None; max_elements = Some 0 };
+        ])
     [
-      ([| 3; 3 |], [| 2; 3 |]);
-      ([| 0; 0 |], [| 8; 3 |]);
-      ([| -1; 0 |], [| 3; 3 |]);
-      ([| 0 |], [| 3 |]);
+      (s23, [| 3; 3 |], [| 2; 3 |]);
+      (s23, [| 0; 0 |], [| 8; 3 |]);
+      (s23, [| -1; 0 |], [| 3; 3 |]);
+      (s23, [| 0 |], [| 3 |]);
+      (deep, [| 0 |], [| 1 |]);
     ]
 
 let test_count_matches_run () =
@@ -150,85 +164,6 @@ let test_classifier_classes () =
   check "outside" true (classify (B.of_string "1") = D.Outside);
   check "crosses" true (classify B.empty = D.Crosses)
 
-(* Decomposition cache *)
-
-let test_cache_hit_miss () =
-  D.reset_cache ();
-  let lo = [| 1; 0 |] and hi = [| 3; 4 |] in
-  let first = D.decompose_box s23 ~lo ~hi in
-  let stats = D.cache_stats () in
-  check_int "one miss" 1 stats.D.misses;
-  check_int "no hit yet" 0 stats.D.hits;
-  let second = D.decompose_box s23 ~lo ~hi in
-  let stats = D.cache_stats () in
-  check_int "still one miss" 1 stats.D.misses;
-  check_int "one hit" 1 stats.D.hits;
-  check "hit returns the same elements" true (List.equal B.equal first second);
-  (* mutating the caller's arrays must not poison the cache key *)
-  lo.(0) <- 0;
-  let moved = D.decompose_box s23 ~lo:[| 1; 0 |] ~hi in
-  check "copied key unaffected by mutation" true (List.equal B.equal first moved);
-  check_int "mutation-safe key still hits" 2 (D.cache_stats ()).D.hits
-
-let test_cache_distinguishes_inputs () =
-  D.reset_cache ();
-  let a = D.decompose_box s23 ~lo:[| 1; 0 |] ~hi:[| 3; 4 |] in
-  let b = D.decompose_box s23 ~lo:[| 1; 0 |] ~hi:[| 3; 5 |] in
-  check "different boxes differ" false (List.equal B.equal a b);
-  (* same box, different options -> different entry, not a stale hit *)
-  let options = { D.max_level = Some 2; max_elements = None } in
-  let coarse = D.decompose_box ~options s23 ~lo:[| 1; 0 |] ~hi:[| 3; 4 |] in
-  check "options are part of the key" false (List.equal B.equal a coarse);
-  (* different space, same bounds *)
-  let s24 = Z.Space.make ~dims:2 ~depth:4 in
-  let deeper = D.decompose_box s24 ~lo:[| 1; 0 |] ~hi:[| 3; 4 |] in
-  check "space is part of the key" false (List.equal B.equal a deeper);
-  check_int "four distinct misses" 4 (D.cache_stats ()).D.misses
-
-let test_cache_eviction () =
-  D.reset_cache ~capacity:2 ();
-  let box i = D.decompose_box s23 ~lo:[| 0; 0 |] ~hi:[| i; i |] |> ignore in
-  box 1;
-  box 2;
-  box 3;
-  (* capacity 2: box 1 evicted *)
-  check_int "one eviction" 1 (D.cache_stats ()).D.evictions;
-  box 1;
-  let stats = D.cache_stats () in
-  check_int "re-decomposed after eviction" 4 stats.D.misses;
-  check_int "no hits in this sequence" 0 stats.D.hits;
-  D.reset_cache ()
-
-let test_cache_invalid_box_still_raises () =
-  D.reset_cache ();
-  (match D.decompose_box s23 ~lo:[| 3; 3 |] ~hi:[| 2; 3 |] with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  check_int "invalid input never cached" 0 (D.cache_stats ()).D.misses
-
-(* The LRU itself, driven directly. *)
-let test_lru_unit () =
-  let lru = Z.Lru.create ~capacity:2 in
-  check_int "capacity" 2 (Z.Lru.capacity lru);
-  check "evict on empty-miss" false (Z.Lru.add lru "a" 1);
-  check "no evict under capacity" false (Z.Lru.add lru "b" 2);
-  check "find a" true (Z.Lru.find lru "a" = Some 1);
-  (* "a" is now most recent, so inserting "c" evicts "b" *)
-  check "evict at capacity" true (Z.Lru.add lru "c" 3);
-  check "b evicted" true (Z.Lru.find lru "b" = None);
-  check "a survives" true (Z.Lru.find lru "a" = Some 1);
-  check "c present" true (Z.Lru.find lru "c" = Some 3);
-  check_int "length" 2 (Z.Lru.length lru);
-  (* overwrite refreshes, does not evict *)
-  check "overwrite" false (Z.Lru.add lru "a" 10);
-  check "overwritten" true (Z.Lru.find lru "a" = Some 10);
-  Z.Lru.clear lru;
-  check_int "cleared" 0 (Z.Lru.length lru);
-  check "cleared find" true (Z.Lru.find lru "a" = None);
-  match Z.Lru.create ~capacity:0 with
-  | _ -> Alcotest.fail "capacity 0 should raise"
-  | exception Invalid_argument _ -> ()
-
 (* Properties *)
 
 let gen_box side =
@@ -279,6 +214,62 @@ let prop_pixel_membership =
       let in_box = px >= lo.(0) && px <= hi.(0) && py >= lo.(1) && py <= hi.(1) in
       covered = in_box)
 
+(* decompose_box against its oracle, run with box_classifier, element
+   for element.  Spaces: narrow ones, where boxes span the whole grid,
+   and the 63-, 64-, 126- and 129-bit ones at the int-key kernel's edge,
+   where boxes stay within a 16-cell reach so the oracle stays fast.
+   Boxes: random, a single pixel, the whole space, and random boxes
+   flattened to one cell on one axis. *)
+let diff_spaces = [| (1, 16); (2, 10); (3, 7); (3, 21); (2, 32); (3, 42); (3, 43) |]
+
+let gen_diff_case =
+  let open QCheck2.Gen in
+  let* dims, depth = oneofa diff_spaces in
+  let space = Z.Space.make ~dims ~depth in
+  let side = Z.Space.side space and total = Z.Space.total_bits space in
+  let reach = if total <= 24 then side else 16 in
+  let* origin = array_size (pure dims) (int_bound (side - reach)) in
+  let* a = array_size (pure dims) (int_bound (reach - 1)) in
+  let* b = array_size (pure dims) (int_bound (reach - 1)) in
+  let* flat = int_bound (dims - 1) in
+  let random =
+    ( Array.init dims (fun i -> origin.(i) + min a.(i) b.(i)),
+      Array.init dims (fun i -> origin.(i) + max a.(i) b.(i)) )
+  in
+  let pixel = Array.mapi (fun i o -> o + a.(i)) origin in
+  let slab =
+    let lo, hi = random in
+    (lo, Array.mapi (fun i h -> if i = flat then lo.(i) else h) hi)
+  in
+  let* lo, hi =
+    oneofl [ random; (pixel, pixel); (Array.make dims 0, Array.make dims (side - 1)); slab ]
+  in
+  let* options =
+    oneofl
+      (D.default_options
+      :: List.map
+           (fun l -> { D.max_level = Some l; max_elements = None })
+           [ 0; 1; total / 2; total ]
+      @ List.map
+          (fun b -> { D.max_level = None; max_elements = Some b })
+          [ 0; 1; 7 ])
+  in
+  pure (space, lo, hi, options)
+
+let print_diff_case (space, lo, hi, options) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let opt = function None -> "-" | Some v -> string_of_int v in
+  Printf.sprintf "%dx%d lo=[%s] hi=[%s] max_level=%s max_elements=%s"
+    (Z.Space.dims space) (Z.Space.depth space) (ints lo) (ints hi)
+    (opt options.D.max_level) (opt options.D.max_elements)
+
+let prop_box_matches_run =
+  QCheck2.Test.make ~name:"decompose_box = run with box_classifier" ~count:600
+    ~print:print_diff_case gen_diff_case (fun (space, lo, hi, options) ->
+      List.equal B.equal
+        (D.decompose_box ~options space ~lo ~hi)
+        (D.run ~options space (D.box_classifier space ~lo ~hi)))
+
 let () =
   Alcotest.run "decompose"
     [
@@ -298,16 +289,6 @@ let () =
           Alcotest.test_case "is_exact_cover" `Quick test_is_exact_cover;
           Alcotest.test_case "classifier classes" `Quick test_classifier_classes;
         ] );
-      ( "cache",
-        [
-          Alcotest.test_case "hit/miss accounting" `Quick test_cache_hit_miss;
-          Alcotest.test_case "key covers box, options, space" `Quick
-            test_cache_distinguishes_inputs;
-          Alcotest.test_case "LRU eviction" `Quick test_cache_eviction;
-          Alcotest.test_case "invalid boxes still raise" `Quick
-            test_cache_invalid_box_still_raises;
-          Alcotest.test_case "lru unit" `Quick test_lru_unit;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -315,5 +296,9 @@ let () =
             prop_area_preserved;
             prop_exact_cover_small;
             prop_pixel_membership;
+          ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1986 |])
+              prop_box_matches_run;
           ] );
     ]
