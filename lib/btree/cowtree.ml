@@ -4,12 +4,6 @@ module type KEY = sig
   val compare : t -> t -> int
 end
 
-module Bitstring_key = struct
-  type t = Sqp_zorder.Bitstring.t
-
-  let compare = Sqp_zorder.Bitstring.compare
-end
-
 module Make (Key : KEY) = struct
   (* Separator invariant: keys in [children.(i)] are < [seps.(i)] and
      keys in [children.(i+1)] are >= [seps.(i)].  Removals never update

@@ -90,5 +90,3 @@ module Make (Key : KEY) : sig
       entry count.  Occupancy is deliberately not enforced (see the
       module comment on relaxed removals). *)
 end
-
-module Bitstring_key : KEY with type t = Sqp_zorder.Bitstring.t

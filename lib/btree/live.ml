@@ -2,7 +2,7 @@ module Z = Sqp_zorder
 module FP = Sqp_storage.File_pager
 module Storage_error = Sqp_storage.Storage_error
 module Metrics = Sqp_obs.Metrics
-module Cow = Cowtree.Make (Cowtree.Bitstring_key)
+module Cow = Cowtree.Make (Int)
 
 type 'a op =
   | Insert of Sqp_geom.Point.t * 'a
@@ -39,13 +39,11 @@ type scan_stats = { entries_scanned : int; elements : int; results : int }
 (* {1 Record codecs}
 
    One page store per table; each record (page payload) starts with a
-   tag byte: 'M' metadata, 'B' a base-image chunk, 'L' a logged batch
-   part, 'Z' a front-coded base-image chunk (checkpoints write 'Z'
-   whenever the space's z values pack into {!Sqp_zorder.Zpacked}; 'B'
-   remains both the fallback and the legacy decode path, so stores
-   written before compression keep loading).  A batch too big for one
-   page is split over parts allocated in the same atomic store batch,
-   so it is still all-or-nothing. *)
+   tag byte: 'M' metadata, 'Z' a front-coded base-image chunk (a
+   {!Sqp_zorder.Zrun} of the entries' z values, then their payloads),
+   'L' a logged batch part.  Any other tag is corrupt.  A batch too big
+   for one page is split over parts allocated in the same atomic store
+   batch, so it is still all-or-nothing. *)
 
 let magic = "SQPL1"
 
@@ -130,12 +128,6 @@ let decode_op ~space ~decode r =
   | 1 -> Delete (decode_point space r)
   | n -> fail r (Printf.sprintf "unknown live op tag %d" n)
 
-let encode_entry t (p, v) =
-  let b = Buffer.create 32 in
-  encode_point t.space b p;
-  buf_str b (t.encode v);
-  Buffer.contents b
-
 (* Greedy packing of encoded items into parts of at most [cap] bytes
    (beyond the fixed per-part header). *)
 let pack ~cap ~header items =
@@ -166,85 +158,69 @@ let meta_record space ~base_seq =
 
 let log_header_bytes = 1 + 8 + 2 + 2 (* 'L' seq part count *)
 
-let base_header_bytes = 1 + 4 + 2 (* 'B' part count *)
-
 let restart_interval = 16
 
 (* 'Z' part:u32 count:u16 run_bytes:u16, then the 7-byte run header. *)
 let z_base_header_bytes = 1 + 4 + 2 + 2 + 7
 
-(* Allocate the base-image chunks for [entries] (already in z order)
-   inside the currently open store batch: front-coded 'Z' chunks when
-   the space packs, legacy 'B' chunks otherwise. *)
+(* Allocate the front-coded 'Z' base-image chunks for [entries]
+   (already in z order) inside the currently open store batch. *)
 let alloc_base t store entries =
   let cap = FP.payload_capacity store in
-  if not (Z.Zpacked.fits_space t.space) then
-    let encoded = List.map (encode_entry t) entries in
-    List.iteri
-      (fun part items ->
-        let b = Buffer.create cap in
-        buf_u8 b (Char.code 'B');
-        buf_u32 b part;
-        buf_u16 b (List.length items);
-        List.iter (Buffer.add_string b) items;
-        ignore (FP.alloc store (Buffer.to_bytes b)))
-      (pack ~cap ~header:base_header_bytes encoded)
-  else begin
-    let total = Z.Space.total_bits t.space in
-    let kb bits = (bits + 7) / 8 in
-    (* Greedy byte-exact packing mirroring the Zrun entry encodings:
-       a restart costs its offset slot plus the whole key, any other a
-       shared byte plus its suffix. *)
-    let parts = ref [] and zs = ref [] and ps = ref [] and n = ref 0 in
-    let bytes = ref z_base_header_bytes in
-    let prev = ref Z.Zpacked.empty in
-    let flush () =
-      if !n > 0 then begin
-        parts := (List.rev !zs, List.rev !ps) :: !parts;
-        zs := [];
-        ps := [];
-        n := 0;
-        bytes := z_base_header_bytes
-      end
-    in
-    List.iter
-      (fun (p, v) ->
-        let z = Z.Zpacked.shuffle t.space p in
-        let payload = t.encode v in
-        let plen = String.length payload in
-        let cost_at i prev =
-          (if i mod restart_interval = 0 then 2 + kb total
-           else 1 + kb (total - Z.Zpacked.common_prefix_len prev z))
-          + 2 + plen
-        in
-        let cost = cost_at !n !prev in
-        if !n > 0 && !bytes + cost > cap then flush ();
-        let cost = if !n = 0 then cost_at 0 !prev else cost in
-        if z_base_header_bytes + cost > cap then
-          invalid_arg "Live: record exceeds page capacity";
-        zs := z :: !zs;
-        ps := payload :: !ps;
-        bytes := !bytes + cost;
-        prev := z;
-        incr n)
-      entries;
-    flush ();
-    List.iteri
-      (fun part (zl, pl) ->
-        let run =
-          Z.Zrun.encode ~restart_interval ~fixed_len:total (Array.of_list zl)
-        in
-        let rs = Z.Zrun.to_string run in
-        let b = Buffer.create cap in
-        buf_u8 b (Char.code 'Z');
-        buf_u32 b part;
-        buf_u16 b (List.length zl);
-        buf_u16 b (String.length rs);
-        Buffer.add_string b rs;
-        List.iter (fun payload -> buf_str b payload) pl;
-        ignore (FP.alloc store (Buffer.to_bytes b)))
-      (List.rev !parts)
-  end
+  let total = Z.Space.total_bits t.space in
+  let kb bits = (bits + 7) / 8 in
+  (* Greedy byte-exact packing mirroring the Zrun entry encodings:
+     a restart costs its offset slot plus the whole key, any other a
+     shared byte plus its suffix. *)
+  let parts = ref [] and zs = ref [] and ps = ref [] and n = ref 0 in
+  let bytes = ref z_base_header_bytes in
+  let prev = ref Z.Zpacked.empty in
+  let flush () =
+    if !n > 0 then begin
+      parts := (List.rev !zs, List.rev !ps) :: !parts;
+      zs := [];
+      ps := [];
+      n := 0;
+      bytes := z_base_header_bytes
+    end
+  in
+  List.iter
+    (fun (p, v) ->
+      let z = Z.Zpacked.shuffle t.space p in
+      let payload = t.encode v in
+      let plen = String.length payload in
+      let cost_at i prev =
+        (if i mod restart_interval = 0 then 2 + kb total
+         else 1 + kb (total - Z.Zpacked.common_prefix_len prev z))
+        + 2 + plen
+      in
+      let cost = cost_at !n !prev in
+      if !n > 0 && !bytes + cost > cap then flush ();
+      let cost = if !n = 0 then cost_at 0 !prev else cost in
+      if z_base_header_bytes + cost > cap then
+        invalid_arg "Live: record exceeds page capacity";
+      zs := z :: !zs;
+      ps := payload :: !ps;
+      bytes := !bytes + cost;
+      prev := z;
+      incr n)
+    entries;
+  flush ();
+  List.iteri
+    (fun part (zl, pl) ->
+      let run =
+        Z.Zrun.encode ~restart_interval ~fixed_len:total (Array.of_list zl)
+      in
+      let rs = Z.Zrun.to_string run in
+      let b = Buffer.create cap in
+      buf_u8 b (Char.code 'Z');
+      buf_u32 b part;
+      buf_u16 b (List.length zl);
+      buf_u16 b (String.length rs);
+      Buffer.add_string b rs;
+      List.iter (fun payload -> buf_str b payload) pl;
+      ignore (FP.alloc store (Buffer.to_bytes b)))
+    (List.rev !parts)
 
 let alloc_log t store ~seq ops =
   let encoded = List.map (encode_op t) ops in
@@ -262,7 +238,16 @@ let alloc_log t store ~seq ops =
 
 (* {1 Construction} *)
 
-let zval space p = Z.Interleave.shuffle space p
+(* Entries are keyed by their pixel's int z key; merges compare them
+   with the int bounds of [Zkernel.element_keys]. *)
+let zval space p = Z.Zkernel.point_key space p
+
+(* The one key path: a z value must fit one int key. *)
+let check_space space =
+  if Z.Space.total_bits space > Z.Zpacked.word_bits then
+    invalid_arg
+      (Printf.sprintf "Live: space of %d total bits is wider than %d"
+         (Z.Space.total_bits space) Z.Zpacked.word_bits)
 
 let make_t ?(leaf_capacity = 20) ?(internal_capacity = 20) ~encode ~decode ~store space
     tree vseq =
@@ -290,12 +275,14 @@ let make_t ?(leaf_capacity = 20) ?(internal_capacity = 20) ~encode ~decode ~stor
   t
 
 let create ?(leaf_capacity = 20) ?(internal_capacity = 20) ~encode ~decode space =
+  check_space space;
   make_t ~leaf_capacity ~internal_capacity ~encode ~decode ~store:None space
     (Cow.empty ~leaf_capacity ~internal_capacity ())
     0
 
 let create_durable ?io ?(page_bytes = 1024) ?(leaf_capacity = 20)
     ?(internal_capacity = 20) ~encode ~decode ~path space =
+  check_space space;
   let store = FP.create ?io ~page_bytes path in
   ignore (FP.alloc store (meta_record space ~base_seq:0));
   make_t ~leaf_capacity ~internal_capacity ~encode ~decode ~store:(Some store) space
@@ -307,9 +294,7 @@ let create_durable ?io ?(page_bytes = 1024) ?(leaf_capacity = 20)
    base in sequence order. *)
 let load_store ~decode ~leaf_capacity ~internal_capacity ~path store =
   let meta = ref None in
-  (* (part, `Raw (reader at first entry, count)) for 'B' chunks,
-     (part, `Run (z run, reader at first payload)) for 'Z' chunks. *)
-  let bases = ref [] in
+  let bases = ref [] (* (part, z run, reader at first payload) *) in
   let logs = ref [] (* (seq, part, reader at first op, count) *) in
   FP.iter store (fun _slot payload ->
       let r = { data = Bytes.to_string payload; pos = 0; r_path = path } in
@@ -324,10 +309,6 @@ let load_store ~decode ~leaf_capacity ~internal_capacity ~path store =
           let base_seq = rd_i64 r in
           if !meta <> None then fail r "duplicate live-table metadata";
           meta := Some (Z.Space.make ~dims ~depth, base_seq)
-      | 'B' ->
-          let part = rd_u32 r in
-          let count = rd_u16 r in
-          bases := (part, `Raw (r, count)) :: !bases
       | 'Z' ->
           let part = rd_u32 r in
           let count = rd_u16 r in
@@ -340,7 +321,7 @@ let load_store ~decode ~leaf_capacity ~internal_capacity ~path store =
           r.pos <- r.pos + run_bytes;
           if Z.Zrun.count run <> count then
             fail r "base chunk entry count disagrees with its z run";
-          bases := (part, `Run (run, r)) :: !bases
+          bases := (part, run, r) :: !bases
       | 'L' ->
           let seq = rd_i64 r in
           let part = rd_u16 r in
@@ -353,27 +334,18 @@ let load_store ~decode ~leaf_capacity ~internal_capacity ~path store =
     | Some m -> m
     | None -> Storage_error.corrupt ~path "live table has no metadata record"
   in
+  check_space space;
   let entries = ref [] in
   List.iter
-    (fun (_, chunk) ->
-      match chunk with
-      | `Raw (r, count) ->
-          for _ = 1 to count do
-            let p = decode_point space r in
-            let v = decode (rd_str r) in
-            entries := (zval space p, (p, v)) :: !entries
-          done
-      | `Run (run, r) ->
-          let zs =
-            try Z.Zrun.decode run with Invalid_argument msg -> fail r msg
-          in
-          Array.iter
-            (fun z ->
-              let p = Array.map fst (Z.Zpacked.unshuffle space z) in
-              let v = decode (rd_str r) in
-              entries := (Z.Zpacked.to_bitstring z, (p, v)) :: !entries)
-            zs)
-    (List.sort (fun (a, _) (b, _) -> compare a b) !bases);
+    (fun (_, run, r) ->
+      let zs = try Z.Zrun.decode run with Invalid_argument msg -> fail r msg in
+      Array.iter
+        (fun z ->
+          let p = Array.map fst (Z.Zpacked.unshuffle space z) in
+          let v = decode (rd_str r) in
+          entries := (zval space p, (p, v)) :: !entries)
+        zs)
+    (List.sort (fun (a, _, _) (b, _, _) -> compare a b) !bases);
   let entries = Array.of_list (List.rev !entries) in
   let tree =
     try Cow.of_sorted_array ~leaf_capacity ~internal_capacity entries
@@ -403,7 +375,10 @@ let open_durable ?io ?(leaf_capacity = 20) ?(internal_capacity = 20) ~encode ~de
     ~path () =
   let store = FP.open_existing ?io path in
   let space, tree, last_seq =
-    load_store ~decode ~leaf_capacity ~internal_capacity ~path store
+    try load_store ~decode ~leaf_capacity ~internal_capacity ~path store
+    with e ->
+      (try FP.close store with _ -> ());
+      raise e
   in
   make_t ~leaf_capacity ~internal_capacity ~encode ~decode ~store:(Some store) space
     tree last_seq
@@ -510,35 +485,36 @@ let range_search s box =
   | None -> ([], none)
   | Some box ->
       let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
-      let els = Array.of_list (Z.Decompose.decompose_box s.s_space ~lo ~hi) in
-      let total = Z.Space.total_bits s.s_space in
-      let zlos = Array.map (fun e -> Z.Bitstring.pad_to e total false) els in
-      let zhis = Array.map (fun e -> Z.Bitstring.pad_to e total true) els in
+      let { Z.Zkernel.klo; khi } =
+        Z.Zkernel.ranges_of_elements ~total:(Z.Space.total_bits s.s_space)
+          (Z.Decompose.decompose_box s.s_space ~lo ~hi)
+      in
+      let n = Array.length klo in
       let scanned = ref 0 and acc = ref [] in
-      (* First element whose zhi >= z. *)
+      (* First element whose khi >= z. *)
       let reseek z =
-        let lo = ref 0 and hi = ref (Array.length els) in
+        let lo = ref 0 and hi = ref n in
         while !lo < !hi do
           let mid = (!lo + !hi) / 2 in
-          if Z.Bitstring.compare zhis.(mid) z < 0 then lo := mid + 1 else hi := mid
+          if khi.(mid) < z then lo := mid + 1 else hi := mid
         done;
         !lo
       in
       let contains p = Sqp_geom.Box.contains_point box p in
-      if Array.length els > 0 then begin
-        let c = ref (Cow.seek s.s_tree zlos.(0)) in
+      if n > 0 then begin
+        let c = ref (Cow.seek s.s_tree klo.(0)) in
         let rec loop ei =
-          if ei < Array.length els then
+          if ei < n then
             match Cow.cursor_peek !c with
             | None -> ()
             | Some (z, (p, v)) ->
                 incr scanned;
-                if Z.Bitstring.compare zhis.(ei) z < 0 then
+                if khi.(ei) < z then
                   (* Random access into B: skip dead elements wholesale. *)
                   loop (reseek z)
-                else if Z.Bitstring.compare z zlos.(ei) < 0 then begin
+                else if z < klo.(ei) then begin
                   (* Random access into P: jump the cursor forward. *)
-                  c := Cow.seek s.s_tree zlos.(ei);
+                  c := Cow.seek s.s_tree klo.(ei);
                   loop ei
                 end
                 else begin
@@ -552,7 +528,7 @@ let range_search s box =
       ( List.rev !acc,
         {
           entries_scanned = !scanned;
-          elements = Array.length els;
+          elements = n;
           results = List.length !acc;
         } )
 
@@ -567,7 +543,7 @@ let equi_join sa sb =
     let out = ref [] in
     let rec go () =
       match Cow.cursor_peek c with
-      | Some (z', e) when Z.Bitstring.compare z' z = 0 ->
+      | Some (z', e) when z' = z ->
           out := e :: !out;
           Cow.cursor_next c;
           go ()
@@ -580,12 +556,11 @@ let equi_join sa sb =
     match (Cow.cursor_peek ca, Cow.cursor_peek cb) with
     | None, _ | _, None -> ()
     | Some (za, _), Some (zb, _) ->
-        let cmp = Z.Bitstring.compare za zb in
-        if cmp < 0 then begin
+        if za < zb then begin
           Cow.cursor_next ca;
           loop ()
         end
-        else if cmp > 0 then begin
+        else if za > zb then begin
           Cow.cursor_next cb;
           loop ()
         end

@@ -3,7 +3,8 @@
 
     The paper presents the zkd B+-tree as a dynamic structure; this
     module is the reproduction's mutable face of it.  Entries are keyed
-    by their full-resolution z value in a copy-on-write tree
+    by their full-resolution z value, as the int key
+    {!Sqp_zorder.Zkernel.point_key}, in a copy-on-write tree
     ({!Cowtree}), and the current tree root is published through an
     [Atomic.t]:
 
@@ -19,10 +20,16 @@
       up by draining a mutation feed, and swaps the result in atomically
       (also checkpointing the durable store, truncating the log).
 
+    A table's space must fit one int key: at most
+    {!Sqp_zorder.Zpacked.word_bits} (63) total bits, the bound of the
+    int-key kernels.  There is no second key path for wider spaces.
+
     Mutation counters land in the global {!Sqp_obs.Metrics} registry
     under [ingest.*]. *)
 
-module Cow : module type of Cowtree.Make (Cowtree.Bitstring_key)
+module Cow : module type of Cowtree.Make (Int)
+(** The tree, keyed by {!Sqp_zorder.Zkernel.point_key}: native [int]
+    order is z order. *)
 
 type 'a op =
   | Insert of Sqp_geom.Point.t * 'a
@@ -42,7 +49,8 @@ val create :
   Sqp_zorder.Space.t ->
   'a t
 (** Purely in-memory table (no durability).  [encode]/[decode] are still
-    required so the table can be checkpointed or saved later. *)
+    required so the table can be checkpointed or saved later.
+    @raise Invalid_argument if the space is wider than 63 total bits. *)
 
 val create_durable :
   ?io:Sqp_storage.Faulty_io.injector ->
@@ -56,7 +64,8 @@ val create_durable :
   'a t
 (** Fresh durable table backed by a journaled page store at [path]
     (truncates any previous store there).  Every {!apply} is one atomic
-    page-store batch. *)
+    page-store batch.
+    @raise Invalid_argument if the space is wider than 63 total bits. *)
 
 val open_durable :
   ?io:Sqp_storage.Faulty_io.injector ->
@@ -70,7 +79,10 @@ val open_durable :
 (** Reopen a durable table: runs page-store crash recovery, then
     replays the base image and the logged batches in sequence order.
     The space (dims, depth) is recovered from the store's metadata.
-    @raise Sqp_storage.Storage_error.Corrupt on unexplainable damage. *)
+    @raise Sqp_storage.Storage_error.Corrupt on unexplainable damage,
+    including a record tag other than ['M'], ['Z'] or ['L'].
+    @raise Invalid_argument if the recorded space is wider than 63 total
+    bits. *)
 
 val close : 'a t -> unit
 (** Close the backing store, if any; idempotent. *)
@@ -145,7 +157,8 @@ val find : 'a snapshot -> Sqp_geom.Point.t -> 'a option
 val range_search :
   'a snapshot -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * scan_stats
 (** Section 3.3's merge (eager decomposition) over the frozen tree:
-    all entries in the inclusive box, in z order. *)
+    all entries in the inclusive box, in z order.  Keys are compared with
+    each element's int bounds ({!Sqp_zorder.Zkernel.element_keys}). *)
 
 val equi_join :
   'a snapshot -> 'b snapshot ->

@@ -55,18 +55,9 @@ let box_ranges prep box =
    per-query range construction is a large share of a cache-warm search,
    so it is kept allocation-lean. *)
 let key_ranges prep box =
-  let total = Z.Space.total_bits prep.space in
   let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
-  let els = Z.Decompose.decompose_box prep.space ~lo ~hi in
-  let n = List.length els in
-  let klo = Array.make n 0 and khi = Array.make n 0 in
-  List.iteri
-    (fun j e ->
-      let lo_k, hi_k = Z.Zkernel.element_keys ~total e in
-      klo.(j) <- lo_k;
-      khi.(j) <- hi_k)
-    els;
-  { Z.Zkernel.klo; khi }
+  Z.Zkernel.ranges_of_elements ~total:(Z.Space.total_bits prep.space)
+    (Z.Decompose.decompose_box prep.space ~lo ~hi)
 
 let clip prep box =
   Sqp_geom.Box.clip box ~side:(Z.Space.side prep.space)

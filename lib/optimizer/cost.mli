@@ -55,7 +55,9 @@ val range_alternatives :
     skip merge, each at pixel-exact decomposition and at each coarsened
     budget of the sweep.  Sorted by ascending cost, so the head is the
     optimizer's choice.  Covers are computed by {!Sqp_zorder.Decompose}
-    (memoized), masses by {!Histogram.element_mass}. *)
+    on every call, masses by {!Histogram.element_mass}.  The model's
+    view, reported by [sqp bench-optimizer]: the server does not call
+    it, and answers every range on the exact skip merge. *)
 
 val predicted_range_rows :
   space:Sqp_zorder.Space.t ->
@@ -92,9 +94,10 @@ val plan_path_cost : ?params:params -> points:int -> range_alternative -> float
     budget: the full merge join of the point relation with the cover,
     the exact refine when the cover over-approximates the box, and the
     per-row interpreter overhead [plan_row].  Method-independent (the
-    plan's join does not skip).  The server compares the cheapest exact
-    alternative's [cost] (the direct kernel) against the cheapest
-    budget under this function to pick the access path; see
+    plan's join does not skip).  [Catalog.range_access] compares the
+    cheapest exact alternative's [cost] (the direct kernel) against the
+    cheapest budget under this function to pick the modelled access
+    path; the server no longer makes that choice.  See
     docs/COST_MODEL.md, "Two executors". *)
 
 (** {1 Spatial join (Sections 4 and 5)} *)

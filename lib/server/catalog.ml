@@ -33,7 +33,7 @@ type t = {
   relations : (string * R.Plan.t) list;
   lives : (string * int Live.t) list;  (* mutable tables, payload = id *)
   prepared : int Sqp_core.Range_search.prepared Lazy.t;
-      (* the z-sorted point sequence backing the direct range path *)
+      (* the z-sorted point sequence every served range merges against *)
   pindex : int Sqp_btree.Zindex.t Lazy.t;
       (* front-coded packed index over the same points: the measured
          entries-per-page that recalibrates the page cost model *)
@@ -162,9 +162,17 @@ let live_names t = List.sort compare (List.map fst t.lives)
 
 let live t name = List.assoc_opt name t.lives
 
-let prepared_points t = Lazy.force t.prepared
+(* Sessions share the catalog, and forcing a lazy member while another
+   thread or domain is still computing it raises [Lazy.Undefined] (and
+   [Lazy.is_val] cannot tell "forced" from "being forced").  So every
+   force of [prepared] and [pindex], and through them of [swapped], runs
+   under the catalog mutex: held for the one-time build, then for a tag
+   test. *)
+let force t l = Mutex.protect t.m (fun () -> Lazy.force l)
 
-let point_index t = Lazy.force t.pindex
+let prepared_points t = force t t.prepared
+
+let point_index t = force t t.pindex
 
 (* {1 Statistics and caches} *)
 
@@ -180,7 +188,7 @@ let analyze t =
   (* Part of the ANALYZE pass: build the packed point index so its
      measured entries-per-page (the compressed density) is available to
      the page cost model from here on. *)
-  ignore (Lazy.force t.pindex);
+  ignore (point_index t);
   Mutex.lock t.m;
   t.stats <- Some st;
   Mutex.unlock t.m;
@@ -386,7 +394,7 @@ let page_estimate t ~lo ~hi =
   match stats t with
   | None -> None  (* the density is measured by the ANALYZE pass *)
   | Some _ ->
-      let idx = Lazy.force t.pindex in
+      let idx = point_index t in
       let rows = Sqp_btree.Zindex.length idx in
       let epp = Sqp_btree.Zindex.avg_leaf_entries idx in
       let ratio, fixed_per_page =

@@ -69,8 +69,10 @@ val live_names : t -> string list
 val live : t -> string -> int Sqp_btree.Live.t option
 
 val prepared_points : t -> int Sqp_core.Range_search.prepared
-(** The z-sorted point sequence backing the direct range-search path
-    (payload = row id).  Built lazily on first use, then shared. *)
+(** The z-sorted point sequence every served range request merges
+    against (payload = row id): the server runs
+    {!Sqp_core.Range_search.search_skip} on it, with or without
+    statistics.  Built lazily on first use, then shared. *)
 
 val point_index : t -> int Sqp_btree.Zindex.t
 (** A front-coded packed {!Sqp_btree.Zindex} over the same points
@@ -158,7 +160,8 @@ val range_decision :
   t -> lo:int array -> hi:int array -> Sqp_optimizer.Cost.range_alternative list option
 (** The costed range-search alternatives for this box under the current
     statistics (ascending direct-kernel cost), or [None] before the
-    first {!analyze}. *)
+    first {!analyze}.  The cost model's view only: the server does not
+    call it (see {!range_access}). *)
 
 (** {1 Page cost recalibration} *)
 
@@ -190,15 +193,25 @@ type range_access =
           statistics-free fallback) *)
 
 val range_access : t -> lo:int array -> hi:int array -> range_access
-(** The access-path decision for one range query: the cheapest exact
-    alternative on the direct kernel vs the cheapest decompose budget
-    under {!Sqp_optimizer.Cost.plan_path_cost} — the two executors have
-    different constants, which is exactly what the latter models. *)
+(** The cost model's access-path decision for one range query: the
+    cheapest exact alternative on the direct kernel vs the cheapest
+    decompose budget under {!Sqp_optimizer.Cost.plan_path_cost} — the
+    two executors have different constants, which is exactly what the
+    latter models.
+
+    The server does not call it.  Every served range request runs the
+    exact cover on {!Sqp_core.Range_search.search_skip} over
+    {!prepared_points}, with or without statistics, so no request pays
+    for this decision.  It stays for the callers that report or replay
+    the model: [sqp bench-optimizer], the optimizer tests and the
+    serving benchmark's replay. *)
 
 val range_plan : t -> lo:int array -> hi:int array -> Sqp_relalg.Plan.t
 (** The Section 4 range-query script as a plan: decompose the box,
     spatial-join it with the point relation on z, project the
-    coordinates.  With statistics present, the decompose budget is the
+    coordinates.  The server does not run it (see {!range_access}); its
+    rows are the ones the server answers with, which makes it the
+    in-process oracle of the server tests.  With statistics present, the decompose budget is the
     cheapest of {!range_decision}'s alternatives; a coarsened cover gets
     an exact refine [Select] between the join and the projection, so the
     result rows are identical at every budget.  Without statistics the

@@ -114,39 +114,16 @@ let owned_interval t =
   | Some { owned = Some (zlo, zhi); _ } -> Some (zlo, zhi)
   | Some { owned = None; _ } -> Some (1, 0)
 
-let in_owned t z =
-  match owned_interval t with
-  | None -> true
-  | Some (zlo, zhi) -> zlo <= z && z <= zhi
-
 let filter_owned_entries t entries =
   match owned_interval t with
   | None -> entries
-  | Some _ ->
+  | Some (zlo, zhi) ->
       let space = Catalog.space t.cat in
-      List.filter (fun (p, _) -> in_owned t (Shard_map.z_of_point space p)) entries
-
-(* Same filter over a coordinate-row relation (columns x0..xk, possibly
-   after an [id] column) — the planned range path answers with one. *)
-let filter_owned_rows t rel =
-  match owned_interval t with
-  | None -> rel
-  | Some _ ->
-      let space = Catalog.space t.cat in
-      let k = Sqp_zorder.Space.dims space in
-      let schema = R.Relation.schema rel in
-      let tuples =
-        List.filter
-          (fun tu ->
-            let p =
-              Array.init k (fun i ->
-                  R.Value.to_int
-                    (R.Relation.get tu schema (Printf.sprintf "x%d" i)))
-            in
-            in_owned t (Shard_map.z_of_point space p))
-          (R.Relation.tuples rel)
-      in
-      R.Relation.make ~name:(R.Relation.name rel) schema tuples
+      List.filter
+        (fun (p, _) ->
+          let z = Shard_map.z_of_point space p in
+          zlo <= z && z <= zhi)
+        entries
 
 let storage_failure_message e =
   match Storage_error.to_string e with
@@ -220,8 +197,8 @@ let live_rows space entries =
   in
   R.Relation.make ~name:"live" schema tuples
 
-(* The coordinate-row relation a range search answers with — the same
-   schema as the plan path's [Project [x0..xk]]. *)
+(* The coordinate-row relation a range search answers with: one int
+   column x0..xk per axis, in z order. *)
 let coord_rows space entries =
   let k = Sqp_zorder.Space.dims space in
   let schema =
@@ -234,31 +211,22 @@ let coord_rows space entries =
   in
   R.Relation.make ~name:"range" schema tuples
 
-let range_search t ~lo ~hi =
-  match Catalog.range_access t.cat ~lo ~hi with
-  | Catalog.Direct best ->
-      (* Exact cover on the direct kernel: run the Section 3.3 merge on
-         the prepared point sequence — no plan, no refine, identical
-         rows. *)
-      let box = Sqp_geom.Box.make ~lo ~hi in
-      let prep = Catalog.prepared_points t.cat in
-      let search =
-        match best.O.Cost.method_ with
-        | O.Cost.Plain -> Sqp_core.Range_search.search_plain
-        | O.Cost.Skip -> Sqp_core.Range_search.search_skip
-      in
-      let entries, _counters = search prep box in
-      coord_rows (Catalog.space t.cat) (filter_owned_entries t entries)
-  | Catalog.Planned ->
-      let plan = R.Plan.optimize (Catalog.range_plan t.cat ~lo ~hi) in
-      filter_owned_rows t (R.Plan.run plan)
+(* One range path, with or without statistics, sharded or not: the
+   exact cover merged on the skip kernel over the prepared point
+   sequence (Section 3.3), then the owned-interval filter.  No per-box
+   decision and no plan; the skip merge's cost does not grow with the
+   point count. *)
+let range_search t box =
+  let entries, _counters =
+    Sqp_core.Range_search.search_skip (Catalog.prepared_points t.cat) box
+  in
+  coord_rows (Catalog.space t.cat) (filter_owned_entries t entries)
 
 let execute t request =
   match request with
   | P.Range_search { lo; hi } ->
       guard t (fun () ->
-          ignore (Catalog.validate_bounds t.cat ~lo ~hi);
-          P.Rows (range_search t ~lo ~hi))
+          P.Rows (range_search t (Catalog.validate_bounds t.cat ~lo ~hi)))
   | P.Query wplan ->
       guard t (fun () -> P.Rows (R.Plan.run (instantiate t wplan)))
   | P.Explain wplan ->

@@ -92,4 +92,6 @@ let read c =
   | exception Invalid_argument m -> raise (Wire.Corrupt m)
 
 let z_of_point space p =
-  fst (Z.Zrange.of_element space (Z.Element.pixel space p))
+  if not (Z.Zrange.usable space) then
+    invalid_arg "Shard_map.z_of_point: space deeper than 61 total bits";
+  Z.Interleave.rank space p

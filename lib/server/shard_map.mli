@@ -63,6 +63,8 @@ val read : Sqp_relalg.Wire.cursor -> t
     that fail {!make}'s validation). *)
 
 val z_of_point : Sqp_zorder.Space.t -> int array -> int
-(** Full-resolution z value of a point — the mutation-routing key.
+(** Full-resolution z value of a point — the mutation-routing key and
+    the owned-interval filter's key — read off the int interleave
+    ({!Sqp_zorder.Interleave.rank}), with no element or bitstring built.
     @raise Invalid_argument if the space is not usable or the point is
     outside the grid. *)

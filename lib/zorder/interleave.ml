@@ -2,11 +2,12 @@ let check_coords space coords =
   let k = Space.dims space in
   if Array.length coords <> k then
     invalid_arg "Interleave: wrong number of coordinates";
-  Array.iter
-    (fun c ->
-      if not (Space.valid_coord space c) then
-        invalid_arg (Printf.sprintf "Interleave: coordinate %d out of range" c))
-    coords
+  let side = Space.side space in
+  for axis = 0 to k - 1 do
+    let c = coords.(axis) in
+    if c < 0 || c >= side then
+      invalid_arg (Printf.sprintf "Interleave: coordinate %d out of range" c)
+  done
 
 let shuffle space coords =
   check_coords space coords;
@@ -51,9 +52,25 @@ let unshuffle space z =
   done;
   prefixes
 
+(* Bits accumulate right-aligned (bit j of the z value at bit
+   [total - 1 - j]), then shift up to the top of the word; nested loops
+   keep [mod] and [/] out of the per-bit work. *)
+let word space coords =
+  let k = Space.dims space and d = Space.depth space in
+  if k * d > 63 then invalid_arg "Interleave.word: space wider than 63 bits";
+  check_coords space coords;
+  let v = ref 0 in
+  for bit = d - 1 downto 0 do
+    for axis = 0 to k - 1 do
+      v := (!v lsl 1) lor ((coords.(axis) lsr bit) land 1)
+    done
+  done;
+  !v lsl (63 - (k * d))
+
 let rank space coords =
-  if Space.total_bits space > 62 then invalid_arg "Interleave.rank: space too deep";
-  Bitstring.to_int (shuffle space coords)
+  let total = Space.total_bits space in
+  if total > 62 then invalid_arg "Interleave.rank: space too deep";
+  word space coords lsr (63 - total)
 
 let point_of_rank space r =
   let k = Space.dims space and d = Space.depth space in

@@ -24,10 +24,20 @@ val unshuffle : Space.t -> Bitstring.t -> (int * int) array
 (** Inverse of {!shuffle_prefixes}: per-axis [(prefix_value, prefix_len)].
     Accepts z values of any length up to [Space.total_bits]. *)
 
+val word : Space.t -> int array -> int
+(** [word space coords] is the pixel's full-resolution z value packed
+    MSB-first into one 63-bit word: bit [j] of [shuffle space coords] at
+    bit [62 - j], the rest zero — [Zpacked.first_word (shuffle space
+    coords)], computed with int shifts and no {!Bitstring}.  This is the
+    one int interleave: {!rank}, [Zkernel.point_key] and the shard
+    router's [z_of_point] are all read off it.
+    @raise Invalid_argument on wrong arity, out-of-range coordinates or
+    [Space.total_bits space > 63]. *)
+
 val rank : Space.t -> int array -> int
 (** [rank space coords] is the z value of a pixel read as an integer: the
     position of the pixel along the z curve (Figure 4; rank of [|3; 5|]
-    in a 2d depth-3 space is 27).
+    in a 2d depth-3 space is 27).  It is {!word} shifted down.
     @raise Invalid_argument if [Space.total_bits space > 62]. *)
 
 val point_of_rank : Space.t -> int -> int array

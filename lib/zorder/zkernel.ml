@@ -14,6 +14,8 @@ module P = Zpacked
 
 let word_key b = P.first_word b lxor min_int
 
+let point_key space p = Interleave.word space p lxor min_int
+
 (* Top-[n] bits of a 63-bit word (0 <= n <= 63); [lsl] by 63 is
    unspecified, hence the guard.  Mirrors Zpacked's private helper. *)
 let mask_first n = if n = 0 then 0 else -1 lsl (P.word_bits - n)
@@ -348,6 +350,17 @@ type range_counters = {
    to that same length, so every comparison in the merge is between
    equal-length narrow values: word order alone decides. *)
 type key_ranges = { klo : int array; khi : int array }
+
+let ranges_of_elements ~total els =
+  let n = List.length els in
+  let klo = Array.make n 0 and khi = Array.make n 0 in
+  List.iteri
+    (fun j e ->
+      let lo_k, hi_k = element_keys ~total e in
+      klo.(j) <- lo_k;
+      khi.(j) <- hi_k)
+    els;
+  { klo; khi }
 
 let range_plain_keys ks { klo; khi } emit =
   let np = Array.length ks and nb = Array.length klo in

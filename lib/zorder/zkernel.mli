@@ -22,6 +22,13 @@ val word_key : Bitstring.t -> int
     ({!Zpacked.first_word}) with the sign bit flipped.  Among values of
     equal length, native [int] order is z order. *)
 
+val point_key : Space.t -> int array -> int
+(** [point_key space p = word_key (Interleave.shuffle space p)], read off
+    {!Interleave.word} without building the bitstring: the key of a
+    pixel.
+    @raise Invalid_argument on a bad point or a space wider than
+    [Zpacked.word_bits]. *)
+
 val element_keys : total:int -> Bitstring.t -> int * int
 (** [(klo, khi)] int keys of a decomposed element's inclusive scan range
     in a space of [total] bits — the keys of [Bitstring.pad_to e total
@@ -82,6 +89,11 @@ type key_ranges = { klo : int array; khi : int array }
     with {!element_keys}).  Point z values all share one length and range
     bounds are padded to that same length, so in the merges below key
     order alone decides every comparison. *)
+
+val ranges_of_elements : total:int -> Bitstring.t list -> key_ranges
+(** The {!element_keys} of a z-ordered element list (a decomposed box)
+    in a space of [total] bits.
+    @raise Invalid_argument as {!element_keys}. *)
 
 val range_plain_keys : int array -> key_ranges -> (int -> unit) -> range_counters
 (** Figure 5's plain two-sequence merge over the sorted point keys

@@ -16,8 +16,8 @@
 
     Its users are the storage layer: {!Zrun}'s front-coded pages
     ({!common_prefix_len}, {!take}, {!suffix_bytes}, {!append_bytes}),
-    [Persist]'s format v3 and [Live]'s byte accounting ({!fits_space},
-    {!shuffle}, {!unshuffle}).  Query kernels do not run on packed
+    [Persist]'s format v3 ({!fits_space}) and [Live]'s front-coded base
+    chunks ({!shuffle}, {!unshuffle}).  Query kernels do not run on packed
     records: {!Zkernel} reads only {!first_word} of values of at most
     {!word_bits} bits, and longer values take the bitstring reference
     paths.  The two representations agree bit-for-bit wherever both
@@ -84,8 +84,8 @@ val append_bytes : t -> bytes:string -> pos:int -> nbits:int -> t
 val fits_space : Space.t -> bool
 (** Whether every z value of the space (up to [total_bits]) packs, i.e.
     [Space.total_bits space <= max_bits].  The storage rule: [Persist]
-    writes format v3 and [Live] checkpoints front-coded base chunks only
-    when it holds. *)
+    writes format v3 only when it holds.  ([Live] tables are at most
+    {!word_bits} bits, so their base chunks always pack.) *)
 
 val shuffle : Space.t -> int array -> t
 (** Bit interleaving straight into the packed words; agrees with

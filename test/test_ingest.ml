@@ -218,6 +218,134 @@ let stats_deterministic seed () =
   let a = run () and b = run () in
   check "two replays produce identical scan stats" true (a = b)
 
+(* The counters of one fixed schedule, pinned as literals: they were
+   recorded when the table was keyed by bitstrings, so the int keys must
+   walk Section 3.3's merge step for step, not just find the same rows.
+   Each triple is (entries_scanned, elements, results). *)
+let pinned_scan_stats () =
+  let t = L.create ~encode ~decode space in
+  let stats = ref [] in
+  List.iter
+    (fun op ->
+      match op with
+      | WG.Insert (p, v) -> ignore (L.insert t p v)
+      | WG.Delete p -> ignore (L.delete t p)
+      | WG.Range box -> stats := snd (L.range_search (L.snapshot t) box) :: !stats
+      | WG.Scan -> ())
+    (WG.generate ~seed:7 ~n:600 ());
+  let stats =
+    List.rev_map (fun s -> L.(s.entries_scanned, s.elements, s.results)) !stats
+  in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+  let stat = Alcotest.(triple int int int) in
+  let n = List.length stats in
+  Alcotest.(check int) "ranges" 174 n;
+  Alcotest.check (Alcotest.list stat) "last ranges"
+    [
+      (105, 377, 49); (37, 158, 9); (5, 54, 0); (17, 73, 4); (56, 293, 22);
+      (29, 182, 6); (9, 31, 0); (64, 341, 26);
+    ]
+    (List.filteri (fun i _ -> i >= n - 8) stats);
+  Alcotest.check stat "totals" (4796, 36894, 1576)
+    (sum (fun (a, _, _) -> a), sum (fun (_, b, _) -> b), sum (fun (_, _, c) -> c))
+
+(* {1 The space bound: one int key per z value} *)
+
+let expect_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  | exception Invalid_argument _ -> ()
+
+(* A store holding only a metadata record and, optionally, one more raw
+   record — the shapes no shipped writer produces. *)
+let craft_store path ~dims ~depth extra =
+  let b = Buffer.create 16 in
+  Buffer.add_char b 'M';
+  Buffer.add_string b "SQPL1";
+  Buffer.add_uint8 b dims;
+  Buffer.add_uint8 b depth;
+  Buffer.add_int64_be b 0L;
+  let store = Sqp_storage.File_pager.create ~page_bytes:1024 path in
+  ignore (Sqp_storage.File_pager.alloc store (Buffer.to_bytes b));
+  Option.iter (fun r -> ignore (Sqp_storage.File_pager.alloc store r)) extra;
+  Sqp_storage.File_pager.close store
+
+let space_bound () =
+  let wide = Z.Space.make ~dims:2 ~depth:32 in
+  expect_invalid "create, 64 bits" (fun () -> L.create ~encode ~decode wide);
+  with_store "wide" (fun path ->
+      expect_invalid "create_durable, 64 bits" (fun () ->
+          L.create_durable ~encode ~decode ~path wide);
+      check "no store left behind" false (Sys.file_exists path);
+      craft_store path ~dims:2 ~depth:32 None;
+      expect_invalid "open_durable, 64 bits" (fun () ->
+          L.open_durable ~encode ~decode ~path ()));
+  (* The legacy 'B' base chunk is gone: it reads as an unknown tag. *)
+  with_store "legacy_b" (fun path ->
+      let b = Bytes.of_string "B\000\000\000\000\000\000" in
+      craft_store path ~dims:2 ~depth:8 (Some b);
+      match L.open_durable ~encode ~decode ~path () with
+      | _ -> Alcotest.fail "a 'B' record loaded"
+      | exception Sqp_storage.Storage_error.Corrupt _ -> ())
+
+(* The widest accepted space, 3-d depth 21 = 63 bits: the first z bit
+   is the key's sign bit, so corner points exercise the key's order at
+   both ends.  Rows and order against a brute-force scan in bitstring z
+   order, in memory and through a checkpointed store. *)
+let widest_space () =
+  let s = Z.Space.make ~dims:3 ~depth:21 in
+  let m = Z.Space.side s - 1 in
+  let rng = Sqp_workload.Rng.create ~seed:63 in
+  let coord () =
+    match Sqp_workload.Rng.int rng 4 with
+    | 0 -> 0
+    | 1 -> m
+    | 2 -> m - Sqp_workload.Rng.int rng 4
+    | _ -> Sqp_workload.Rng.int rng (m + 1)
+  in
+  let points = List.init 200 (fun i -> (Array.init 3 (fun _ -> coord ()), i)) in
+  let by_z =
+    List.stable_sort
+      (fun (p, _) (q, _) ->
+        Z.Bitstring.compare (Z.Interleave.shuffle s p) (Z.Interleave.shuffle s q))
+      points
+  in
+  let boxes =
+    [
+      ([| 0; 0; 0 |], [| m; m; m |]);
+      ([| m - 3; m - 3; m - 3 |], [| m; m; m |]);
+      ([| 0; 0; 0 |], [| 3; 3; 3 |]);
+      ([| m - 3; 0; 0 |], [| m; 3; m |]);
+      ([| 0; m - 2; 0 |], [| 2; m; m |]);
+    ]
+  in
+  let check_table what t =
+    check_rows (what ^ ": scan") by_z (entries_of t);
+    List.iter
+      (fun (lo, hi) ->
+        let box = Sqp_geom.Box.make ~lo ~hi in
+        check_rows (what ^ ": range")
+          (List.filter (fun (p, _) -> Sqp_geom.Box.contains_point box p) by_z)
+          (fst (L.range_search (L.snapshot t) box)))
+      boxes;
+    List.iter
+      (fun (p, _) ->
+        let first = snd (List.find (fun (q, _) -> q = p) by_z) in
+        check (what ^ ": find") true (L.find (L.snapshot t) p = Some first))
+      points
+  in
+  let t = L.create ~encode ~decode s in
+  ignore (L.apply t (List.map (fun (p, v) -> L.Insert (p, v)) points));
+  check_table "in memory" t;
+  with_store "widest" (fun path ->
+      let t = L.create_durable ~encode ~decode ~path s in
+      ignore (L.apply t (List.map (fun (p, v) -> L.Insert (p, v)) points));
+      L.checkpoint t;
+      L.close t;
+      let t = L.open_durable ~encode ~decode ~path () in
+      check_table "reopened from a checkpoint" t;
+      L.close t)
+
 (* {1 Durable replay, clean and crash-injected} *)
 
 let mutating_batches ?(batch = 4) sched =
@@ -600,6 +728,13 @@ let () =
                 `Quick (stats_deterministic seed);
             ])
           seeds );
+      ( "pinned",
+        [ Alcotest.test_case "scan stats (seed 7)" `Quick pinned_scan_stats ] );
+      ( "space",
+        [
+          Alcotest.test_case "wider than 63 bits is refused" `Quick space_bound;
+          Alcotest.test_case "63-bit space end to end" `Quick widest_space;
+        ] );
       ( "durable",
         List.concat_map
           (fun seed ->

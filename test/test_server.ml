@@ -120,6 +120,99 @@ let test_concurrent_differential () =
           checki "latency histogram count = requests" total count
       | _ -> Alcotest.fail "latency histogram missing")
 
+(* {1 One range path}
+
+   A catalog with no statistics still answers every range request with
+   the exact cover on the skip kernel: each request bumps
+   [range_search.skip.queries] in the global registry and no spatial
+   join runs.  The rows are the linear scan's, in z order. *)
+
+let test_range_one_path () =
+  let cat = Catalog.of_seeded wk (* fresh: never analyzed *) in
+  let server = Server.start ~metrics:(M.create ()) cat in
+  let g = M.global () in
+  let skip_queries () = M.counter_value (M.counter g "range_search.skip.queries") in
+  let joins () =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"spatial_join." name)
+      (M.snapshot g)
+  in
+  Sqp_obs.Trace.set_global (Sqp_obs.Trace.create Sqp_obs.Trace.Collect);
+  Fun.protect
+    ~finally:(fun () ->
+      Sqp_obs.Trace.set_global Sqp_obs.Trace.null;
+      Server.stop server)
+    (fun () ->
+      let space = Catalog.space cat in
+      let points = wk.Sqp_workload.Seeded.points in
+      let scan = Sqp_kdtree.Linear_scan.build (Array.map (fun p -> (p, ())) points) in
+      let boxes = wk.Sqp_workload.Seeded.query_boxes in
+      let skip0 = skip_queries () and joins0 = joins () in
+      Client.with_connect ~port:(Server.port server) (fun client ->
+          Array.iteri
+            (fun i box ->
+              let got =
+                reply_ok "range"
+                  (Client.range_search client ~lo:(Box.lo box) ~hi:(Box.hi box))
+              in
+              let expected =
+                List.stable_sort
+                  (fun a b ->
+                    compare
+                      (Sqp_zorder.Interleave.rank space a)
+                      (Sqp_zorder.Interleave.rank space b))
+                  (List.map fst (fst (Sqp_kdtree.Linear_scan.range_search scan box)))
+              in
+              let rows =
+                List.map
+                  (Array.map Sqp_relalg.Value.to_int)
+                  (Relation.tuples got)
+              in
+              checkb (Printf.sprintf "box %d: linear-scan rows in z order" i) true
+                (rows = expected))
+            boxes);
+      checki "every request ran the skip kernel" (Array.length boxes)
+        (skip_queries () - skip0);
+      checkb "no spatial join ran" true (joins () = joins0))
+
+(* The first range request on each session can arrive at once, and the
+   catalog prepares its point sequence lazily on first use: forcing it
+   from two domains at the same moment (and, through the shared point
+   array, the packed index beside it) must hand both the same value. *)
+let test_concurrent_first_force () =
+  let space = Sqp_zorder.Space.make ~dims:2 ~depth:10 in
+  let rng = Sqp_workload.Rng.create ~seed:11 in
+  let points =
+    List.init 20_000 (fun i ->
+        (i, [| Sqp_workload.Rng.int rng 1024; Sqp_workload.Rng.int rng 1024 |]))
+  in
+  let at_once f g =
+    let ready = Atomic.make 0 in
+    let go h () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      h ()
+    in
+    let d = Domain.spawn (go g) in
+    let a = go f () in
+    (a, Domain.join d)
+  in
+  for _ = 1 to 2 do
+    let cat = Catalog.make ~space ~points ~relations:[] () in
+    let a, b =
+      at_once (fun () -> Catalog.prepared_points cat) (fun () -> Catalog.prepared_points cat)
+    in
+    checkb "both forces see one prepared sequence" true (a == b);
+    let cat = Catalog.make ~space ~points ~relations:[] () in
+    let prep, idx =
+      at_once (fun () -> Catalog.prepared_points cat) (fun () -> Catalog.point_index cat)
+    in
+    checki "prepared points" 20_000 (Sqp_core.Range_search.prepared_length prep);
+    checki "indexed points" 20_000 (Sqp_btree.Zindex.length idx)
+  done
+
 (* {1 Typed errors for bad plans} *)
 
 let test_catalog_errors () =
@@ -635,6 +728,10 @@ let () =
             test_concurrent_differential;
           Alcotest.test_case "explain and analyze" `Quick test_explain_and_analyze;
           Alcotest.test_case "live ingest" `Quick test_live_ingest;
+          Alcotest.test_case "statistics-free ranges on the skip kernel" `Quick
+            test_range_one_path;
+          Alcotest.test_case "first force of the catalog from two domains" `Quick
+            test_concurrent_first_force;
         ] );
       ( "errors",
         [

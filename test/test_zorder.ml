@@ -211,6 +211,104 @@ let prop_rank_monotone_in_z =
         (compare (Z.Interleave.rank s [| x1; y1 |]) (Z.Interleave.rank s [| x2; y2 |]))
       = sign (B.compare za zb))
 
+(* {1 The int interleave}
+
+   [Interleave.word] is the one int interleave; [Interleave.rank],
+   [Zkernel.point_key] and [Shard_map.z_of_point] are read off it.  Each
+   is checked against its bitstring-built definition, kept here as the
+   oracle, over 1-d to 7-d spaces up to the function's bound. *)
+
+type int_z = {
+  name : string;
+  bound : int;  (* widest space, in total bits *)
+  f : Z.Space.t -> int array -> int;
+  oracle : Z.Space.t -> int array -> int;
+}
+
+let int_zs =
+  [
+    {
+      name = "Interleave.rank";
+      bound = 62;
+      f = Z.Interleave.rank;
+      oracle = (fun s p -> B.to_int (Z.Interleave.shuffle s p));
+    };
+    {
+      name = "Zkernel.point_key";
+      bound = Z.Zpacked.word_bits;
+      f = Z.Zkernel.point_key;
+      oracle = (fun s p -> Z.Zkernel.word_key (Z.Interleave.shuffle s p));
+    };
+    {
+      name = "Shard_map.z_of_point";
+      bound = 61;
+      f = Sqp_server.Shard_map.z_of_point;
+      oracle = (fun s p -> fst (Z.Zrange.of_element s (Z.Element.pixel s p)));
+    };
+  ]
+
+(* A side of [2^depth] needs depth <= 61 ([Space.side]). *)
+let max_depth ~bound dims = min 61 (bound / dims)
+
+let show_point p =
+  String.concat "," (Array.to_list (Array.map string_of_int p))
+
+let gen_space_point ~bound =
+  let open QCheck2.Gen in
+  let* dims = int_range 1 7 in
+  let* depth = int_range 0 (max_depth ~bound dims) in
+  let side = 1 lsl depth in
+  let coord =
+    frequency [ (1, return 0); (1, return (side - 1)); (2, int_range 0 (side - 1)) ]
+  in
+  let+ p = array_size (return dims) coord in
+  (Z.Space.make ~dims ~depth, p)
+
+let prop_int_z iz =
+  QCheck2.Test.make
+    ~name:(iz.name ^ " = its bitstring definition")
+    ~count:1000
+    ~print:(fun (s, p) ->
+      Printf.sprintf "%dd depth %d (%s)" (Z.Space.dims s) (Z.Space.depth s)
+        (show_point p))
+    (gen_space_point ~bound:iz.bound)
+    (fun (s, p) -> iz.f s p = iz.oracle s p)
+
+(* At each arity's widest space: the corners and an alternating point;
+   one bit wider must raise. *)
+let test_int_z_edges () =
+  List.iter
+    (fun iz ->
+      for dims = 1 to 7 do
+        let depth = max_depth ~bound:iz.bound dims in
+        let s = Z.Space.make ~dims ~depth in
+        let side = Z.Space.side s in
+        List.iter
+          (fun p ->
+            let what =
+              Printf.sprintf "%s, %dd depth %d (%s)" iz.name dims depth (show_point p)
+            in
+            Alcotest.(check int) what (iz.oracle s p) (iz.f s p))
+          [
+            Array.make dims 0;
+            Array.make dims (side - 1);
+            Array.init dims (fun i -> if i mod 2 = 0 then side - 1 else 0);
+          ]
+      done;
+      (* [bound + 1] total bits at the narrowest arity that gets there
+         exactly with a valid side, so the width alone must raise. *)
+      let wide =
+        List.find
+          (fun (dims, depth) -> dims * depth = iz.bound + 1 && depth <= 61)
+          (List.init 7 (fun i -> (i + 1, (iz.bound + 1) / (i + 1))))
+      in
+      let s = Z.Space.make ~dims:(fst wide) ~depth:(snd wide) in
+      match iz.f s (Array.make (Z.Space.dims s) 0) with
+      | _ ->
+          Alcotest.failf "%s accepted a %d-bit space" iz.name (Z.Space.total_bits s)
+      | exception Invalid_argument _ -> ())
+    int_zs
+
 let () =
   Alcotest.run "zorder"
     [
@@ -245,6 +343,9 @@ let () =
           Alcotest.test_case "distances" `Quick test_curve_distances;
           Alcotest.test_case "step lengths" `Quick test_step_lengths;
         ] );
+      ( "int interleave",
+        Alcotest.test_case "edge points and the bound" `Quick test_int_z_edges
+        :: List.map (fun iz -> QCheck_alcotest.to_alcotest (prop_int_z iz)) int_zs );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
