@@ -50,9 +50,10 @@ end
 (* Byte-budget page model: instead of fixed entry counts, a node is full
    when its encoded size would exceed [page_bytes].  With [compressed]
    set, keys after a node's first are charged their front-coded delta
-   size; otherwise every key is charged [fixed_entry_bytes] (the v2
-   fixed-width on-disk footprint), so the same byte budget reproduces
-   the uncompressed baseline's fan-out for differential comparisons. *)
+   size; otherwise every key is charged [fixed_entry_bytes] (a
+   fixed-width footprint of 4 bytes per coordinate), so the same byte
+   budget reproduces the uncompressed baseline's fan-out for
+   differential comparisons. *)
 type budget = {
   page_bytes : int;
   compressed : bool;

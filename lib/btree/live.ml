@@ -158,23 +158,18 @@ let meta_record space ~base_seq =
 
 let log_header_bytes = 1 + 8 + 2 + 2 (* 'L' seq part count *)
 
-let restart_interval = 16
-
-(* 'Z' part:u32 count:u16 run_bytes:u16, then the 7-byte run header. *)
-let z_base_header_bytes = 1 + 4 + 2 + 2 + 7
+(* 'Z' part:u32 count:u16 run_bytes:u16, then the run header. *)
+let z_base_header_bytes = 1 + 4 + 2 + 2 + Z.Zrun.header_bytes
 
 (* Allocate the front-coded 'Z' base-image chunks for [entries]
    (already in z order) inside the currently open store batch. *)
 let alloc_base t store entries =
   let cap = FP.payload_capacity store in
   let total = Z.Space.total_bits t.space in
-  let kb bits = (bits + 7) / 8 in
-  (* Greedy byte-exact packing mirroring the Zrun entry encodings:
-     a restart costs its offset slot plus the whole key, any other a
-     shared byte plus its suffix. *)
+  (* Greedy byte-exact packing against the run's encoded size. *)
   let parts = ref [] and zs = ref [] and ps = ref [] and n = ref 0 in
   let bytes = ref z_base_header_bytes in
-  let prev = ref Z.Zpacked.empty in
+  let prev = ref 0 in
   let flush () =
     if !n > 0 then begin
       parts := (List.rev !zs, List.rev !ps) :: !parts;
@@ -186,14 +181,10 @@ let alloc_base t store entries =
   in
   List.iter
     (fun (p, v) ->
-      let z = Z.Zpacked.shuffle t.space p in
+      let z = Z.Interleave.rank t.space p in
       let payload = t.encode v in
       let plen = String.length payload in
-      let cost_at i prev =
-        (if i mod restart_interval = 0 then 2 + kb total
-         else 1 + kb (total - Z.Zpacked.common_prefix_len prev z))
-        + 2 + plen
-      in
+      let cost_at index prev = Z.Zrun.entry_bytes ~bits:total ~index ~prev z + 2 + plen in
       let cost = cost_at !n !prev in
       if !n > 0 && !bytes + cost > cap then flush ();
       let cost = if !n = 0 then cost_at 0 !prev else cost in
@@ -208,10 +199,7 @@ let alloc_base t store entries =
   flush ();
   List.iteri
     (fun part (zl, pl) ->
-      let run =
-        Z.Zrun.encode ~restart_interval ~fixed_len:total (Array.of_list zl)
-      in
-      let rs = Z.Zrun.to_string run in
+      let rs = Z.Zrun.to_string (Z.Zrun.encode ~bits:total (Array.of_list zl)) in
       let b = Buffer.create cap in
       buf_u8 b (Char.code 'Z');
       buf_u32 b part;
@@ -242,13 +230,6 @@ let alloc_log t store ~seq ops =
    with the int bounds of [Zkernel.element_keys]. *)
 let zval space p = Z.Zkernel.point_key space p
 
-(* The one key path: a z value must fit one int key. *)
-let check_space space =
-  if Z.Space.total_bits space > Z.Zpacked.word_bits then
-    invalid_arg
-      (Printf.sprintf "Live: space of %d total bits is wider than %d"
-         (Z.Space.total_bits space) Z.Zpacked.word_bits)
-
 let make_t ?(leaf_capacity = 20) ?(internal_capacity = 20) ~encode ~decode ~store space
     tree vseq =
   let reg = Metrics.global () in
@@ -275,14 +256,12 @@ let make_t ?(leaf_capacity = 20) ?(internal_capacity = 20) ~encode ~decode ~stor
   t
 
 let create ?(leaf_capacity = 20) ?(internal_capacity = 20) ~encode ~decode space =
-  check_space space;
   make_t ~leaf_capacity ~internal_capacity ~encode ~decode ~store:None space
     (Cow.empty ~leaf_capacity ~internal_capacity ())
     0
 
 let create_durable ?io ?(page_bytes = 1024) ?(leaf_capacity = 20)
     ?(internal_capacity = 20) ~encode ~decode ~path space =
-  check_space space;
   let store = FP.create ?io ~page_bytes path in
   ignore (FP.alloc store (meta_record space ~base_seq:0));
   make_t ~leaf_capacity ~internal_capacity ~encode ~decode ~store:(Some store) space
@@ -308,7 +287,11 @@ let load_store ~decode ~leaf_capacity ~internal_capacity ~path store =
           let depth = rd_u8 r in
           let base_seq = rd_i64 r in
           if !meta <> None then fail r "duplicate live-table metadata";
-          meta := Some (Z.Space.make ~dims ~depth, base_seq)
+          let space =
+            try Z.Space.make ~dims ~depth
+            with Invalid_argument msg -> fail r ("live-table metadata: " ^ msg)
+          in
+          meta := Some (space, base_seq)
       | 'Z' ->
           let part = rd_u32 r in
           let count = rd_u16 r in
@@ -334,14 +317,15 @@ let load_store ~decode ~leaf_capacity ~internal_capacity ~path store =
     | Some m -> m
     | None -> Storage_error.corrupt ~path "live table has no metadata record"
   in
-  check_space space;
   let entries = ref [] in
   List.iter
     (fun (_, run, r) ->
       let zs = try Z.Zrun.decode run with Invalid_argument msg -> fail r msg in
       Array.iter
         (fun z ->
-          let p = Array.map fst (Z.Zpacked.unshuffle space z) in
+          let p =
+            try Z.Interleave.point_of_rank space z with Invalid_argument msg -> fail r msg
+          in
           let v = decode (rd_str r) in
           entries := (zval space p, (p, v)) :: !entries)
         zs)

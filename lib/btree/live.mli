@@ -20,9 +20,9 @@
       up by draining a mutation feed, and swaps the result in atomically
       (also checkpointing the durable store, truncating the log).
 
-    A table's space must fit one int key: at most
-    {!Sqp_zorder.Zpacked.word_bits} (63) total bits, the bound of the
-    int-key kernels.  There is no second key path for wider spaces.
+    Every space fits one int key ([Sqp_zorder.Space.make] caps spaces at
+    61 total bits); checkpoint base chunks front-code the same z values,
+    read as integers, as {!Sqp_zorder.Zrun}s.
 
     Mutation counters land in the global {!Sqp_obs.Metrics} registry
     under [ingest.*]. *)
@@ -49,8 +49,7 @@ val create :
   Sqp_zorder.Space.t ->
   'a t
 (** Purely in-memory table (no durability).  [encode]/[decode] are still
-    required so the table can be checkpointed or saved later.
-    @raise Invalid_argument if the space is wider than 63 total bits. *)
+    required so the table can be checkpointed or saved later. *)
 
 val create_durable :
   ?io:Sqp_storage.Faulty_io.injector ->
@@ -64,8 +63,7 @@ val create_durable :
   'a t
 (** Fresh durable table backed by a journaled page store at [path]
     (truncates any previous store there).  Every {!apply} is one atomic
-    page-store batch.
-    @raise Invalid_argument if the space is wider than 63 total bits. *)
+    page-store batch. *)
 
 val open_durable :
   ?io:Sqp_storage.Faulty_io.injector ->
@@ -80,9 +78,8 @@ val open_durable :
     replays the base image and the logged batches in sequence order.
     The space (dims, depth) is recovered from the store's metadata.
     @raise Sqp_storage.Storage_error.Corrupt on unexplainable damage,
-    including a record tag other than ['M'], ['Z'] or ['L'].
-    @raise Invalid_argument if the recorded space is wider than 63 total
-    bits. *)
+    including a record tag other than ['M'], ['Z'] or ['L'] and metadata
+    naming a space [Sqp_zorder.Space.make] refuses. *)
 
 val close : 'a t -> unit
 (** Close the backing store, if any; idempotent. *)

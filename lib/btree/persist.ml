@@ -3,37 +3,18 @@ module FP = Sqp_storage.File_pager
 module Storage_error = Sqp_storage.Storage_error
 module Faulty_io = Sqp_storage.Faulty_io
 
-(* v2 metadata page payload: "SQPX" | dims:u8 | depth:u8 |
-   leaf_capacity:u16 | entry_count:i64.
-   v2 entry encoding: coords (dims x i32) | payload_len:u16 | payload;
-   data pages hold entries back to back, in z order.
+(* Metadata page payload: "SQPZ" | dims:u8 | depth:u8 | leaf_capacity:u16
+   | entry_count:i64 | page_budget:u32 (0 = entry-count pages).  Data
+   page payload: nentries:u16 | run_bytes:u16 | front-coded z run
+   ({!Sqp_zorder.Zrun} of the entries' z values read as integers) |
+   payloads (payload_len:u16 | payload, one per entry, in run order).
+   Points are recovered by de-interleaving the z values. *)
 
-   v3 metadata page payload: "SQPZ" | dims:u8 | depth:u8 |
-   leaf_capacity:u16 | entry_count:i64 | page_budget:u32 (0 = entry-count
-   pages).  v3 data page payload: nentries:u16 | run_bytes:u16 |
-   front-coded z run ({!Sqp_zorder.Zrun}, fixed-length mode) | payloads
-   (payload_len:u16 | payload, one per entry, in run order).  Points are
-   recovered by unshuffling the full-resolution z values. *)
+let meta_magic = "SQPZ"
 
-let meta_magic_v2 = "SQPX"
-let meta_magic_v3 = "SQPZ"
-
-type format = V2 | V3
-
-let restart_interval = 16
-
-let encode_meta_v2 ~dims ~depth ~leaf_capacity ~count =
-  let buf = Bytes.create (4 + 1 + 1 + 2 + 8) in
-  Bytes.blit_string meta_magic_v2 0 buf 0 4;
-  Bytes.set_uint8 buf 4 dims;
-  Bytes.set_uint8 buf 5 depth;
-  Bytes.set_uint16_be buf 6 leaf_capacity;
-  Bytes.set_int64_be buf 8 (Int64.of_int count);
-  buf
-
-let encode_meta_v3 ~dims ~depth ~leaf_capacity ~count ~page_budget =
+let encode_meta ~dims ~depth ~leaf_capacity ~count ~page_budget =
   let buf = Bytes.create (4 + 1 + 1 + 2 + 8 + 4) in
-  Bytes.blit_string meta_magic_v3 0 buf 0 4;
+  Bytes.blit_string meta_magic 0 buf 0 4;
   Bytes.set_uint8 buf 4 dims;
   Bytes.set_uint8 buf 5 depth;
   Bytes.set_uint16_be buf 6 leaf_capacity;
@@ -42,85 +23,40 @@ let encode_meta_v3 ~dims ~depth ~leaf_capacity ~count ~page_budget =
   buf
 
 type meta = {
-  version : int;
-  dims : int;
-  depth : int;
+  space : Z.Space.t;
   leaf_capacity : int;
   count : int;
-  page_budget : int option;  (* v3 only, [None] when 0 / v2 *)
+  page_budget : int option;  (* [None] when 0 *)
 }
 
 let decode_meta ~path buf =
-  if Bytes.length buf < 16 then
+  if Bytes.length buf < 20 || Bytes.sub_string buf 0 4 <> meta_magic then
     Storage_error.corrupt ~path "bad index metadata page";
-  let magic = Bytes.sub_string buf 0 4 in
-  let version =
-    if magic = meta_magic_v2 then 2
-    else if magic = meta_magic_v3 then 3
-    else Storage_error.corrupt ~path "bad index metadata page"
-  in
-  if version = 3 && Bytes.length buf < 20 then
-    Storage_error.corrupt ~path "truncated v3 index metadata page";
-  let page_budget =
-    if version = 2 then None
-    else
-      match Int32.to_int (Bytes.get_int32_be buf 16) with
-      | 0 -> None
-      | b -> Some b
+  let dims = Bytes.get_uint8 buf 4 and depth = Bytes.get_uint8 buf 5 in
+  let space =
+    try Z.Space.make ~dims ~depth
+    with Invalid_argument msg ->
+      Storage_error.corrupt ~path ("index metadata names a bad space: " ^ msg)
   in
   {
-    version;
-    dims = Bytes.get_uint8 buf 4;
-    depth = Bytes.get_uint8 buf 5;
+    space;
     leaf_capacity = Bytes.get_uint16_be buf 6;
     count = Int64.to_int (Bytes.get_int64_be buf 8);
-    page_budget;
+    page_budget =
+      (match Int32.to_int (Bytes.get_int32_be buf 16) with 0 -> None | b -> Some b);
   }
 
-(* {1 v2 entry codec} *)
+(* {1 Page codec} *)
 
-let encode_entry dims point payload =
-  let plen = String.length payload in
-  if plen > 0xFFFF then invalid_arg "Persist: payload too long";
-  let buf = Bytes.create ((4 * dims) + 2 + plen) in
-  Array.iteri (fun i c -> Bytes.set_int32_be buf (4 * i) (Int32.of_int c)) point;
-  Bytes.set_uint16_be buf (4 * dims) plen;
-  Bytes.blit_string payload 0 buf ((4 * dims) + 2) plen;
-  buf
+(* Fixed per-page overhead: run header + nentries:u16 + run_bytes:u16. *)
+let page_overhead = Z.Zrun.header_bytes + 4
 
-let decode_entry ~path dims buf off =
-  if off + (4 * dims) + 2 > Bytes.length buf then
-    Storage_error.corrupt ~path "truncated index entry";
-  let point = Array.init dims (fun i -> Int32.to_int (Bytes.get_int32_be buf (off + (4 * i)))) in
-  let plen = Bytes.get_uint16_be buf (off + (4 * dims)) in
-  if off + (4 * dims) + 2 + plen > Bytes.length buf then
-    Storage_error.corrupt ~path "index entry payload runs past the page";
-  let payload = Bytes.sub_string buf (off + (4 * dims) + 2) plen in
-  (point, payload, off + (4 * dims) + 2 + plen)
+(* What an entry adds to its page: its run entry plus its payload. *)
+let entry_cost ~total ~index ~prev z payload_len =
+  Z.Zrun.entry_bytes ~bits:total ~index ~prev z + 2 + payload_len
 
-(* {1 v3 page codec} *)
-
-(* Exact incremental size arithmetic mirroring [Zrun.encode] in
-   fixed-length mode, so pages are packed to the byte without trial
-   encodes: a restart entry costs its 2-byte table slot plus the whole
-   key, any other costs a shared byte plus its suffix. *)
-let key_bytes bits = (bits + 7) / 8
-
-let v3_entry_cost ~total ~index ~prev z payload_len =
-  let key_cost =
-    if index mod restart_interval = 0 then 2 + key_bytes total
-    else
-      let shared = Z.Zpacked.common_prefix_len prev z in
-      1 + key_bytes (total - shared)
-  in
-  key_cost + 2 + payload_len
-
-(* Fixed per-page overhead: run header (7) + nentries:u16 + run_bytes:u16. *)
-let v3_page_overhead = 7 + 4
-
-let encode_page_v3 ~total zs payloads =
-  let run = Z.Zrun.encode ~restart_interval ~fixed_len:total zs in
-  let rs = Z.Zrun.to_string run in
+let encode_page ~total zs payloads =
+  let rs = Z.Zrun.to_string (Z.Zrun.encode ~bits:total zs) in
   let buf = Buffer.create (4 + String.length rs) in
   Buffer.add_uint16_be buf (Array.length zs);
   Buffer.add_uint16_be buf (String.length rs);
@@ -132,7 +68,7 @@ let encode_page_v3 ~total zs payloads =
     payloads;
   Buffer.to_bytes buf
 
-let decode_page_v3 ~path buf =
+let decode_page ~path buf =
   let s = Bytes.unsafe_to_string buf in
   let len = String.length s in
   if len < 4 then Storage_error.corrupt ~path "truncated v3 data page";
@@ -173,19 +109,9 @@ let save_error_cleanup store tmp e =
   (try Sys.remove (Sqp_storage.Journal.journal_path tmp) with Sys_error _ -> ());
   raise e
 
-let save ?(io = Faulty_io.none) ?format ~path ?(page_bytes = 4096) ~encode index =
+let save ?(io = Faulty_io.none) ~path ?(page_bytes = 4096) ~encode index =
   let space = Zindex.space index in
-  let dims = Z.Space.dims space and depth = Z.Space.depth space in
   let total = Z.Space.total_bits space in
-  let format =
-    match format with
-    | Some f -> f
-    | None ->
-        (* Spaces too deep for packed z values stay on the v2 encoding. *)
-        if Z.Zpacked.fits_space space then V3 else V2
-  in
-  if format = V3 && not (Z.Zpacked.fits_space space) then
-    invalid_arg "Persist.save: space too deep for the v3 format";
   (* Build the new store beside the old one, then atomically rename over
      it: a crash at any point leaves either the old or the new index. *)
   let tmp = path ^ ".tmp" in
@@ -194,88 +120,52 @@ let save ?(io = Faulty_io.none) ?format ~path ?(page_bytes = 4096) ~encode index
     try
       let capacity = FP.payload_capacity store in
       let entries = Zindex.Tree.to_list (Zindex.tree index) in
-      let count = List.length entries in
       FP.begin_batch store;
+      ignore
+        (FP.alloc store
+           (encode_meta ~dims:(Z.Space.dims space) ~depth:(Z.Space.depth space)
+              ~leaf_capacity:(Zindex.leaf_capacity index)
+              ~count:(List.length entries)
+              ~page_budget:(Option.value ~default:0 (Zindex.page_budget index))));
+      (* Greedy packing against the exact encoded size. *)
       let data_pages = ref 0 in
-      (match format with
-      | V2 ->
-          ignore
-            (FP.alloc store
-               (encode_meta_v2 ~dims ~depth
-                  ~leaf_capacity:(Zindex.leaf_capacity index)
-                  ~count));
-          let buf = Buffer.create capacity in
-          let flush_page () =
-            if Buffer.length buf > 0 then begin
-              ignore (FP.alloc store (Buffer.to_bytes buf));
-              incr data_pages;
-              Buffer.clear buf
-            end
+      let zs = ref [] and ps = ref [] and n = ref 0 in
+      let bytes = ref page_overhead in
+      let prev = ref 0 in
+      let flush_page () =
+        if !n > 0 then begin
+          let page =
+            encode_page ~total (Array.of_list (List.rev !zs)) (List.rev !ps)
           in
-          List.iter
-            (fun (_, (p, v)) ->
-              let e = encode_entry dims p (encode v) in
-              if Bytes.length e > capacity then
-                invalid_arg "Persist.save: entry larger than a page";
-              if Buffer.length buf + Bytes.length e > capacity then flush_page ();
-              Buffer.add_bytes buf e)
-            entries;
-          flush_page ()
-      | V3 ->
-          ignore
-            (FP.alloc store
-               (encode_meta_v3 ~dims ~depth
-                  ~leaf_capacity:(Zindex.leaf_capacity index)
-                  ~count
-                  ~page_budget:
-                    (Option.value ~default:0 (Zindex.page_budget index))));
-          (* Greedy packing against the exact encoded size. *)
-          let zs = ref [] and ps = ref [] and n = ref 0 in
-          let bytes = ref v3_page_overhead in
-          let prev = ref Z.Zpacked.empty in
-          let flush_page () =
-            if !n > 0 then begin
-              let page =
-                encode_page_v3 ~total
-                  (Array.of_list (List.rev !zs))
-                  (List.rev !ps)
-              in
-              assert (Bytes.length page <= capacity);
-              ignore (FP.alloc store page);
-              incr data_pages;
-              zs := [];
-              ps := [];
-              n := 0;
-              bytes := v3_page_overhead
-            end
+          assert (Bytes.length page <= capacity);
+          ignore (FP.alloc store page);
+          incr data_pages;
+          zs := [];
+          ps := [];
+          n := 0;
+          bytes := page_overhead
+        end
+      in
+      List.iter
+        (fun (_, (p, v)) ->
+          let z = Z.Interleave.rank space p in
+          let payload = encode v in
+          let plen = String.length payload in
+          if plen > 0xFFFF then invalid_arg "Persist: payload too long";
+          let cost = entry_cost ~total ~index:!n ~prev:!prev z plen in
+          if !n > 0 && !bytes + cost > capacity then flush_page ();
+          let cost =
+            if !n = 0 then entry_cost ~total ~index:0 ~prev:!prev z plen else cost
           in
-          List.iter
-            (fun (zbs, (_, v)) ->
-              let z =
-                match Z.Zpacked.of_bitstring zbs with
-                | Some z -> z
-                | None -> assert false (* fits_space checked above *)
-              in
-              let payload = encode v in
-              let plen = String.length payload in
-              if plen > 0xFFFF then invalid_arg "Persist: payload too long";
-              let cost =
-                v3_entry_cost ~total ~index:!n ~prev:!prev z plen
-              in
-              if !n > 0 && !bytes + cost > capacity then flush_page ();
-              let cost =
-                if !n = 0 then v3_entry_cost ~total ~index:0 ~prev:!prev z plen
-                else cost
-              in
-              if v3_page_overhead + cost > capacity then
-                invalid_arg "Persist.save: entry larger than a page";
-              zs := z :: !zs;
-              ps := payload :: !ps;
-              bytes := !bytes + cost;
-              prev := z;
-              incr n)
-            entries;
-          flush_page ());
+          if page_overhead + cost > capacity then
+            invalid_arg "Persist.save: entry larger than a page";
+          zs := z :: !zs;
+          ps := payload :: !ps;
+          bytes := !bytes + cost;
+          prev := z;
+          incr n)
+        entries;
+      flush_page ();
       FP.commit_batch store;
       FP.close store;
       !data_pages
@@ -286,8 +176,6 @@ let save ?(io = Faulty_io.none) ?format ~path ?(page_bytes = 4096) ~encode index
 
 (* {1 Load} *)
 
-let point_of_z space z = Array.map fst (Z.Zpacked.unshuffle space z)
-
 let load ?(io = Faulty_io.none) ?(lenient = false) ~path ~decode () =
   let store = FP.open_existing ~io path in
   Fun.protect
@@ -295,26 +183,21 @@ let load ?(io = Faulty_io.none) ?(lenient = false) ~path ~decode () =
     (fun () ->
       let meta = ref None in
       let entries = ref [] in
-      FP.iter store (fun slot payload ->
+      FP.iter store (fun _slot payload ->
           match !meta with
           | None ->
               (* Slot order is id order; the metadata page was written
                  first. *)
-              ignore slot;
               meta := Some (decode_meta ~path payload)
-          | Some m when m.version = 2 ->
-              let off = ref 0 in
-              while !off < Bytes.length payload do
-                let point, p, next = decode_entry ~path m.dims payload !off in
-                entries := (point, decode p) :: !entries;
-                off := next
-              done
           | Some m ->
-              let space = Z.Space.make ~dims:m.dims ~depth:m.depth in
-              let zs, payloads = decode_page_v3 ~path payload in
+              let zs, payloads = decode_page ~path payload in
               Array.iteri
                 (fun i z ->
-                  entries := (point_of_z space z, decode payloads.(i)) :: !entries)
+                  let p =
+                    try Z.Interleave.point_of_rank m.space z
+                    with Invalid_argument msg -> Storage_error.corrupt ~path msg
+                  in
+                  entries := (p, decode payloads.(i)) :: !entries)
                 zs);
       match !meta with
       | None -> Storage_error.corrupt ~path "empty store: no index metadata page"
@@ -324,9 +207,8 @@ let load ?(io = Faulty_io.none) ?(lenient = false) ~path ~decode () =
             Storage_error.corrupt ~path
               (Printf.sprintf "entry count mismatch: metadata says %d, found %d"
                  m.count (Array.length entries));
-          let space = Z.Space.make ~dims:m.dims ~depth:m.depth in
           Zindex.of_points ~leaf_capacity:m.leaf_capacity
-            ?page_budget:m.page_budget space entries)
+            ?page_budget:m.page_budget m.space entries)
 
 (* {1 Inspection (fsck)} *)
 
@@ -352,35 +234,20 @@ let inspect ?(io = Faulty_io.none) ~path () =
       FP.iter store (fun slot payload ->
           match !meta with
           | None -> meta := Some (decode_meta ~path payload)
-          | Some m -> (
+          | Some _ -> (
               incr data_pages;
               match
-                if m.version = 2 then begin
-                  let off = ref 0 and n = ref 0 in
-                  while !off < Bytes.length payload do
-                    let _, _, next = decode_entry ~path m.dims payload !off in
-                    incr n;
-                    off := next
-                  done;
-                  !n
-                end
-                else begin
-                  (* Deep-check the run structure, not just decodability. *)
-                  let s = Bytes.unsafe_to_string payload in
-                  if Bytes.length payload >= 4 then begin
-                    let run_bytes =
-                      (Char.code s.[2] lsl 8) lor Char.code s.[3]
-                    in
-                    if 4 + run_bytes <= String.length s then
-                      match
-                        Z.Zrun.validate (Z.Zrun.of_string ~pos:4 ~len:run_bytes s)
-                      with
-                      | Ok () -> ()
-                      | Error msg -> Storage_error.corrupt ~path msg
-                  end;
-                  let zs, _ = decode_page_v3 ~path payload in
-                  Array.length zs
-                end
+                (* Deep-check the run structure, not just decodability. *)
+                let s = Bytes.unsafe_to_string payload in
+                if Bytes.length payload >= 4 then begin
+                  let run_bytes = (Char.code s.[2] lsl 8) lor Char.code s.[3] in
+                  if 4 + run_bytes <= String.length s then
+                    match Z.Zrun.validate (Z.Zrun.of_string ~pos:4 ~len:run_bytes s) with
+                    | Ok () -> ()
+                    | Error msg -> Storage_error.corrupt ~path msg
+                end;
+                let zs, _ = decode_page ~path payload in
+                Array.length zs
               with
               | n -> found := !found + n
               | exception Storage_error.Corrupt { what; _ } ->
@@ -391,9 +258,9 @@ let inspect ?(io = Faulty_io.none) ~path () =
       | None -> Storage_error.corrupt ~path "empty store: no index metadata page"
       | Some m ->
           {
-            version = m.version;
-            dims = m.dims;
-            depth = m.depth;
+            version = 3;
+            dims = Z.Space.dims m.space;
+            depth = Z.Space.depth m.space;
             count = m.count;
             found = !found;
             data_pages = !data_pages;

@@ -29,7 +29,7 @@ let create ?policy ?pool_capacity ?(leaf_capacity = 20) ?(internal_capacity = 20
       (fun page_bytes ->
         (* Per-entry overhead: payload charge plus a 2-byte length slot,
            matching the v3 on-disk entry; fixed-width keys are charged
-           the v2 footprint (4 bytes per coordinate). *)
+           4 bytes per coordinate. *)
         {
           Bptree.page_bytes;
           compressed;
@@ -242,8 +242,6 @@ let range_search ?(strategy = Merge) t box =
             ~reseek_elements:reseek;
           finish t st
       | Bigmin ->
-          if not (Z.Zrange.usable t.space) then
-            invalid_arg "Zindex: Bigmin strategy needs total bits <= 61";
           let total = Z.Space.total_bits t.space in
           let c = ref (Tree.seek t.tree (Z.Interleave.shuffle t.space lo)) in
           note_page st !c;

@@ -46,8 +46,8 @@ val create :
     20, LRU pool of 8 frames.  [page_budget] switches pages to the byte
     model of {!Bptree.budget}: each node holds as many entries as fit in
     that many bytes, front-coded when [compressed] (default [true]) or
-    at the v2 fixed width otherwise — the latter is the calibrated
-    baseline for differential tests.  [value_bytes] (default 8) is the
+    at a fixed width of 4 bytes per coordinate otherwise — the latter is
+    the calibrated baseline for differential tests.  [value_bytes] (default 8) is the
     per-entry payload charge. *)
 
 val space : 'a t -> Sqp_zorder.Space.t

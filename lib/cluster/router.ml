@@ -215,12 +215,16 @@ let scatter jobs =
       Array.to_list out
       |> List.map (function Some r -> r | None -> assert false)
 
-let is_stale = function P.Error { code = P.Stale_epoch; _ } -> true | _ -> false
-
-let first_error results =
-  List.find_map
-    (fun (_, _, r) -> match r with P.Error _ as e -> Some e | _ -> None)
-    results
+(* Settle a scatter's answers: any [Stale_epoch] sends the request back
+   for map repair and re-routing, else the first error is the answer,
+   else [merge] combines the shards' successes. *)
+let settle merge results =
+  let error (_, _, r) = match r with P.Error _ as e -> Some e | _ -> None in
+  let stale (_, _, r) =
+    match r with P.Error { code = P.Stale_epoch; _ } -> true | _ -> false
+  in
+  if List.exists stale results then `Stale
+  else `Done (match List.find_map error results with Some e -> e | None -> merge results)
 
 (* Forward the client's original payload, verbatim, to each target —
    version byte, deadline and idempotency key travel untouched, so the
@@ -324,23 +328,20 @@ let schema_check rels =
         (fun r -> R.Schema.equal (R.Relation.schema r0) (R.Relation.schema r))
         rest
 
+let divergent_schemas =
+  P.Error { code = P.Server_error; message = "shards answered with divergent schemas" }
+
 (* Shards own ascending disjoint z ranges and answer range reads in z
    order, so concatenation in shard order IS the global z order. *)
 let merge_concat results =
-  match first_error results with
-  | Some e -> e
-  | None -> (
-      match rows_of results with
-      | [] -> P.Error { code = P.Server_error; message = "no shard answered" }
-      | r0 :: _ as rels ->
-          if not (schema_check rels) then
-            P.Error
-              { code = P.Server_error; message = "shards answered with divergent schemas" }
-          else
-            P.Rows
-              (R.Relation.make ~name:(R.Relation.name r0)
-                 (R.Relation.schema r0)
-                 (List.concat_map R.Relation.tuples rels)))
+  match rows_of results with
+  | [] -> P.Error { code = P.Server_error; message = "no shard answered" }
+  | r0 :: _ as rels ->
+      if not (schema_check rels) then divergent_schemas
+      else
+        P.Rows
+          (R.Relation.make ~name:(R.Relation.name r0) (R.Relation.schema r0)
+             (List.concat_map R.Relation.tuples rels))
 
 let tuple_cmp a b =
   let n = Array.length a and m = Array.length b in
@@ -540,18 +541,15 @@ let unowned_error m z =
     }
 
 let merge_acks results =
-  match first_error results with
-  | Some e -> e
-  | None ->
-      let applied, seq =
-        List.fold_left
-          (fun (a, s) (_, _, r) ->
-            match r with
-            | P.Ack { applied; seq } -> (a + applied, max s seq)
-            | _ -> (a, s))
-          (0, 0) results
-      in
-      P.Ack { applied; seq }
+  let applied, seq =
+    List.fold_left
+      (fun (a, s) (_, _, r) ->
+        match r with
+        | P.Ack { applied; seq } -> (a + applied, max s seq)
+        | _ -> (a, s))
+      (0, 0) results
+  in
+  P.Ack { applied; seq }
 
 (* Forward per-shard sub-batches under the origin client's own deadline
    and idempotency key — each shard's dedup window then answers a
@@ -576,10 +574,6 @@ let forward_subbatches t m (frame : P.request_frame) groups make_req =
                   Client.forward ?deadline_ms:frame.P.deadline_ms c
                     ~epoch:m.SM.epoch ~payload)) ))
        groups)
-
-let stale_or_acks results =
-  if List.exists (fun (_, _, r) -> is_stale r) results then `Stale
-  else `Done (merge_acks results)
 
 (* Shared shell of [route_insert]/[route_delete]: gate, dual-write the
    already-copied region (idempotently, under the origin's key), then
@@ -643,7 +637,7 @@ let route_mutation t (frame : P.request_frame) ~table ~points ~z_of ~point_of
   | groups ->
       let results = forward_subbatches t m frame groups make_req in
       gate_end t pass ~record:!record;
-      stale_or_acks results
+      settle merge_acks results
 
 let route_insert t frame ~table ~(points : (int array * int) list) =
   let z_of (p, _) = SM.z_of_point t.space p in
@@ -685,74 +679,33 @@ let stitch_sections m results render =
            Printf.sprintf "-- shard %d (%s) --\n%s" i (shard_label e) (render r))
          results)
 
-let route_query results =
-  if List.exists (fun (_, _, r) -> is_stale r) results then `Stale
-  else
-    `Done
-      (match first_error results with
-      | Some e -> e
-      | None -> (
-          match merge_distinct (rows_of results) with
-          | Some rel -> P.Rows rel
-          | None ->
-              P.Error
-                {
-                  code = P.Server_error;
-                  message = "shards answered with divergent schemas";
-                }))
+let merge_query results =
+  match merge_distinct (rows_of results) with
+  | Some rel -> P.Rows rel
+  | None -> divergent_schemas
 
-let route_analyze m results =
-  if List.exists (fun (_, _, r) -> is_stale r) results then `Stale
-  else
-    `Done
-      (match first_error results with
-      | Some e -> e
-      | None ->
-          let rels =
-            List.map
-              (fun (_, _, r) ->
-                match r with P.Analyzed { rows; _ } -> rows | _ -> assert false)
-              results
-          in
-          (match merge_distinct rels with
-          | None ->
-              P.Error
-                {
-                  code = P.Server_error;
-                  message = "shards answered with divergent schemas";
-                }
-          | Some rows ->
-              let rendered =
-                stitch_sections m results (fun r ->
-                    match r with
-                    | P.Analyzed { rendered; rows } ->
-                        Printf.sprintf "%s(%d rows from this shard)\n" rendered
-                          (R.Relation.cardinality rows)
-                    | _ -> "")
-              in
-              P.Analyzed { rendered; rows }))
+let merge_analyzed m results =
+  let rels =
+    List.map
+      (fun (_, _, r) ->
+        match r with P.Analyzed { rows; _ } -> rows | _ -> assert false)
+      results
+  in
+  match merge_distinct rels with
+  | None -> divergent_schemas
+  | Some rows ->
+      let rendered =
+        stitch_sections m results (fun r ->
+            match r with
+            | P.Analyzed { rendered; rows } ->
+                Printf.sprintf "%s(%d rows from this shard)\n" rendered
+                  (R.Relation.cardinality rows)
+            | _ -> "")
+      in
+      P.Analyzed { rendered; rows }
 
-let route_explain m results =
-  if List.exists (fun (_, _, r) -> is_stale r) results then `Stale
-  else
-    `Done
-      (match first_error results with
-      | Some e -> e
-      | None ->
-          P.Text
-            (stitch_sections m results (fun r ->
-                 match r with P.Text s -> s | _ -> "")))
-
-let route_texts m results =
-  if List.exists (fun (_, _, r) -> is_stale r) results then `Stale
-  else
-    `Done
-      (match first_error results with
-      | Some e -> e
-      | None ->
-          P.Text
-            (stitch_sections m results (fun r ->
-                 match r with P.Text s -> s | _ -> "")))
+let merge_texts m results =
+  P.Text (stitch_sections m results (fun r -> match r with P.Text s -> s | _ -> ""))
 
 let route_health t m =
   let results =
@@ -820,24 +773,22 @@ let route t (frame : P.request_frame) payload =
       | Ok _ ->
           with_stale_retry t 1 (fun m ->
               let targets = read_targets t m ~lo ~hi in
-              let results = forward_to t m ?deadline_ms payload targets in
-              if List.exists (fun (_, _, r) -> is_stale r) results then `Stale
-              else `Done (merge_concat results)))
+              settle merge_concat (forward_to t m ?deadline_ms payload targets)))
   | P.Query plan ->
       if not (routable_plan plan) then plan_rejection
       else
         with_stale_retry t 1 (fun m ->
-            route_query (broadcast t m ?deadline_ms payload))
+            settle merge_query (broadcast t m ?deadline_ms payload))
   | P.Analyze plan ->
       if not (routable_plan plan) then plan_rejection
       else
         with_stale_retry t 1 (fun m ->
-            route_analyze m (broadcast t m ?deadline_ms payload))
+            settle (merge_analyzed m) (broadcast t m ?deadline_ms payload))
   | P.Explain plan ->
       if not (routable_plan plan) then plan_rejection
       else
         with_stale_retry t 1 (fun m ->
-            route_explain m (broadcast t m ?deadline_ms payload))
+            settle (merge_texts m) (broadcast t m ?deadline_ms payload))
   | P.Insert { table; points } -> (
       match List.map (fun (p, _) -> SM.z_of_point t.space p) points with
       | exception Invalid_argument msg ->
@@ -854,10 +805,10 @@ let route t (frame : P.request_frame) payload =
           with_stale_retry t 1 (fun _ -> route_delete t frame ~table ~points))
   | P.Create_index _ ->
       with_stale_retry t 1 (fun m ->
-          stale_or_acks (broadcast t m ?deadline_ms payload))
+          settle merge_acks (broadcast t m ?deadline_ms payload))
   | P.Refresh_stats | P.Recover ->
       with_stale_retry t 1 (fun m ->
-          route_texts m (broadcast t m ?deadline_ms payload))
+          settle (merge_texts m) (broadcast t m ?deadline_ms payload))
   | P.Health -> route_health t (current_map t)
   | P.Shard_map_get -> P.Shard_map (current_map t)
   | P.Shard_map_set { map = m; self = _ } -> (
@@ -1156,8 +1107,6 @@ let split ?(tables = [ "L" ]) t ~from_ ~at ~host ~port =
 (* {1 Lifecycle} *)
 
 let start ?(config = default_config) ?metrics ~space ~map () =
-  if not (Z.Zrange.usable space) then
-    invalid_arg "Router.start: space exceeds 61 z bits";
   let reg = match metrics with Some m -> m | None -> Metrics.global () in
   let t =
     {

@@ -2,7 +2,7 @@ module Z = Sqp_zorder
 
 type 'a layer = (Z.Element.t * 'a) list
 
-let check_layer space layer =
+let check_layer layer =
   let rec go = function
     | [] | [ _ ] -> Ok ()
     | (a, _) :: ((b, _) :: _ as rest) ->
@@ -12,8 +12,7 @@ let check_layer space layer =
                Z.Element.pp a Z.Element.pp b)
         else go rest
   in
-  if not (Z.Zrange.usable space) then Error "space too deep for overlay"
-  else go layer
+  go layer
 
 type stats = { input_elements : int; output_elements : int; segments : int }
 
@@ -58,10 +57,10 @@ let coalesce segments =
   go segments
 
 let overlay space la lb =
-  (match check_layer space la with
+  (match check_layer la with
   | Ok () -> ()
   | Error m -> invalid_arg ("Overlay.overlay: left " ^ m));
-  (match check_layer space lb with
+  (match check_layer lb with
   | Ok () -> ()
   | Error m -> invalid_arg ("Overlay.overlay: right " ^ m));
   let segments = coalesce (segment (to_intervals space la) (to_intervals space lb)) in

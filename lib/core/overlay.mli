@@ -6,13 +6,11 @@
     labels — computed directly on the element sequences by interval
     arithmetic on z ranges, never touching pixels.  The paper's claim:
     this costs surface (number of elements), while the grid algorithm
-    costs volume (number of pixels); see the [overlay-scaling] bench.
-
-    Requires an integer-z space ([total bits <= 61]). *)
+    costs volume (number of pixels); see the [overlay-scaling] bench. *)
 
 type 'a layer = (Sqp_zorder.Element.t * 'a) list
 
-val check_layer : Sqp_zorder.Space.t -> 'a layer -> (unit, string) result
+val check_layer : 'a layer -> (unit, string) result
 (** Valid layers are z-ordered with pairwise-disjoint elements. *)
 
 type stats = { input_elements : int; output_elements : int; segments : int }

@@ -6,10 +6,7 @@ type 'a prepared = {
   space : space;
   zs : Z.Bitstring.t array;            (* sorted *)
   pts : (Sqp_geom.Point.t * 'a) array; (* aligned with zs *)
-  keys : int array option;
-      (* zs as int keys, when the space's z values fit one 63-bit word:
-         the kernels then merge over flat int arrays.  None sends every
-         search down the bitstring reference path. *)
+  keys : int array;                    (* zs as int keys, for the kernels *)
 }
 
 let prepare space points =
@@ -18,12 +15,7 @@ let prepare space points =
   in
   Array.sort (fun (a, _) (b, _) -> Z.Bitstring.compare a b) tagged;
   let zs = Array.map fst tagged in
-  let keys =
-    if Z.Space.total_bits space <= Z.Zpacked.word_bits then
-      Some (Array.map Z.Zkernel.word_key zs)
-    else None
-  in
-  { space; zs; pts = Array.map snd tagged; keys }
+  { space; zs; pts = Array.map snd tagged; keys = Array.map Z.Zkernel.word_key zs }
 
 let prepared_length p = Array.length p.zs
 
@@ -50,10 +42,9 @@ let box_ranges prep box =
          })
        els)
 
-(* The same scan ranges as int keys, for spaces that fit one word: two
-   flat int arrays read from each element's length and first word —
-   per-query range construction is a large share of a cache-warm search,
-   so it is kept allocation-lean. *)
+(* The same scan ranges as int keys: two flat int arrays read from each
+   element's length and first word — per-query range construction is a
+   large share of a cache-warm search, so it is kept allocation-lean. *)
 let key_ranges prep box =
   let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
   Z.Zkernel.ranges_of_elements ~total:(Z.Space.total_bits prep.space)
@@ -147,21 +138,17 @@ let search_plain_reference_impl prep box =
 let search_plain_reference prep box =
   observed "range_search.plain_reference" search_plain_reference_impl prep box
 
-(* The int-key kernel when the prepared set has keys, else [reference];
-   rows and counters are the same either way. *)
-let search_keys reference merge prep box =
-  match prep.keys with
-  | None -> reference prep box
-  | Some ks -> (
-      match clip prep box with
-      | None -> ([], no_counters)
-      | Some box ->
-          let acc = ref [] in
-          let c = merge ks (key_ranges prep box) (fun i -> acc := prep.pts.(i) :: !acc) in
-          (List.rev !acc, counters_of_kernel c))
+(* A search on an int-key kernel merge; rows and counters are the
+   reference's. *)
+let search_keys merge prep box =
+  match clip prep box with
+  | None -> ([], no_counters)
+  | Some box ->
+      let acc = ref [] in
+      let c = merge prep.keys (key_ranges prep box) (fun i -> acc := prep.pts.(i) :: !acc) in
+      (List.rev !acc, counters_of_kernel c)
 
-let search_plain_impl prep box =
-  search_keys search_plain_reference_impl Z.Zkernel.range_plain_keys prep box
+let search_plain_impl prep box = search_keys Z.Zkernel.range_plain_keys prep box
 
 let search_plain prep box = observed "range_search.plain" search_plain_impl prep box
 
@@ -238,8 +225,7 @@ let search_skip_reference_impl prep box =
 let search_skip_reference prep box =
   observed "range_search.skip_reference" search_skip_reference_impl prep box
 
-let search_skip_impl prep box =
-  search_keys search_skip_reference_impl Z.Zkernel.range_skip_keys prep box
+let search_skip_impl prep box = search_keys Z.Zkernel.range_skip_keys prep box
 
 let search_skip prep box = observed "range_search.skip" search_skip_impl prep box
 

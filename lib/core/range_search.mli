@@ -17,10 +17,8 @@ type 'a prepared
 (** The sorted point sequence P ([z, point, payload]). *)
 
 val prepare : space -> (Sqp_geom.Point.t * 'a) array -> 'a prepared
-(** Step 1: shuffle every point and sort by z value.  When the space's z
-    values fit one word ([total_bits <= Zpacked.word_bits] = 63), the
-    sorted values are also keyed for {!Sqp_zorder.Zkernel}'s int-key
-    merges. *)
+(** Step 1: shuffle every point and sort by z value.  The sorted values
+    are also keyed for {!Sqp_zorder.Zkernel}'s int-key merges. *)
 
 val prepared_length : 'a prepared -> int
 
@@ -34,25 +32,22 @@ type counters = {
 
 val search_plain :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
-(** The unoptimized merge: walk both sequences entry by entry.  Runs on
-    the int-key kernel ({!Sqp_zorder.Zkernel.range_plain_keys}) when the
-    space's z values fit one word (63 bits) and on
-    {!search_plain_reference} otherwise; results {e and counters} are the
-    reference's either way. *)
+(** The unoptimized merge: walk both sequences entry by entry, on the
+    int-key kernel ({!Sqp_zorder.Zkernel.range_plain_keys}); results
+    {e and counters} are {!search_plain_reference}'s. *)
 
 val search_skip :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
 (** The optimized merge: when the current point z value leaves the
     current element, binary-search the other sequence ("parts of the
     space that could not possibly contribute are skipped").  Int-key
-    kernel ({!Sqp_zorder.Zkernel.range_skip_keys}) up to 63 bits, else
-    {!search_skip_reference}, like {!search_plain}. *)
+    kernel ({!Sqp_zorder.Zkernel.range_skip_keys}); results and counters
+    are {!search_skip_reference}'s. *)
 
 val search_plain_reference :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
-(** The byte-wise bitstring implementation of {!search_plain} — works
-    for any space, serves as the differential oracle and benchmark
-    baseline. *)
+(** The byte-wise bitstring implementation of {!search_plain}: the
+    differential oracle and benchmark baseline. *)
 
 val search_skip_reference :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters

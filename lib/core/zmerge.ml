@@ -94,27 +94,24 @@ let pairs_reference_impl left right =
 let pairs_reference left right =
   observed "zmerge.pairs_reference" pairs_reference_impl left right
 
-(* Fast path: the int-key kernel sorts both sides and sweeps; output
-   (content and order) is bit-identical to the reference.  Any z value
-   longer than one word sends the whole call to the reference path. *)
+(* The int-key kernel sorts both sides and sweeps; output (content and
+   order) is bit-identical to the reference. *)
 let pairs_impl left right =
   let zl = Array.of_list (List.map fst left)
   and zr = Array.of_list (List.map fst right) in
   let pl = Array.of_list (List.map snd left)
   and pr = Array.of_list (List.map snd right) in
   let comparisons = ref 0 and out = ref [] in
-  match
+  let st =
     Sqp_zorder.Zkernel.pairs ~comparisons (Array.get zl) (Array.length zl)
       (Array.get zr) (Array.length zr) (fun i j -> out := (pl.(i), pr.(j)) :: !out)
-  with
-  | Some st ->
-      ( List.rev !out,
-        {
-          pairs = st.Sqp_zorder.Zkernel.pairs;
-          items = Array.length zl + Array.length zr;
-          comparisons = !comparisons;
-        } )
-  | None -> pairs_reference_impl left right
+  in
+  ( List.rev !out,
+    {
+      pairs = st.Sqp_zorder.Zkernel.pairs;
+      items = Array.length zl + Array.length zr;
+      comparisons = !comparisons;
+    } )
 
 let pairs left right = observed "zmerge.pairs" pairs_impl left right
 

@@ -11,10 +11,11 @@ val pairs :
   (Sqp_zorder.Element.t * 'a) list ->
   (Sqp_zorder.Element.t * 'b) list ->
   ('a * 'b) list * stats
-(** Stack-based single sweep, O(n log n + output).  Runs on the int-key
-    kernel ({!Sqp_zorder.Zkernel.pairs}) when every z value fits one word
-    ([Zpacked.word_bits] = 63 bits), and on {!pairs_reference} otherwise;
-    both paths produce the same pairs in the same order. *)
+(** Stack-based single sweep, O(n log n + output), on the int-key kernel
+    ({!Sqp_zorder.Zkernel.pairs}): the same pairs in the same order as
+    {!pairs_reference}.
+    @raise Invalid_argument on a z value longer than 63 bits, which no
+    space produces. *)
 
 val pairs_reference :
   (Sqp_zorder.Element.t * 'a) list ->

@@ -150,10 +150,9 @@ let merge_reference_impl r ~zr s ~zs =
 let merge_reference r ~zr s ~zs =
   observed "spatial_join.merge_reference" (fun () -> merge_reference_impl r ~zr s ~zs)
 
-(* Fast path: the int-key kernel sorts both sides straight from their
-   tuples' bitstrings and sweeps.  Tuple output — content and order — is
-   bit-identical to the reference sweep; any z value longer than one word
-   sends the whole join to the reference. *)
+(* The int-key kernel sorts both sides straight from their tuples'
+   bitstrings and sweeps.  Tuple output — content and order — is
+   bit-identical to the reference sweep. *)
 let merge_impl r ~zr s ~zs =
   let module K = Sqp_zorder.Zkernel in
   let tr = Array.of_list (Relation.tuples r)
@@ -161,22 +160,20 @@ let merge_impl r ~zr s ~zs =
   let zr_at = zval_of (Relation.schema r) zr
   and zs_at = zval_of (Relation.schema s) zs in
   let comparisons = ref 0 and out = ref [] in
-  match
+  let st =
     K.pairs ~comparisons
       (fun i -> zr_at tr.(i))
       (Array.length tr)
       (fun i -> zs_at ts.(i))
       (Array.length ts)
       (fun i j -> out := Array.append tr.(i) ts.(j) :: !out)
-  with
-  | Some st ->
-      ( Relation.make (out_schema r s) (List.rev !out),
-        {
-          pairs = st.K.pairs;
-          comparisons = !comparisons;
-          sorted_items = Array.length tr + Array.length ts;
-          max_stack = st.K.max_stack;
-        } )
-  | None -> merge_reference_impl r ~zr s ~zs
+  in
+  ( Relation.make (out_schema r s) (List.rev !out),
+    {
+      pairs = st.K.pairs;
+      comparisons = !comparisons;
+      sorted_items = Array.length tr + Array.length ts;
+      max_stack = st.K.max_stack;
+    } )
 
 let merge r ~zr s ~zs = observed "spatial_join.merge" (fun () -> merge_impl r ~zr s ~zs)

@@ -24,16 +24,15 @@ type stats = {
 
 val merge :
   Relation.t -> zr:string -> Relation.t -> zs:string -> Relation.t * stats
-(** Runs on the int-key kernel ({!Sqp_zorder.Zkernel.pairs}) when every
-    z value fits one word ({!Sqp_zorder.Zpacked.word_bits} = 63 bits):
-    both sides are sorted straight from their bitstrings into flat int
-    keys and swept once.  A batch holding a longer value runs
-    {!merge_reference}.  Both produce the same tuples in the same order
-    and the same [pairs], [sorted_items] and [max_stack]; [comparisons]
-    counts each path's own sort and sweep (the kernel's radix sort of 64
-    or more values compares nothing).
+(** Runs on the int-key kernel ({!Sqp_zorder.Zkernel.pairs}): both sides
+    are sorted straight from their bitstrings into flat int keys and
+    swept once.  It produces the same tuples in the same order as
+    {!merge_reference} and the same [pairs], [sorted_items] and
+    [max_stack]; [comparisons] counts each path's own sort and sweep
+    (the kernel's radix sort of 64 or more values compares nothing).
     @raise Invalid_argument if attribute names of the two relations
-    clash (rename first) or the z attributes hold non-[Zval] values. *)
+    clash (rename first), the z attributes hold non-[Zval] values, or a
+    z value is longer than 63 bits (no space produces one). *)
 
 val merge_reference :
   Relation.t -> zr:string -> Relation.t -> zs:string -> Relation.t * stats

@@ -39,8 +39,6 @@ type t = {
          entries-per-page that recalibrates the page cost model *)
   m : Mutex.t;  (* guards the mutable fields below *)
   mutable stats : O.Stats.t option;
-  mutable packed : (string * (int Sqp_btree.Zindex.t * int)) list;
-      (* per live table: last packed index and the Live.seq it reflects *)
   dedup : (int, dedup_client) Hashtbl.t;
   mutable dedup_tick : int;
 }
@@ -76,7 +74,6 @@ let make ?(lives = []) ?shard ~space ~points ~relations () =
     pindex;
     m = Mutex.create ();
     stats = None;
-    packed = [];
     dedup = Hashtbl.create 16;
     dedup_tick = 0;
   }
@@ -87,8 +84,6 @@ let of_seeded ?tuples_per_page ?pool_capacity ?shard ?(live_empty = false)
   let space = wk.W.space in
   (match shard with
   | Some (zlo, zhi) ->
-      if not (Z.Zrange.usable space) then
-        invalid_arg "Catalog.of_seeded: shard slicing needs a usable z space";
       if zlo > zhi || zlo < 0 then invalid_arg "Catalog.of_seeded: bad shard range"
   | None -> ());
   (* Points are pixels: each belongs to exactly one shard.  Join-side
@@ -193,17 +188,6 @@ let analyze t =
   t.stats <- Some st;
   Mutex.unlock t.m;
   st
-
-let note_packed t name idx seq =
-  Mutex.lock t.m;
-  t.packed <- (name, (idx, seq)) :: List.remove_assoc name t.packed;
-  Mutex.unlock t.m
-
-let packed_index t name =
-  Mutex.lock t.m;
-  let p = List.assoc_opt name t.packed in
-  Mutex.unlock t.m;
-  p
 
 (* {1 Dedup window} *)
 

@@ -122,11 +122,10 @@ val recover_lives : t -> (string * exn) list
 (** Try {!Sqp_btree.Live.recover} on every live table; the tables that
     {e still} fail, with their errors (empty list = fully recovered). *)
 
-(** {1 Statistics and caches}
+(** {1 Statistics}
 
     The catalog's only mutable metadata: optimizer statistics written
-    by {!analyze} and the packed-index cache written by online index
-    builds.  Both are mutex-guarded and safe to touch from concurrent
+    by {!analyze}, mutex-guarded and safe to touch from concurrent
     sessions. *)
 
 val analyze : t -> Sqp_optimizer.Stats.t
@@ -139,14 +138,6 @@ val analyze : t -> Sqp_optimizer.Stats.t
 
 val stats : t -> Sqp_optimizer.Stats.t option
 (** The statistics from the most recent {!analyze}, if any. *)
-
-val note_packed : t -> string -> int Sqp_btree.Zindex.t -> int -> unit
-(** [note_packed t table idx seq] caches a freshly built packed index
-    for live table [table], valid as of batch sequence [seq]. *)
-
-val packed_index : t -> string -> (int Sqp_btree.Zindex.t * int) option
-(** The cached packed index for a live table and the {!Sqp_btree.Live.seq}
-    it reflects.  The caller decides whether it is fresh enough. *)
 
 (** {1 Plans} *)
 

@@ -269,9 +269,6 @@ let execute t request =
       guard t (fun () ->
           let lv = live_table t table in
           let idx, seq = Live.rebuild_online lv in
-          (* Cache it: packed reads dominate snapshot merges whenever the
-             table has not moved past [seq] (see docs/COST_MODEL.md). *)
-          Catalog.note_packed t.cat table idx seq;
           P.Ack { applied = Sqp_btree.Zindex.length idx; seq })
   | P.Live_range { table; lo; hi } ->
       guard t (fun () ->
@@ -282,17 +279,7 @@ let execute t request =
             invalid_arg
               (Printf.sprintf "live range bounds must have %d coordinates" dims);
           let box = Sqp_geom.Box.make ~lo ~hi in
-          let rows =
-            (* Access-path choice: a packed index that is still current
-               (same batch sequence) strictly dominates the live
-               snapshot merge — paged leaves, no decomposition of the
-               tree in memory.  Any mutation since the build invalidates
-               it, and we fall back to the snapshot. *)
-            match Catalog.packed_index t.cat table with
-            | Some (idx, seq) when seq = Live.seq lv ->
-                fst (Sqp_btree.Zindex.range_search idx box)
-            | _ -> fst (Live.range_search (Live.snapshot lv) box)
-          in
+          let rows = fst (Live.range_search (Live.snapshot lv) box) in
           P.Rows (live_rows space (filter_owned_entries t rows)))
   | P.Health | P.Recover | P.Shard_map_get | P.Shard_map_set _ | P.Forward _ ->
       assert false (* handled before admission *)

@@ -32,14 +32,12 @@ let make ~epoch entries =
 
 let even_ranges space n =
   if n < 1 then invalid_arg "Shard_map.even_ranges: n < 1";
-  if not (Z.Zrange.usable space) then
-    invalid_arg "Shard_map.even_ranges: space deeper than 61 total bits";
   let total = 1 lsl Z.Space.total_bits space in
   if n > total then invalid_arg "Shard_map.even_ranges: more shards than cells";
-  List.init n (fun i ->
-      let lo = i * total / n in
-      let hi = if i = n - 1 then total - 1 else ((i + 1) * total / n) - 1 in
-      (lo, hi))
+  (* [i * total / n], without [i * total] overflowing in a 61-bit space. *)
+  let q = total / n and r = total mod n in
+  let cut i = (i * q) + (i * r / n) in
+  List.init n (fun i -> (cut i, cut (i + 1) - 1))
 
 let even space endpoints =
   let ranges = even_ranges space (List.length endpoints) in
@@ -91,7 +89,4 @@ let read c =
   | t -> t
   | exception Invalid_argument m -> raise (Wire.Corrupt m)
 
-let z_of_point space p =
-  if not (Z.Zrange.usable space) then
-    invalid_arg "Shard_map.z_of_point: space deeper than 61 total bits";
-  Z.Interleave.rank space p
+let z_of_point space p = Z.Interleave.rank space p

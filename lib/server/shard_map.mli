@@ -2,14 +2,13 @@
     data, not configuration.
 
     A cluster partitions the full-resolution z keyspace of one
-    {!Sqp_zorder.Space} (which must satisfy {!Sqp_zorder.Zrange.usable},
-    i.e. at most 61 total bits) into contiguous, disjoint, ascending
-    [entries], each owned by one [sqp serve] endpoint.  The [epoch]
-    counts map changes: every rebalance installs a successor map with
-    [epoch + 1], and shards reject forwarded requests stamped with any
-    other epoch ({!Protocol} error [Stale_epoch]) — the fencing that
-    keeps a stale router or cached client from writing to the old owner
-    of a moved range.
+    {!Sqp_zorder.Space} (z values as ints, {!Sqp_zorder.Interleave.rank})
+    into contiguous, disjoint, ascending [entries], each owned by one
+    [sqp serve] endpoint.  The [epoch] counts map changes: every
+    rebalance installs a successor map with [epoch + 1], and shards
+    reject forwarded requests stamped with any other epoch ({!Protocol}
+    error [Stale_epoch]) — the fencing that keeps a stale router or
+    cached client from writing to the old owner of a moved range.
 
     Maps travel on the wire (request tags 12/13, response tag 7) via the
     {!Sqp_relalg.Wire} cursor codecs, so they are length-safe against
@@ -39,8 +38,7 @@ val even_ranges : Sqp_zorder.Space.t -> int -> (int * int) list
     [0, 2^total_bits - 1] into [n] contiguous ranges — what
     [sqp serve --shard I/N] and [sqp route] both compute, so shard
     catalogs and the router's map agree by construction.
-    @raise Invalid_argument if [n < 1] or the space is not
-    {!Sqp_zorder.Zrange.usable}. *)
+    @raise Invalid_argument if [n < 1] or [n] exceeds the space's cells. *)
 
 val even : Sqp_zorder.Space.t -> (string * int) list -> t
 (** Epoch-1 map assigning {!even_ranges} to the endpoints in order. *)
@@ -66,5 +64,4 @@ val z_of_point : Sqp_zorder.Space.t -> int array -> int
 (** Full-resolution z value of a point — the mutation-routing key and
     the owned-interval filter's key — read off the int interleave
     ({!Sqp_zorder.Interleave.rank}), with no element or bitstring built.
-    @raise Invalid_argument if the space is not usable or the point is
-    outside the grid. *)
+    @raise Invalid_argument if the point is outside the grid. *)

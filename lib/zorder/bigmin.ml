@@ -1,6 +1,5 @@
 let check_box space ~lo ~hi =
   let k = Space.dims space in
-  if Space.total_bits space > 61 then invalid_arg "Bigmin: space too deep";
   if Array.length lo <> k || Array.length hi <> k then invalid_arg "Bigmin: arity";
   for i = 0 to k - 1 do
     if lo.(i) > hi.(i) then invalid_arg "Bigmin: lo > hi";

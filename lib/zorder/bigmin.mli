@@ -6,9 +6,8 @@
     possibly contribute to the result are skipped").  With the box's
     decomposition in hand this is a binary search over element ranges;
     BIGMIN computes the same jump target {e without} materializing the
-    decomposition, straight from the box corners (Tropf-Herzog style).
-
-    Requires [Space.total_bits <= 61] (integer z values). *)
+    decomposition, straight from the box corners (Tropf-Herzog style),
+    on integer z values ({!Interleave.rank}). *)
 
 val in_box : Space.t -> lo:int array -> hi:int array -> int -> bool
 (** Does the pixel with the given z value lie in the coordinate box? *)

@@ -58,7 +58,8 @@ val to_int : t -> int
 val byte : t -> int -> int
 (** [byte t k] is the raw [k]-th storage byte (bits [8k .. 8k+7],
     MSB-first); bits at positions [>= length t] read as zero.  Exists so
-    {!Zpacked.of_bitstring} can pack bytewise instead of bit by bit.
+    [Zkernel] can read a value's first word bytewise instead of bit by
+    bit.
     @raise Invalid_argument if [k] is outside [\[0, (length t + 7) / 8)]. *)
 
 (** {1 Combination} *)

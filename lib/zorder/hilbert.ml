@@ -1,6 +1,4 @@
-let check space =
-  if Space.dims space <> 2 then invalid_arg "Hilbert: 2d only";
-  if Space.total_bits space > 61 then invalid_arg "Hilbert: space too deep"
+let check space = if Space.dims space <> 2 then invalid_arg "Hilbert: 2d only"
 
 (* Classic bitwise conversion (cf. Hamilton's compact Hilbert indices for
    the square case): walk the quadrant bits from the top, rotating the
@@ -36,8 +34,8 @@ let rank space p =
 let point_of_rank space r =
   check space;
   let side = Space.side space in
-  if r < 0 || (Space.total_bits space < 61 && r lsr Space.total_bits space <> 0)
-  then invalid_arg "Hilbert.point_of_rank: rank out of range";
+  if r < 0 || r lsr Space.total_bits space <> 0 then
+    invalid_arg "Hilbert.point_of_rank: rank out of range";
   let x = ref 0 and y = ref 0 in
   let t = ref r in
   let s = ref 1 in

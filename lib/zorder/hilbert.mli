@@ -10,8 +10,7 @@
 
 val rank : Space.t -> int array -> int
 (** Position of a pixel along the Hilbert curve of the space's grid.
-    @raise Invalid_argument unless the space is 2d with
-    [total_bits <= 61]. *)
+    @raise Invalid_argument unless the space is 2d. *)
 
 val point_of_rank : Space.t -> int -> int array
 (** Inverse of {!rank}. *)

@@ -26,7 +26,7 @@ let shuffle_prefixes space prefixes =
     (fun i (v, len) ->
       if len < 0 || len > d then
         invalid_arg "Interleave.shuffle_prefixes: bad prefix length";
-      if v < 0 || (len < 62 && v lsr len <> 0) then
+      if v < 0 || v lsr len <> 0 then
         invalid_arg "Interleave.shuffle_prefixes: prefix value does not fit";
       if i > 0 && len > lens.(i - 1) then
         invalid_arg "Interleave.shuffle_prefixes: lengths must be non-increasing")
@@ -57,7 +57,6 @@ let unshuffle space z =
    keep [mod] and [/] out of the per-bit work. *)
 let word space coords =
   let k = Space.dims space and d = Space.depth space in
-  if k * d > 63 then invalid_arg "Interleave.word: space wider than 63 bits";
   check_coords space coords;
   let v = ref 0 in
   for bit = d - 1 downto 0 do
@@ -67,16 +66,19 @@ let word space coords =
   done;
   !v lsl (63 - (k * d))
 
-let rank space coords =
-  let total = Space.total_bits space in
-  if total > 62 then invalid_arg "Interleave.rank: space too deep";
-  word space coords lsr (63 - total)
+let rank space coords = word space coords lsr (63 - Space.total_bits space)
 
+(* The inverse walk: the bits of [r] from the top, dealt out to the axes
+   in turn. *)
 let point_of_rank space r =
   let k = Space.dims space and d = Space.depth space in
-  if Space.total_bits space > 62 then
-    invalid_arg "Interleave.point_of_rank: space too deep";
-  if r < 0 || (k * d < 62 && r lsr (k * d) <> 0) then
+  if r < 0 || r lsr (k * d) <> 0 then
     invalid_arg "Interleave.point_of_rank: rank out of range";
-  let z = Bitstring.of_int r ~width:(k * d) in
-  Array.map fst (unshuffle space z)
+  let p = Array.make k 0 and pos = ref (k * d) in
+  for _ = 1 to d do
+    for axis = 0 to k - 1 do
+      decr pos;
+      p.(axis) <- (p.(axis) lsl 1) lor ((r lsr !pos) land 1)
+    done
+  done;
+  p

@@ -27,18 +27,17 @@ val unshuffle : Space.t -> Bitstring.t -> (int * int) array
 val word : Space.t -> int array -> int
 (** [word space coords] is the pixel's full-resolution z value packed
     MSB-first into one 63-bit word: bit [j] of [shuffle space coords] at
-    bit [62 - j], the rest zero — [Zpacked.first_word (shuffle space
-    coords)], computed with int shifts and no {!Bitstring}.  This is the
-    one int interleave: {!rank}, [Zkernel.point_key] and the shard
-    router's [z_of_point] are all read off it.
-    @raise Invalid_argument on wrong arity, out-of-range coordinates or
-    [Space.total_bits space > 63]. *)
+    bit [62 - j], the rest zero — computed with int shifts and no
+    {!Bitstring}.  This is the one int interleave: {!rank},
+    [Zkernel.point_key] and the shard router's [z_of_point] are all read
+    off it.
+    @raise Invalid_argument on wrong arity or out-of-range coordinates. *)
 
 val rank : Space.t -> int array -> int
 (** [rank space coords] is the z value of a pixel read as an integer: the
     position of the pixel along the z curve (Figure 4; rank of [|3; 5|]
-    in a 2d depth-3 space is 27).  It is {!word} shifted down.
-    @raise Invalid_argument if [Space.total_bits space > 62]. *)
+    in a 2d depth-3 space is 27).  It is {!word} shifted down. *)
 
 val point_of_rank : Space.t -> int -> int array
-(** Inverse of {!rank}. *)
+(** Inverse of {!rank}, computed on ints.
+    @raise Invalid_argument unless [0 <= r < 2^total_bits]. *)

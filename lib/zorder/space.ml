@@ -1,17 +1,21 @@
 type t = { dims : int; depth : int }
 
+let max_total_bits = 61
+
 let make ~dims ~depth =
   if dims < 1 then invalid_arg "Space.make: dims must be >= 1";
   if depth < 0 then invalid_arg "Space.make: depth must be >= 0";
-  if dims * depth > 512 then invalid_arg "Space.make: dims * depth too large";
+  (* [depth > max / dims] is [dims * depth > max] without the overflow. *)
+  if depth > max_total_bits / dims then
+    invalid_arg
+      (Printf.sprintf "Space.make: %d x %d is wider than %d total bits" dims depth
+         max_total_bits);
   { dims; depth }
 
 let dims t = t.dims
 let depth t = t.depth
 
-let side t =
-  if t.depth > 61 then invalid_arg "Space.side: depth too large for int";
-  1 lsl t.depth
+let side t = 1 lsl t.depth
 
 let total_bits t = t.dims * t.depth
 

@@ -8,16 +8,22 @@
 type t = private { dims : int; depth : int }
 (** [dims] is k (number of dimensions), [depth] is d (bits per axis). *)
 
+val max_total_bits : int
+(** 61: the widest space, in total bits.  In such a space every
+    full-resolution z value, read as an integer ({!Interleave.rank}), and
+    every z interval's size fit a non-negative OCaml [int], so the whole
+    engine keys z values as plain ints.  This is the one place the width
+    is decided. *)
+
 val make : dims:int -> depth:int -> t
-(** @raise Invalid_argument unless [1 <= dims] and [0 <= depth] and
-    [dims * depth <= 512] (a sanity bound; z values get long). *)
+(** @raise Invalid_argument unless [1 <= dims], [0 <= depth] and
+    [dims * depth <= max_total_bits]. *)
 
 val dims : t -> int
 val depth : t -> int
 
 val side : t -> int
-(** [2^depth], the number of grid positions per axis.
-    @raise Invalid_argument if [depth > 61]. *)
+(** [2^depth], the number of grid positions per axis. *)
 
 val total_bits : t -> int
 (** [dims * depth]: the length of a full-resolution (pixel) z value. *)

@@ -4,28 +4,40 @@
    differential suites in test/test_zseq.ml and test/test_differential.ml.
 
    A z value of at most 63 bits is word-encoded as [w0 lxor min_int],
-   where [w0] is its first word ({!Zpacked.first_word}) — flipping the
-   sign bit turns unsigned word order into signed order — so the loops
-   run over plain [int array]s where a z comparison is one machine
-   comparison and a prefix test is one masked xor.  Longer values never
-   reach this module: callers run their bitstring reference instead. *)
+   where [w0] is its first word ({!first_word}) — flipping the sign bit
+   turns unsigned word order into signed order — so the loops run over
+   plain [int array]s where a z comparison is one machine comparison and
+   a prefix test is one masked xor.  A longer value cannot come from a
+   space ([Space.max_total_bits]); one built by hand is refused. *)
 
-module P = Zpacked
+let word_bits = 63
 
-let word_key b = P.first_word b lxor min_int
+(* The first [word_bits] bits of [b], MSB-first at bit 62 down, zero-
+   filled, read bytewise: storage byte k holds bits [8k .. 8k+7], so
+   bytes 0-6 land with one left shift and byte 7 (bits 56-63) drops its
+   last bit. *)
+let first_word b =
+  let w0 = ref 0 in
+  for k = 0 to min 7 (((Bitstring.length b + 7) / 8) - 1) do
+    let v = Bitstring.byte b k in
+    w0 := !w0 lor (if k < 7 then v lsl (55 - (8 * k)) else v lsr 1)
+  done;
+  !w0
+
+let word_key b = first_word b lxor min_int
 
 let point_key space p = Interleave.word space p lxor min_int
 
 (* Top-[n] bits of a 63-bit word (0 <= n <= 63); [lsl] by 63 is
-   unspecified, hence the guard.  Mirrors Zpacked's private helper. *)
-let mask_first n = if n = 0 then 0 else -1 lsl (P.word_bits - n)
+   unspecified, hence the guard. *)
+let mask_first n = if n = 0 then 0 else -1 lsl (word_bits - n)
 
 let element_keys ~total e =
   let len = Bitstring.length e in
-  if total > P.word_bits || len > total then invalid_arg "Zkernel.element_keys";
+  if total > word_bits || len > total then invalid_arg "Zkernel.element_keys";
   (* Scan range of the element: zero-padding leaves the word unchanged,
      one-padding sets the bits between len and total. *)
-  let w0 = P.first_word e in
+  let w0 = first_word e in
   (w0 lxor min_int, (w0 lor (mask_first total lxor mask_first len)) lxor min_int)
 
 (* {1 Sorting} *)
@@ -136,7 +148,7 @@ let radix_sort a ~nbits =
 (* Stable mergesort of the permutation [a] by [(ks, ls)], all comparisons
    inlined int-array reads — no closure per probe, which is most of the
    win over [Array.stable_sort] on boxed values. *)
-let sort_perm_narrow ~comparisons ks ls n =
+let sort_perm ~comparisons ks ls n =
   let a = Array.init n (fun i -> i) in
   let tmp = Array.make n 0 in
   let rec sort lo hi =
@@ -179,26 +191,26 @@ let sort_perm_narrow ~comparisons ks ls n =
   sort 0 n;
   a
 
-(* The sweep's working form of an all-narrow batch, already z-sorted:
+(* The sweep's working form of a batch, already z-sorted:
    word key, length and prefix mask of each value in flat int arrays. *)
 type keyed = { kks : int array; kls : int array; kms : int array }
 
-(* Longest length of the batch, or -1 if some value is not narrow. *)
-let narrow_maxlen z n =
+(* Longest length of the batch. *)
+let maxlen z n =
   let rec go i m =
     if i = n then m
     else
       let l = Bitstring.length (z i) in
-      if l > P.word_bits then -1 else go (i + 1) (if l > m then l else m)
+      if l > word_bits then invalid_arg "Zkernel: z value longer than 63 bits"
+      else go (i + 1) (if l > m then l else m)
   in
   go 0 0
 
 let sort_keyed ~comparisons z n =
-  let maxlen = narrow_maxlen z n in
-  if maxlen < 0 then None
-  else if n = 0 then Some ([||], { kks = [||]; kls = [||]; kms = [||] })
+  let maxlen = maxlen z n in
+  if n = 0 then ([||], { kks = [||]; kls = [||]; kms = [||] })
   else begin
-    let len i = Bitstring.length (z i) and word i = P.first_word (z i) in
+    let len i = Bitstring.length (z i) and word i = first_word (z i) in
     let ib = bits_for (n - 1) in
     if maxlen + 6 + ib <= 62 then begin
       (* Single-word encoding of (z value, length, input index): value
@@ -209,7 +221,7 @@ let sort_keyed ~comparisons z n =
          sort.  Large batches go through the radix sort and perform
          {e zero} comparisons (the counter stays honest: nothing was
          compared). *)
-      let shift = P.word_bits - maxlen in
+      let shift = word_bits - maxlen in
       let enc =
         Array.init n (fun i ->
             ((word i lsr shift) lsl (6 + ib)) lor (len i lsl ib) lor i)
@@ -228,20 +240,19 @@ let sort_keyed ~comparisons z n =
         kks.(r) <- ((e lsr (6 + ib)) lsl shift) lxor min_int;
         enc.(r) <- e land imask
       done;
-      Some (enc, { kks; kls; kms })
+      (enc, { kks; kls; kms })
     end
     else begin
       (* Word keys break all but exact-prefix ties; lengths settle those. *)
       let ks = Array.init n (fun i -> word i lxor min_int)
       and ls = Array.init n len in
-      let perm = sort_perm_narrow ~comparisons ks ls n in
-      Some
-        ( perm,
-          {
-            kks = Array.map (fun i -> ks.(i)) perm;
-            kls = Array.map (fun i -> ls.(i)) perm;
-            kms = Array.map (fun i -> mask_first ls.(i)) perm;
-          } )
+      let perm = sort_perm ~comparisons ks ls n in
+      ( perm,
+        {
+          kks = Array.map (fun i -> ks.(i)) perm;
+          kls = Array.map (fun i -> ls.(i)) perm;
+          kms = Array.map (fun i -> mask_first ls.(i)) perm;
+        } )
     end
   end
 
@@ -326,15 +337,9 @@ let sweep_pairs_keyed ~comparisons l r emit =
   { pairs = !pairs; max_stack = !max_stack }
 
 let pairs ~comparisons zl nl zr nr emit =
-  match sort_keyed ~comparisons zl nl with
-  | None -> None
-  | Some (perm_l, kl) -> (
-      match sort_keyed ~comparisons zr nr with
-      | None -> None
-      | Some (perm_r, kr) ->
-          Some
-            (sweep_pairs_keyed ~comparisons kl kr (fun li ri ->
-                 emit perm_l.(li) perm_r.(ri))))
+  let perm_l, kl = sort_keyed ~comparisons zl nl in
+  let perm_r, kr = sort_keyed ~comparisons zr nr in
+  sweep_pairs_keyed ~comparisons kl kr (fun li ri -> emit perm_l.(li) perm_r.(ri))
 
 (* {1 Range merges} *)
 
@@ -346,9 +351,9 @@ type range_counters = {
   comparisons : int;
 }
 
-(* Point z values all share one narrow length and range bounds are padded
-   to that same length, so every comparison in the merge is between
-   equal-length narrow values: word order alone decides. *)
+(* Point z values all share one length and range bounds are padded to
+   that same length, so every comparison in the merge is between
+   equal-length values: word order alone decides. *)
 type key_ranges = { klo : int array; khi : int array }
 
 let ranges_of_elements ~total els =

@@ -2,14 +2,14 @@
     merges over flat [int array]s.
 
     The inner loops of [Zmerge.pairs], [Range_search.search_plain] /
-    [search_skip] and [Spatial_join.merge] for z values of at most
-    [Zpacked.word_bits] = 63 bits (any 2-D space of depth 31 or less).
-    Such a value is word-encoded as a sign-flipped integer whose native
-    order is z order ({!word_key}), so the hot loops run over flat int
-    arrays: one machine comparison per z comparison, one masked xor per
-    prefix test.  A batch or space with a longer value is never handed
-    here — those callers run their bitstring [*_reference]
-    implementation instead.
+    [search_skip] and [Spatial_join.merge].  A z value of at most
+    63 bits — every z value of every space, since
+    [Space.make] caps spaces at [Space.max_total_bits] = 61 — is
+    word-encoded as a sign-flipped integer whose native order is z order
+    ({!word_key}), so the hot loops run over flat int arrays: one machine
+    comparison per z comparison, one masked xor per prefix test.  A
+    longer, hand-built value is refused with [Invalid_argument]; the
+    bitstring [*_reference] implementations take any length.
 
     Control flow mirrors the list-based bitstring references, so results
     come out in the same order and the exact work counters (where the
@@ -18,40 +18,39 @@
     or prefix test actually performed. *)
 
 val word_key : Bitstring.t -> int
-(** The int key of a z value of at most 63 bits: its first word
-    ({!Zpacked.first_word}) with the sign bit flipped.  Among values of
-    equal length, native [int] order is z order. *)
+(** The int key of a z value of at most 63 bits: its first 63 bits,
+    MSB-first at bit 62 down and zero-filled, with the sign bit flipped.
+    Among values of equal length, native [int] order is z order. *)
 
 val point_key : Space.t -> int array -> int
 (** [point_key space p = word_key (Interleave.shuffle space p)], read off
     {!Interleave.word} without building the bitstring: the key of a
     pixel.
-    @raise Invalid_argument on a bad point or a space wider than
-    [Zpacked.word_bits]. *)
+    @raise Invalid_argument on a bad point. *)
 
 val element_keys : total:int -> Bitstring.t -> int * int
 (** [(klo, khi)] int keys of a decomposed element's inclusive scan range
     in a space of [total] bits — the keys of [Bitstring.pad_to e total
     false] and [pad_to e total true], read from the element's length and
     first word without building the padded values.
-    @raise Invalid_argument if [total > Zpacked.word_bits] or the element
-    is longer than [total]. *)
+    @raise Invalid_argument if [total > 63] or the element is
+    longer than [total]. *)
 
 (** {1 Sort and containment sweep} *)
 
 type keyed
-(** An all-narrow batch in z-sorted order, as the flat word-key / length
-    / prefix-mask arrays the containment sweep reads. *)
+(** A batch in z-sorted order, as the flat word-key / length /
+    prefix-mask arrays the containment sweep reads. *)
 
 val sort_keyed :
-  comparisons:int ref -> (int -> Bitstring.t) -> int -> (int array * keyed) option
+  comparisons:int ref -> (int -> Bitstring.t) -> int -> int array * keyed
 (** [sort_keyed ~comparisons z n] stable-sorts the [n] z values [z 0 ..
     z (n - 1)] (equal values keep their input order, the tie rule of
     [List.sort] on a tagged list), reading them straight into single-int
     encodings.  Returns the sorting permutation and the batch's {!keyed}
-    form, or [None] if some value is longer than [Zpacked.word_bits].
-    Batches under 64 values are sorted with counted comparisons, larger
-    ones with a radix sort that compares nothing. *)
+    form.  Batches under 64 values are sorted with counted comparisons,
+    larger ones with a radix sort that compares nothing.
+    @raise Invalid_argument if some value is longer than 63 bits. *)
 
 type sweep_stats = { pairs : int; max_stack : int }
 (** [pairs]: emissions; [max_stack]: deepest combined open-element stack
@@ -64,15 +63,16 @@ val pairs :
   (int -> Bitstring.t) ->
   int ->
   (int -> int -> unit) ->
-  sweep_stats option
+  sweep_stats
 (** [pairs ~comparisons zl nl zr nr emit] is the containment join of two
     unsorted batches: {!sort_keyed} on each side, then one merge sweep
     (ties take the left side, matching a stable sort of left-then-right)
     with one open-element stack per side, calling [emit i j] with input
     indices for every pair where one value is a prefix of the other —
     newest open element first, exactly the emission order of the list
-    sweeps.  [None], with nothing emitted, if some value on either side
-    is longer than [Zpacked.word_bits]. *)
+    sweeps.
+    @raise Invalid_argument, with nothing emitted, if some value on
+    either side is longer than 63 bits. *)
 
 (** {1 Range merges} *)
 

@@ -116,7 +116,6 @@ type proximity_row = {
 
 let proximity_table ~rng space ~distances ~samples ~pages =
   if Space.dims space <> 2 then invalid_arg "Zmath.proximity_table: 2d only";
-  if Space.total_bits space > 61 then invalid_arg "Zmath.proximity_table: too deep";
   let side = Space.side space in
   let cells_per_page =
     max 1 (int_of_float (Space.cells space /. float_of_int pages))

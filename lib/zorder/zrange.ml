@@ -1,17 +1,10 @@
-let usable space = Space.total_bits space <= 61
-
-let check space =
-  if not (usable space) then invalid_arg "Zrange: space deeper than 61 total bits"
-
 let of_element space e =
-  check space;
   let total = Space.total_bits space in
   let level = Element.level e in
   let base = Bitstring.to_int (Element.z e) lsl (total - level) in
   (base, base lor ((1 lsl (total - level)) - 1))
 
 let to_element space ~lo ~hi =
-  check space;
   let total = Space.total_bits space in
   let extent = hi - lo + 1 in
   if lo < 0 || hi >= 1 lsl total || extent <= 0 then None
@@ -23,10 +16,8 @@ let to_element space ~lo ~hi =
     Some (Bitstring.of_int (lo lsr s) ~width:(total - s))
 
 let check_interval space ~lo ~hi =
-  check space;
-  let total = Space.total_bits space in
   if lo < 0 || lo > hi then invalid_arg "Zrange: bad interval";
-  if total < 62 && hi lsr total <> 0 then invalid_arg "Zrange: interval out of space"
+  if hi lsr Space.total_bits space <> 0 then invalid_arg "Zrange: interval out of space"
 
 (* Greedy buddy decomposition: at position [pos], emit the largest aligned
    block starting at [pos] that does not overshoot [hi]. *)

@@ -1,19 +1,15 @@
 (** Z intervals and canonical element covers.
 
-    For spaces with [total_bits <= 61], full-resolution z values fit in an
-    OCaml [int]; a set of pixels whose z values form the interval
-    [lo, hi] can be represented canonically as the unique minimal list of
-    {e aligned} elements (each element's z range is an aligned power-of-two
-    block of z values).  This is the bridge between element sequences and
-    ordinary interval arithmetic; it underlies the overlay and CCL
-    algorithms of Section 6. *)
-
-val usable : Space.t -> bool
-(** Whether [Space.total_bits space <= 61]. *)
+    Full-resolution z values fit in an OCaml [int] ([Space.make] caps
+    spaces at [Space.max_total_bits] = 61 bits); a set of pixels whose z
+    values form the interval [lo, hi] can be represented canonically as
+    the unique minimal list of {e aligned} elements (each element's z
+    range is an aligned power-of-two block of z values).  This is the
+    bridge between element sequences and ordinary interval arithmetic; it
+    underlies the overlay and CCL algorithms of Section 6. *)
 
 val of_element : Space.t -> Element.t -> int * int
-(** [(zlo, zhi)] of an element, as integers.
-    @raise Invalid_argument if the space is not {!usable}. *)
+(** [(zlo, zhi)] of an element, as integers. *)
 
 val to_element : Space.t -> lo:int -> hi:int -> Element.t option
 (** [Some e] iff [lo, hi] is exactly the z range of an element: i.e.

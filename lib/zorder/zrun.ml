@@ -1,7 +1,5 @@
-(* Delta-encoded runs of packed z values: LevelDB-style front coding
-   adapted to bit-granular z values.  See zrun.mli for the format. *)
-
-module P = Zpacked
+(* Delta-encoded runs of fixed-width int z values: LevelDB-style front
+   coding adapted to bit-granular keys.  See zrun.mli for the format. *)
 
 type t = {
   data : string;
@@ -10,66 +8,88 @@ type t = {
   stop : int;           (* absolute offset one past the last entry *)
   count : int;
   interval : int;
-  fixed : int option;   (* all values share this length; lengths elided *)
+  bits : int;           (* every value's width *)
   n_restarts : int;
 }
 
 let flag_fixed = 0x01
 
-let header_bytes n_restarts = 7 + (2 * n_restarts)
+let restart_interval = 16
+
+let header_bytes = 7
+
+let table_bytes n_restarts = header_bytes + (2 * n_restarts)
 
 let count t = t.count
 
 let byte_length t = t.stop - t.off
 
-let restart_interval t = t.interval
-
 let to_string t = String.sub t.data t.off (t.stop - t.off)
-
-let fixed_len t = t.fixed
 
 let err fmt = Printf.ksprintf (fun s -> invalid_arg ("Zrun: " ^ s)) fmt
 
-let key_bytes len = (len + 7) / 8
+let key_bytes bits = (bits + 7) / 8
+
+(* Index of the highest set bit (0-based from the LSB); [x > 0]. *)
+let floor_log2 x =
+  let n = ref 0 and x = ref x in
+  if !x lsr 32 <> 0 then begin n := !n + 32; x := !x lsr 32 end;
+  if !x lsr 16 <> 0 then begin n := !n + 16; x := !x lsr 16 end;
+  if !x lsr 8 <> 0 then begin n := !n + 8; x := !x lsr 8 end;
+  if !x lsr 4 <> 0 then begin n := !n + 4; x := !x lsr 4 end;
+  if !x lsr 2 <> 0 then begin n := !n + 2; x := !x lsr 2 end;
+  if !x lsr 1 <> 0 then incr n;
+  !n
+
+(* Length of the common prefix of two [bits]-wide values. *)
+let shared_bits ~bits a b =
+  let d = a lxor b in
+  if d = 0 then bits else bits - 1 - floor_log2 d
+
+let entry_bytes ~bits ~index ~prev z =
+  if index mod restart_interval = 0 then 2 + key_bytes bits
+  else 1 + key_bytes (bits - shared_bits ~bits prev z)
+
+(* Byte [k] of the [nbits]-bit suffix [v] stored MSB-first, the last
+   byte zero-padded.  Built by shifting each byte into place, since a
+   61-bit suffix spans 8 bytes, more than an int holds. *)
+let suffix_byte v ~nbits k =
+  let sh = nbits - (8 * (k + 1)) in
+  (if sh >= 0 then v lsr sh else v lsl (-sh)) land 0xFF
 
 (* {1 Encoding} *)
 
-let encode ?(restart_interval = 16) ?fixed_len zs =
+let encode ~bits zs =
   let n = Array.length zs in
   if n > 0xFFFF then err "run of %d values (max 65535)" n;
-  if restart_interval < 1 || restart_interval > 0xFF then
-    err "restart interval %d out of [1, 255]" restart_interval;
-  (match fixed_len with
-  | None -> ()
-  | Some l ->
-      if l < 0 || l > P.max_bits then err "fixed length %d out of range" l;
-      Array.iter
-        (fun z ->
-          if P.length z <> l then
-            err "fixed-length run: value of length %d, expected %d" (P.length z) l)
-        zs);
+  if bits < 0 || bits > Space.max_total_bits then err "value width %d out of range" bits;
+  Array.iter
+    (fun z -> if z < 0 || z lsr bits <> 0 then err "value %d wider than %d bits" z bits)
+    zs;
   let n_restarts = if n = 0 then 0 else ((n - 1) / restart_interval) + 1 in
   let body = Buffer.create 256 in
   let restarts = Array.make n_restarts 0 in
-  let variable = fixed_len = None in
   for i = 0 to n - 1 do
     let z = zs.(i) in
-    let len = P.length z in
-    if i mod restart_interval = 0 then begin
-      restarts.(i / restart_interval) <- Buffer.length body;
-      if variable then Buffer.add_uint8 body len;
-      Buffer.add_string body (P.suffix_bytes z ~pos:0)
-    end
-    else begin
-      let shared = P.common_prefix_len zs.(i - 1) z in
-      Buffer.add_uint8 body shared;
-      if variable then Buffer.add_uint8 body len;
-      Buffer.add_string body (P.suffix_bytes z ~pos:shared)
-    end
+    let shared =
+      if i mod restart_interval = 0 then begin
+        restarts.(i / restart_interval) <- Buffer.length body;
+        0
+      end
+      else begin
+        let s = shared_bits ~bits zs.(i - 1) z in
+        Buffer.add_uint8 body s;
+        s
+      end
+    in
+    let nbits = bits - shared in
+    for k = 0 to key_bytes nbits - 1 do
+      Buffer.add_uint8 body (suffix_byte z ~nbits k)
+    done
   done;
-  let out = Buffer.create (header_bytes n_restarts + Buffer.length body) in
-  Buffer.add_uint8 out (if variable then 0 else flag_fixed);
-  Buffer.add_uint8 out (match fixed_len with Some l -> l | None -> 0);
+  let out = Buffer.create (table_bytes n_restarts + Buffer.length body) in
+  Buffer.add_uint8 out flag_fixed;
+  Buffer.add_uint8 out bits;
   Buffer.add_uint8 out restart_interval;
   Buffer.add_uint16_be out n;
   Buffer.add_uint16_be out n_restarts;
@@ -83,11 +103,11 @@ let encode ?(restart_interval = 16) ?fixed_len zs =
   {
     data;
     off = 0;
-    body = header_bytes n_restarts;
+    body = table_bytes n_restarts;
     stop = String.length data;
     count = n;
     interval = restart_interval;
-    fixed = fixed_len;
+    bits;
     n_restarts;
   }
 
@@ -101,121 +121,84 @@ let of_string ?(pos = 0) ?len data =
   let stop =
     match len with Some l -> pos + l | None -> String.length data
   in
-  if pos < 0 || stop > String.length data || stop - pos < 7 then
+  if pos < 0 || stop > String.length data || stop - pos < header_bytes then
     err "truncated run header";
   let flags = u8 data pos in
-  let fixed = if flags land flag_fixed <> 0 then Some (u8 data (pos + 1)) else None in
+  let bits = u8 data (pos + 1) in
   let interval = u8 data (pos + 2) in
   let count = u16 data (pos + 3) in
   let n_restarts = u16 data (pos + 5) in
-  if flags land lnot flag_fixed <> 0 then err "unknown run flags 0x%02x" flags;
+  if flags <> flag_fixed then err "unsupported run flags 0x%02x" flags;
+  if bits > Space.max_total_bits then
+    err "value width %d beyond %d bits" bits Space.max_total_bits;
   if interval < 1 then err "zero restart interval";
   let expected_restarts = if count = 0 then 0 else ((count - 1) / interval) + 1 in
   if n_restarts <> expected_restarts then
     err "restart count %d inconsistent with %d values at interval %d" n_restarts
       count interval;
-  let body = pos + header_bytes n_restarts in
+  let body = pos + table_bytes n_restarts in
   if body > stop then err "truncated restart table";
-  { data; off = pos; body; stop; count; interval; fixed; n_restarts }
+  { data; off = pos; body; stop; count; interval; bits; n_restarts }
 
-let restart_offset t r =
-  if r < 0 || r >= t.n_restarts then err "restart index %d out of range" r;
-  u16 t.data (t.off + 7 + (2 * r))
+let restart_offset t r = u16 t.data (t.off + header_bytes + (2 * r))
 
 (* {1 Decoding} *)
 
-type cursor = {
-  run : t;
-  mutable idx : int;     (* index of the next value *)
-  mutable pos : int;     (* absolute offset of the next entry *)
-  mutable prev : P.t;    (* last value materialized *)
-}
-
-let cursor t =
-  let pos = if t.count = 0 then t.stop else t.body + restart_offset t 0 in
-  { run = t; idx = 0; pos; prev = P.empty }
-
-let next c =
-  let t = c.run in
-  if c.idx >= t.count then None
-  else begin
+(* Walk every entry in order, calling [at_entry i pos] before entry [i]
+   is read from absolute offset [pos]; returns the values and the offset
+   one past the last entry. *)
+let walk t at_entry =
+  let out = Array.make t.count 0 in
+  let pos = ref (if t.count = 0 then t.stop else t.body + restart_offset t 0) in
+  let prev = ref 0 in
+  for i = 0 to t.count - 1 do
+    at_entry i !pos;
     let need n =
-      if c.pos + n > t.stop then err "entry %d runs past the end of the run" c.idx
+      if !pos + n > t.stop then err "entry %d runs past the end of the run" i
     in
-    let at_restart = c.idx mod t.interval = 0 in
     let shared =
-      if at_restart then 0
+      if i mod t.interval = 0 then 0
       else begin
         need 1;
-        let s = u8 t.data c.pos in
-        c.pos <- c.pos + 1;
+        let s = u8 t.data !pos in
+        incr pos;
         s
       end
     in
-    let len =
-      match t.fixed with
-      | Some l -> l
-      | None ->
-          need 1;
-          let l = u8 t.data c.pos in
-          c.pos <- c.pos + 1;
-          l
-    in
-    if len > P.max_bits then err "entry %d: length %d beyond max_bits" c.idx len;
-    if shared > len then err "entry %d: shared prefix %d > length %d" c.idx shared len;
-    if (not at_restart) && shared > P.length c.prev then
-      err "entry %d: shared prefix %d longer than predecessor" c.idx shared;
-    let nbytes = key_bytes (len - shared) in
+    if shared > t.bits then err "entry %d: shared prefix %d > width %d" i shared t.bits;
+    let nbits = t.bits - shared in
+    let nbytes = key_bytes nbits in
     need nbytes;
-    let z =
-      P.append_bytes (P.take c.prev shared) ~bytes:t.data ~pos:c.pos
-        ~nbits:(len - shared)
-    in
-    c.pos <- c.pos + nbytes;
-    c.prev <- z;
-    c.idx <- c.idx + 1;
-    Some z
-  end
+    let suffix = ref 0 in
+    for k = 0 to nbytes - 1 do
+      let sh = nbits - (8 * (k + 1)) in
+      let b = u8 t.data (!pos + k) in
+      suffix := !suffix lor (if sh >= 0 then b lsl sh else b lsr (-sh))
+    done;
+    pos := !pos + nbytes;
+    let z = ((!prev lsr nbits) lsl nbits) lor !suffix in
+    out.(i) <- z;
+    prev := z
+  done;
+  (out, !pos)
 
-let decode t =
-  let c = cursor t in
-  Array.init t.count (fun _ ->
-      match next c with Some z -> z | None -> assert false)
-
-let raw_bytes t =
-  let variable = t.fixed = None in
-  let c = cursor t in
-  let total = ref 0 in
-  let rec go () =
-    match next c with
-    | None -> !total
-    | Some z ->
-        total := !total + (if variable then 1 else 0) + key_bytes (P.length z);
-        go ()
-  in
-  go ()
+let decode t = fst (walk t (fun _ _ -> ()))
 
 let validate t =
-  (* Walk every entry; on top of the per-entry checks [next] performs,
-     confirm each restart offset lands exactly where the walk does and
-     that the body is consumed exactly. *)
+  (* On top of the per-entry checks, confirm each restart offset lands
+     exactly where the walk does and that the body is consumed exactly. *)
   match
-    let c = cursor t in
-    let rec go () =
-      if c.idx < t.count then begin
-        if c.idx mod t.interval = 0 then begin
-          let expect = t.body + restart_offset t (c.idx / t.interval) in
-          if c.pos <> expect then
-            err "restart %d points at %d, entries end at %d" (c.idx / t.interval)
-              (expect - t.body) (c.pos - t.body)
-        end;
-        ignore (next c);
-        go ()
-      end
+    let _, stop =
+      walk t (fun i pos ->
+          if i mod t.interval = 0 then begin
+            let r = i / t.interval in
+            let expect = t.body + restart_offset t r in
+            if pos <> expect then
+              err "restart %d points at %d, entries end at %d" r (expect - t.body)
+                (pos - t.body)
+          end)
     in
-    go ();
-    if c.pos <> t.stop then
-      err "%d trailing byte(s) after the last entry" (t.stop - c.pos)
+    if stop <> t.stop then err "%d trailing byte(s) after the last entry" (t.stop - stop)
   with
   | () -> Ok ()
   | exception Invalid_argument msg -> Error msg

@@ -71,7 +71,7 @@ let test_border_touching_boxes () =
 let test_invalid_box () =
   (* Rejected under every budget, even one that would stop at the root,
      exactly where box_classifier rejects them. *)
-  let deep = Z.Space.make ~dims:1 ~depth:62 in
+  let wide = Z.Space.make ~dims:1 ~depth:61 in
   List.iter
     (fun (space, lo, hi) ->
       List.iter
@@ -92,7 +92,8 @@ let test_invalid_box () =
       (s23, [| 0; 0 |], [| 8; 3 |]);
       (s23, [| -1; 0 |], [| 3; 3 |]);
       (s23, [| 0 |], [| 3 |]);
-      (deep, [| 0 |], [| 1 |]);
+      (wide, [| 0 |], [| 1 lsl 61 |]);
+      (wide, [| -1 |], [| 1 |]);
     ]
 
 let test_count_matches_run () =
@@ -216,11 +217,11 @@ let prop_pixel_membership =
 
 (* decompose_box against its oracle, run with box_classifier, element
    for element.  Spaces: narrow ones, where boxes span the whole grid,
-   and the 63-, 64-, 126- and 129-bit ones at the int-key kernel's edge,
-   where boxes stay within a 16-cell reach so the oracle stays fast.
+   and the widest ones Space.make accepts (61 and 60 bits), where boxes
+   stay within a 16-cell reach so the oracle stays fast.
    Boxes: random, a single pixel, the whole space, and random boxes
    flattened to one cell on one axis. *)
-let diff_spaces = [| (1, 16); (2, 10); (3, 7); (3, 21); (2, 32); (3, 42); (3, 43) |]
+let diff_spaces = [| (1, 16); (2, 10); (3, 7); (1, 61); (3, 20); (2, 30) |]
 
 let gen_diff_case =
   let open QCheck2.Gen in

@@ -136,16 +136,16 @@ let join_inputs ~seed ~n ~max_level space =
   (tag_of (objs 0), tag_of (objs 1000))
 
 (* The relational join against its reference sweep on each kind of batch
-   the kernel tells apart: narrow (at most 63-bit) batches under 64 items
-   (comparison sort) and from 64 items (radix sort), narrow values too
-   long to encode with their index (merge sort, up to a longest value of
-   exactly 63 bits), and batches with a value over 63 bits on one or both
-   sides (reference sweep).  Rows must agree in order; [pairs],
-   [sorted_items] and [max_stack] always.  [comparisons] counts the
-   path's own sort and sweep (a radix sort compares nothing), so it
-   equals the reference's only where the reference ran; elsewhere it
-   must equal [Zmerge.pairs]' count for the same z values, which runs
-   the same kernel sorts and sweep. *)
+   the kernel tells apart: batches under 64 items (comparison sort) and
+   from 64 items (radix sort), and values too long to encode with their
+   index (merge sort, up to a longest value of exactly 63 bits).  Rows
+   must agree in order; [pairs], [sorted_items] and [max_stack] always.
+   [comparisons] counts the path's own sort and sweep (a radix sort
+   compares nothing), so it must equal [Zmerge.pairs]' count for the
+   same z values, which runs the same kernel sorts and sweep.  A batch
+   with a value over 63 bits on one or both sides, which no space
+   produces, makes the kernel join raise while the reference sweep
+   still equals the nested loop. *)
 let test_join_relation_level () =
   let module R = Sqp_relalg in
   let module SJ = R.Spatial_join in
@@ -163,9 +163,7 @@ let test_join_relation_level () =
     let left = z_batch rng ~n b in
     (left, z_batch rng ~n:m b)
   in
-  let case ?(reference_ran = false) name (left, right) =
-    (name, left, right, reference_ran)
-  in
+  let case name (left, right) = (name, left, right) in
   let kinds =
     [
       case "under 64 items" (sides ~n:30 ~m:50 20);
@@ -179,18 +177,21 @@ let test_join_relation_level () =
        let left = z_batch rng ~n:80 b in
        let at_63 = (B.concat b (B.of_string "101101"), 999) in
        case "longest value exactly 63 bits" (left, at_63 :: z_batch rng ~n:90 b));
-      case "64-126 bits" ~reference_ran:true (sides ~n:80 ~m:90 90);
+    ]
+  in
+  let too_long =
+    [
+      case "64-126 bits" (sides ~n:80 ~m:90 90);
       (let b = base 90 in
        let left = z_batch rng ~n:80 (B.take b 20) in
-       case "narrow beside 64-126 bits" ~reference_ran:true
-         (left, z_batch rng ~n:90 b));
+       case "narrow beside 64-126 bits" (left, z_batch rng ~n:90 b));
       (let left, right = sides ~n:80 ~m:90 90 in
        let over_126 = (B.init 130 (fun i -> i mod 3 = 0), 999) in
-       case "over 126 bits" ~reference_ran:true (left, over_126 :: right));
+       case "over 126 bits" (left, over_126 :: right));
     ]
   in
   List.iter
-    (fun (kind, left, right, reference_ran) ->
+    (fun (kind, left, right) ->
       let r = rel_of "rid" "zr" left and s = rel_of "sid" "zs" right in
       let joined, st = SJ.merge r ~zr:"zr" s ~zs:"zs" in
       let joined_ref, st_ref = SJ.merge_reference r ~zr:"zr" s ~zs:"zs" in
@@ -201,12 +202,22 @@ let test_join_relation_level () =
       check_int (kind ^ ": sorted_items") st_ref.SJ.sorted_items st.SJ.sorted_items;
       check_int (kind ^ ": max_stack") st_ref.SJ.max_stack st.SJ.max_stack;
       check_int (kind ^ ": comparisons")
-        (if reference_ran then st_ref.SJ.comparisons
-         else (snd (Sqp_core.Zmerge.pairs left right)).Sqp_core.Zmerge.comparisons)
+        (snd (Sqp_core.Zmerge.pairs left right)).Sqp_core.Zmerge.comparisons
         st.SJ.comparisons;
       check (kind ^ ": multiset equals nested loop") true
         (R.Relation.equal_contents joined naive))
-    kinds
+    kinds;
+  List.iter
+    (fun (kind, left, right) ->
+      let r = rel_of "rid" "zr" left and s = rel_of "sid" "zs" right in
+      (match SJ.merge r ~zr:"zr" s ~zs:"zs" with
+      | _ -> Alcotest.failf "%s: the kernel join accepted a value over 63 bits" kind
+      | exception Invalid_argument _ -> ());
+      let joined_ref, _ = SJ.merge_reference r ~zr:"zr" s ~zs:"zs" in
+      let naive, _ = SJ.nested_loop r ~zr:"zr" s ~zs:"zs" in
+      check (kind ^ ": reference equals nested loop") true
+        (R.Relation.equal_contents joined_ref naive))
+    too_long
 
 let () =
   Alcotest.run "differential"

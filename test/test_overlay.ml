@@ -29,14 +29,14 @@ let random_layer seed =
 
 let test_check_layer () =
   let good = layer_of_box [| 2; 3 |] [| 9; 12 |] in
-  check "valid" true (O.check_layer space good = Ok ());
+  check "valid" true (O.check_layer good = Ok ());
   (* Reversed order is invalid. *)
-  (match O.check_layer space (List.rev good) with
+  (match O.check_layer (List.rev good) with
   | Error _ -> ()
   | Ok () -> if List.length good > 1 then Alcotest.fail "reversal accepted");
   (* Nested elements are invalid. *)
   let nested = [ (Z.Bitstring.of_string "0", ()); (Z.Bitstring.of_string "00", ()) ] in
-  match O.check_layer space nested with
+  match O.check_layer nested with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "nested accepted"
 
@@ -45,7 +45,7 @@ let test_overlay_labels () =
   let b = layer_of_box [| 8; 8 |] [| 23; 23 |] in
   let out, stats = O.overlay space a b in
   check "valid output" true
-    (O.check_layer space (List.map (fun (e, _) -> (e, ())) out) = Ok ());
+    (O.check_layer (List.map (fun (e, _) -> (e, ())) out) = Ok ());
   let cells keep = O.cells space (List.filter (fun (_, l) -> keep l) out) in
   Alcotest.(check (float 0.1)) "a only" (256.0 -. 64.0)
     (cells (function Some (), None -> true | _ -> false));
@@ -71,7 +71,7 @@ let test_boolean_ops_vs_grid () =
     List.iter
       (fun (name, op, gop) ->
         let result = op space la lb in
-        (match O.check_layer space result with
+        (match O.check_layer result with
         | Ok () -> ()
         | Error m -> Alcotest.failf "%s invalid layer: %s" name m);
         let expected, _ = gop ga gb in

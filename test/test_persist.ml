@@ -410,43 +410,92 @@ let test_salvage_then_lenient_load () =
           check "most entries recovered" true
             (Zindex.length loaded > 0 && Zindex.length loaded < 400)))
 
-(* {1 Format versions: v3 front-coded pages vs the v2 legacy format} *)
+(* {1 The v3 format} *)
 
-let test_v2_v3_same_answers () =
-  with_file "v2v3" (fun path ->
-      let v2_path = path ^ ".v2" in
-      Fun.protect
-        ~finally:(fun () -> if Sys.file_exists v2_path then Sys.remove v2_path)
-        (fun () ->
-          let index = build_index 500 in
-          ignore (Persist.save ~format:Persist.V3 ~path ~encode:string_of_int index);
-          ignore
-            (Persist.save ~format:Persist.V2 ~path:v2_path ~encode:string_of_int
-               index);
-          (* Version sniffing: both formats load transparently... *)
-          let from3 = Persist.load ~path ~decode:int_of_string () in
-          let from2 = Persist.load ~path:v2_path ~decode:int_of_string () in
-          check_int "v3 length" 500 (Zindex.length from3);
-          check_int "v2 length" 500 (Zindex.length from2);
-          (* ... and answer identically. *)
-          let rng = W.Rng.create ~seed:31 in
-          for _ = 1 to 25 do
-            let x1 = W.Rng.int rng 256 and x2 = W.Rng.int rng 256 in
-            let y1 = W.Rng.int rng 256 and y2 = W.Rng.int rng 256 in
-            let box =
-              Sqp_geom.Box.make ~lo:[| min x1 x2; min y1 y2 |]
-                ~hi:[| max x1 x2; max y1 y2 |]
-            in
-            let a, _ = Zindex.range_search from3 box in
-            let b, _ = Zindex.range_search from2 box in
-            if a <> b then Alcotest.fail "v2 and v3 answer differently"
-          done;
-          (* v3 packs the same entries onto strictly fewer data pages. *)
-          let i2 = Persist.inspect ~path:v2_path () in
-          let i3 = Persist.inspect ~path () in
-          check_int "v2 version" 2 i2.Persist.version;
-          check_int "v3 version" 3 i3.Persist.version;
-          check "fewer v3 pages" true (i3.Persist.data_pages < i2.Persist.data_pages)))
+let store_pages path =
+  let s = FP.open_existing path in
+  let acc = ref [] in
+  FP.iter s (fun _ p -> acc := Bytes.to_string p :: !acc);
+  FP.close s;
+  List.rev !acc
+
+let pages_digest pages =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map (fun p -> Printf.sprintf "%d:%s" (String.length p) p) pages)))
+
+(* Points in a [dims] x [depth] space; coordinates wider than 30 bits
+   are drawn in two halves. *)
+let wide_index ~dims ~depth ~n =
+  let space = Z.Space.make ~dims ~depth in
+  let rng = W.Rng.create ~seed:((dims * 100) + depth) in
+  let coord () =
+    if depth <= 30 then W.Rng.int rng (1 lsl depth)
+    else (W.Rng.int rng (1 lsl (depth - 30)) lsl 30) lor W.Rng.int rng (1 lsl 30)
+  in
+  Zindex.of_points space
+    (Array.init n (fun i -> (Array.init dims (fun _ -> coord ()), i)))
+
+(* Metadata and data pages of dumps written before z values were ints
+   (the two-word packed codec): the format is unchanged, byte for byte,
+   including where the greedy packing cuts pages. *)
+let test_v3_golden_pages () =
+  List.iter
+    (fun (what, index, page_bytes, npages, meta, data) ->
+      with_file "golden" (fun path ->
+          ignore (Persist.save ~path ~page_bytes ~encode:string_of_int index);
+          let pages = store_pages path in
+          check_int (what ^ ": pages") npages (List.length pages);
+          Alcotest.(check string) (what ^ ": metadata") meta
+            (Digest.to_hex (Digest.string (List.hd pages)));
+          Alcotest.(check string) (what ^ ": data pages") data
+            (pages_digest (List.tl pages));
+          let loaded = Persist.load ~path ~decode:int_of_string () in
+          check (what ^ ": reloads") true
+            (Zindex.Tree.to_list (Zindex.tree loaded)
+            = Zindex.Tree.to_list (Zindex.tree index))))
+    [
+      ( "500 entries", build_index 500, 4096, 2,
+        "31669f87410dbba368102d57cf017ee7", "3e694e70ca6905df1f995d0ca9a1da91" );
+      ( "500 entries, 256-byte pages", build_index 500, 256, 17,
+        "31669f87410dbba368102d57cf017ee7", "36f84c79022ee6a8f09b714ff0ce033f" );
+      ( "1x61", wide_index ~dims:1 ~depth:61 ~n:300, 512, 9,
+        "b3dd98c8448f514a389c8af3a93356c9", "ca9890774c1e7f05946f36e56b0d029b" );
+      ( "3x20", wide_index ~dims:3 ~depth:20 ~n:300, 512, 9,
+        "1c0b977fc721466a08b11d23ec6659ab", "412be92afe6d5c3ae4361eb4ca09ac20" );
+      ( "2x30", wide_index ~dims:2 ~depth:30 ~n:300, 512, 9,
+        "c7ef735224a607f8b3c9f63aca7a7f5d", "ccae9fa7f652ab0f004fecf67dd8fd52" );
+    ]
+
+(* A store holding only a metadata page: [magic], then [dims] and
+   [depth], leaf capacity 20, no entries and no page budget. *)
+let craft_meta path ~magic ~dims ~depth =
+  let b = Bytes.make 20 '\000' in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_uint8 b 4 dims;
+  Bytes.set_uint8 b 5 depth;
+  Bytes.set_uint16_be b 6 20;
+  let store = FP.create ~page_bytes:256 path in
+  ignore (FP.alloc store b);
+  FP.close store
+
+(* Metadata naming a space [Space.make] refuses, or the retired v2
+   magic, is corrupt to both the loader and fsck's inspection. *)
+let test_bad_metadata () =
+  with_file "badmeta" (fun path ->
+      craft_meta path ~magic:"SQPZ" ~dims:2 ~depth:30;
+      check_int "60 bits load" 0
+        (Zindex.length (Persist.load ~path ~decode:int_of_string ()));
+      List.iter
+        (fun (magic, dims, depth) ->
+          craft_meta path ~magic ~dims ~depth;
+          let what = Printf.sprintf "%s %d x %d" magic dims depth in
+          expect_corrupt (what ^ ": load") (fun () ->
+              Persist.load ~path ~decode:int_of_string ());
+          expect_corrupt (what ^ ": inspect") (fun () -> Persist.inspect ~path ()))
+        [ ("SQPZ", 2, 31); ("SQPZ", 1, 62); ("SQPZ", 255, 255); ("SQPZ", 2, 64);
+          ("SQPX", 2, 8) ])
 
 let test_inspect_clean () =
   with_file "inspect" (fun path ->
@@ -581,8 +630,8 @@ let () =
         ] );
       ( "format versions",
         [
-          Alcotest.test_case "v2 and v3 answer identically" `Quick
-            test_v2_v3_same_answers;
+          Alcotest.test_case "v3 pages byte-identical" `Quick test_v3_golden_pages;
+          Alcotest.test_case "metadata naming a bad space" `Quick test_bad_metadata;
           Alcotest.test_case "inspect clean v3" `Quick test_inspect_clean;
           Alcotest.test_case "inspect pins a bad page" `Quick
             test_inspect_reports_bad_page;

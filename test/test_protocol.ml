@@ -151,7 +151,25 @@ let test_shard_map_validation () =
   rejects "descending entries" [ entry 11 20; entry 0 10 ];
   rejects "inverted bounds" [ entry 0 10; entry 11 5 ];
   rejects "no entries" [];
-  ignore (SM.make ~epoch:1 [ entry 0 10; entry 11 20 ])
+  ignore (SM.make ~epoch:1 [ entry 0 10; entry 11 20 ]);
+  (* The even split is a valid map up to the widest spaces, where
+     [i * 2^total] no longer fits an int. *)
+  Alcotest.(check (list (pair int int)))
+    "2x10 in 3" [ (0, 349524); (349525, 699049); (699050, 1048575) ]
+    (SM.even_ranges (Sqp_zorder.Space.make ~dims:2 ~depth:10) 3);
+  List.iter
+    (fun (dims, depth) ->
+      let space = Sqp_zorder.Space.make ~dims ~depth in
+      let last = (1 lsl Sqp_zorder.Space.total_bits space) - 1 in
+      for n = 1 to 7 do
+        let ranges = SM.even_ranges space n in
+        let sizes = List.map (fun (lo, hi) -> hi - lo + 1) ranges in
+        ignore (SM.make ~epoch:1 (List.map (fun (lo, hi) -> entry lo hi) ranges));
+        Alcotest.(check int) "covers the space" last (snd (List.nth ranges (n - 1)));
+        Alcotest.(check bool) "sizes within one" true
+          (List.fold_left max 0 sizes - List.fold_left min max_int sizes <= 1)
+      done)
+    [ (1, 61); (2, 30); (3, 20) ]
 
 let test_request_roundtrip () =
   let key client_id request_seq = Some { P.client_id; request_seq } in

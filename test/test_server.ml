@@ -691,7 +691,7 @@ let test_statistics_flow () =
             (Relation.equal_contents join_before rows);
           checkb "predicted-vs-actual table appended" true
             (contains rendered "predicted");
-          (* the packed-index cache serves live ranges until the table moves *)
+          (* a live range after an online rebuild answers the same rows *)
           let llo = [| 0; 0 |] and lhi = [| 400; 400 |] in
           let live_before =
             reply_ok "live range" (Client.live_range client ~table:"L" ~lo:llo ~hi:lhi)
@@ -705,7 +705,7 @@ let test_statistics_flow () =
           in
           checkb "packed index returns the same rows" true
             (Relation.equal_contents live_before live_cached);
-          (* an insert invalidates the cache: the new point must appear *)
+          (* an insert after the rebuild: the new point must appear *)
           let applied, _seq =
             reply_ok "insert after index"
               (Client.insert client ~table:"L" [ ([| 3; 3 |], 999_001) ])

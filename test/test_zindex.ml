@@ -312,7 +312,7 @@ let prop_strategies =
 
 (* --- Compressed pages: differential against the fixed-width layout --- *)
 
-(* The same byte budget, front-coded vs charged at the v2 fixed width:
+(* The same byte budget, front-coded vs charged at a fixed width:
    query answers and merge-driven counters must be bit-identical — only
    the page partitioning (and so the page-access counters) may differ,
    and the compressed layout must never touch more pages. *)

@@ -34,6 +34,39 @@ let test_space_invalid () =
       (fun () -> Z.Space.make ~dims:100 ~depth:100);
     ]
 
+(* [Space.max_total_bits] is the one width bound: at every arity up to 7
+   where a width reaches it, 61 bits are accepted and 62 refused, and
+   widths whose product overflows an int are refused too. *)
+let test_space_bound () =
+  let refused dims depth =
+    match Z.Space.make ~dims ~depth with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_int "the bound" 61 Z.Space.max_total_bits;
+  for dims = 1 to 7 do
+    for depth = 0 to 62 do
+      let bits = dims * depth in
+      if bits = 61 || bits = 62 then
+        check
+          (Printf.sprintf "%d x %d = %d bits %s" dims depth bits
+             (if bits = 61 then "accepted" else "refused"))
+          (bits = 62) (refused dims depth)
+    done;
+    let depth = 61 / dims in
+    check (Printf.sprintf "%d x %d accepted" dims depth) false (refused dims depth);
+    check (Printf.sprintf "%d x %d refused" dims (depth + 1)) true (refused dims (depth + 1))
+  done;
+  List.iter
+    (fun (dims, depth) ->
+      check (Printf.sprintf "%d x %d refused" dims depth) true (refused dims depth))
+    [
+      (max_int, 1); (1, max_int); (max_int, max_int); (1 lsl 31, 1 lsl 31);
+      (1 lsl 32, 1 lsl 31); (3, max_int / 3 + 1); (255, 255); (62, 1);
+    ];
+  check "61 x 1 accepted" false (refused 61 1);
+  check "huge arity at depth 0 accepted" false (refused max_int 0)
+
 let test_shuffle_paper_example () =
   (* Figure 4: [3, 5] -> (011, 101) -> 011011 = 27. *)
   check_str "z of (3,5)" "011011" (B.to_string (Z.Interleave.shuffle s23 [| 3; 5 |]));
@@ -216,11 +249,10 @@ let prop_rank_monotone_in_z =
    [Interleave.word] is the one int interleave; [Interleave.rank],
    [Zkernel.point_key] and [Shard_map.z_of_point] are read off it.  Each
    is checked against its bitstring-built definition, kept here as the
-   oracle, over 1-d to 7-d spaces up to the function's bound. *)
+   oracle, over 1-d to 7-d spaces up to [Space.max_total_bits]. *)
 
 type int_z = {
   name : string;
-  bound : int;  (* widest space, in total bits *)
   f : Z.Space.t -> int array -> int;
   oracle : Z.Space.t -> int array -> int;
 }
@@ -229,34 +261,30 @@ let int_zs =
   [
     {
       name = "Interleave.rank";
-      bound = 62;
       f = Z.Interleave.rank;
       oracle = (fun s p -> B.to_int (Z.Interleave.shuffle s p));
     };
     {
       name = "Zkernel.point_key";
-      bound = Z.Zpacked.word_bits;
       f = Z.Zkernel.point_key;
       oracle = (fun s p -> Z.Zkernel.word_key (Z.Interleave.shuffle s p));
     };
     {
       name = "Shard_map.z_of_point";
-      bound = 61;
       f = Sqp_server.Shard_map.z_of_point;
       oracle = (fun s p -> fst (Z.Zrange.of_element s (Z.Element.pixel s p)));
     };
   ]
 
-(* A side of [2^depth] needs depth <= 61 ([Space.side]). *)
-let max_depth ~bound dims = min 61 (bound / dims)
+let max_depth dims = Z.Space.max_total_bits / dims
 
 let show_point p =
   String.concat "," (Array.to_list (Array.map string_of_int p))
 
-let gen_space_point ~bound =
+let gen_space_point =
   let open QCheck2.Gen in
   let* dims = int_range 1 7 in
-  let* depth = int_range 0 (max_depth ~bound dims) in
+  let* depth = int_range 0 (max_depth dims) in
   let side = 1 lsl depth in
   let coord =
     frequency [ (1, return 0); (1, return (side - 1)); (2, int_range 0 (side - 1)) ]
@@ -271,16 +299,17 @@ let prop_int_z iz =
     ~print:(fun (s, p) ->
       Printf.sprintf "%dd depth %d (%s)" (Z.Space.dims s) (Z.Space.depth s)
         (show_point p))
-    (gen_space_point ~bound:iz.bound)
+    gen_space_point
     (fun (s, p) -> iz.f s p = iz.oracle s p)
 
-(* At each arity's widest space: the corners and an alternating point;
-   one bit wider must raise. *)
+(* At each arity's widest space: the corners and an alternating point,
+   and [point_of_rank] takes every one back.  One level deeper is past
+   the bound, which [Space.make] alone enforces. *)
 let test_int_z_edges () =
   List.iter
     (fun iz ->
       for dims = 1 to 7 do
-        let depth = max_depth ~bound:iz.bound dims in
+        let depth = max_depth dims in
         let s = Z.Space.make ~dims ~depth in
         let side = Z.Space.side s in
         List.iter
@@ -288,26 +317,48 @@ let test_int_z_edges () =
             let what =
               Printf.sprintf "%s, %dd depth %d (%s)" iz.name dims depth (show_point p)
             in
-            Alcotest.(check int) what (iz.oracle s p) (iz.f s p))
+            Alcotest.(check int) what (iz.oracle s p) (iz.f s p);
+            Alcotest.(check (array int))
+              (what ^ ", point_of_rank") p
+              (Z.Interleave.point_of_rank s (Z.Interleave.rank s p)))
           [
             Array.make dims 0;
             Array.make dims (side - 1);
             Array.init dims (fun i -> if i mod 2 = 0 then side - 1 else 0);
-          ]
-      done;
-      (* [bound + 1] total bits at the narrowest arity that gets there
-         exactly with a valid side, so the width alone must raise. *)
-      let wide =
-        List.find
-          (fun (dims, depth) -> dims * depth = iz.bound + 1 && depth <= 61)
-          (List.init 7 (fun i -> (i + 1, (iz.bound + 1) / (i + 1))))
-      in
-      let s = Z.Space.make ~dims:(fst wide) ~depth:(snd wide) in
-      match iz.f s (Array.make (Z.Space.dims s) 0) with
-      | _ ->
-          Alcotest.failf "%s accepted a %d-bit space" iz.name (Z.Space.total_bits s)
-      | exception Invalid_argument _ -> ())
+          ];
+        match Z.Space.make ~dims ~depth:(depth + 1) with
+        | _ -> Alcotest.failf "%dd depth %d accepted" dims (depth + 1)
+        | exception Invalid_argument _ -> ()
+      done)
     int_zs
+
+(* The int-native [rank] / [point_of_rank] against the bitstring
+   [shuffle] / [unshuffle] on random pixels, up to the widest spaces. *)
+let test_rank_shuffle_unshuffle () =
+  let rng = Sqp_workload.Rng.create ~seed:90210 in
+  List.iter
+    (fun (dims, depth) ->
+      let space = Z.Space.make ~dims ~depth in
+      for _ = 1 to 100 do
+        let coords =
+          Array.init dims (fun _ -> Sqp_workload.Rng.int rng (Z.Space.side space))
+        in
+        let r = Z.Interleave.rank space coords in
+        let b = Z.Interleave.shuffle space coords in
+        check_int "rank = shuffle" (B.to_int b) r;
+        Alcotest.(check (array int))
+          "point_of_rank = unshuffle" (Array.map fst (Z.Interleave.unshuffle space b))
+          (Z.Interleave.point_of_rank space r);
+        Alcotest.(check (array int)) "coords roundtrip" coords
+          (Z.Interleave.point_of_rank space r)
+      done)
+    [ (2, 10); (2, 30); (3, 20); (1, 61); (7, 8); (5, 12) ];
+  List.iter
+    (fun r ->
+      match Z.Interleave.point_of_rank s23 r with
+      | _ -> Alcotest.failf "rank %d accepted in a 6-bit space" r
+      | exception Invalid_argument _ -> ())
+    [ -1; 64; max_int ]
 
 let () =
   Alcotest.run "zorder"
@@ -316,7 +367,10 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_space;
           Alcotest.test_case "invalid" `Quick test_space_invalid;
+          Alcotest.test_case "61-bit bound" `Quick test_space_bound;
         ] );
+      ( "interleaving",
+        [ Alcotest.test_case "shuffle/unshuffle" `Quick test_rank_shuffle_unshuffle ] );
       ( "interleave",
         [
           Alcotest.test_case "paper example (3,5)=27" `Quick test_shuffle_paper_example;

@@ -7,10 +7,30 @@ let check_int = Alcotest.(check int)
 
 let s23 = Z.Space.make ~dims:2 ~depth:3
 
+(* Integer z intervals work on every space [Space.make] accepts: at the
+   widest ones (61 and 60 bits) the last pixel's interval reaches
+   [2^total - 1], a root cover is one element, and covers of intervals
+   near the top are canonical. *)
 let test_usable () =
-  check "2d depth 3" true (R.usable s23);
-  check "2d depth 30" true (R.usable (Z.Space.make ~dims:2 ~depth:30));
-  check "2d depth 31 too deep" false (R.usable (Z.Space.make ~dims:2 ~depth:31))
+  List.iter
+    (fun (dims, depth) ->
+      let s = Z.Space.make ~dims ~depth in
+      let total = Z.Space.total_bits s in
+      let last = (1 lsl total) - 1 in
+      let corner = Z.Element.pixel s (Array.make dims (Z.Space.side s - 1)) in
+      Alcotest.(check (pair int int)) "last pixel" (last, last) (R.of_element s corner);
+      Alcotest.(check (pair int int)) "root" (0, last) (R.of_element s B.empty);
+      check_int "whole space is one element" 1 (R.cover_count s ~lo:0 ~hi:last);
+      let lo = max 0 (last - 1000) and hi = last - 3 in
+      let cover = R.cover s ~lo ~hi in
+      check "cover is the interval" true (R.elements_to_intervals s cover = [ (lo, hi) ]);
+      check "to_element of an aligned block" true
+        (R.to_element s ~lo:(last - 7) ~hi:last
+        = Some (B.of_int ((last - 7) lsr 3) ~width:(total - 3)));
+      match R.cover s ~lo:0 ~hi:(last + 1) with
+      | _ -> Alcotest.fail "an interval past the space accepted"
+      | exception Invalid_argument _ -> ())
+    [ (1, 61); (3, 20); (2, 30); (2, 3) ]
 
 let test_of_element () =
   Alcotest.(check (pair int int)) "001" (8, 15) (R.of_element s23 (B.of_string "001"));

@@ -1,14 +1,15 @@
-(* Differential suite for the int-key kernels: the fast paths of Zmerge,
+(* Differential suite for the int-key kernels: the kernels of Zmerge,
    Range_search and Spatial_join must reproduce the bitstring reference
    implementations bit for bit (same rows, same order — and for range
-   search, the same counters) on the seeded workloads, and the one
-   fallback rule — a z value over Zpacked.word_bits = 63 bits runs the
-   reference — must hold at its edge. *)
+   search, the same counters) on the seeded workloads and on the widest
+   spaces Space.make accepts, and refuse a hand-built z value over 63
+   bits. *)
 
 module Z = Sqp_zorder
 module B = Z.Bitstring
 module K = Z.Zkernel
 module W = Sqp_workload
+module Rng = W.Rng
 module RS = Sqp_core.Range_search
 module Zmerge = Sqp_core.Zmerge
 module SJ = Sqp_relalg.Spatial_join
@@ -26,13 +27,11 @@ let test_zseq_sorts_stably () =
     [| ("10", "a"); ("01", "b"); ("10", "c"); ("0", "d"); ("10", "e") |]
   in
   let z i = B.of_string (fst items.(i)) in
-  match K.sort_keyed ~comparisons z (Array.length items) with
-  | None -> Alcotest.fail "short strings must sort on int keys"
-  | Some (perm, _) ->
-      Alcotest.(check (list string))
-        "z order, ties in input order" [ "d"; "b"; "a"; "c"; "e" ]
-        (Array.to_list (Array.map (fun i -> snd items.(i)) perm));
-      check "counted sort work" true (!comparisons > 0)
+  let perm, _ = K.sort_keyed ~comparisons z (Array.length items) in
+  Alcotest.(check (list string))
+    "z order, ties in input order" [ "d"; "b"; "a"; "c"; "e" ]
+    (Array.to_list (Array.map (fun i -> snd items.(i)) perm));
+  check "counted sort work" true (!comparisons > 0)
 
 (* The skip merge's first jump lands on the lower bound of the range's
    low key, so a range reaching the top of the space reports exactly the
@@ -73,20 +72,26 @@ let test_zseq_lower_bound () =
   Array.sort compare ks;
   check_bounds ~total:12 ks (List.init 300 (fun _ -> random_bits (W.Rng.int rng 13)))
 
+let expect_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  | exception Invalid_argument _ -> ()
+
+(* A 64-bit value fits no word: the kernels raise rather than sort or
+   join it, on either side; a 63-bit one is still a word. *)
 let test_zseq_refuses_long () =
   let comparisons = ref 0 in
   let bits n = B.init n (fun i -> i mod 2 = 0) in
-  let long = [| B.empty; bits (Z.Zpacked.word_bits + 1) |] in
-  check "long element -> None" true
-    (K.sort_keyed ~comparisons (Array.get long) 2 = None);
-  check "one word sorts" true
-    (K.sort_keyed ~comparisons (Array.get [| B.empty; bits Z.Zpacked.word_bits |]) 2
-    <> None);
+  let long = [| B.empty; bits 64 |] and short = [| B.empty |] in
+  expect_invalid "sort of a 64-bit value" (fun () ->
+      K.sort_keyed ~comparisons (Array.get long) 2);
+  let perm, _ = K.sort_keyed ~comparisons (Array.get [| bits 63; B.empty |]) 2 in
+  check "63 bits sort" true (perm = [| 1; 0 |]);
   let emitted = ref 0 in
-  check "join refuses" true
-    (K.pairs ~comparisons (Array.get long) 2 (Array.get [| B.empty |]) 1
-       (fun _ _ -> incr emitted)
-    = None);
+  expect_invalid "join, long left" (fun () ->
+      K.pairs ~comparisons (Array.get long) 2 (Array.get short) 1 (fun _ _ -> incr emitted));
+  expect_invalid "join, long right" (fun () ->
+      K.pairs ~comparisons (Array.get short) 1 (Array.get long) 2 (fun _ _ -> incr emitted));
   check_int "nothing emitted" 0 !emitted
 
 (* --- Zmerge: kernel vs reference vs naive --------------------------- *)
@@ -104,22 +109,21 @@ let test_zmerge_differential () =
   check "multiset equals the oracle" true (canon fast = canon naive);
   check_int "naive pair count" fs.Zmerge.pairs ns.Zmerge.pairs
 
-let test_zmerge_fallback_long_elements () =
+let test_zmerge_raises_long_elements () =
   (* A 64-bit and a 130-bit longest element both exceed one word: pairs
-     must silently use the reference sweep — its pairs and counters —
-     and still match the naive oracle. *)
+     raises, and the reference sweep still matches the naive oracle. *)
   List.iter
     (fun base_len ->
       let base = B.init base_len (fun i -> i mod 3 = 0) in
       let extend bits = B.concat base (B.of_string bits) in
       let left = [ (base, "l0"); (extend "01", "l1"); (B.empty, "l2") ] in
       let right = [ (extend "0", "r0"); (extend "11", "r1"); (base, "r2") ] in
-      let fast, fs = Zmerge.pairs left right in
-      let ref_, rs = Zmerge.pairs_reference left right in
+      expect_invalid
+        (Printf.sprintf "pairs, %d-bit base" base_len)
+        (fun () -> Zmerge.pairs left right);
+      let ref_, _ = Zmerge.pairs_reference left right in
       let naive, _ = Zmerge.pairs_naive left right in
-      check "fallback = reference" true (fast = ref_);
-      check "fallback stats = reference" true (fs = rs);
-      check "fallback = oracle (multiset)" true (canon fast = canon naive))
+      check "reference = oracle (multiset)" true (canon ref_ = canon naive))
     [ 62; 128 ]
 
 let test_zmerge_empty_sides () =
@@ -160,41 +164,44 @@ let test_range_search_differential () =
       if rows_p <> rows_s then Alcotest.failf "plain <> skip on box %d" qi)
     (wk.W.Seeded.query :: boxes)
 
-let test_range_search_oversized_space () =
-  (* The fallback rule at its edge: 63 bits (3 x 21) runs the int-key
-     kernel; 64 (2 x 32), 126 (3 x 42) and 129 (3 x 43) bits run the
-     bitstring reference.  Either way rows and all five counters equal
-     the reference's, and rows equal a brute-force filter. *)
+let test_range_search_widest_spaces () =
+  (* The widest spaces: 61 bits (1 x 61) and 60 (3 x 20, 2 x 30).  Points
+     cluster at both ends of every axis, so keys use the top z bit (the
+     key's sign bit) and the bottom one.  Rows and all five counters
+     equal the reference's, and rows equal a brute-force filter. *)
   List.iter
     (fun (dims, depth) ->
       let space = Z.Space.make ~dims ~depth in
+      let top = Z.Space.side space - 1 in
       let rng = W.Rng.create ~seed:2024 in
-      let pts =
-        Array.init 200 (fun i ->
-            (Array.init dims (fun _ -> W.Rng.int rng 64), i))
+      let coord () =
+        let c = W.Rng.int rng 64 in
+        if W.Rng.bool rng then c else top - c
       in
+      let pts = Array.init 200 (fun i -> (Array.init dims (fun _ -> coord ()), i)) in
       let prep = RS.prepare space pts in
-      let box =
-        Sqp_geom.Box.make ~lo:(Array.make dims 8) ~hi:(Array.make dims 40)
-      in
-      let expected =
-        List.sort Stdlib.compare
-          (Array.to_list pts
-          |> List.filter (fun (p, _) -> Array.for_all (fun c -> c >= 8 && c <= 40) p))
-      in
-      let label = Printf.sprintf "%d bits: " (Z.Space.total_bits space) in
       List.iter
-        (fun (name, search, reference) ->
-          let rows, c = search prep box and rows_r, cr = reference prep box in
-          check (label ^ name ^ " rows = reference") true (rows = rows_r);
-          check (label ^ name ^ " counters = reference") true (counters_equal c cr);
-          check (label ^ name ^ " = brute force") true
-            (List.sort Stdlib.compare rows = expected))
-        [
-          ("plain", RS.search_plain, RS.search_plain_reference);
-          ("skip", RS.search_skip, RS.search_skip_reference);
-        ])
-    [ (3, 21); (2, 32); (3, 42); (3, 43) ]
+        (fun (lo, hi) ->
+          let box = Sqp_geom.Box.make ~lo:(Array.make dims lo) ~hi:(Array.make dims hi) in
+          let expected =
+            List.sort Stdlib.compare
+              (Array.to_list pts
+              |> List.filter (fun (p, _) -> Array.for_all (fun c -> c >= lo && c <= hi) p))
+          in
+          let label = Printf.sprintf "%d bits, [%d, %d]: " (Z.Space.total_bits space) lo hi in
+          List.iter
+            (fun (name, search, reference) ->
+              let rows, c = search prep box and rows_r, cr = reference prep box in
+              check (label ^ name ^ " rows = reference") true (rows = rows_r);
+              check (label ^ name ^ " counters = reference") true (counters_equal c cr);
+              check (label ^ name ^ " = brute force") true
+                (List.sort Stdlib.compare rows = expected))
+            [
+              ("plain", RS.search_plain, RS.search_plain_reference);
+              ("skip", RS.search_skip, RS.search_skip_reference);
+            ])
+        [ (8, 40); (top - 40, top - 8); (0, top) ])
+    [ (1, 61); (3, 20); (2, 30) ]
 
 (* --- Spatial join: kernel merge vs reference merge ------------------ *)
 
@@ -221,9 +228,52 @@ let test_spatial_join_differential () =
   let _, st_nested = SJ.nested_loop r ~zr:"zr" s ~zs:"zs" in
   check_int "pairs vs nested oracle" st.SJ.pairs st_nested.SJ.pairs
 
+(* --- The kernel's int keys against the bitstring reference --------- *)
+
+let random_bits rng len = B.init len (fun _ -> Rng.bool rng)
+
+(* A scan range's int keys are the keys of the element padded with
+   zeros and with ones to the space's length. *)
+let test_pad_to () =
+  let rng = Rng.create ~seed:31337 in
+  for _ = 1 to 500 do
+    let a = random_bits rng (Rng.int rng 64) in
+    let n = Rng.int_in rng (B.length a) 63 in
+    check "pad_to agrees" true
+      (K.element_keys ~total:n a
+      = (K.word_key (B.pad_to a n false), K.word_key (B.pad_to a n true)))
+  done;
+  (match K.element_keys ~total:1 (B.of_string "01") with
+  | _ -> Alcotest.fail "pad_to shorter should raise"
+  | exception Invalid_argument _ -> ());
+  match K.element_keys ~total:64 B.empty with
+  | _ -> Alcotest.fail "pad_to beyond 63 bits should raise"
+  | exception Invalid_argument _ -> ()
+
+let test_order_is_total () =
+  (* The kernel sort and a stable sort of the reference representation
+     must produce the same sequence, ties in input order, on each of the
+     kernel's three sorts: counted (under 64 values), radix, and the
+     merge sort for values too long to encode with their index. *)
+  let rng = Rng.create ~seed:60902 in
+  List.iter
+    (fun (n, maxlen) ->
+      let pool = Array.init (n / 2) (fun _ -> random_bits rng (Rng.int rng (maxlen + 1))) in
+      let bits = Array.init n (fun _ -> pool.(Rng.int rng (Array.length pool))) in
+      let expect = Array.init n Fun.id in
+      Array.stable_sort (fun i j -> B.compare bits.(i) bits.(j)) expect;
+      let perm, _ = K.sort_keyed ~comparisons:(ref 0) (Array.get bits) n in
+      check "same sort order" true (perm = expect))
+    [ (40, 20); (500, 20); (500, 63) ]
+
 let () =
   Alcotest.run "zseq"
     [
+      ( "differential",
+        [
+          Alcotest.test_case "pad_to" `Quick test_pad_to;
+          Alcotest.test_case "sorting agreement" `Quick test_order_is_total;
+        ] );
       ( "zseq",
         [
           Alcotest.test_case "stable sort" `Quick test_zseq_sorts_stably;
@@ -233,15 +283,15 @@ let () =
       ( "zmerge",
         [
           Alcotest.test_case "packed = reference = oracle" `Quick test_zmerge_differential;
-          Alcotest.test_case "fallback beyond 126 bits" `Quick test_zmerge_fallback_long_elements;
+          Alcotest.test_case "raises past one word" `Quick test_zmerge_raises_long_elements;
           Alcotest.test_case "empty sides" `Quick test_zmerge_empty_sides;
         ] );
       ( "range search",
         [
           Alcotest.test_case "packed = reference (rows + counters)" `Quick
             test_range_search_differential;
-          Alcotest.test_case "129-bit space falls back" `Quick
-            test_range_search_oversized_space;
+          Alcotest.test_case "61-bit spaces = reference" `Quick
+            test_range_search_widest_spaces;
         ] );
       ( "spatial join",
         [
