@@ -13,16 +13,14 @@ val pairs :
   ('a * 'b) list * stats
 (** Stack-based single sweep, O(n log n + output), on the int-key kernel
     ({!Sqp_zorder.Zkernel.pairs}): the same pairs in the same order as
-    {!pairs_reference}.
-    @raise Invalid_argument on a z value longer than 63 bits, which no
-    space produces. *)
+    {!pairs_reference}. *)
 
 val pairs_reference :
   (Sqp_zorder.Element.t * 'a) list ->
   (Sqp_zorder.Element.t * 'b) list ->
   ('a * 'b) list * stats
-(** The list-based bitstring sweep (works for any z length) — the
-    differential oracle for {!pairs} and the benchmark baseline. *)
+(** The list-based bitstring sweep — the differential oracle for
+    {!pairs} and the benchmark baseline. *)
 
 val pairs_naive :
   (Sqp_zorder.Element.t * 'a) list ->

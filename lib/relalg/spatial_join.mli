@@ -31,14 +31,13 @@ val merge :
     [max_stack]; [comparisons] counts each path's own sort and sweep
     (the kernel's radix sort of 64 or more values compares nothing).
     @raise Invalid_argument if attribute names of the two relations
-    clash (rename first), the z attributes hold non-[Zval] values, or a
-    z value is longer than 63 bits (no space produces one). *)
+    clash (rename first) or the z attributes hold non-[Zval] values. *)
 
 val merge_reference :
   Relation.t -> zr:string -> Relation.t -> zs:string -> Relation.t * stats
-(** The list-based bitstring sweep (any z length) — the differential
-    oracle for {!merge} and the benchmark baseline.  Same preconditions
-    as {!merge}. *)
+(** The list-based bitstring sweep — the differential oracle for
+    {!merge} and the benchmark baseline.  Same preconditions as
+    {!merge}. *)
 
 val nested_loop :
   Relation.t -> zr:string -> Relation.t -> zs:string -> Relation.t * stats

@@ -167,6 +167,12 @@ let get_sized_str c =
   let n = get_len32 c in
   get_str c n
 
+(* A z value's text; [Bitstring.of_string] refuses anything but at most
+   [Space.max_total_bits] characters, each '0' or '1'. *)
+let get_zval c =
+  try Sqp_zorder.Bitstring.of_string (get_sized_str c)
+  with Invalid_argument m -> Storage_error.corrupt ~path:c.cpath ("bad z value: " ^ m)
+
 let get_value c =
   match get_u8 c with
   | 0 -> Value.Null
@@ -174,7 +180,7 @@ let get_value c =
   | 2 -> Value.Float (Int64.float_of_bits (get_i64 c))
   | 3 -> Value.Str (get_sized_str c)
   | 4 -> Value.Bool (get_u8 c <> 0)
-  | 5 -> Value.Zval (Sqp_zorder.Bitstring.of_string (get_sized_str c))
+  | 5 -> Value.Zval (get_zval c)
   | n -> Storage_error.corrupt ~path:c.cpath (Printf.sprintf "unknown value tag %d" n)
 
 let save_to ?io ~path ?(page_bytes = 4096) t =

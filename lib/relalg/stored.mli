@@ -88,4 +88,5 @@ val load_from :
     original name, schema, tuple order and [tuples_per_page] are
     restored ([pool_capacity]/[policy] configure the fresh buffer pool).
     @raise Sqp_storage.Storage_error.Corrupt on format or checksum
-    errors. *)
+    errors, among them a z value that is not a text of at most
+    [Sqp_zorder.Space.max_total_bits] ['0']/['1'] characters. *)

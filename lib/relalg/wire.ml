@@ -99,9 +99,9 @@ let read_point_list c =
 
 (* {1 Bitstrings}
 
-   Bit length, then the bits packed MSB-first — the same layout
-   [Sqp_zorder.Bitstring] uses internally, rebuilt bit by bit through its
-   public interface. *)
+   Bit length, then the bits packed MSB-first, the last byte zero-padded.
+   No bitstring is longer than [Space.max_total_bits], so a longer length
+   is corrupt input. *)
 
 let write_bitstring b bits =
   let module B = Sqp_zorder.Bitstring in
@@ -120,6 +120,8 @@ let write_bitstring b bits =
 let read_bitstring c =
   let module B = Sqp_zorder.Bitstring in
   let n = read_u32 c in
+  if n > Sqp_zorder.Space.max_total_bits then
+    corrupt "bitstring of %d bits (at most %d)" n Sqp_zorder.Space.max_total_bits;
   let nbytes = (n + 7) / 8 in
   need c nbytes "bitstring body";
   let base = c.pos in

@@ -80,7 +80,10 @@ val read_point_list : cursor -> (int array * int) list
 (** {1 Relational codecs} *)
 
 val write_value : Buffer.t -> Value.t -> unit
+
 val read_value : cursor -> Value.t
+(** @raise Corrupt also on a [Zval] longer than
+    [Sqp_zorder.Space.max_total_bits] bits, which no bitstring holds. *)
 
 val write_schema : Buffer.t -> Schema.t -> unit
 val read_schema : cursor -> Schema.t

@@ -1,45 +1,34 @@
-(* Bits are stored MSB-first: bit [i] lives in byte [i / 8] at bit
-   position [7 - i mod 8].  Invariant: every bit of [data] at index
-   [>= len] is zero, so equality and hashing can be structural. *)
+(* The bits are held right-aligned in one int: bit [i] of the string is
+   bit [len - 1 - i] of [bits].  Invariant: [0 <= bits < 2^len] and
+   [len <= Space.max_total_bits], so every string has exactly one
+   representation and equality and hashing can be structural. *)
 
-type t = { data : Bytes.t; len : int }
+type t = { bits : int; len : int }
 
-let empty = { data = Bytes.empty; len = 0 }
+let empty = { bits = 0; len = 0 }
 
-let bytes_needed len = (len + 7) / 8
+let check_len name n =
+  if n < 0 || n > Space.max_total_bits then
+    invalid_arg
+      (Printf.sprintf "Bitstring.%s: length %d outside [0, %d]" name n
+         Space.max_total_bits)
 
 let length t = t.len
 
 let is_empty t = t.len = 0
 
-let check_index t i =
-  if i < 0 || i >= t.len then
-    invalid_arg (Printf.sprintf "Bitstring: index %d out of bounds (len %d)" i t.len)
-
-let unsafe_get data i =
-  Char.code (Bytes.get data (i lsr 3)) land (0x80 lsr (i land 7)) <> 0
-
 let get t i =
-  check_index t i;
-  unsafe_get t.data i
-
-let unsafe_set_bit data i b =
-  let byte = i lsr 3 and mask = 0x80 lsr (i land 7) in
-  let old = Char.code (Bytes.get data byte) in
-  let v = if b then old lor mask else old land lnot mask in
-  Bytes.set data byte (Char.chr v)
+  if i < 0 || i >= t.len then
+    invalid_arg (Printf.sprintf "Bitstring: index %d out of bounds (len %d)" i t.len);
+  (t.bits lsr (t.len - 1 - i)) land 1 = 1
 
 let init n f =
-  if n < 0 then invalid_arg "Bitstring.init: negative length";
-  let data = Bytes.make (bytes_needed n) '\000' in
+  check_len "init" n;
+  let bits = ref 0 in
   for i = 0 to n - 1 do
-    if f i then unsafe_set_bit data i true
+    bits := (!bits lsl 1) lor Bool.to_int (f i)
   done;
-  { data; len = n }
-
-let of_bools bits =
-  let arr = Array.of_list bits in
-  init (Array.length arr) (Array.get arr)
+  { bits = !bits; len = n }
 
 let of_string s =
   init (String.length s) (fun i ->
@@ -49,116 +38,47 @@ let of_string s =
       | c -> invalid_arg (Printf.sprintf "Bitstring.of_string: bad char %c" c))
 
 let of_int v ~width =
-  if v < 0 then invalid_arg "Bitstring.of_int: negative value";
-  if width < 0 || width > 62 then invalid_arg "Bitstring.of_int: bad width";
-  if width < 62 && v lsr width <> 0 then
+  check_len "of_int" width;
+  if v < 0 || v lsr width <> 0 then
     invalid_arg "Bitstring.of_int: value does not fit width";
-  init width (fun i -> (v lsr (width - 1 - i)) land 1 = 1)
+  { bits = v; len = width }
 
 let to_string t = String.init t.len (fun i -> if get t i then '1' else '0')
 
-let to_bools t = List.init t.len (get t)
-
-let byte t k =
-  if k < 0 || k >= bytes_needed t.len then invalid_arg "Bitstring.byte";
-  Char.code (Bytes.get t.data k)
-
-let to_int t =
-  if t.len > 62 then invalid_arg "Bitstring.to_int: too long";
-  let rec go acc i = if i = t.len then acc else go ((acc lsl 1) lor (if unsafe_get t.data i then 1 else 0)) (i + 1) in
-  go 0 0
-
-let copy_resized t new_len =
-  let data = Bytes.make (bytes_needed new_len) '\000' in
-  Bytes.blit t.data 0 data 0 (min (Bytes.length t.data) (Bytes.length data));
-  data
+let to_int t = t.bits
 
 let append_bit t b =
-  let len = t.len + 1 in
-  let data = copy_resized t len in
-  if b then unsafe_set_bit data t.len true;
-  { data; len }
-
-let concat a b =
-  if b.len = 0 then a
-  else if a.len = 0 then b
-  else begin
-    let len = a.len + b.len in
-    let data = copy_resized a len in
-    for i = 0 to b.len - 1 do
-      if unsafe_get b.data i then unsafe_set_bit data (a.len + i) true
-    done;
-    { data; len }
-  end
-
-(* The first [n] bits of [src] as a fresh string; the bits past [n] in
-   the last byte are zeroed to restore the invariant. *)
-let prefix_of src n =
-  let data = Bytes.sub src 0 (bytes_needed n) in
-  if n land 7 <> 0 then begin
-    let last = Bytes.length data - 1 in
-    let keep = 0xff lsl (8 - (n land 7)) land 0xff in
-    Bytes.set data last (Char.chr (Char.code (Bytes.get data last) land keep))
-  end;
-  { data; len = n }
-
-let of_bytes buf n =
-  if n < 0 || n > 8 * Bytes.length buf then invalid_arg "Bitstring.of_bytes";
-  prefix_of buf n
+  check_len "append_bit" (t.len + 1);
+  { bits = (t.bits lsl 1) lor Bool.to_int b; len = t.len + 1 }
 
 let take t n =
   if n < 0 || n > t.len then invalid_arg "Bitstring.take";
-  if n = t.len then t else prefix_of t.data n
-
-let drop t n =
-  if n < 0 || n > t.len then invalid_arg "Bitstring.drop";
-  init (t.len - n) (fun i -> unsafe_get t.data (n + i))
+  { bits = t.bits lsr (t.len - n); len = n }
 
 let pad_to t n b =
   if n < t.len then invalid_arg "Bitstring.pad_to: target shorter than input";
-  if n = t.len then t
-  else if not b then { data = copy_resized t n; len = n }
-  else init n (fun i -> if i < t.len then unsafe_get t.data i else true)
+  check_len "pad_to" n;
+  let k = n - t.len in
+  { bits = (t.bits lsl k) lor (if b then (1 lsl k) - 1 else 0); len = n }
 
-let set t i b =
-  check_index t i;
-  let data = Bytes.copy t.data in
-  unsafe_set_bit data i b;
-  { data; len = t.len }
-
+(* Left-aligned to [Space.max_total_bits], the int order of two strings
+   is their order up to trailing zeros; a proper prefix padded with
+   zeros ties with its extension, and the length breaks the tie. *)
 let compare a b =
-  let min_len = min a.len b.len in
-  (* Compare whole bytes first; the zero-padding invariant makes this safe
-     only for bytes fully inside both strings, so stop before the last
-     partial byte of the shorter string. *)
-  let full = min_len / 8 in
-  let rec bytes i =
-    if i = full then bits (full * 8)
-    else
-      let c = Char.compare (Bytes.get a.data i) (Bytes.get b.data i) in
-      if c <> 0 then c else bytes (i + 1)
-  and bits i =
-    if i >= min_len then Stdlib.compare a.len b.len
-    else
-      let ba = unsafe_get a.data i and bb = unsafe_get b.data i in
-      if ba = bb then bits (i + 1) else if ba then 1 else -1
-  in
-  bytes 0
+  let m = Space.max_total_bits in
+  let c = Int.compare (a.bits lsl (m - a.len)) (b.bits lsl (m - b.len)) in
+  if c <> 0 then c else Int.compare a.len b.len
 
-let equal a b = a.len = b.len && Bytes.equal a.data b.data
+let equal a b = a.len = b.len && a.bits = b.bits
 
-let is_prefix p t =
-  p.len <= t.len
-  &&
-  let rec go i = i = p.len || (unsafe_get p.data i = unsafe_get t.data i && go (i + 1)) in
-  go 0
+let is_prefix p t = p.len <= t.len && t.bits lsr (t.len - p.len) = p.bits
 
 let common_prefix_len a b =
-  let min_len = min a.len b.len in
-  let rec go i =
-    if i = min_len || unsafe_get a.data i <> unsafe_get b.data i then i else go (i + 1)
-  in
-  go 0
+  let n = min a.len b.len in
+  (* The first [n] bits of each, xored: the common prefix is [n] minus
+     the bit length of the difference. *)
+  let rec bit_length x k = if x = 0 then k else bit_length (x lsr 1) (k + 1) in
+  n - bit_length ((a.bits lsr (a.len - n)) lxor (b.bits lsr (b.len - n))) 0
 
 let shortest_separator ~lo ~hi =
   if compare lo hi >= 0 then invalid_arg "Bitstring.shortest_separator: lo >= hi";
@@ -168,18 +88,6 @@ let shortest_separator ~lo ~hi =
      hi's prefix of length c+1 separates. *)
   let c = common_prefix_len lo hi in
   take hi (c + 1)
-
-let successor t =
-  let rec go i =
-    if i < 0 then None
-    else if get t i then go (i - 1)
-    else
-      (* Set bit i, clear everything after. *)
-      Some (init t.len (fun j -> if j < i then unsafe_get t.data j else j = i))
-  in
-  go (t.len - 1)
-
-let hash t = Hashtbl.hash (t.len, Bytes.to_string t.data)
 
 let pp fmt t =
   if t.len = 0 then Format.pp_print_string fmt "<>"

@@ -154,8 +154,8 @@ let box_classifier space ~lo ~hi =
    the number of axes on which the element is not inside the box.  A
    split changes only the split axis, so a child is [Outside] iff it
    misses the box on that axis, and [Inside] once [crossing] reaches 0.
-   The z prefix lives in the bit buffer [z]; bit [level] is written on
-   the way down, so bits [0, level) always spell the current element. *)
+   The recursion carries the current element's [level] bits as the int
+   [z], right-aligned; a child appends one bit. *)
 let box_impl ~options space ~lo ~hi =
   let k = Space.dims space in
   let max_level = effective_max_level space options in
@@ -166,29 +166,21 @@ let box_impl ~options space ~lo ~hi =
   for i = 0 to k - 1 do
     if lo.(i) > 0 || hi.(i) < last then incr root_crossing
   done;
-  let z = Bytes.make ((max_level + 7) / 8) '\000' in
-  let set_bit level bit =
-    let i = level lsr 3 and mask = 0x80 lsr (level land 7) in
-    let c = Char.code (Bytes.unsafe_get z i) in
-    Bytes.unsafe_set z i (Char.unsafe_chr (if bit then c lor mask else c land lnot mask))
-  in
   let emitted = ref 0 in
   (* Accumulate in reverse z order, low child first, then reverse. *)
-  let rec go level crossing acc =
+  let rec go z level crossing acc =
     if crossing = 0 || level >= max_level || !emitted >= budget then begin
       incr emitted;
-      Bitstring.of_bytes z level :: acc
+      Bitstring.of_int z ~width:level :: acc
     end
     else begin
       let a = level mod k in
       let l = elo.(a) and h = ehi.(a) in
       let mid = l + ((h - l + 1) / 2) in
-      set_bit level false;
-      let acc = child level crossing a ~clo:l ~chi:(mid - 1) acc in
-      set_bit level true;
-      child level crossing a ~clo:mid ~chi:h acc
+      let acc = child (z lsl 1) level crossing a ~clo:l ~chi:(mid - 1) acc in
+      child ((z lsl 1) lor 1) level crossing a ~clo:mid ~chi:h acc
     end
-  and child level crossing a ~clo ~chi acc =
+  and child z level crossing a ~clo ~chi acc =
     if chi < lo.(a) || clo > hi.(a) then acc
     else begin
       let l = elo.(a) and h = ehi.(a) in
@@ -199,13 +191,13 @@ let box_impl ~options space ~lo ~hi =
       in
       elo.(a) <- clo;
       ehi.(a) <- chi;
-      let acc = go (level + 1) crossing acc in
+      let acc = go z (level + 1) crossing acc in
       elo.(a) <- l;
       ehi.(a) <- h;
       acc
     end
   in
-  List.rev (go 0 !root_crossing [])
+  List.rev (go 0 0 !root_crossing [])
 
 let decompose_box ?(options = default_options) space ~lo ~hi =
   check_box space ~lo ~hi;

@@ -56,8 +56,9 @@ val decompose_box : ?options:options -> Space.t -> lo:int array -> hi:int array 
     element; the decomposition of Figure 2.
 
     Computed per call with int compares on the elements' per-axis bounds
-    (no element is built to be classified, and nothing is memoized), so
-    it is cheap enough for every request.  Traced like {!run}.
+    and each element's z prefix carried as an int (no element is built
+    to be classified, and nothing is memoized), so it is cheap enough
+    for every request.  Traced like {!run}.
     @raise Invalid_argument on the inputs {!box_classifier} rejects. *)
 
 val reset_cache : unit -> unit

@@ -9,14 +9,6 @@ let check_coords space coords =
       invalid_arg (Printf.sprintf "Interleave: coordinate %d out of range" c)
   done
 
-let shuffle space coords =
-  check_coords space coords;
-  let k = Space.dims space and d = Space.depth space in
-  Bitstring.init (k * d) (fun j ->
-      let axis = j mod k and bit = j / k in
-      (* bit 0 is the most significant of the d coordinate bits *)
-      (coords.(axis) lsr (d - 1 - bit)) land 1 = 1)
-
 let shuffle_prefixes space prefixes =
   let k = Space.dims space and d = Space.depth space in
   if Array.length prefixes <> k then
@@ -44,11 +36,12 @@ let unshuffle space z =
   let total = Bitstring.length z in
   if total > Space.total_bits space then
     invalid_arg "Interleave.unshuffle: z value too long for space";
+  let bits = Bitstring.to_int z in
   let prefixes = Array.make k (0, 0) in
   for j = 0 to total - 1 do
     let axis = j mod k in
     let v, len = prefixes.(axis) in
-    prefixes.(axis) <- ((v lsl 1) lor (if Bitstring.get z j then 1 else 0), len + 1)
+    prefixes.(axis) <- ((v lsl 1) lor ((bits lsr (total - 1 - j)) land 1), len + 1)
   done;
   prefixes
 
@@ -67,6 +60,9 @@ let word space coords =
   !v lsl (63 - (k * d))
 
 let rank space coords = word space coords lsr (63 - Space.total_bits space)
+
+let shuffle space coords =
+  Bitstring.of_int (rank space coords) ~width:(Space.total_bits space)
 
 (* The inverse walk: the bits of [r] from the top, dealt out to the axes
    in turn. *)

@@ -9,7 +9,7 @@ val shuffle : Space.t -> int array -> Bitstring.t
 (** [shuffle space coords] is the full-resolution z value of the pixel at
     [coords] ([Space.dims space] coordinates of [Space.depth space] bits
     each).  Bit [j] of the result is bit [depth - 1 - j/k] of coordinate
-    [j mod k].
+    [j mod k].  It is {!rank} as a [total_bits]-bit string.
     @raise Invalid_argument on wrong arity or out-of-range coordinates. *)
 
 val shuffle_prefixes : Space.t -> (int * int) array -> Bitstring.t
@@ -28,7 +28,7 @@ val word : Space.t -> int array -> int
 (** [word space coords] is the pixel's full-resolution z value packed
     MSB-first into one 63-bit word: bit [j] of [shuffle space coords] at
     bit [62 - j], the rest zero — computed with int shifts and no
-    {!Bitstring}.  This is the one int interleave: {!rank},
+    {!Bitstring}.  This is the one interleave loop: {!rank}, {!shuffle},
     [Zkernel.point_key] and the shard router's [z_of_point] are all read
     off it.
     @raise Invalid_argument on wrong arity or out-of-range coordinates. *)

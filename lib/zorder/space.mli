@@ -12,8 +12,9 @@ val max_total_bits : int
 (** 61: the widest space, in total bits.  In such a space every
     full-resolution z value, read as an integer ({!Interleave.rank}), and
     every z interval's size fit a non-negative OCaml [int], so the whole
-    engine keys z values as plain ints.  This is the one place the width
-    is decided. *)
+    engine keys z values as plain ints.  It also bounds every
+    {!Bitstring.t}, which is one such int plus its length.  This is the
+    one place the width is decided. *)
 
 val make : dims:int -> depth:int -> t
 (** @raise Invalid_argument unless [1 <= dims], [0 <= depth] and

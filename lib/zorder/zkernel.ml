@@ -3,34 +3,27 @@
    bitstring implementations these accelerate; see the .mli notes and the
    differential suites in test/test_zseq.ml and test/test_differential.ml.
 
-   A z value of at most 63 bits is word-encoded as [w0 lxor min_int],
-   where [w0] is its first word ({!first_word}) — flipping the sign bit
+   Every z value — a [Bitstring] holds at most [Space.max_total_bits]
+   bits — is word-encoded as [w0 lxor min_int], where [w0] is its bits
+   at the top of a 63-bit word ({!first_word}) — flipping the sign bit
    turns unsigned word order into signed order — so the loops run over
    plain [int array]s where a z comparison is one machine comparison and
-   a prefix test is one masked xor.  A longer value cannot come from a
-   space ([Space.max_total_bits]); one built by hand is refused. *)
+   a prefix test is one masked xor. *)
 
 let word_bits = 63
 
-(* The first [word_bits] bits of [b], MSB-first at bit 62 down, zero-
-   filled, read bytewise: storage byte k holds bits [8k .. 8k+7], so
-   bytes 0-6 land with one left shift and byte 7 (bits 56-63) drops its
-   last bit. *)
-let first_word b =
-  let w0 = ref 0 in
-  for k = 0 to min 7 (((Bitstring.length b + 7) / 8) - 1) do
-    let v = Bitstring.byte b k in
-    w0 := !w0 lor (if k < 7 then v lsl (55 - (8 * k)) else v lsr 1)
-  done;
-  !w0
+(* The bits of [b], MSB-first at bit 62 down, zero-filled.  The empty
+   string shifts by 63, which is defined: only a shift past
+   [Sys.int_size] (63) is unspecified. *)
+let first_word b = Bitstring.to_int b lsl (word_bits - Bitstring.length b)
 
 let word_key b = first_word b lxor min_int
 
 let point_key space p = Interleave.word space p lxor min_int
 
-(* Top-[n] bits of a 63-bit word (0 <= n <= 63); [lsl] by 63 is
-   unspecified, hence the guard. *)
-let mask_first n = if n = 0 then 0 else -1 lsl (word_bits - n)
+(* Top-[n] bits of a 63-bit word (0 <= n <= 63); [n = 0] shifts by 63,
+   which gives 0. *)
+let mask_first n = -1 lsl (word_bits - n)
 
 let element_keys ~total e =
   let len = Bitstring.length e in
@@ -201,8 +194,7 @@ let maxlen z n =
     if i = n then m
     else
       let l = Bitstring.length (z i) in
-      if l > word_bits then invalid_arg "Zkernel: z value longer than 63 bits"
-      else go (i + 1) (if l > m then l else m)
+      go (i + 1) (if l > m then l else m)
   in
   go 0 0
 

@@ -2,14 +2,11 @@
     merges over flat [int array]s.
 
     The inner loops of [Zmerge.pairs], [Range_search.search_plain] /
-    [search_skip] and [Spatial_join.merge].  A z value of at most
-    63 bits — every z value of every space, since
-    [Space.make] caps spaces at [Space.max_total_bits] = 61 — is
+    [search_skip] and [Spatial_join.merge].  Every z value — a
+    {!Bitstring.t} holds at most [Space.max_total_bits] = 61 bits — is
     word-encoded as a sign-flipped integer whose native order is z order
     ({!word_key}), so the hot loops run over flat int arrays: one machine
-    comparison per z comparison, one masked xor per prefix test.  A
-    longer, hand-built value is refused with [Invalid_argument]; the
-    bitstring [*_reference] implementations take any length.
+    comparison per z comparison, one masked xor per prefix test.
 
     Control flow mirrors the list-based bitstring references, so results
     come out in the same order and the exact work counters (where the
@@ -18,9 +15,9 @@
     or prefix test actually performed. *)
 
 val word_key : Bitstring.t -> int
-(** The int key of a z value of at most 63 bits: its first 63 bits,
-    MSB-first at bit 62 down and zero-filled, with the sign bit flipped.
-    Among values of equal length, native [int] order is z order. *)
+(** The int key of a z value: its bits, MSB-first at bit 62 down and
+    zero-filled, with the sign bit flipped.  Among values of equal
+    length, native [int] order is z order. *)
 
 val point_key : Space.t -> int array -> int
 (** [point_key space p = word_key (Interleave.shuffle space p)], read off
@@ -49,8 +46,7 @@ val sort_keyed :
     [List.sort] on a tagged list), reading them straight into single-int
     encodings.  Returns the sorting permutation and the batch's {!keyed}
     form.  Batches under 64 values are sorted with counted comparisons,
-    larger ones with a radix sort that compares nothing.
-    @raise Invalid_argument if some value is longer than 63 bits. *)
+    larger ones with a radix sort that compares nothing. *)
 
 type sweep_stats = { pairs : int; max_stack : int }
 (** [pairs]: emissions; [max_stack]: deepest combined open-element stack
@@ -70,9 +66,7 @@ val pairs :
     with one open-element stack per side, calling [emit i j] with input
     indices for every pair where one value is a prefix of the other —
     newest open element first, exactly the emission order of the list
-    sweeps.
-    @raise Invalid_argument, with nothing emitted, if some value on
-    either side is longer than 63 bits. *)
+    sweeps. *)
 
 (** {1 Range merges} *)
 

@@ -59,40 +59,22 @@ let test_append_bit () =
   check_str "append 1" "011" (B.to_string (B.append_bit (bs "01") true));
   check_str "append 0" "0" (B.to_string (B.append_bit B.empty false))
 
-let test_concat () =
-  check_str "both" "0110" (B.to_string (B.concat (bs "01") (bs "10")));
-  check_str "left empty" "10" (B.to_string (B.concat B.empty (bs "10")));
-  check_str "right empty" "01" (B.to_string (B.concat (bs "01") B.empty));
-  (* Crossing byte boundaries. *)
-  check_str "long"
-    "0110110101101101"
-    (B.to_string (B.concat (bs "01101101") (bs "01101101")))
-
-let test_take_drop () =
+let test_take () =
   let t = bs "0110110" in
   check_str "take 3" "011" (B.to_string (B.take t 3));
   check_str "take 0" "" (B.to_string (B.take t 0));
-  check_str "take all" "0110110" (B.to_string (B.take t 7));
-  check_str "drop 3" "0110" (B.to_string (B.drop t 3));
-  check_str "drop 0" "0110110" (B.to_string (B.drop t 0));
-  check_str "drop all" "" (B.to_string (B.drop t 7))
+  check_str "take all" "0110110" (B.to_string (B.take t 7))
 
 let test_take_invariant () =
-  (* take must zero trailing bits so equality stays structural. *)
+  (* take must drop the trailing bits so equality stays structural. *)
   let a = B.take (bs "0111") 2 and b = B.take (bs "0100") 2 in
   check "equal after take" true (B.equal a b);
-  check_int "same hash" (B.hash a) (B.hash b)
+  check "structurally equal" true (a = b)
 
 let test_pad_to () =
   check_str "pad 0s" "01000" (B.to_string (B.pad_to (bs "01") 5 false));
   check_str "pad 1s" "01111" (B.to_string (B.pad_to (bs "01") 5 true));
   check_str "pad same" "01" (B.to_string (B.pad_to (bs "01") 2 true))
-
-let test_set () =
-  check_str "set" "0100" (B.to_string (B.set (bs "0110") 2 false));
-  let t = bs "0110" in
-  ignore (B.set t 2 false);
-  check_str "original untouched" "0110" (B.to_string t)
 
 let test_compare_lexicographic () =
   let lt a b = B.compare (bs a) (bs b) < 0 in
@@ -132,73 +114,143 @@ let test_shortest_separator () =
     (Invalid_argument "Bitstring.shortest_separator: lo >= hi") (fun () ->
       ignore (B.shortest_separator ~lo:(bs "01") ~hi:(bs "01")))
 
-let test_successor () =
-  let succ s =
-    match B.successor (bs s) with None -> "none" | Some t -> B.to_string t
+(* A bitstring holds at most [Space.max_total_bits] = 61 bits: every
+   constructor accepts 61 and refuses 62. *)
+let test_cap () =
+  check_int "the cap" 61 Sqp_zorder.Space.max_total_bits;
+  let ones n = String.make n '1' in
+  let accepts what n f = check_int what n (B.length (f ())) in
+  let refuses what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: a 62-bit value was accepted" what
+    | exception Invalid_argument _ -> ()
   in
-  check_str "simple" "0110" (succ "0101");
-  check_str "carry" "1000" (succ "0111");
-  check_str "all ones" "none" (succ "111");
-  check_str "zero" "001" (succ "000")
+  accepts "init 61" 61 (fun () -> B.init 61 (fun i -> i mod 2 = 0));
+  refuses "init 62" (fun () -> B.init 62 (fun _ -> true));
+  accepts "of_string 61" 61 (fun () -> bs (ones 61));
+  refuses "of_string 62" (fun () -> bs (ones 62));
+  accepts "of_int 61" 61 (fun () -> B.of_int ((1 lsl 61) - 1) ~width:61);
+  refuses "of_int 62" (fun () -> B.of_int 0 ~width:62);
+  accepts "append_bit to 61" 61 (fun () -> B.append_bit (bs (ones 60)) false);
+  refuses "append_bit to 62" (fun () -> B.append_bit (bs (ones 61)) true);
+  accepts "pad_to 61" 61 (fun () -> B.pad_to (bs "01") 61 true);
+  refuses "pad_to 62" (fun () -> B.pad_to (bs "01") 62 false);
+  check_str "61 ones" (ones 61) (B.to_string (B.of_int ((1 lsl 61) - 1) ~width:61));
+  check_int "to_int of 61 ones" ((1 lsl 61) - 1) (B.to_int (bs (ones 61)))
 
-(* Property tests *)
+(* Property tests: every operation against the value's 0/1 text, which
+   serves as an independent model. *)
 
-let gen_bitstring =
+(* Lengths 0-61, with the edges 0, 1, 60 and 61 drawn often. *)
+let gen_len = QCheck2.Gen.(frequency [ (1, oneofl [ 0; 1; 60; 61 ]); (2, int_range 0 61) ])
+
+let gen_text_of_len n = QCheck2.Gen.(string_size ~gen:(oneofl [ '0'; '1' ]) (return n))
+
+let gen_text = QCheck2.Gen.(gen_len >>= gen_text_of_len)
+
+(* Two texts, the second often a prefix of the first extended by random
+   bits, so that prefixes, equal values and long shared prefixes occur. *)
+let gen_text_pair =
   QCheck2.Gen.(
-    map
-      (fun bits -> B.of_bools bits)
-      (list_size (int_bound 40) bool))
+    let related =
+      let* a = gen_text in
+      let* keep = int_range 0 (String.length a) in
+      let room = 61 - keep in
+      let* ext = frequency [ (1, oneofl [ 0; room ]); (2, int_range 0 room) ] in
+      let+ suffix = gen_text_of_len ext in
+      (a, String.sub a 0 keep ^ suffix)
+    in
+    frequency [ (3, related); (1, pair gen_text gen_text) ])
+
+let print_pair = QCheck2.Print.(pair string string)
+
+let sign c = Int.compare c 0
+
+let model_common_prefix a b =
+  let n = min (String.length a) (String.length b) in
+  let rec go i = if i = n || a.[i] <> b.[i] then i else go (i + 1) in
+  go 0
+
+let model_int s = String.fold_left (fun v c -> (v lsl 1) lor (if c = '1' then 1 else 0)) 0 s
 
 let prop_roundtrip =
-  QCheck2.Test.make ~name:"of_string/to_string roundtrip" ~count:500 gen_bitstring
-    (fun t -> B.equal t (B.of_string (B.to_string t)))
+  QCheck2.Test.make ~name:"of_string/to_string roundtrip" ~count:500 ~print:Fun.id gen_text
+    (fun s -> B.to_string (bs s) = s && B.length (bs s) = String.length s)
+
+let prop_compare_model =
+  QCheck2.Test.make ~name:"compare has the sign of String.compare" ~count:1000
+    ~print:print_pair gen_text_pair (fun (a, b) ->
+      sign (B.compare (bs a) (bs b)) = sign (String.compare a b)
+      && B.equal (bs a) (bs b) = (a = b))
 
 let prop_compare_antisym =
-  QCheck2.Test.make ~name:"compare antisymmetric" ~count:500
-    QCheck2.Gen.(pair gen_bitstring gen_bitstring)
-    (fun (a, b) -> B.compare a b = -B.compare b a)
+  QCheck2.Test.make ~name:"compare antisymmetric" ~count:500 ~print:print_pair gen_text_pair
+    (fun (a, b) -> B.compare (bs a) (bs b) = -B.compare (bs b) (bs a))
 
 let prop_compare_transitive =
   QCheck2.Test.make ~name:"compare transitive" ~count:500
-    QCheck2.Gen.(triple gen_bitstring gen_bitstring gen_bitstring)
+    QCheck2.Gen.(triple gen_text gen_text gen_text)
     (fun (a, b, c) ->
-      let l = List.sort B.compare [ a; b; c ] in
+      let l = List.sort B.compare [ bs a; bs b; bs c ] in
       match l with
       | [ x; y; z ] -> B.compare x y <= 0 && B.compare y z <= 0 && B.compare x z <= 0
       | _ -> false)
 
-let prop_concat_take_drop =
-  QCheck2.Test.make ~name:"take ++ drop = id" ~count:500
-    QCheck2.Gen.(pair gen_bitstring (int_bound 40))
-    (fun (t, n) ->
-      let n = min n (B.length t) in
-      B.equal t (B.concat (B.take t n) (B.drop t n)))
+let prop_structure_model =
+  QCheck2.Test.make ~name:"is_prefix, common_prefix_len, take, get agree with the text"
+    ~count:1000 ~print:print_pair gen_text_pair (fun (a, b) ->
+      let ta = bs a and tb = bs b in
+      B.is_prefix ta tb = String.starts_with ~prefix:a b
+      && B.is_prefix tb ta = String.starts_with ~prefix:b a
+      && B.common_prefix_len ta tb = model_common_prefix a b
+      && List.for_all
+           (fun n -> B.to_string (B.take ta n) = String.sub a 0 n)
+           (List.init (String.length a + 1) Fun.id)
+      && List.for_all
+           (fun i -> B.get ta i = (a.[i] = '1'))
+           (List.init (String.length a) Fun.id))
+
+let prop_extend_model =
+  QCheck2.Test.make ~name:"pad_to and append_bit agree with the text" ~count:500
+    ~print:Fun.id gen_text (fun a ->
+      let t = bs a and len = String.length a in
+      List.for_all
+        (fun n ->
+          B.to_string (B.pad_to t n false) = a ^ String.make (n - len) '0'
+          && B.to_string (B.pad_to t n true) = a ^ String.make (n - len) '1')
+        [ len; min 61 (len + 1); (len + 61) / 2; 61 ]
+      && (len = 61
+         || B.to_string (B.append_bit t false) = a ^ "0"
+            && B.to_string (B.append_bit t true) = a ^ "1"))
+
+let prop_int_model =
+  QCheck2.Test.make ~name:"of_int/to_int read the text as a binary number" ~count:500
+    ~print:Fun.id gen_text (fun a ->
+      let v = model_int a and width = String.length a in
+      B.to_int (bs a) = v && B.to_string (B.of_int v ~width) = a)
 
 let prop_prefix_compare =
   QCheck2.Test.make ~name:"prefix sorts before extension" ~count:500
-    QCheck2.Gen.(pair gen_bitstring gen_bitstring)
-    (fun (a, ext) ->
-      B.length ext = 0 || B.compare a (B.concat a ext) < 0)
+    QCheck2.Gen.(
+      let* a = gen_text in
+      let+ ext = int_range 0 (61 - String.length a) >>= gen_text_of_len in
+      (a, ext))
+    (fun (a, ext) -> ext = "" || B.compare (bs a) (bs (a ^ ext)) < 0)
 
 let prop_separator =
-  QCheck2.Test.make ~name:"separator: lo < s <= hi" ~count:500
-    QCheck2.Gen.(pair gen_bitstring gen_bitstring)
-    (fun (a, b) ->
-      let c = B.compare a b in
+  QCheck2.Test.make ~name:"separator: lo < s <= hi" ~count:500 ~print:print_pair
+    gen_text_pair (fun (a, b) ->
+      let c = String.compare a b in
       if c = 0 then true
       else
         let lo, hi = if c < 0 then (a, b) else (b, a) in
-        let s = B.shortest_separator ~lo ~hi in
-        B.compare lo s < 0 && B.compare s hi <= 0)
-
-let prop_successor =
-  QCheck2.Test.make ~name:"successor is +1 as integer" ~count:500
-    QCheck2.Gen.(pair (int_bound 1000000) (int_range 20 30))
-    (fun (v, width) ->
-      let t = B.of_int v ~width in
-      match B.successor t with
-      | Some s -> B.to_int s = v + 1
-      | None -> v = (1 lsl width) - 1)
+        let s = B.to_string (B.shortest_separator ~lo:(bs lo) ~hi:(bs hi)) in
+        (* s lies in (lo, hi], and no shorter prefix of hi does *)
+        String.compare lo s < 0
+        && String.compare s hi <= 0
+        && List.for_all
+             (fun n -> String.compare (String.sub hi 0 n) lo <= 0)
+             (List.init (String.length s) Fun.id))
 
 let () =
   Alcotest.run "bitstring"
@@ -213,27 +265,27 @@ let () =
           Alcotest.test_case "of_int" `Quick test_of_int;
           Alcotest.test_case "of_int invalid" `Quick test_of_int_invalid;
           Alcotest.test_case "append_bit" `Quick test_append_bit;
-          Alcotest.test_case "concat" `Quick test_concat;
-          Alcotest.test_case "take/drop" `Quick test_take_drop;
+          Alcotest.test_case "take/drop" `Quick test_take;
           Alcotest.test_case "take zeroes trailing bits" `Quick test_take_invariant;
           Alcotest.test_case "pad_to" `Quick test_pad_to;
-          Alcotest.test_case "set" `Quick test_set;
           Alcotest.test_case "compare lexicographic" `Quick test_compare_lexicographic;
           Alcotest.test_case "compare long" `Quick test_compare_long;
           Alcotest.test_case "is_prefix" `Quick test_is_prefix;
           Alcotest.test_case "common_prefix_len" `Quick test_common_prefix_len;
           Alcotest.test_case "shortest_separator" `Quick test_shortest_separator;
-          Alcotest.test_case "successor" `Quick test_successor;
+          Alcotest.test_case "61-bit cap" `Quick test_cap;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_roundtrip;
+            prop_compare_model;
             prop_compare_antisym;
             prop_compare_transitive;
-            prop_concat_take_drop;
+            prop_structure_model;
+            prop_extend_model;
+            prop_int_model;
             prop_prefix_compare;
             prop_separator;
-            prop_successor;
           ] );
     ]

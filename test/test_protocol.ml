@@ -53,7 +53,7 @@ let test_values () =
       Value.Bool false;
       Value.Zval B.empty;
       Value.Zval (B.of_string "1011001");
-      Value.Zval (B.init 65 (fun i -> i mod 3 = 0));
+      Value.Zval (B.init 61 (fun i -> i mod 3 = 0));
     ]
   in
   List.iter
@@ -61,6 +61,18 @@ let test_values () =
       let v' = ok (roundtrip Wire.write_value Wire.read_value v) in
       checkb "value roundtrip" true (Value.equal v v'))
     cases;
+  (* A Zval's bytes: tag 5, its u32 bit length, then its bits MSB-first
+     with the last byte zero-padded. *)
+  let zval_bytes z = Wire.encode Wire.write_value (Value.Zval z) in
+  check Alcotest.string "7-bit Zval bytes" "\x05\x00\x00\x00\x07\xb2"
+    (zval_bytes (B.of_string "1011001"));
+  let z61 = "\x92\x49\x24\x92\x49\x24\x92\x48" in
+  check Alcotest.string "61-bit Zval bytes" ("\x05\x00\x00\x00\x3d" ^ z61)
+    (zval_bytes (B.init 61 (fun i -> i mod 3 = 0)));
+  (* A length field past 61 bits is corrupt, whatever the body holds. *)
+  (match Wire.read_value (Wire.cursor ("\x05\x00\x00\x00\x3e" ^ z61)) with
+  | _ -> Alcotest.fail "a 62-bit Zval decoded"
+  | exception Wire.Corrupt _ -> ());
   (* NaN: equality fails by definition, compare bit patterns instead *)
   match ok (roundtrip Wire.write_value Wire.read_value (Value.Float nan)) with
   | Value.Float f -> checkb "nan" true (Float.is_nan f)

@@ -360,6 +360,41 @@ let test_stored_durable_roundtrip () =
       check "tuples identical in order" true
         (R.Relation.tuples (R.Stored.scan back) = R.Relation.tuples rel))
 
+(* A checksum-valid relation page whose z text is no z value — a
+   character other than 0/1, or more than 61 bits — is a format error
+   like any other: Corrupt, not an escaping Invalid_argument. *)
+let test_stored_bad_zval () =
+  let module FP = Sqp_storage.File_pager in
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "sqp_test_stored_zval.rel" in
+  let clean () =
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ path; path ^ ".tmp"; Sqp_storage.Journal.journal_path path ]
+  in
+  let schema = R.Schema.make [ ("z", R.Value.TZval) ] in
+  List.iter
+    (fun text ->
+      clean ();
+      Fun.protect ~finally:clean (fun () ->
+          let rel = R.Relation.make ~name:"zs" schema [ [| R.Value.Zval (B.of_string "0") |] ] in
+          R.Stored.save_to ~path (R.Stored.store ~tuples_per_page:1 rel);
+          (* Rewrite the data page, the last one, through the pager so its
+             checksum stays valid: one tuple, tag 5, the text. *)
+          let fp = FP.open_existing path in
+          let data = ref (-1) in
+          FP.iter fp (fun pid _ -> data := pid);
+          let b = Buffer.create 80 in
+          Buffer.add_uint16_be b 1;
+          Buffer.add_uint8 b 5;
+          Buffer.add_int32_be b (Int32.of_int (String.length text));
+          Buffer.add_string b text;
+          FP.write fp !data (Buffer.to_bytes b);
+          FP.close fp;
+          match R.Stored.load_from ~path () with
+          | _ -> Alcotest.failf "z text %S loaded" text
+          | exception Sqp_storage.Storage_error.Corrupt _ -> ()))
+    [ "01x"; String.make 62 '1' ]
+
 let () =
   Alcotest.run "relalg"
     [
@@ -401,6 +436,7 @@ let () =
         [
           Alcotest.test_case "save_to/load_from roundtrip" `Quick
             test_stored_durable_roundtrip;
+          Alcotest.test_case "bad z text is Corrupt" `Quick test_stored_bad_zval;
         ] );
       ( "scenarios",
         [

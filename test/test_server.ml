@@ -403,6 +403,33 @@ let test_malformed_frames_on_the_wire () =
               | Ok (P.Error { code = P.Unsupported_version; _ }) -> ()
               | _ -> Alcotest.fail "future version not answered typedly")
           | Error e -> Alcotest.failf "no response to version probe: %s" (P.read_error_to_string e));
+          (* a query on P's z attribute whose literal claims 62 bits,
+             longer than any z value: a real encoded query with the
+             literal's length field raised from 61 to 62 draws
+             Bad_request too *)
+          let z61 = Sqp_relalg.Value.Zval (Sqp_zorder.Bitstring.init 61 (fun i -> i mod 3 = 0)) in
+          let frame =
+            P.encode_request
+              {
+                P.deadline_ms = None;
+                idem = None;
+                request = P.Query (Wire.Select_equals ("z", z61, Wire.Scan "P"));
+              }
+          in
+          let literal = Wire.encode Wire.write_value z61 in
+          let rec find i =
+            if String.sub frame i (String.length literal) = literal then i else find (i + 1)
+          in
+          let long = Bytes.of_string frame in
+          (* tag byte, then the u32 length: its low byte is 61 *)
+          Bytes.set long (find 0 + 4) '\x3e';
+          P.write_frame fd (Bytes.to_string long);
+          (match P.read_frame fd with
+          | Ok payload -> (
+              match P.decode_response payload with
+              | Ok (P.Error { code = P.Bad_request; _ }) -> ()
+              | _ -> Alcotest.fail "a 62-bit z literal did not draw Bad_request")
+          | Error e -> Alcotest.failf "no response to a 62-bit z literal: %s" (P.read_error_to_string e));
           (* same connection still executes real queries *)
           P.write_frame fd
             (P.encode_request

@@ -191,6 +191,8 @@ let test_step_lengths () =
 
 (* Properties *)
 
+let of_bools bits = B.of_string (String.concat "" (List.map (fun b -> if b then "1" else "0") bits))
+
 let gen_point side =
   QCheck2.Gen.(pair (int_bound (side - 1)) (int_bound (side - 1)))
 
@@ -206,7 +208,7 @@ let prop_element_box_roundtrip =
     QCheck2.Gen.(list_size (int_bound 12) bool)
     (fun bits ->
       let s = Z.Space.make ~dims:2 ~depth:6 in
-      let e = B.of_bools bits in
+      let e = of_bools bits in
       let lo, hi = Z.Element.box s e in
       match Z.Element.of_box s ~lo ~hi with
       | Some e' -> B.equal e e'
@@ -219,7 +221,7 @@ let prop_zorder_pixel_consecutive =
     QCheck2.Gen.(list_size (int_bound 8) bool)
     (fun bits ->
       let s = Z.Space.make ~dims:2 ~depth:4 in
-      let e = B.of_bools bits in
+      let e = of_bools bits in
       let zlo = B.to_int (Z.Element.zlo s e) and zhi = B.to_int (Z.Element.zhi s e) in
       let lo, hi = Z.Element.box s e in
       let inside = ref 0 in
@@ -246,10 +248,17 @@ let prop_rank_monotone_in_z =
 
 (* {1 The int interleave}
 
-   [Interleave.word] is the one int interleave; [Interleave.rank],
-   [Zkernel.point_key] and [Shard_map.z_of_point] are read off it.  Each
-   is checked against its bitstring-built definition, kept here as the
-   oracle, over 1-d to 7-d spaces up to [Space.max_total_bits]. *)
+   [Interleave.word] is the one int interleave; [Interleave.shuffle],
+   [Interleave.rank], [Zkernel.point_key] and [Shard_map.z_of_point] are
+   read off it.  Each is checked against its definition over the
+   bit-by-bit shuffle below, kept here as the oracle, over 1-d to 7-d
+   spaces up to [Space.max_total_bits]. *)
+
+(* Section 3.1's shuffle, one bit at a time: bit [j] of the z value is
+   bit [j / k] (from the top) of axis [j mod k]. *)
+let shuffle_oracle s p =
+  let k = Z.Space.dims s and d = Z.Space.depth s in
+  B.init (k * d) (fun j -> (p.(j mod k) lsr (d - 1 - (j / k))) land 1 = 1)
 
 type int_z = {
   name : string;
@@ -260,19 +269,25 @@ type int_z = {
 let int_zs =
   [
     {
+      (* The value here; the length in [test_rank_shuffle_unshuffle]. *)
+      name = "Interleave.shuffle";
+      f = (fun s p -> B.to_int (Z.Interleave.shuffle s p));
+      oracle = (fun s p -> B.to_int (shuffle_oracle s p));
+    };
+    {
       name = "Interleave.rank";
       f = Z.Interleave.rank;
-      oracle = (fun s p -> B.to_int (Z.Interleave.shuffle s p));
+      oracle = (fun s p -> B.to_int (shuffle_oracle s p));
     };
     {
       name = "Zkernel.point_key";
       f = Z.Zkernel.point_key;
-      oracle = (fun s p -> Z.Zkernel.word_key (Z.Interleave.shuffle s p));
+      oracle = (fun s p -> Z.Zkernel.word_key (shuffle_oracle s p));
     };
     {
       name = "Shard_map.z_of_point";
       f = Sqp_server.Shard_map.z_of_point;
-      oracle = (fun s p -> fst (Z.Zrange.of_element s (Z.Element.pixel s p)));
+      oracle = (fun s p -> fst (Z.Zrange.of_element s (shuffle_oracle s p)));
     };
   ]
 
@@ -332,8 +347,9 @@ let test_int_z_edges () =
       done)
     int_zs
 
-(* The int-native [rank] / [point_of_rank] against the bitstring
-   [shuffle] / [unshuffle] on random pixels, up to the widest spaces. *)
+(* The int-native [shuffle] / [rank] / [point_of_rank] against the
+   bit-by-bit oracle and [unshuffle] on random pixels, up to the widest
+   spaces. *)
 let test_rank_shuffle_unshuffle () =
   let rng = Sqp_workload.Rng.create ~seed:90210 in
   List.iter
@@ -344,8 +360,9 @@ let test_rank_shuffle_unshuffle () =
           Array.init dims (fun _ -> Sqp_workload.Rng.int rng (Z.Space.side space))
         in
         let r = Z.Interleave.rank space coords in
-        let b = Z.Interleave.shuffle space coords in
-        check_int "rank = shuffle" (B.to_int b) r;
+        let b = shuffle_oracle space coords in
+        check "shuffle = oracle" true (B.equal (Z.Interleave.shuffle space coords) b);
+        check_int "rank = oracle" (B.to_int b) r;
         Alcotest.(check (array int))
           "point_of_rank = unshuffle" (Array.map fst (Z.Interleave.unshuffle space b))
           (Z.Interleave.point_of_rank space r);
