@@ -171,8 +171,9 @@ module R = Sqp_relalg
    query hot paths: the stable z sort the joins run, the Zmerge
    containment sweep, the box decomposition every range runs
    (decompose_box's int-bounds recursion vs [run] with box_classifier),
-   both range-search merges (each decomposing its boxes), and the
-   relational spatial join.  Hand-rolled best-of-N wall clock — the two
+   both range-search merges (each decomposing its boxes), the two range
+   answers a server writes (streamed vs list, relation and
+   [encode_response]), and the relational spatial join.  Hand-rolled best-of-N wall clock — the two
    sides run identical workloads, so the ratio is the point.  Writes
    BENCH_kernels.json. *)
 let kernels_table ~quick () =
@@ -215,6 +216,28 @@ let kernels_table ~quick () =
     boxes_row name (fun b -> ignore (reference prep b)) (fun b -> ignore (kernel prep b))
   in
   let corners b = (Sqp_geom.Box.lo b, Sqp_geom.Box.hi b) in
+  (* The answers a server writes for a range and a live-range read: the
+     streamed answer against the list kernel, the boxed relation it used
+     to build and [encode_response].  The serving catalog's [L] grows by
+     350 batches of 32 inserts to 16,200 rows first, as a serving
+     benchmark's ingest run grows it. *)
+  let cat = Sqp_server.Catalog.of_seeded wk in
+  let lv = Option.get (Sqp_server.Catalog.live cat "L") in
+  let rng = W.Rng.create ~seed:23 in
+  for b = 0 to 349 do
+    ignore
+      (Sqp_btree.Live.apply lv
+         (List.init 32 (fun i ->
+              Sqp_btree.Live.Insert
+                ([| W.Rng.int rng 1024; W.Rng.int rng 1024 |], 1_000_000 + (32 * b) + i))))
+  done;
+  let serving_prep = Sqp_server.Catalog.prepared_points cat in
+  let int_relation name columns rows =
+    R.Relation.make ~name
+      (R.Schema.make (List.map (fun c -> (c, R.Value.TInt)) columns))
+      (List.map (fun row -> Array.of_list (List.map (fun v -> R.Value.Int v) row)) rows)
+  in
+  let encoded r = Sqp_server.Protocol.encode_response (Sqp_server.Protocol.Rows r) in
   let rows =
     List.map
       (fun (name, reference, kernel) ->
@@ -242,6 +265,24 @@ let kernels_table ~quick () =
            Sqp_core.Range_search.search_plain;
          range_row "range-search-skip" Sqp_core.Range_search.search_skip_reference
            Sqp_core.Range_search.search_skip;
+         boxes_row "range-answer"
+           (fun b ->
+             ignore
+               (encoded
+                  (int_relation "range" [ "x0"; "x1" ]
+                     (List.map
+                        (fun (p, _) -> [ p.(0); p.(1) ])
+                        (fst (Sqp_core.Range_search.search_skip serving_prep b))))))
+           (fun b -> ignore (Sqp_server.Server.range_answer cat b));
+         boxes_row "live-answer"
+           (fun b ->
+             ignore
+               (encoded
+                  (int_relation "live" [ "id"; "x0"; "x1" ]
+                     (List.map
+                        (fun (p, id) -> [ id; p.(0); p.(1) ])
+                        (fst (Sqp_btree.Live.range_search (Sqp_btree.Live.snapshot lv) b))))))
+           (fun b -> ignore (Sqp_server.Server.live_answer lv b));
          ( "join(spatial-join merge)",
            (fun () ->
              ignore

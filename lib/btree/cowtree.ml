@@ -196,72 +196,103 @@ module Make (Key : KEY) = struct
     if i < Array.length keys && Key.compare keys.(i) k = 0 then Some vals.(i)
     else None
 
-  (* {2 Cursors} *)
+  (* {2 Cursors}
+
+     A cursor's spine is two arrays sized to the tree's height: the
+     children array and the index taken at each internal level, root
+     first.  Stepping, changing leaves and re-seeking rewrite them in
+     place, so a cursor allocates only when it is made. *)
 
   type 'a cursor = {
-    mutable stack : ('a node array * int) list;
-        (* (children, index into them) from root to the leaf's parent *)
+    root : 'a node;
+    nodes : 'a node array array;  (* children at each internal level *)
+    slots : int array;  (* index taken into them *)
     mutable keys : Key.t array;
     mutable vals : 'a array;
     mutable idx : int;
     mutable ended : bool;
   }
 
-  let rec descend_leftmost c node =
+  (* Every leaf sits at the same depth. *)
+  let rec height = function
+    | Leaf _ -> 0
+    | Node { children; _ } -> 1 + height children.(0)
+
+  let make_cursor root =
+    let h = height root in
+    {
+      root;
+      nodes = Array.make h [||];
+      slots = Array.make h 0;
+      keys = [||];
+      vals = [||];
+      idx = 0;
+      ended = false;
+    }
+
+  (* Descend from [node], at internal level [d], to its leftmost leaf. *)
+  let rec descend_leftmost c d node =
     match node with
     | Leaf { keys; vals } ->
         c.keys <- keys;
         c.vals <- vals;
         c.idx <- 0
     | Node { children; _ } ->
-        c.stack <- (children, 0) :: c.stack;
-        descend_leftmost c children.(0)
+        c.nodes.(d) <- children;
+        c.slots.(d) <- 0;
+        descend_leftmost c (d + 1) children.(0)
 
-  (* Advance past the current leaf: climb until a frame has a next
-     sibling, descend to its leftmost leaf.  Leaves are never empty
-     (removals unlink them), so landing on a leaf yields an entry —
+  (* Descend from [node], at internal level [d], to the first entry with
+     key [>= k] in its subtree (or just past its last leaf's end). *)
+  let rec descend c d node k =
+    match node with
+    | Leaf { keys; vals } ->
+        c.keys <- keys;
+        c.vals <- vals;
+        c.idx <- lower_bound keys k
+    | Node { seps; children } ->
+        let i = route seps k in
+        c.nodes.(d) <- children;
+        c.slots.(d) <- i;
+        descend c (d + 1) children.(i) k
+
+  (* Advance past the current leaf: climb from level [d] until a level
+     has a next sibling, descend to its leftmost leaf.  Leaves are never
+     empty (removals unlink them), so landing on a leaf yields an entry —
      except for the empty-tree root leaf, handled by the caller. *)
-  let rec advance_leaf c =
-    match c.stack with
-    | [] -> c.ended <- true
-    | (children, i) :: rest ->
-        if i + 1 < Array.length children then begin
-          c.stack <- (children, i + 1) :: rest;
-          descend_leftmost c children.(i + 1)
-        end
-        else begin
-          c.stack <- rest;
-          advance_leaf c
-        end
+  let rec advance_leaf c d =
+    if d < 0 then c.ended <- true
+    else
+      let children = c.nodes.(d) and i = c.slots.(d) + 1 in
+      if i < Array.length children then begin
+        c.slots.(d) <- i;
+        descend_leftmost c (d + 1) children.(i)
+      end
+      else advance_leaf c (d - 1)
 
-  let fix c = if c.idx >= Array.length c.keys && not c.ended then advance_leaf c
+  let fix c =
+    if c.idx >= Array.length c.keys && not c.ended then
+      advance_leaf c (Array.length c.slots - 1)
 
-  let seek t k =
-    let c = { stack = []; keys = [||]; vals = [||]; idx = 0; ended = false } in
-    let rec descend node =
-      match node with
-      | Leaf { keys; vals } ->
-          c.keys <- keys;
-          c.vals <- vals;
-          c.idx <- lower_bound keys k
-      | Node { seps; children } ->
-          let i = route seps k in
-          c.stack <- (children, i) :: c.stack;
-          descend children.(i)
-    in
-    descend t.root;
+  let seek (t : _ t) k =
+    let c = make_cursor t.root in
+    descend c 0 t.root k;
     fix c;
     c
 
-  let seek_first t =
-    let c = { stack = []; keys = [||]; vals = [||]; idx = 0; ended = false } in
-    descend_leftmost c t.root;
+  let seek_first (t : _ t) =
+    let c = make_cursor t.root in
+    descend_leftmost c 0 t.root;
     fix c;
     c
 
-  let cursor_peek c =
-    if c.ended || c.idx >= Array.length c.keys then None
-    else Some (c.keys.(c.idx), c.vals.(c.idx))
+  (* An ended cursor sits past its last leaf's end, so the index alone
+     tells; past it, the accessors' array reads raise. *)
+  let cursor_valid c = c.idx < Array.length c.keys
+
+  let cursor_key c = c.keys.(c.idx)
+
+  let cursor_value c = c.vals.(c.idx)
 
   let cursor_next c =
     if not c.ended then begin
@@ -269,28 +300,29 @@ module Make (Key : KEY) = struct
       fix c
     end
 
+  (* The first entry with key [>= k] lies past the cursor when the
+     cursor's own key is below [k]. *)
+  let cursor_reseek c k =
+    if cursor_valid c && Key.compare c.keys.(c.idx) k < 0 then begin
+      descend c 0 c.root k;
+      fix c
+    end
+
   let find_all t k =
     let c = seek t k in
-    let rec go acc =
-      match cursor_peek c with
-      | Some (k', v) when Key.compare k' k = 0 ->
-          cursor_next c;
-          go (v :: acc)
-      | Some _ | None -> List.rev acc
-    in
-    go []
+    let acc = ref [] in
+    while cursor_valid c && Key.compare (cursor_key c) k = 0 do
+      acc := cursor_value c :: !acc;
+      cursor_next c
+    done;
+    List.rev !acc
 
   let iter t f =
     let c = seek_first t in
-    let rec go () =
-      match cursor_peek c with
-      | None -> ()
-      | Some (k, v) ->
-          f k v;
-          cursor_next c;
-          go ()
-    in
-    go ()
+    while cursor_valid c do
+      f (cursor_key c) (cursor_value c);
+      cursor_next c
+    done
 
   let to_list t =
     let acc = ref [] in

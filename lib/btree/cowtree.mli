@@ -69,9 +69,11 @@ module Make (Key : KEY) : sig
 
   (** {1 Cursors}
 
-      A cursor walks one frozen tree value; it is cheap (a spine stack)
-      and single-threaded, but any number of cursors may read the same
-      tree from different threads or domains. *)
+      A cursor walks one frozen tree value and is single-threaded, but
+      any number of cursors may read the same tree from different
+      threads or domains.  Making one allocates its spine, two arrays as
+      long as the tree is high; reading, stepping and re-seeking it
+      allocate nothing. *)
 
   type 'a cursor
 
@@ -80,10 +82,25 @@ module Make (Key : KEY) : sig
 
   val seek_first : 'a t -> 'a cursor
 
-  val cursor_peek : 'a cursor -> (Key.t * 'a) option
-  (** [None] at end of data. *)
+  val cursor_valid : 'a cursor -> bool
+  (** [false] at end of data. *)
+
+  val cursor_key : 'a cursor -> Key.t
+  (** The key under the cursor.
+      @raise Invalid_argument at end of data. *)
+
+  val cursor_value : 'a cursor -> 'a
+  (** The value under the cursor, the one the tree holds (not a copy).
+      @raise Invalid_argument at end of data. *)
 
   val cursor_next : 'a cursor -> unit
+  (** Step to the next entry; a no-op at end of data. *)
+
+  val cursor_reseek : 'a cursor -> Key.t -> unit
+  (** [cursor_reseek c k] moves [c] forward, in place, to the first entry
+      at or after it with key [>= k]: where [seek] on the same tree lands
+      when [k] is above the key under [c] (it descends from the root),
+      and a no-op otherwise (or at end of data). *)
 
   val check_invariants : 'a t -> (unit, string) result
   (** Ordering, separator bounds, uniform leaf depth, no empty leaves,

@@ -227,7 +227,7 @@ let alloc_log t store ~seq ops =
 (* {1 Construction} *)
 
 (* Entries are keyed by their pixel's int z key; merges compare them
-   with the int bounds of [Zkernel.element_keys]. *)
+   with the int bounds of [Decompose.key_ranges]. *)
 let zval space p = Z.Zkernel.point_key space p
 
 let make_t ?(leaf_capacity = 20) ?(internal_capacity = 20) ~encode ~decode ~store space
@@ -458,63 +458,58 @@ let snapshot_entries s =
 
 let find s p = Option.map snd (Cow.find s.s_tree (zval s.s_space p))
 
+(* First index in [khi] with [khi.(i) >= z]: the jump into B. *)
+let first_live khi z =
+  let lo = ref 0 and hi = ref (Array.length khi) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if khi.(mid) < z then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 (* Section 3.3's merge over the frozen tree: identical in shape to
    [Zindex.merge_with_elements] with the eager decomposition, minus the
-   page bookkeeping (COW nodes are not pages). *)
-let range_search s box =
+   page bookkeeping (COW nodes are not pages).  Beyond the key ranges it
+   allocates one cursor, which every jump into P re-seeks in place. *)
+let range_iter s box f =
   if Sqp_geom.Box.dims box <> Z.Space.dims s.s_space then
-    invalid_arg "Live.range_search: dimension mismatch";
-  let none = { entries_scanned = 0; elements = 0; results = 0 } in
+    invalid_arg "Live.range_iter: dimension mismatch";
   match Sqp_geom.Box.clip box ~side:(Z.Space.side s.s_space) with
-  | None -> ([], none)
+  | None -> { entries_scanned = 0; elements = 0; results = 0 }
   | Some box ->
-      let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
       let { Z.Zkernel.klo; khi } =
-        Z.Zkernel.ranges_of_elements ~total:(Z.Space.total_bits s.s_space)
-          (Z.Decompose.decompose_box s.s_space ~lo ~hi)
+        Z.Decompose.key_ranges s.s_space ~lo:box.Sqp_geom.Box.lo ~hi:box.Sqp_geom.Box.hi
       in
       let n = Array.length klo in
-      let scanned = ref 0 and acc = ref [] in
-      (* First element whose khi >= z. *)
-      let reseek z =
-        let lo = ref 0 and hi = ref n in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if khi.(mid) < z then lo := mid + 1 else hi := mid
-        done;
-        !lo
-      in
-      let contains p = Sqp_geom.Box.contains_point box p in
+      let scanned = ref 0 and results = ref 0 in
       if n > 0 then begin
-        let c = ref (Cow.seek s.s_tree klo.(0)) in
-        let rec loop ei =
-          if ei < n then
-            match Cow.cursor_peek !c with
-            | None -> ()
-            | Some (z, (p, v)) ->
-                incr scanned;
-                if khi.(ei) < z then
-                  (* Random access into B: skip dead elements wholesale. *)
-                  loop (reseek z)
-                else if z < klo.(ei) then begin
-                  (* Random access into P: jump the cursor forward. *)
-                  c := Cow.seek s.s_tree klo.(ei);
-                  loop ei
-                end
-                else begin
-                  if contains p then acc := (p, v) :: !acc;
-                  Cow.cursor_next !c;
-                  loop ei
-                end
-        in
-        loop 0
+        let c = Cow.seek s.s_tree klo.(0) in
+        let ei = ref 0 in
+        while !ei < n && Cow.cursor_valid c do
+          let z = Cow.cursor_key c in
+          incr scanned;
+          if khi.(!ei) < z then
+            (* Random access into B: skip dead elements wholesale. *)
+            ei := first_live khi z
+          else if z < klo.(!ei) then
+            (* Random access into P: jump the cursor forward. *)
+            Cow.cursor_reseek c klo.(!ei)
+          else begin
+            let ((p, _) as e) = Cow.cursor_value c in
+            if Sqp_geom.Box.contains_point box p then begin
+              incr results;
+              f e
+            end;
+            Cow.cursor_next c
+          end
+        done
       end;
-      ( List.rev !acc,
-        {
-          entries_scanned = !scanned;
-          elements = n;
-          results = List.length !acc;
-        } )
+      { entries_scanned = !scanned; elements = n; results = !results }
+
+let range_search s box =
+  let acc = ref [] in
+  let stats = range_iter s box (fun e -> acc := e :: !acc) in
+  (List.rev !acc, stats)
 
 let equi_join sa sb =
   if Z.Space.dims sa.s_space <> Z.Space.dims sb.s_space
@@ -525,36 +520,21 @@ let equi_join sa sb =
   (* Collect the full run of entries at key [z] from a cursor. *)
   let run c z =
     let out = ref [] in
-    let rec go () =
-      match Cow.cursor_peek c with
-      | Some (z', e) when z' = z ->
-          out := e :: !out;
-          Cow.cursor_next c;
-          go ()
-      | _ -> ()
-    in
-    go ();
+    while Cow.cursor_valid c && Cow.cursor_key c = z do
+      out := Cow.cursor_value c :: !out;
+      Cow.cursor_next c
+    done;
     List.rev !out
   in
-  let rec loop () =
-    match (Cow.cursor_peek ca, Cow.cursor_peek cb) with
-    | None, _ | _, None -> ()
-    | Some (za, _), Some (zb, _) ->
-        if za < zb then begin
-          Cow.cursor_next ca;
-          loop ()
-        end
-        else if za > zb then begin
-          Cow.cursor_next cb;
-          loop ()
-        end
-        else begin
-          let ra = run ca za and rb = run cb za in
-          List.iter (fun a -> List.iter (fun b -> acc := (a, b) :: !acc) rb) ra;
-          loop ()
-        end
-  in
-  loop ();
+  while Cow.cursor_valid ca && Cow.cursor_valid cb do
+    let za = Cow.cursor_key ca and zb = Cow.cursor_key cb in
+    if za < zb then Cow.cursor_next ca
+    else if za > zb then Cow.cursor_next cb
+    else begin
+      let ra = run ca za and rb = run cb za in
+      List.iter (fun a -> List.iter (fun b -> acc := (a, b) :: !acc) rb) ra
+    end
+  done;
   List.rev !acc
 
 (* {1 Online rebuild and checkpoint} *)
@@ -640,18 +620,17 @@ let rebuild_online ?(chunk_size = 256) ?on_chunk t =
   let c = Cow.seek_first v0.tree in
   let chunk = ref 0 in
   let rec scan n =
-    match Cow.cursor_peek c with
-    | None -> ()
-    | Some (z, e) ->
-        acc := (z, e) :: !acc;
-        Cow.cursor_next c;
-        if n + 1 >= chunk_size then begin
-          Metrics.incr t.m_chunks;
-          (match on_chunk with Some f -> f !chunk | None -> ());
-          incr chunk;
-          scan 0
-        end
-        else scan (n + 1)
+    if Cow.cursor_valid c then begin
+      acc := (Cow.cursor_key c, Cow.cursor_value c) :: !acc;
+      Cow.cursor_next c;
+      if n + 1 >= chunk_size then begin
+        Metrics.incr t.m_chunks;
+        (match on_chunk with Some f -> f !chunk | None -> ());
+        incr chunk;
+        scan 0
+      end
+      else scan (n + 1)
+    end
   in
   scan 0;
   let building =

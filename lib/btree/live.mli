@@ -151,11 +151,21 @@ val snapshot_entries : 'a snapshot -> (Sqp_geom.Point.t * 'a) list
 val find : 'a snapshot -> Sqp_geom.Point.t -> 'a option
 (** First entry at exactly this point. *)
 
+val range_iter :
+  'a snapshot -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a -> unit) -> scan_stats
+(** Section 3.3's merge (eager decomposition) over the frozen tree: [f]
+    is called on every entry in the inclusive box, in z order, with the
+    [(point, payload)] pair the tree holds (not a copy).  Keys are
+    compared with each element's int bounds
+    ({!Sqp_zorder.Decompose.key_ranges}); a box reaching past the grid
+    is clipped to it.  Besides those key ranges it allocates one cursor
+    and O(1) words: nothing per scanned entry, per jump or per element.
+    @raise Invalid_argument if the box's dimensionality is not the
+    space's. *)
+
 val range_search :
   'a snapshot -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * scan_stats
-(** Section 3.3's merge (eager decomposition) over the frozen tree:
-    all entries in the inclusive box, in z order.  Keys are compared with
-    each element's int bounds ({!Sqp_zorder.Zkernel.element_keys}). *)
+(** {!range_iter}, its entries accumulated in z order. *)
 
 val equi_join :
   'a snapshot -> 'b snapshot ->

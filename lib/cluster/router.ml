@@ -298,9 +298,12 @@ let rec with_stale_retry t attempt f =
 let routing_options =
   { Z.Decompose.max_level = Some 8; max_elements = Some 64 }
 
-let read_targets t m ~lo ~hi =
-  let cover = Z.Decompose.decompose_box ~options:routing_options t.space ~lo ~hi in
-  let intervals = Z.Zrange.elements_to_intervals t.space cover in
+let routing_intervals t box =
+  Z.Zrange.elements_to_intervals t.space
+    (Z.Decompose.decompose_box ~options:routing_options t.space
+       ~lo:box.Sqp_geom.Box.lo ~hi:box.Sqp_geom.Box.hi)
+
+let read_targets t m intervals =
   let targets =
     List.filter
       (fun (_, e) ->
@@ -759,20 +762,19 @@ let route_health t m =
 
 (* {1 The handle: one payload in, one payload out} *)
 
-let z_intervals_of_box t ~lo ~hi =
-  match Z.Decompose.decompose_box ~options:routing_options t.space ~lo ~hi with
-  | cover -> Ok (Z.Zrange.elements_to_intervals t.space cover)
-  | exception Invalid_argument msg -> Error msg
-
 let route t (frame : P.request_frame) payload =
   let deadline_ms = frame.P.deadline_ms in
   match frame.P.request with
   | P.Range_search { lo; hi } | P.Live_range { lo; hi; _ } -> (
-      match z_intervals_of_box t ~lo ~hi with
-      | Error msg -> P.Error { code = P.Bad_request; message = msg }
-      | Ok _ ->
+      (* The shards' own bounds check, so a box they would refuse is
+         refused here with their code and message, before any fan-out;
+         the box is decomposed once, whatever the retries. *)
+      match P.range_box t.space ~lo ~hi with
+      | exception Invalid_argument message -> P.Error { code = P.Bad_request; message }
+      | box ->
+          let intervals = routing_intervals t box in
           with_stale_retry t 1 (fun m ->
-              let targets = read_targets t m ~lo ~hi in
+              let targets = read_targets t m intervals in
               settle merge_concat (forward_to t m ?deadline_ms payload targets)))
   | P.Query plan ->
       if not (routable_plan plan) then plan_rejection

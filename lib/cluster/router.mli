@@ -6,8 +6,11 @@
     sub-requests against the shards named by its versioned
     {!Sqp_server.Shard_map}:
 
-    - {b Range reads} ([Range_search], [Live_range]): the query box is
-      decomposed {e once} into a z-interval cover, and only the shards
+    - {b Range reads} ([Range_search], [Live_range]): the box passes the
+      shards' own bounds check ({!Sqp_server.Protocol.range_box}) first,
+      so an out-of-grid box draws their [Bad_request] before any
+      fan-out; it is then decomposed {e once}, whatever the stale-map
+      retries, into a z-interval cover, and only the shards
       whose owned interval overlaps it are contacted
       ({!Sqp_zorder.Zrange.overlaps_interval}).  Shards own contiguous
       disjoint ranges in ascending order, and each returns its rows in z

@@ -42,31 +42,35 @@ let box_ranges prep box =
          })
        els)
 
-(* The same scan ranges as int keys: two flat int arrays read from each
-   element's length and first word — per-query range construction is a
-   large share of a cache-warm search, so it is kept allocation-lean. *)
+(* The same scan ranges as int keys, straight from the decomposition's
+   int-bounds recursion: two flat int arrays, no element built. *)
 let key_ranges prep box =
-  let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
-  Z.Zkernel.ranges_of_elements ~total:(Z.Space.total_bits prep.space)
-    (Z.Decompose.decompose_box prep.space ~lo ~hi)
+  Z.Decompose.key_ranges prep.space ~lo:box.Sqp_geom.Box.lo ~hi:box.Sqp_geom.Box.hi
 
 let clip prep box =
   Sqp_geom.Box.clip box ~side:(Z.Space.side prep.space)
 
+let prepared_entry prep i = prep.pts.(i)
+
 (* Observability: one span per search carrying the merge's work counters
    (probes = comparisons, skips = random accesses), plus running totals in
    the ambient metrics registry.  A single branch when tracing is off. *)
-let observed name search prep box =
-  if not (Sqp_obs.Trace.global_enabled ()) then search prep box
+let observed name iter prep box f =
+  if not (Sqp_obs.Trace.global_enabled ()) then iter prep box f
   else begin
     let tracer = Sqp_obs.Trace.global () in
     Sqp_obs.Trace.span_begin tracer name;
-    let ((results, c) as r) = search prep box in
+    let rows = ref 0 in
+    let c =
+      iter prep box (fun i ->
+          incr rows;
+          f i)
+    in
     Sqp_obs.Trace.span_end
       ~attrs:(fun () ->
         Sqp_obs.Trace.
           [
-            ("rows", Int (List.length results));
+            ("rows", Int !rows);
             ("comparisons", Int c.comparisons);
             ("point_steps", Int c.point_steps);
             ("element_steps", Int c.element_steps);
@@ -79,11 +83,17 @@ let observed name search prep box =
       Sqp_obs.Metrics.add (Sqp_obs.Metrics.counter m (name ^ "." ^ suffix)) n
     in
     bump "queries" 1;
-    bump "rows" (List.length results);
+    bump "rows" !rows;
     bump "comparisons" c.comparisons;
     bump "skips" (c.point_jumps + c.element_jumps);
-    r
+    c
   end
+
+(* A list search is its iteration plus accumulation. *)
+let collect iter prep box =
+  let acc = ref [] in
+  let c = iter prep box (fun i -> acc := prep.pts.(i) :: !acc) in
+  (List.rev !acc, c)
 
 let no_counters =
   { point_steps = 0; element_steps = 0; point_jumps = 0; element_jumps = 0; comparisons = 0 }
@@ -97,14 +107,13 @@ let counters_of_kernel (c : Z.Zkernel.range_counters) =
     comparisons = c.comparisons;
   }
 
-let search_plain_reference_impl prep box =
+let iter_plain_reference_impl prep box emit =
   match clip prep box with
-  | None -> ([], no_counters)
+  | None -> no_counters
   | Some box ->
       let ranges = box_ranges prep box in
       let np = Array.length prep.zs and nb = Array.length ranges in
       let point_steps = ref 0 and element_steps = ref 0 and comparisons = ref 0 in
-      let acc = ref [] in
       let i = ref 0 and j = ref 0 in
       while !i < np && !j < nb do
         let z = prep.zs.(!i) and r = ranges.(!j) in
@@ -120,37 +129,35 @@ let search_plain_reference_impl prep box =
             incr element_steps
           end
           else begin
-            acc := prep.pts.(!i) :: !acc;
+            emit !i;
             incr i;
             incr point_steps
           end
         end
       done;
-      ( List.rev !acc,
-        {
-          point_steps = !point_steps;
-          element_steps = !element_steps;
-          point_jumps = 0;
-          element_jumps = 0;
-          comparisons = !comparisons;
-        } )
+      {
+        point_steps = !point_steps;
+        element_steps = !element_steps;
+        point_jumps = 0;
+        element_jumps = 0;
+        comparisons = !comparisons;
+      }
 
 let search_plain_reference prep box =
-  observed "range_search.plain_reference" search_plain_reference_impl prep box
+  collect (observed "range_search.plain_reference" iter_plain_reference_impl) prep box
 
-(* A search on an int-key kernel merge; rows and counters are the
+(* An iteration on an int-key kernel merge; rows and counters are the
    reference's. *)
-let search_keys merge prep box =
+let iter_keys merge prep box emit =
   match clip prep box with
-  | None -> ([], no_counters)
-  | Some box ->
-      let acc = ref [] in
-      let c = merge prep.keys (key_ranges prep box) (fun i -> acc := prep.pts.(i) :: !acc) in
-      (List.rev !acc, counters_of_kernel c)
+  | None -> no_counters
+  | Some box -> counters_of_kernel (merge prep.keys (key_ranges prep box) emit)
 
-let search_plain_impl prep box = search_keys Z.Zkernel.range_plain_keys prep box
+let iter_plain_impl prep box emit = iter_keys Z.Zkernel.range_plain_keys prep box emit
 
-let search_plain prep box = observed "range_search.plain" search_plain_impl prep box
+let iter_plain prep box f = observed "range_search.plain" iter_plain_impl prep box f
+
+let search_plain prep box = collect iter_plain prep box
 
 (* First index in [zs[lo, hi)] with zs.(i) >= z (binary search = random
    access). *)
@@ -173,16 +180,15 @@ let first_live_range ranges z comparisons =
   done;
   !lo
 
-let search_skip_reference_impl prep box =
+let iter_skip_reference_impl prep box emit =
   match clip prep box with
-  | None -> ([], no_counters)
+  | None -> no_counters
   | Some box ->
       let ranges = box_ranges prep box in
       let np = Array.length prep.zs and nb = Array.length ranges in
       let point_steps = ref 0 and element_steps = ref 0 in
       let point_jumps = ref 0 and element_jumps = ref 0 in
       let comparisons = ref 0 in
-      let acc = ref [] in
       let i = ref 0 and j = ref 0 in
       (if np > 0 && nb > 0 then begin
          (* Initial random access: position P at the box's first z value. *)
@@ -207,27 +213,28 @@ let search_skip_reference_impl prep box =
             incr element_jumps
           end
           else begin
-            acc := prep.pts.(!i) :: !acc;
+            emit !i;
             incr i;
             incr point_steps
           end
         end
       done;
-      ( List.rev !acc,
-        {
-          point_steps = !point_steps;
-          element_steps = !element_steps;
-          point_jumps = !point_jumps;
-          element_jumps = !element_jumps;
-          comparisons = !comparisons;
-        } )
+      {
+        point_steps = !point_steps;
+        element_steps = !element_steps;
+        point_jumps = !point_jumps;
+        element_jumps = !element_jumps;
+        comparisons = !comparisons;
+      }
 
 let search_skip_reference prep box =
-  observed "range_search.skip_reference" search_skip_reference_impl prep box
+  collect (observed "range_search.skip_reference" iter_skip_reference_impl) prep box
 
-let search_skip_impl prep box = search_keys Z.Zkernel.range_skip_keys prep box
+let iter_skip_impl prep box emit = iter_keys Z.Zkernel.range_skip_keys prep box emit
 
-let search_skip prep box = observed "range_search.skip" search_skip_impl prep box
+let iter_skip prep box f = observed "range_search.skip" iter_skip_impl prep box f
+
+let search_skip prep box = collect iter_skip prep box
 
 type trace_step = {
   description : string;

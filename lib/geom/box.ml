@@ -29,13 +29,13 @@ let volume b =
   done;
   !v
 
-let contains_point b p =
-  Array.length p = dims b
-  &&
-  let rec go i =
-    i = dims b || (b.lo.(i) <= p.(i) && p.(i) <= b.hi.(i) && go (i + 1))
-  in
-  go 0
+(* A top-level recursion, not a local one: a local [go] would capture
+   [b] and [p] in a closure allocated on every call, and this test runs
+   once per scanned entry in the range searches. *)
+let rec contains_from lo hi p i =
+  i = Array.length lo || (lo.(i) <= p.(i) && p.(i) <= hi.(i) && contains_from lo hi p (i + 1))
+
+let contains_point b p = Array.length p = dims b && contains_from b.lo b.hi p 0
 
 let contains_box outer inner =
   dims outer = dims inner

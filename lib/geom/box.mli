@@ -22,6 +22,8 @@ val extents : t -> int array
 val volume : t -> float
 
 val contains_point : t -> Point.t -> bool
+(** Inclusive on every axis; [false] on an arity mismatch.  Allocates
+    nothing: the range searches call it once per scanned entry. *)
 
 val contains_box : t -> t -> bool
 (** [contains_box outer inner]. *)

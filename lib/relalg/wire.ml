@@ -31,10 +31,7 @@ let read_u8 c =
 
 let write_u32 b v =
   if v < 0 || v > 0xffff_ffff then invalid_arg "Wire.write_u32";
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (v land 0xff))
+  Buffer.add_int32_be b (Int32.of_int v)
 
 let read_u32 c =
   need c 4 "u32";
@@ -43,12 +40,7 @@ let read_u32 c =
   c.pos <- c.pos + 4;
   v
 
-let write_i64 b v =
-  let v = Int64.of_int v in
-  for i = 7 downto 0 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
-  done
+let write_i64 b v = Buffer.add_int64_be b (Int64.of_int v)
 
 let read_i64 c =
   need c 8 "i64";
@@ -97,28 +89,63 @@ let read_point_list c =
   done;
   List.rev !out
 
-(* {1 Bitstrings}
+(* {1 Exact-size encoding}
+
+   Values, schemas and relations are encoded only here, into a [bytes]
+   allocated once at its exact length: each [*_size] is an encoded
+   length, each [put_*] writes at [pos] and returns the position after
+   it.  Their [Buffer] writers append what these write. *)
+
+let put_u8 buf pos v =
+  Bytes.set_uint8 buf pos (v land 0xff);
+  pos + 1
+
+let put_u32 buf pos v =
+  if v < 0 || v > 0xffff_ffff then invalid_arg "Wire.write_u32";
+  Bytes.set_int32_be buf pos (Int32.of_int v);
+  pos + 4
+
+let put_i64 buf pos v =
+  Bytes.set_int64_be buf pos (Int64.of_int v);
+  pos + 8
+
+let string_size s = 4 + String.length s
+
+let put_string buf pos s =
+  let n = String.length s in
+  let pos = put_u32 buf pos n in
+  Bytes.blit_string s 0 buf pos n;
+  pos + n
+
+let appended size put b v =
+  let buf = Bytes.create (size v) in
+  ignore (put buf 0 v);
+  Buffer.add_bytes b buf
+
+(* {2 Bitstrings}
 
    Bit length, then the bits packed MSB-first, the last byte zero-padded.
    No bitstring is longer than [Space.max_total_bits], so a longer length
    is corrupt input. *)
 
-let write_bitstring b bits =
-  let module B = Sqp_zorder.Bitstring in
+module B = Sqp_zorder.Bitstring
+
+let bitstring_size bits = 4 + ((B.length bits + 7) / 8)
+
+let put_bitstring buf pos bits =
   let n = B.length bits in
-  write_u32 b n;
-  let byte = ref 0 in
-  for i = 0 to n - 1 do
-    if B.get bits i then byte := !byte lor (0x80 lsr (i mod 8));
-    if i mod 8 = 7 then begin
-      Buffer.add_char b (Char.chr !byte);
-      byte := 0
-    end
+  let pos = put_u32 buf pos n in
+  let nbytes = (n + 7) / 8 in
+  for j = 0 to nbytes - 1 do
+    let byte = ref 0 in
+    for i = 8 * j to min n ((8 * j) + 8) - 1 do
+      if B.get bits i then byte := !byte lor (0x80 lsr (i mod 8))
+    done;
+    Bytes.set_uint8 buf (pos + j) !byte
   done;
-  if n mod 8 <> 0 then Buffer.add_char b (Char.chr !byte)
+  pos + nbytes
 
 let read_bitstring c =
-  let module B = Sqp_zorder.Bitstring in
   let n = read_u32 c in
   if n > Sqp_zorder.Space.max_total_bits then
     corrupt "bitstring of %d bits (at most %d)" n Sqp_zorder.Space.max_total_bits;
@@ -132,31 +159,33 @@ let read_bitstring c =
   c.pos <- c.pos + nbytes;
   bits
 
-(* {1 Values} *)
+(* {2 Values} *)
 
-let write_value b (v : Value.t) =
+let int_cell_size = 9
+
+let put_int_cell buf pos i = put_i64 buf (put_u8 buf pos 1) i
+
+let value_size (v : Value.t) =
   match v with
-  | Value.Null -> write_u8 b 0
-  | Value.Int i ->
-      write_u8 b 1;
-      write_i64 b i
+  | Value.Null -> 1
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Str s -> 1 + string_size s
+  | Value.Bool _ -> 2
+  | Value.Zval z -> 1 + bitstring_size z
+
+let put_value buf pos (v : Value.t) =
+  match v with
+  | Value.Null -> put_u8 buf pos 0
+  | Value.Int i -> put_int_cell buf pos i
   | Value.Float f ->
-      write_u8 b 2;
-      let bits = Int64.bits_of_float f in
-      for i = 7 downto 0 do
-        Buffer.add_char b
-          (Char.chr
-             (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xffL)))
-      done
-  | Value.Str s ->
-      write_u8 b 3;
-      write_string b s
-  | Value.Bool bo ->
-      write_u8 b 4;
-      write_u8 b (if bo then 1 else 0)
-  | Value.Zval z ->
-      write_u8 b 5;
-      write_bitstring b z
+      let pos = put_u8 buf pos 2 in
+      Bytes.set_int64_be buf pos (Int64.bits_of_float f);
+      pos + 8
+  | Value.Str s -> put_string buf (put_u8 buf pos 3) s
+  | Value.Bool bo -> put_u8 buf (put_u8 buf pos 4) (if bo then 1 else 0)
+  | Value.Zval z -> put_bitstring buf (put_u8 buf pos 5) z
+
+let write_value b v = appended value_size put_value b v
 
 let read_value c : Value.t =
   match read_u8 c with
@@ -181,7 +210,7 @@ let read_value c : Value.t =
   | 5 -> Value.Zval (read_bitstring c)
   | t -> corrupt "unknown value tag %d" t
 
-(* {1 Schemas and relations} *)
+(* {2 Schemas and relations} *)
 
 let ty_code : Value.ty -> int = function
   | Value.TInt -> 0
@@ -198,14 +227,17 @@ let ty_of_code = function
   | 4 -> Value.TZval
   | n -> corrupt "unknown type code %d" n
 
-let write_schema b s =
+let schema_size s =
+  List.fold_left (fun n (name, _) -> n + string_size name + 1) 4 (Schema.attrs s)
+
+let put_schema buf pos s =
   let attrs = Schema.attrs s in
-  write_u32 b (List.length attrs);
-  List.iter
-    (fun (name, ty) ->
-      write_string b name;
-      write_u8 b (ty_code ty))
+  List.fold_left
+    (fun pos (name, ty) -> put_u8 buf (put_string buf pos name) (ty_code ty))
+    (put_u32 buf pos (List.length attrs))
     attrs
+
+let write_schema b s = appended schema_size put_schema b s
 
 let read_schema c =
   let n = read_u32 c in
@@ -220,11 +252,26 @@ let read_schema c =
   | s -> s
   | exception Invalid_argument m -> corrupt "bad schema: %s" m
 
-let write_relation b r =
-  write_string b (Relation.name r);
-  write_schema b (Relation.schema r);
-  write_u32 b (Relation.cardinality r);
-  Relation.iter r (fun tu -> Array.iter (write_value b) tu)
+let relation_header_size ~name schema = string_size name + schema_size schema + 4
+
+let put_relation_header buf pos ~name schema ~count =
+  put_u32 buf (put_schema buf (put_string buf pos name) schema) count
+
+let relation_size r =
+  let n = ref (relation_header_size ~name:(Relation.name r) (Relation.schema r)) in
+  Relation.iter r (fun tu -> Array.iter (fun v -> n := !n + value_size v) tu);
+  !n
+
+let put_relation buf pos r =
+  let pos =
+    ref
+      (put_relation_header buf pos ~name:(Relation.name r) (Relation.schema r)
+         ~count:(Relation.cardinality r))
+  in
+  Relation.iter r (fun tu -> Array.iter (fun v -> pos := put_value buf !pos v) tu);
+  !pos
+
+let write_relation b r = appended relation_size put_relation b r
 
 let read_relation c =
   let name = read_string c in

@@ -77,7 +77,17 @@ val write_point_list : Buffer.t -> (int array * int) list -> unit
 
 val read_point_list : cursor -> (int array * int) list
 
-(** {1 Relational codecs} *)
+(** {1 Relational codecs}
+
+    Values, schemas and relations are encoded in one place, into a
+    [bytes] allocated once at its exact length: each [*_size] function
+    is an encoded length in bytes, each [put_*] writes at [pos] and
+    returns the position just past what it wrote.  The [Buffer] writers
+    append exactly those bytes. *)
+
+val value_size : Value.t -> int
+
+val put_value : bytes -> int -> Value.t -> int
 
 val write_value : Buffer.t -> Value.t -> unit
 
@@ -85,11 +95,33 @@ val read_value : cursor -> Value.t
 (** @raise Corrupt also on a [Zval] longer than
     [Sqp_zorder.Space.max_total_bits] bits, which no bitstring holds. *)
 
+val int_cell_size : int
+(** [value_size (Int _)]: 9 bytes, a tag and an [i64]. *)
+
+val put_int_cell : bytes -> int -> int -> int
+(** [put_int_cell buf pos i = put_value buf pos (Int i)], without
+    building the value. *)
+
 val write_schema : Buffer.t -> Schema.t -> unit
 val read_schema : cursor -> Schema.t
 
+val relation_header_size : name:string -> Schema.t -> int
+(** Bytes of a relation's name, schema and tuple count. *)
+
+val put_relation_header :
+  bytes -> int -> name:string -> Schema.t -> count:int -> int
+(** The header {!put_relation} writes for a relation of that name and
+    schema holding [count] tuples; the tuples' values follow it.
+    @raise Invalid_argument if [count] does not fit a [u32]. *)
+
+val relation_size : Relation.t -> int
+
+val put_relation : bytes -> int -> Relation.t -> int
+(** The header, then every tuple's values (each self-describing). *)
+
 val write_relation : Buffer.t -> Relation.t -> unit
-(** Name, schema, then every tuple (each value self-describing). *)
+(** Name, schema, then every tuple (each value self-describing): the
+    bytes of {!put_relation}. *)
 
 val read_relation : cursor -> Relation.t
 (** @raise Corrupt also when a tuple's value types contradict the

@@ -36,7 +36,8 @@ type t = {
       (* the z-sorted point sequence every served range merges against *)
   pindex : int Sqp_btree.Zindex.t Lazy.t;
       (* front-coded packed index over the same points: the measured
-         entries-per-page that recalibrates the page cost model *)
+         entries-per-page that recalibrates the page cost model, built
+         by the first [page_estimate] *)
   m : Mutex.t;  (* guards the mutable fields below *)
   mutable stats : O.Stats.t option;
   dedup : (int, dedup_client) Hashtbl.t;
@@ -180,10 +181,8 @@ let stats t =
 let analyze t =
   let lives = List.map (fun (name, lv) -> (name, Live.length lv)) t.lives in
   let st = O.Stats.analyze ~lives ~space:t.space t.relations in
-  (* Part of the ANALYZE pass: build the packed point index so its
-     measured entries-per-page (the compressed density) is available to
-     the page cost model from here on. *)
-  ignore (point_index t);
+  (* The packed point index is not built here: only [page_estimate]
+     reads it, and forces it on first use. *)
   Mutex.lock t.m;
   t.stats <- Some st;
   Mutex.unlock t.m;
@@ -288,20 +287,6 @@ let point_histogram t =
 
 (* {1 Plans} *)
 
-let validate_bounds t ~lo ~hi =
-  let dims = Z.Space.dims t.space and side = Z.Space.side t.space in
-  if Array.length lo <> dims || Array.length hi <> dims then
-    invalid_arg
-      (Printf.sprintf "range bounds must have %d coordinates, got %d/%d" dims
-         (Array.length lo) (Array.length hi));
-  Array.iteri
-    (fun i c ->
-      if c < 0 || c >= side || hi.(i) < 0 || hi.(i) >= side then
-        invalid_arg
-          (Printf.sprintf "range bounds outside the %dx%d grid" side side))
-    lo;
-  Sqp_geom.Box.make ~lo ~hi (* raises on inverted bounds *)
-
 let coords t = List.init (Z.Space.dims t.space) (fun i -> Printf.sprintf "x%d" i)
 
 let refine_pred t ~lo ~hi =
@@ -376,7 +361,7 @@ type page_estimate = {
 
 let page_estimate t ~lo ~hi =
   match stats t with
-  | None -> None  (* the density is measured by the ANALYZE pass *)
+  | None -> None  (* the page model is priced only once ANALYZE has run *)
   | Some _ ->
       let idx = point_index t in
       let rows = Sqp_btree.Zindex.length idx in
@@ -432,7 +417,7 @@ let range_access t ~lo ~hi =
       | _ -> Planned)
 
 let range_plan t ~lo ~hi =
-  ignore (validate_bounds t ~lo ~hi);
+  ignore (Protocol.range_box t.space ~lo ~hi);
   let mk ?max_level ~refine () =
     let b = cover_relation t ?max_level ~lo ~hi () in
     let join =

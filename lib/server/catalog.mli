@@ -70,15 +70,18 @@ val live : t -> string -> int Sqp_btree.Live.t option
 
 val prepared_points : t -> int Sqp_core.Range_search.prepared
 (** The z-sorted point sequence every served range request merges
-    against (payload = row id): the server runs
-    {!Sqp_core.Range_search.search_skip} on it, with or without
-    statistics.  Built lazily on first use, then shared. *)
+    against (payload = row id): the server streams
+    {!Sqp_core.Range_search.iter_skip} over it into its answer
+    ({!Server.range_answer}), with or without statistics.  Built lazily
+    on first use, then shared. *)
 
 val point_index : t -> int Sqp_btree.Zindex.t
 (** A front-coded packed {!Sqp_btree.Zindex} over the same points
-    (payload = row id), built lazily (and always forced by {!analyze}).
-    Its measured entries-per-page is the density that recalibrates the
-    page cost model — see {!page_estimate}. *)
+    (payload = row id), built lazily on first use: {!page_estimate}
+    (from [sqp query --costs]) is its only serving-side reader, so a
+    server that never estimates pages never builds it.  Its measured
+    entries-per-page is the density that recalibrates the page cost
+    model. *)
 
 (** {1 Idempotency dedup window}
 
@@ -141,12 +144,6 @@ val stats : t -> Sqp_optimizer.Stats.t option
 
 (** {1 Plans} *)
 
-val validate_bounds : t -> lo:int array -> hi:int array -> Sqp_geom.Box.t
-(** Check a range request's bounds against the catalog's space and build
-    the box.
-    @raise Invalid_argument if the bounds have the wrong dimensionality,
-    lie outside the grid, or are inverted. *)
-
 val range_decision :
   t -> lo:int array -> hi:int array -> Sqp_optimizer.Cost.range_alternative list option
 (** The costed range-search alternatives for this box under the current
@@ -171,9 +168,9 @@ type page_estimate = {
 val page_estimate : t -> lo:int array -> hi:int array -> page_estimate option
 (** The page cost model before and after recalibration for one range
     box: {!Sqp_optimizer.Cost.predicted_range_pages} evaluated at the
-    fixed-width page count and again at the entries-per-page the ANALYZE
-    pass measured on the front-coded point index.  [None] until
-    {!analyze} has run (the density is measured then). *)
+    fixed-width page count and again at the entries-per-page measured
+    on the front-coded point index ({!point_index}, built by the first
+    call).  [None] until {!analyze} has run. *)
 
 type range_access =
   | Direct of Sqp_optimizer.Cost.range_alternative
@@ -191,7 +188,7 @@ val range_access : t -> lo:int array -> hi:int array -> range_access
     latter models.
 
     The server does not call it.  Every served range request runs the
-    exact cover on {!Sqp_core.Range_search.search_skip} over
+    exact cover on {!Sqp_core.Range_search.iter_skip} over
     {!prepared_points}, with or without statistics, so no request pays
     for this decision.  It stays for the callers that report or replay
     the model: [sqp bench-optimizer], the optimizer tests and the
@@ -207,8 +204,8 @@ val range_plan : t -> lo:int array -> hi:int array -> Sqp_relalg.Plan.t
     an exact refine [Select] between the join and the projection, so the
     result rows are identical at every budget.  Without statistics the
     cover is pixel-exact and needs no refine.
-    @raise Invalid_argument if the bounds have the wrong dimensionality,
-    lie outside the grid, or are inverted. *)
+    @raise Invalid_argument on the bounds {!Protocol.range_box} refuses:
+    the wrong dimensionality, outside the grid, or inverted. *)
 
 val overlap_plan : t -> Sqp_relalg.Plan.t
 (** The canonical join over ["R"] and ["S"]: candidate overlapping

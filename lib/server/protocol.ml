@@ -122,6 +122,21 @@ let request_tag = function
    (replaying a read is idempotent by definition). *)
 let idem_tag tag = tag >= 6 && tag <= 9
 
+(* The bounds check of [Range_search] and [Live_range], the same on a
+   server and through a router. *)
+let range_box space ~lo ~hi =
+  let dims = Sqp_zorder.Space.dims space and side = Sqp_zorder.Space.side space in
+  if Array.length lo <> dims || Array.length hi <> dims then
+    invalid_arg
+      (Printf.sprintf "range bounds must have %d coordinates, got %d/%d" dims
+         (Array.length lo) (Array.length hi));
+  let inside c = 0 <= c && c < side in
+  if not (Array.for_all inside lo && Array.for_all inside hi) then
+    invalid_arg
+      (Printf.sprintf "range bounds outside the %s grid"
+         (String.concat "x" (List.init dims (fun _ -> string_of_int side))));
+  Sqp_geom.Box.make ~lo ~hi (* raises on inverted bounds *)
+
 let encode_request { deadline_ms; idem; request } =
   let b = Buffer.create 64 in
   let tag = request_tag request in
@@ -262,40 +277,76 @@ let decode_request payload =
       | frame -> Stdlib.Ok frame
       | exception Wire.Corrupt m -> Stdlib.Error (Bad_request, m)
 
-let encode_response resp =
+(* {2 Rows answers}
+
+   A [Rows] payload is the version, the tag, then the relation.  Both of
+   its writers allocate it once at its exact size and write the relation
+   header with [Wire.put_relation_header]. *)
+
+let rows_tag = 1
+
+let rows_buffer relation_bytes =
+  let buf = Bytes.create (2 + relation_bytes) in
+  Bytes.set_uint8 buf 0 version;
+  Bytes.set_uint8 buf 1 rows_tag;
+  buf
+
+type int_rows = { buf : bytes; mutable pos : int }
+
+let int_rows ~name schema ~count =
+  if
+    not
+      (List.for_all
+         (fun (_, ty) -> ty = Sqp_relalg.Value.TInt)
+         (Sqp_relalg.Schema.attrs schema))
+  then invalid_arg "Protocol.int_rows: a column is not TInt";
+  let cells = count * Sqp_relalg.Schema.arity schema in
+  let buf =
+    rows_buffer (Wire.relation_header_size ~name schema + (cells * Wire.int_cell_size))
+  in
+  { buf; pos = Wire.put_relation_header buf 2 ~name schema ~count }
+
+let add_int w i = w.pos <- Wire.put_int_cell w.buf w.pos i
+
+let int_rows_payload w =
+  if w.pos <> Bytes.length w.buf then
+    invalid_arg "Protocol.int_rows_payload: fewer cells than the rows counted";
+  Bytes.unsafe_to_string w.buf
+
+let buffered tag write =
   let b = Buffer.create 256 in
   Wire.write_u8 b version;
-  (match resp with
-  | Rows r ->
-      Wire.write_u8 b 1;
-      Wire.write_relation b r
-  | Text s ->
-      Wire.write_u8 b 2;
-      Wire.write_string b s
-  | Analyzed { rendered; rows } ->
-      Wire.write_u8 b 3;
-      Wire.write_string b rendered;
-      Wire.write_relation b rows
-  | Health_report h ->
-      Wire.write_u8 b 4;
-      Wire.write_u8 b (if h.healthy then 1 else 0);
-      Wire.write_string b h.detail;
-      Wire.write_i64 b h.in_flight;
-      Wire.write_i64 b h.queued;
-      Wire.write_i64 b h.served;
-      Wire.write_string b h.mode
-  | Error { code; message } ->
-      Wire.write_u8 b 5;
-      Wire.write_u8 b (error_code_byte code);
-      Wire.write_string b message
-  | Ack { applied; seq } ->
-      Wire.write_u8 b 6;
-      Wire.write_i64 b applied;
-      Wire.write_i64 b seq
-  | Shard_map map ->
-      Wire.write_u8 b 7;
-      Shard_map.write b map);
+  Wire.write_u8 b tag;
+  write b;
   Buffer.contents b
+
+let encode_response = function
+  | Rows r ->
+      let buf = rows_buffer (Wire.relation_size r) in
+      ignore (Wire.put_relation buf 2 r);
+      Bytes.unsafe_to_string buf
+  | Text s -> buffered 2 (fun b -> Wire.write_string b s)
+  | Analyzed { rendered; rows } ->
+      buffered 3 (fun b ->
+          Wire.write_string b rendered;
+          Wire.write_relation b rows)
+  | Health_report h ->
+      buffered 4 (fun b ->
+          Wire.write_u8 b (if h.healthy then 1 else 0);
+          Wire.write_string b h.detail;
+          Wire.write_i64 b h.in_flight;
+          Wire.write_i64 b h.queued;
+          Wire.write_i64 b h.served;
+          Wire.write_string b h.mode)
+  | Error { code; message } ->
+      buffered 5 (fun b ->
+          Wire.write_u8 b (error_code_byte code);
+          Wire.write_string b message)
+  | Ack { applied; seq } ->
+      buffered 6 (fun b ->
+          Wire.write_i64 b applied;
+          Wire.write_i64 b seq)
+  | Shard_map map -> buffered 7 (fun b -> Shard_map.write b map)
 
 let decode_response payload =
   if String.length payload < 2 then Stdlib.Error "payload shorter than 2 bytes"

@@ -179,8 +179,41 @@ val decode_request : string -> (request_frame, error_code * string) result
 (** [Error (Unsupported_version, _)] on a version byte other than
     {!version}, [Error (Bad_request, _)] on anything else malformed. *)
 
+val range_box :
+  Sqp_zorder.Space.t -> lo:int array -> hi:int array -> Sqp_geom.Box.t
+(** The one bounds check of [Range_search] and [Live_range] requests,
+    the same on a server and through a router: the box, if [lo] and
+    [hi] have one coordinate per axis of [space], lie inside its grid
+    and are not inverted.
+    @raise Invalid_argument otherwise (answered as [Bad_request]). *)
+
 val encode_response : response -> string
-(** Always encodes at version {!version}. *)
+(** Always encodes at version {!version}.  [Rows r] is written once,
+    into a string of exactly its encoded size. *)
+
+(** {2 Streamed row answers}
+
+    A [Rows] answer whose columns are all [TInt], written row by row
+    into one string allocated at exactly its encoded size: byte for
+    byte what [encode_response (Rows r)] writes for the relation [r] of
+    those rows.  The server answers range reads this way straight from
+    the merge, with no relation built. *)
+
+type int_rows
+
+val int_rows : name:string -> Sqp_relalg.Schema.t -> count:int -> int_rows
+(** Allocate the answer for [count] rows of relation [name] with this
+    schema and write its version, tag and relation header.
+    @raise Invalid_argument if a column is not [TInt]. *)
+
+val add_int : int_rows -> int -> unit
+(** Write the next cell, row after row, in schema order.
+    @raise Invalid_argument past the last cell of the last row. *)
+
+val int_rows_payload : int_rows -> string
+(** The payload, once every row is written; the writer must not be
+    used after this.
+    @raise Invalid_argument if cells are missing. *)
 
 val decode_response : string -> (response, string) result
 (** [Error] on a version byte other than {!version} or any malformed

@@ -114,16 +114,93 @@ let owned_interval t =
   | Some { owned = Some (zlo, zhi); _ } -> Some (zlo, zhi)
   | Some { owned = None; _ } -> Some (1, 0)
 
-let filter_owned_entries t entries =
-  match owned_interval t with
-  | None -> entries
+(* {1 Streamed range answers}
+
+   A [Range_search] or [Live_range] answer is written once, into a
+   payload of exactly its encoded size: byte for byte what
+   [P.encode_response (P.Rows r)] writes for the relation [r] of its
+   rows, with no relation built.  The Section 3.3 merge is the only
+   per-row loop: the owned-interval filter drops rows as they pass, and
+   each kept row is held as a reference (an index into the prepared
+   point sequence, or the entry the live tree already holds), so the
+   row count is known before the one write. *)
+
+(* Row references in chunks of [chunk] slots: one word a row, and each
+   chunk small enough to be born, and die, in the minor heap. *)
+module Refs = struct
+  let chunk = 128
+
+  type 'a t = {
+    mutable full : 'a array list;  (* filled chunks, newest first *)
+    mutable cur : 'a array;
+    mutable fill : int;
+    mutable count : int;
+  }
+
+  let create () = { full = []; cur = [||]; fill = 0; count = 0 }
+
+  let add r x =
+    if r.fill = Array.length r.cur then begin
+      if r.fill > 0 then r.full <- r.cur :: r.full;
+      r.cur <- Array.make chunk x;
+      r.fill <- 0
+    end;
+    r.cur.(r.fill) <- x;
+    r.fill <- r.fill + 1;
+    r.count <- r.count + 1
+
+  let iter r f =
+    List.iter (Array.iter f) (List.rev r.full);
+    for i = 0 to r.fill - 1 do
+      f r.cur.(i)
+    done
+end
+
+let owned_filter space = function
+  | None -> fun _ -> true
   | Some (zlo, zhi) ->
-      let space = Catalog.space t.cat in
-      List.filter
-        (fun (p, _) ->
-          let z = Shard_map.z_of_point space p in
-          zlo <= z && z <= zhi)
-        entries
+      fun p ->
+        let z = Shard_map.z_of_point space p in
+        zlo <= z && z <= zhi
+
+let int_schema names = R.Schema.make (List.map (fun n -> (n, R.Value.TInt)) names)
+
+let coord_names k = List.init k (fun i -> Printf.sprintf "x%d" i)
+
+let range_answer ?owned cat box =
+  let module RS = Sqp_core.Range_search in
+  let space = Catalog.space cat and prep = Catalog.prepared_points cat in
+  let keep = owned_filter space owned and rows = Refs.create () in
+  ignore
+    (RS.iter_skip prep box (fun i ->
+         if keep (fst (RS.prepared_entry prep i)) then Refs.add rows i));
+  let k = Sqp_zorder.Space.dims space in
+  let w = P.int_rows ~name:"range" (int_schema (coord_names k)) ~count:rows.Refs.count in
+  Refs.iter rows (fun i ->
+      let p, _ = RS.prepared_entry prep i in
+      for a = 0 to k - 1 do
+        P.add_int w p.(a)
+      done);
+  P.int_rows_payload w
+
+module Live = Sqp_btree.Live
+
+let live_answer ?owned lv box =
+  let space = Live.space lv in
+  let keep = owned_filter space owned and rows = Refs.create () in
+  ignore
+    (Live.range_iter (Live.snapshot lv) box (fun ((p, _) as e) ->
+         if keep p then Refs.add rows e));
+  let k = Sqp_zorder.Space.dims space in
+  let w =
+    P.int_rows ~name:"live" (int_schema ("id" :: coord_names k)) ~count:rows.Refs.count
+  in
+  Refs.iter rows (fun (p, id) ->
+      P.add_int w id;
+      for a = 0 to k - 1 do
+        P.add_int w p.(a)
+      done);
+  P.int_rows_payload w
 
 let storage_failure_message e =
   match Storage_error.to_string e with
@@ -139,8 +216,11 @@ let storage_failure_message e =
    degraded mode and map to [Degraded], anything else to
    [Server_error]. *)
 
-let guard t f =
-  try f () with
+(* What a request executes to: a response still to encode, or a range
+   answer already encoded. *)
+type answer = Response of P.response | Encoded of string
+
+let error_response t = function
   | Sqp_relalg.Wire.Unknown_relation name ->
       P.Error
         {
@@ -161,6 +241,8 @@ let guard t f =
         { code = P.Bad_request; message = "plan references an unknown attribute" }
   | e -> P.Error { code = P.Server_error; message = Printexc.to_string e }
 
+let guard t f = try f () with e -> Response (error_response t e)
+
 module O = Sqp_optimizer
 
 (* Wire plan -> runnable plan: resolve names, push-down-optimize, and —
@@ -174,68 +256,32 @@ let instantiate t wplan =
   | None -> plan
   | Some st -> fst (O.Optimizer.choose_plan st plan)
 
-module Live = Sqp_btree.Live
-
 let live_table t name =
   match Catalog.live t.cat name with
   | Some lv -> lv
   | None -> raise (R.Wire.Unknown_relation name)
 
-(* Rows (id, x0..xk) for live-table reads, in z order. *)
-let live_rows space entries =
-  let k = Sqp_zorder.Space.dims space in
-  let schema =
-    R.Schema.make
-      (("id", R.Value.TInt)
-      :: List.init k (fun i -> (Printf.sprintf "x%d" i, R.Value.TInt)))
-  in
-  let tuples =
-    List.map
-      (fun (p, id) ->
-        Array.of_list (R.Value.Int id :: List.init k (fun i -> R.Value.Int p.(i))))
-      entries
-  in
-  R.Relation.make ~name:"live" schema tuples
-
-(* The coordinate-row relation a range search answers with: one int
-   column x0..xk per axis, in z order. *)
-let coord_rows space entries =
-  let k = Sqp_zorder.Space.dims space in
-  let schema =
-    R.Schema.make (List.init k (fun i -> (Printf.sprintf "x%d" i, R.Value.TInt)))
-  in
-  let tuples =
-    List.map
-      (fun (p, _payload) -> Array.init k (fun i -> R.Value.Int p.(i)))
-      entries
-  in
-  R.Relation.make ~name:"range" schema tuples
-
 (* One range path, with or without statistics, sharded or not: the
    exact cover merged on the skip kernel over the prepared point
-   sequence (Section 3.3), then the owned-interval filter.  No per-box
-   decision and no plan; the skip merge's cost does not grow with the
-   point count. *)
-let range_search t box =
-  let entries, _counters =
-    Sqp_core.Range_search.search_skip (Catalog.prepared_points t.cat) box
-  in
-  coord_rows (Catalog.space t.cat) (filter_owned_entries t entries)
-
+   sequence (Section 3.3), streamed through the owned-interval filter.
+   No per-box decision and no plan; the skip merge's cost does not grow
+   with the point count. *)
 let execute t request =
   match request with
   | P.Range_search { lo; hi } ->
       guard t (fun () ->
-          P.Rows (range_search t (Catalog.validate_bounds t.cat ~lo ~hi)))
+          let box = P.range_box (Catalog.space t.cat) ~lo ~hi in
+          Encoded (range_answer ?owned:(owned_interval t) t.cat box))
   | P.Query wplan ->
-      guard t (fun () -> P.Rows (R.Plan.run (instantiate t wplan)))
+      guard t (fun () -> Response (P.Rows (R.Plan.run (instantiate t wplan))))
   | P.Explain wplan ->
       guard t (fun () ->
           let plan = instantiate t wplan in
-          P.Text
-            (match Catalog.stats t.cat with
-            | None -> R.Plan.explain plan
-            | Some st -> O.Optimizer.explain st plan))
+          Response
+            (P.Text
+               (match Catalog.stats t.cat with
+               | None -> R.Plan.explain plan
+               | Some st -> O.Optimizer.explain st plan)))
   | P.Analyze wplan ->
       guard t (fun () ->
           let plan = instantiate t wplan in
@@ -248,39 +294,33 @@ let execute t request =
                 ^ O.Optimizer.render_comparison
                     (O.Optimizer.compare_analysis st plan a.R.Plan.report)
           in
-          P.Analyzed { rendered; rows = a.R.Plan.result })
+          Response (P.Analyzed { rendered; rows = a.R.Plan.result }))
   | P.Refresh_stats ->
-      guard t (fun () -> P.Text (O.Stats.summary (Catalog.analyze t.cat)))
+      guard t (fun () -> Response (P.Text (O.Stats.summary (Catalog.analyze t.cat))))
   | P.Insert { table; points } ->
       guard t (fun () ->
           let lv = live_table t table in
           let seq, applied =
             Live.apply lv (List.map (fun (p, id) -> Live.Insert (p, id)) points)
           in
-          P.Ack { applied; seq })
+          Response (P.Ack { applied; seq }))
   | P.Delete { table; points } ->
       guard t (fun () ->
           let lv = live_table t table in
           let seq, applied =
             Live.apply lv (List.map (fun p -> Live.Delete p) points)
           in
-          P.Ack { applied; seq })
+          Response (P.Ack { applied; seq }))
   | P.Create_index { table } ->
       guard t (fun () ->
           let lv = live_table t table in
           let idx, seq = Live.rebuild_online lv in
-          P.Ack { applied = Sqp_btree.Zindex.length idx; seq })
+          Response (P.Ack { applied = Sqp_btree.Zindex.length idx; seq }))
   | P.Live_range { table; lo; hi } ->
       guard t (fun () ->
           let lv = live_table t table in
-          let space = Live.space lv in
-          let dims = Sqp_zorder.Space.dims space in
-          if Array.length lo <> dims || Array.length hi <> dims then
-            invalid_arg
-              (Printf.sprintf "live range bounds must have %d coordinates" dims);
-          let box = Sqp_geom.Box.make ~lo ~hi in
-          let rows = fst (Live.range_search (Live.snapshot lv) box) in
-          P.Rows (live_rows space (filter_owned_entries t rows)))
+          let box = P.range_box (Live.space lv) ~lo ~hi in
+          Encoded (live_answer ?owned:(owned_interval t) lv box))
   | P.Health | P.Recover | P.Shard_map_get | P.Shard_map_set _ | P.Forward _ ->
       assert false (* handled before admission *)
 
@@ -391,14 +431,12 @@ let shard_map_get t =
 let rec handle t payload =
   let arrival = now () in
   Metrics.incr t.c_requests;
-  let record resp =
+  let record ~error =
     Metrics.observe t.h_latency (int_of_float ((now () -. arrival) *. 1e6));
-    match resp with
-    | P.Error _ -> Metrics.incr t.c_err
-    | _ -> Metrics.incr t.c_ok
+    Metrics.incr (if error then t.c_err else t.c_ok)
   in
   let finish resp =
-    record resp;
+    record ~error:(match resp with P.Error _ -> true | _ -> false);
     P.encode_response resp
   in
   match P.decode_request payload with
@@ -549,14 +587,17 @@ let rec handle t payload =
                                })
                         end
                         else begin
-                          let resp = execute t request in
-                          let bytes = P.encode_response resp in
+                          let error, bytes =
+                            match execute t request with
+                            | Encoded bytes -> (false, bytes)
+                            | Response resp ->
+                                ( (match resp with P.Error _ -> true | _ -> false),
+                                  P.encode_response resp )
+                          in
                           (* Only settled, re-sendable answers enter the
                              window; errors release the key so a retry
                              can run again (and maybe succeed). *)
-                          (match resp with
-                          | P.Error _ -> abort_idem ()
-                          | _ -> commit_idem bytes);
+                          if error then abort_idem () else commit_idem bytes;
                           if expired deadline then begin
                             Metrics.incr t.c_timeouts;
                             finish
@@ -567,7 +608,7 @@ let rec handle t payload =
                                  })
                           end
                           else begin
-                            record resp;
+                            record ~error;
                             bytes
                           end
                         end

@@ -2,9 +2,11 @@
 
     One acceptor thread turns connections into {e sessions} (one thread
     each, blocking frame I/O); every request then passes {!Admission}
-    before its plan executes in the session's own thread
-    ({!Sqp_relalg.Plan.run}) — sessions supply the concurrency, and the
-    admission layer bounds how much of it a burst can claim.
+    before it executes in the session's own thread — a wire plan through
+    {!Sqp_relalg.Plan.run}, a range read streamed from the merge into
+    its encoded answer ({!range_answer}, {!live_answer}) — sessions
+    supply the concurrency, and the admission layer bounds how much of
+    it a burst can claim.
 
     Session lifecycle: [accept] → read frame → decode → (admission) →
     execute → respond → read next frame … until clean EOF, a framing
@@ -88,3 +90,31 @@ val port : t -> int
 val stop : t -> unit
 (** Graceful drain, as described above.  Idempotent; blocks until every
     session has been joined. *)
+
+(** {1 Streamed range answers}
+
+    What the server answers [Range_search] and [Live_range] with, once
+    {!Protocol.range_box} has accepted the bounds.  Each answer is one
+    encoded response payload, written once into a string of exactly its
+    size and byte-identical to [Protocol.encode_response (Rows r)] for
+    the relation [r] of its rows: the Section 3.3 merge emits each row
+    as it passes, [owned] filters it, and a kept row is held as a
+    reference (one word) until the row count is known.  Beyond the
+    payload, the merge's key ranges and one word a row, an answer
+    allocates O(1) words: nothing per scanned entry, per jump or per
+    decomposition element.
+
+    [owned = (zlo, zhi)] keeps only the rows whose z value
+    ({!Shard_map.z_of_point}) lies in that interval, the rows a shard
+    owns ([(1, 0)] keeps none); without it every row is kept. *)
+
+val range_answer : ?owned:int * int -> Catalog.t -> Sqp_geom.Box.t -> string
+(** Relation ["range"], columns [x0 .. x(k-1)] of type [TInt], one row a
+    point of {!Catalog.prepared_points} inside the box, in z order (the
+    points of {!Sqp_core.Range_search.iter_skip}). *)
+
+val live_answer :
+  ?owned:int * int -> int Sqp_btree.Live.t -> Sqp_geom.Box.t -> string
+(** Relation ["live"], columns [id, x0 .. x(k-1)], one row an entry of a
+    fresh snapshot of the table inside the box, in z order (the entries
+    of {!Sqp_btree.Live.range_iter}). *)

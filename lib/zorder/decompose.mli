@@ -55,10 +55,22 @@ val decompose_box : ?options:options -> Space.t -> lo:int array -> hi:int array 
 (** [run ?options space (box_classifier space ~lo ~hi)], element for
     element; the decomposition of Figure 2.
 
-    Computed per call with int compares on the elements' per-axis bounds
-    and each element's z prefix carried as an int (no element is built
-    to be classified, and nothing is memoized), so it is cheap enough
-    for every request.  Traced like {!run}.
+    Computed per call by one fold over the elements in z order, with
+    int compares on the elements' per-axis bounds and each element's z
+    prefix carried as an int (no element is built to be classified, and
+    nothing is memoized), so it is cheap enough for every request.
+    Traced like {!run}.
+    @raise Invalid_argument on the inputs {!box_classifier} rejects. *)
+
+val key_ranges : Space.t -> lo:int array -> hi:int array -> Zkernel.key_ranges
+(** The exact decomposition of the box ({!decompose_box} with
+    {!default_options}) as the scan ranges the range merges read: entry
+    [j] holds the {!Zkernel.element_keys} of element [j], computed from
+    the same fold's int prefixes without building an element.  The
+    element count comes first, in closed form wherever an element
+    crosses the box on one axis only, so the two arrays are allocated
+    once each at their exact length; beyond them it allocates O(1)
+    words.  Traced like {!run}.
     @raise Invalid_argument on the inputs {!box_classifier} rejects. *)
 
 val reset_cache : unit -> unit

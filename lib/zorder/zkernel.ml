@@ -25,13 +25,19 @@ let point_key space p = Interleave.word space p lxor min_int
    which gives 0. *)
 let mask_first n = -1 lsl (word_bits - n)
 
+(* Scan range of the element whose [level] bits are right-aligned in
+   [z]: zero-padding leaves its first word unchanged, one-padding sets
+   the bits between [level] and [total]. *)
+let prefix_lo_key ~level z = (z lsl (word_bits - level)) lxor min_int
+
+let prefix_hi_key ~total ~level z =
+  ((z lsl (word_bits - level)) lor (mask_first total lxor mask_first level)) lxor min_int
+
 let element_keys ~total e =
   let len = Bitstring.length e in
   if total > word_bits || len > total then invalid_arg "Zkernel.element_keys";
-  (* Scan range of the element: zero-padding leaves the word unchanged,
-     one-padding sets the bits between len and total. *)
-  let w0 = first_word e in
-  (w0 lxor min_int, (w0 lor (mask_first total lxor mask_first len)) lxor min_int)
+  let z = Bitstring.to_int e in
+  (prefix_lo_key ~level:len z, prefix_hi_key ~total ~level:len z)
 
 (* {1 Sorting} *)
 
@@ -347,17 +353,6 @@ type range_counters = {
    that same length, so every comparison in the merge is between
    equal-length values: word order alone decides. *)
 type key_ranges = { klo : int array; khi : int array }
-
-let ranges_of_elements ~total els =
-  let n = List.length els in
-  let klo = Array.make n 0 and khi = Array.make n 0 in
-  List.iteri
-    (fun j e ->
-      let lo_k, hi_k = element_keys ~total e in
-      klo.(j) <- lo_k;
-      khi.(j) <- hi_k)
-    els;
-  { klo; khi }
 
 let range_plain_keys ks { klo; khi } emit =
   let np = Array.length ks and nb = Array.length klo in

@@ -29,9 +29,20 @@ val element_keys : total:int -> Bitstring.t -> int * int
 (** [(klo, khi)] int keys of a decomposed element's inclusive scan range
     in a space of [total] bits — the keys of [Bitstring.pad_to e total
     false] and [pad_to e total true], read from the element's length and
-    first word without building the padded values.
+    int ({!prefix_lo_key}, {!prefix_hi_key}) without building the padded
+    values.
     @raise Invalid_argument if [total > 63] or the element is
     longer than [total]. *)
+
+val prefix_lo_key : level:int -> int -> int
+(** [prefix_lo_key ~level z] is the [klo] of {!element_keys} for the
+    element of [level] bits whose bits, right-aligned, are the int [z]:
+    the form {!Decompose.key_ranges} reads off its recursion.  Unchecked:
+    requires [0 <= level <= 63] and [0 <= z < 2^level]. *)
+
+val prefix_hi_key : total:int -> level:int -> int -> int
+(** The matching [khi] in a space of [total] bits; also requires
+    [level <= total <= 63]. *)
 
 (** {1 Sort and containment sweep} *)
 
@@ -79,15 +90,11 @@ type range_counters = {
 }
 
 type key_ranges = { klo : int array; khi : int array }
-(** The ascending scan ranges of a query as int keys (built per query
-    with {!element_keys}).  Point z values all share one length and range
+(** The ascending scan ranges of a query as int keys, built per query
+    by {!Decompose.key_ranges}: entry [j] is the {!element_keys} of the
+    box's [j]-th element.  Point z values all share one length and range
     bounds are padded to that same length, so in the merges below key
     order alone decides every comparison. *)
-
-val ranges_of_elements : total:int -> Bitstring.t list -> key_ranges
-(** The {!element_keys} of a z-ordered element list (a decomposed box)
-    in a space of [total] bits.
-    @raise Invalid_argument as {!element_keys}. *)
 
 val range_plain_keys : int array -> key_ranges -> (int -> unit) -> range_counters
 (** Figure 5's plain two-sequence merge over the sorted point keys

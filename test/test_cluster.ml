@@ -228,6 +228,54 @@ let test_plan_rejection () =
           let _, join, _ = Lazy.force oracle in
           checkb "session survives rejects" true (rows_same_set join rows)))
 
+(* {1 One bounds check for range reads}
+
+   A box past the grid draws the same [Bad_request], message and all,
+   from the router as from a single server, for [Live_range] as for
+   [Range_search]; the router refuses it before any fan-out, and the
+   session serves on. *)
+
+let test_out_of_grid () =
+  let lo = [| 1000; 1000 |] and hi = [| 2000; 2000 |] in
+  let refusal what = function
+    | Error (Client.Remote { code; message }) -> (P.error_code_name code, message)
+    | Ok _ -> Alcotest.failf "%s: an out-of-grid box was answered" what
+    | Error e -> Alcotest.failf "%s: %s" what (Client.error_to_string e)
+  in
+  let refusals cl =
+    [
+      refusal "live range" (Client.live_range cl ~table:"L" ~lo ~hi);
+      refusal "range" (Client.range_search cl ~lo ~hi);
+    ]
+  in
+  let direct =
+    let server = Server.start ~metrics:(M.create ()) (Catalog.of_seeded wk) in
+    Fun.protect
+      ~finally:(fun () -> Server.stop server)
+      (fun () -> Client.with_connect ~port:(Server.port server) refusals)
+  in
+  List.iter
+    (fun (code, _) -> Alcotest.(check string) "single server" "bad_request" code)
+    direct;
+  with_seeded_cluster 2 (fun router metrics ->
+      Client.with_connect ~port:(Router.port router) (fun cl ->
+          Alcotest.(check (list (pair string string)))
+            "router: same codes and messages" direct (refusals cl);
+          let fanouts () =
+            match List.assoc_opt "cluster.fanout" (M.snapshot metrics) with
+            | Some (M.Histogram_v { count; _ }) -> count
+            | _ -> 0
+          in
+          checki "refused before any fan-out" 0 (fanouts ());
+          let ranges, _, _ = Lazy.force oracle in
+          let b, expect = List.hd ranges in
+          let got =
+            reply_ok "range after the refusals"
+              (Client.range_search cl ~lo:(Box.lo b) ~hi:(Box.hi b))
+          in
+          checkb "session serves on" true (rows_identical expect got);
+          checki "one fan-out for one range" 1 (fanouts ())))
+
 (* {1 Shard-connection kills}
 
    Every router→shard connection dies at its 25th socket operation; the
@@ -802,6 +850,8 @@ let () =
           Alcotest.test_case "unanswerable plans draw Bad_request" `Quick
             test_plan_rejection;
           Alcotest.test_case "shard-connection kills" `Quick test_shard_kills;
+          Alcotest.test_case "out-of-grid ranges draw the server's Bad_request"
+            `Quick test_out_of_grid;
         ] );
       ( "ingest",
         [

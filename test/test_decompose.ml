@@ -271,6 +271,16 @@ let prop_box_matches_run =
         (D.decompose_box ~options space ~lo ~hi)
         (D.run ~options space (D.box_classifier space ~lo ~hi)))
 
+(* The merges' key ranges come from the same fold as the element list:
+   entry j is [Zkernel.element_keys] of element j. *)
+let prop_key_ranges =
+  QCheck2.Test.make ~name:"key_ranges = element_keys of decompose_box" ~count:600
+    ~print:print_diff_case gen_diff_case (fun (space, lo, hi, _) ->
+      let total = Z.Space.total_bits space in
+      let keys = List.map (Z.Zkernel.element_keys ~total) (D.decompose_box space ~lo ~hi) in
+      let { Z.Zkernel.klo; khi } = D.key_ranges space ~lo ~hi in
+      Array.to_list (Array.map2 (fun a b -> (a, b)) klo khi) = keys)
+
 let () =
   Alcotest.run "decompose"
     [
@@ -301,5 +311,7 @@ let () =
         @ [
             QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1986 |])
               prop_box_matches_run;
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1986 |])
+              prop_key_ranges;
           ] );
     ]

@@ -158,6 +158,82 @@ let cowtree_differential () =
         (C.to_list b = Array.to_list entries))
     [ 0; 1; 4; 5; 16; 17; 64; 100; 256; 257 ]
 
+(* Cursors: a walk from [seek_first] reads [to_list]; [cursor_reseek]
+   from any position lands where a fresh [seek] of the target does,
+   inside a leaf or across leaves, on trees full of duplicate keys and
+   thinned by removals. *)
+let cowtree_cursors () =
+  let rng = Sqp_workload.Rng.create ~seed:9 in
+  let rest c =
+    let acc = ref [] in
+    while C.cursor_valid c do
+      acc := (C.cursor_key c, C.cursor_value c) :: !acc;
+      C.cursor_next c
+    done;
+    List.rev !acc
+  in
+  for round = 0 to 39 do
+    let t = ref (C.empty ~leaf_capacity:4 ~internal_capacity:3 ()) in
+    for i = 0 to 40 + (round * 10) do
+      let k = Sqp_workload.Rng.int rng 60 in
+      if Sqp_workload.Rng.int rng 4 = 0 then
+        match C.remove !t k with Some t' -> t := t' | None -> ()
+      else t := C.insert !t k i
+    done;
+    let t = !t in
+    check "walk = to_list" true (rest (C.seek_first t) = C.to_list t);
+    for _ = 1 to 20 do
+      let from = Sqp_workload.Rng.int rng 62 - 1 in
+      let c = C.seek t from in
+      (* step a little, then jump to a target above the key under c *)
+      for _ = 1 to Sqp_workload.Rng.int rng 3 do
+        C.cursor_next c
+      done;
+      if C.cursor_valid c then begin
+        let target = C.cursor_key c + 1 + Sqp_workload.Rng.int rng 12 in
+        C.cursor_reseek c target;
+        if rest c <> rest (C.seek t target) then
+          Alcotest.failf "round %d: reseek to %d left the cursor elsewhere" round target
+      end
+    done
+  done;
+  let c = C.seek_first (C.empty ()) in
+  check "empty tree: no entry" false (C.cursor_valid c);
+  C.cursor_next c;
+  C.cursor_reseek c 5;
+  check "still none" false (C.cursor_valid c);
+  match C.cursor_key c with
+  | _ -> Alcotest.fail "cursor_key at end did not raise"
+  | exception Invalid_argument _ -> ()
+
+(* {1 Allocation}
+
+   The live merge allocates its key ranges and one cursor, nothing per
+   scanned entry, per jump or per leaf; native code makes minor-heap
+   counts exact.  Over the whole space of a 16,200-row table (the size
+   a serving benchmark's ingest run grows [L] to) with a no-op
+   callback, that stays under 1,000 words. *)
+let iteration_allocation () =
+  Sqp_obs.Trace.set_global Sqp_obs.Trace.null;
+  let space = Z.Space.make ~dims:2 ~depth:10 in
+  let rng = Sqp_workload.Rng.create ~seed:4 in
+  let pixel () = [| Sqp_workload.Rng.int rng 1024; Sqp_workload.Rng.int rng 1024 |] in
+  let t = L.create ~encode ~decode space in
+  ignore (L.apply t (List.init 5000 (fun i -> L.Insert (pixel (), i))));
+  for b = 0 to 349 do
+    ignore (L.apply t (List.init 32 (fun i -> L.Insert (pixel (), 5000 + (32 * b) + i))))
+  done;
+  Alcotest.(check int) "rows" 16_200 (L.length t);
+  let snap = L.snapshot t in
+  let whole = Sqp_geom.Box.make ~lo:[| 0; 0 |] ~hi:[| 1023; 1023 |] in
+  let before = Gc.minor_words () in
+  let stats = L.range_iter snap whole (fun _ -> ()) in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (triple int int int)) "whole-space scan" (16_200, 1, 16_200)
+    L.(stats.entries_scanned, stats.elements, stats.results);
+  if words >= 1000. then
+    Alcotest.failf "a whole-space live iteration allocated %.0f minor words" words
+
 (* {1 Differential replay of mixed schedules} *)
 
 let replay_op t o op =
@@ -789,7 +865,10 @@ let () =
   Alcotest.run "ingest"
     [
       ( "cowtree",
-        [ Alcotest.test_case "differential vs sorted list" `Quick cowtree_differential ] );
+        [
+          Alcotest.test_case "differential vs sorted list" `Quick cowtree_differential;
+          Alcotest.test_case "cursors step and re-seek in place" `Quick cowtree_cursors;
+        ] );
       ( "differential",
         List.concat_map
           (fun seed ->
@@ -806,6 +885,8 @@ let () =
         [
           Alcotest.test_case "scan stats (seed 7)" `Quick pinned_scan_stats;
           Alcotest.test_case "checkpoint records byte-identical" `Quick golden_records;
+          Alcotest.test_case "whole-space iteration allocates O(1)" `Quick
+            iteration_allocation;
         ] );
       ( "space",
         [

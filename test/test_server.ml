@@ -662,6 +662,192 @@ let test_session_hygiene () =
       (* fresh connections serve normally afterwards *)
       Client.with_connect ~port (fun c -> ignore (reply_ok "health" (Client.health c))))
 
+(* {1 Streamed range answers}
+
+   The server writes a range or live-range answer straight from the
+   merge into a payload of exactly its size.  The oracle is the
+   relation it used to build and encode, kept here: one [TInt] column
+   per axis (["range"]), or the id and then the axes (["live"]), rows in
+   z order, filtered to the owned z interval. *)
+
+module Space = Sqp_zorder.Space
+module Rng = Sqp_workload.Rng
+
+let int_columns names =
+  Sqp_relalg.Schema.make (List.map (fun n -> (n, Sqp_relalg.Value.TInt)) names)
+
+let axes k = List.init k (Printf.sprintf "x%d")
+
+let coord_rows space entries =
+  let k = Space.dims space in
+  Relation.make ~name:"range" (int_columns (axes k))
+    (List.map
+       (fun (p, _payload) -> Array.init k (fun i -> Sqp_relalg.Value.Int p.(i)))
+       entries)
+
+let live_rows space entries =
+  let k = Space.dims space in
+  Relation.make ~name:"live"
+    (int_columns ("id" :: axes k))
+    (List.map
+       (fun (p, id) ->
+         Array.of_list
+           (Sqp_relalg.Value.Int id :: List.init k (fun i -> Sqp_relalg.Value.Int p.(i))))
+       entries)
+
+let owned_entries space owned entries =
+  match owned with
+  | None -> entries
+  | Some (zlo, zhi) ->
+      List.filter
+        (fun (p, _) ->
+          let z = Sqp_server.Shard_map.z_of_point space p in
+          zlo <= z && z <= zhi)
+        entries
+
+(* A seeded property over three spaces: every streamed answer, with and
+   without an owned interval, equals [encode_response (Rows r)] of the
+   oracle relation, byte for byte.  The boxes include the whole grid,
+   one occupied and one empty pixel, a box touching each grid edge, and
+   random boxes large and small. *)
+let test_streamed_bytes () =
+  let cases = ref 0 and empty = ref 0 and nonempty = ref 0 in
+  List.iter
+    (fun (dims, depth) ->
+      let space = Space.make ~dims ~depth in
+      let side = Space.side space and zmax = (1 lsl Space.total_bits space) - 1 in
+      let rng = Rng.create ~seed:((100 * dims) + depth) in
+      let pixel () = Array.init dims (fun _ -> Rng.int rng side) in
+      let base = List.init 240 (fun _ -> pixel ()) in
+      (* every tenth point twice: runs of equal z values *)
+      let points =
+        List.mapi (fun i p -> (i, p)) (base @ List.filteri (fun i _ -> i mod 10 = 0) base)
+      in
+      let lv = Live.create ~encode:string_of_int ~decode:int_of_string space in
+      ignore (Live.apply lv (List.map (fun (id, p) -> Live.Insert (p, id)) points));
+      let cat = Catalog.make ~space ~points ~relations:[] () in
+      let prep = Catalog.prepared_points cat in
+      let random_box () =
+        let a = pixel () and b = pixel () in
+        Box.make ~lo:(Array.map2 min a b) ~hi:(Array.map2 max a b)
+      in
+      let small_box () =
+        let a = pixel () in
+        Box.make ~lo:a ~hi:(Array.map (fun c -> min (side - 1) (c + Rng.int rng 4)) a)
+      in
+      let rec empty_pixel () =
+        let p = pixel () in
+        if List.exists (fun (_, q) -> q = p) points then empty_pixel ()
+        else Box.make ~lo:p ~hi:p
+      in
+      let edge a at_hi =
+        let b = random_box () in
+        let lo = Box.lo b and hi = Box.hi b in
+        if at_hi then hi.(a) <- side - 1 else lo.(a) <- 0;
+        Box.make ~lo ~hi
+      in
+      let p0 = snd (List.hd points) in
+      let boxes =
+        Box.make ~lo:(Array.make dims 0) ~hi:(Array.make dims (side - 1))
+        :: Box.make ~lo:p0 ~hi:p0
+        :: empty_pixel ()
+        :: List.concat (List.init dims (fun a -> [ edge a false; edge a true ]))
+        @ List.init 80 (fun _ -> random_box ())
+        @ List.init 80 (fun _ -> small_box ())
+      in
+      let random_owned () =
+        match Rng.int rng 4 with
+        | 0 -> Some (1, 0)
+        | 1 -> Some (0, zmax)
+        | _ ->
+            let a = Rng.int rng (zmax + 1) and b = Rng.int rng (zmax + 1) in
+            Some (min a b, max a b)
+      in
+      List.iter
+        (fun box ->
+          List.iter
+            (fun owned ->
+              incr cases;
+              let what kind =
+                Format.asprintf "%d-d depth %d, %s answer for %a, owned %s" dims depth
+                  kind Box.pp box
+                  (match owned with
+                  | None -> "everything"
+                  | Some (zlo, zhi) -> Printf.sprintf "[%d, %d]" zlo zhi)
+              in
+              let ranged = owned_entries space owned (fst (Sqp_core.Range_search.search_skip prep box)) in
+              if ranged = [] then incr empty else incr nonempty;
+              Alcotest.(check string) (what "range")
+                (P.encode_response (P.Rows (coord_rows space ranged)))
+                (Server.range_answer ?owned cat box);
+              let lived =
+                owned_entries space owned (fst (Live.range_search (Live.snapshot lv) box))
+              in
+              Alcotest.(check string) (what "live")
+                (P.encode_response (P.Rows (live_rows space lived)))
+                (Server.live_answer ?owned lv box))
+            [ None; random_owned () ])
+        boxes)
+    [ (1, 16); (2, 10); (3, 7) ];
+  checkb "at least 500 cases" true (!cases >= 500);
+  checkb "empty and non-empty answers both covered" true (!empty > 0 && !nonempty > 0)
+
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* The bytes a server sends for one small range answer and one small
+   live-range answer (four rows each), as recorded before the answers
+   were streamed. *)
+let test_recorded_bytes () =
+  let server = Server.start ~metrics:(M.create ()) (Catalog.of_seeded wk) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let fd = raw_connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let ask request =
+            P.write_frame fd (P.encode_request { P.deadline_ms = None; idem = None; request });
+            match P.read_frame fd with
+            | Ok payload -> hex payload
+            | Error e -> Alcotest.failf "no answer: %s" (P.read_error_to_string e)
+          in
+          let lo = [| 700; 40 |] and hi = [| 760; 80 |] in
+          Alcotest.(check string) "range answer"
+            ("02010000000572616e67650000000200000002783000000000027831000000000401"
+           ^ "00000000000002c00100000000000000280100000000000002c5010000000000000029"
+           ^ "0100000000000002c70100000000000000430100000000000002cd01000000000000004c")
+            (ask (P.Range_search { lo; hi }));
+          Alcotest.(check string) "live answer"
+            ("0201000000046c69766500000003000000026964000000000278300000000002783100"
+           ^ "000000040100000000000000920100000000000002c00100000000000000280100000000"
+           ^ "000001020100000000000002c50100000000000000290100000000000001520100000000"
+           ^ "000002c70100000000000000430100000000000000c50100000000000002cd01000000"
+           ^ "000000004c")
+            (ask (P.Live_range { table = "L"; lo; hi }))))
+
+(* One bounds check for both range reads: a box past the grid is
+   [Bad_request] with the same message for [Range_search] and
+   [Live_range] (which used to clip it), and the session serves on. *)
+let test_out_of_grid () =
+  with_server (fun server _ ->
+      Client.with_connect ~port:(Server.port server) (fun c ->
+          let lo = [| 1000; 1000 |] and hi = [| 2000; 2000 |] in
+          let refusal what = function
+            | Error (Client.Remote { code; message }) -> (P.error_code_name code, message)
+            | Ok _ -> Alcotest.failf "%s: an out-of-grid box was answered" what
+            | Error e -> Alcotest.failf "%s: %s" what (Client.error_to_string e)
+          in
+          let expected = ("bad_request", "range bounds outside the 1024x1024 grid") in
+          let pair = Alcotest.(pair string string) in
+          Alcotest.check pair "live range" expected
+            (refusal "live range" (Client.live_range c ~table:"L" ~lo ~hi));
+          Alcotest.check pair "range" expected
+            (refusal "range" (Client.range_search c ~lo ~hi));
+          let h = reply_ok "health after the refusals" (Client.health c) in
+          checkb "still serving" true h.P.healthy))
+
 (* {1 Statistics flow: ANALYZE over the wire, cost-based serving}
 
    Runs LAST: [Client.refresh_stats] mutates the shared module-level
@@ -781,6 +967,14 @@ let () =
         ] );
       ( "sessions",
         [ Alcotest.test_case "session hygiene" `Quick test_session_hygiene ] );
+      ( "streaming",
+        [
+          Alcotest.test_case "byte-identical to the encoded relation" `Quick
+            test_streamed_bytes;
+          Alcotest.test_case "recorded bytes" `Quick test_recorded_bytes;
+          Alcotest.test_case "out-of-grid ranges draw Bad_request" `Quick
+            test_out_of_grid;
+        ] );
       (* keep last: mutates the shared catalog's statistics *)
       ( "statistics",
         [ Alcotest.test_case "analyze flow" `Quick test_statistics_flow ] );
