@@ -151,9 +151,9 @@ let query_cmd =
           ~doc:
             "Cost-based mode: run the ANALYZE statistics pass first, print \
              the statistics-free EXPLAIN (before), then the cost-based \
-             EXPLAIN with the predicted cost column (after) and the join \
-             decisions.  With $(b,--analyze), the measured tree gains the \
-             predicted-vs-actual table.")
+             EXPLAIN with the predicted cost column (after) and each \
+             join's estimate.  With $(b,--analyze), the measured tree \
+             gains the predicted-vs-actual table.")
   in
   let run analyze costs trace =
     let module O = Sqp_optimizer in
@@ -171,37 +171,28 @@ let query_cmd =
         (R.Query.stored_overlap_plan ~options:wk.W.Seeded.decompose_options
            wk.W.Seeded.space wk.W.Seeded.left_objects wk.W.Seeded.right_objects)
     in
-    let stats_plan =
-      (* [None]: statistics-free, exactly the old behavior.  [Some]: the
-         ANALYZE pass over the same catalog the server would build, then
-         the cost-based rewrite of the same plan. *)
+    let stats =
+      (* [None]: statistics-free.  [Some]: the ANALYZE pass over the same
+         catalog the server would build, which annotates the same plan
+         with predictions and changes nothing it runs. *)
       if not costs then None
       else begin
         let cat = Srv.Catalog.of_seeded wk in
         let st = Srv.Catalog.analyze cat in
-        print_endline "EXPLAIN before (size heuristic, no statistics):";
+        print_endline "EXPLAIN before (no statistics):";
         print_string (R.Plan.explain plan);
         print_newline ();
-        let chosen, decisions = O.Optimizer.choose_plan st plan in
         print_endline "EXPLAIN after (cost-based, statistics from ANALYZE):";
-        print_string (O.Optimizer.explain st chosen);
+        print_string (O.Optimizer.explain st plan);
         List.iter
           (fun (d : O.Optimizer.join_decision) ->
             Printf.printf
-              "join %s <> %s: merge %.0f vs nested %.0f work units -> %s%s%s\n"
-              d.O.Optimizer.zl d.O.Optimizer.zr d.O.Optimizer.cost_merge
-              d.O.Optimizer.cost_nested
-              (match d.O.Optimizer.chosen with
-              | R.Plan.Merge -> "merge"
-              | R.Plan.Nested_loop -> "nested loop")
-              (if d.O.Optimizer.commuted then " (inputs commuted)" else "")
-              (if
-                 d.O.Optimizer.heuristic_would_merge
-                 = (d.O.Optimizer.chosen = R.Plan.Merge)
-                 && not d.O.Optimizer.commuted
-               then ""
-               else " [overrides heuristic]"))
-          decisions;
+              "join %s <> %s: %.0f x %.0f rows, ~%.0f pairs, merge %.0f work \
+               units\n"
+              d.O.Optimizer.zl d.O.Optimizer.zr d.O.Optimizer.left_rows
+              d.O.Optimizer.right_rows d.O.Optimizer.predicted_pairs
+              d.O.Optimizer.cost_merge)
+          (snd (O.Optimizer.choose_plan st plan));
         (* Storage recalibration: what ANALYZE measured about the
            front-coded point index, and the page prediction for a
            representative range box before/after the learned density. *)
@@ -230,14 +221,13 @@ let query_cmd =
               pe.Srv.Catalog.fixed_predicted pe.Srv.Catalog.learned_predicted
         | None, _ -> ());
         print_newline ();
-        Some (st, chosen)
+        Some st
       end
     in
-    let plan = match stats_plan with Some (_, p) -> p | None -> plan in
     if analyze then begin
-      (match stats_plan with
+      (match stats with
       | None -> print_string (R.Plan.explain_analyze plan)
-      | Some (st, _) ->
+      | Some st ->
           let a = R.Plan.run_analyze plan in
           print_string (R.Plan.render_analysis a);
           print_newline ();
@@ -251,7 +241,7 @@ let query_cmd =
            (Sqp_obs.Metrics.snapshot (Sqp_obs.Metrics.global ())))
     end
     else begin
-      (match stats_plan with
+      (match stats with
       | None ->
           print_string (R.Plan.explain plan);
           print_newline ()
@@ -733,13 +723,11 @@ let shell_cmd =
           serve); exits 1 if any command draws an error.")
     Term.(const run $ host_arg $ port_arg ~default:7477 $ commands_arg $ deadline_arg)
 
-(* Optimizer benchmark: for each seeded workload, time the plan the
-   cost-based optimizer chooses against every forced alternative (and
-   against the statistics-free size heuristic), and write the table to
-   BENCH_optimizer.json.  The invariants the JSON records — chosen never
-   slower than the worst alternative, and strictly better than the
-   heuristic somewhere — are what docs/COST_MODEL.md's calibration
-   section points at. *)
+(* Optimizer benchmark: on the standard seeded workload, time the range
+   access path the cost model chooses per box against every forced
+   method, and write the table to BENCH_optimizer.json.  The invariant
+   the JSON records — chosen never slower than the worst alternative —
+   is what docs/COST_MODEL.md's calibration section points at. *)
 let bench_optimizer_cmd =
   let module R = Sqp_relalg in
   let module W = Sqp_workload in
@@ -754,25 +742,10 @@ let bench_optimizer_cmd =
       value & opt string "BENCH_optimizer.json"
       & info [ "json" ] ~docv:"FILE" ~doc:"Where to write the results.")
   in
-  let rec force impl plan =
-    match plan with
-    | R.Plan.Spatial_join { zl; zr; left; right; impl = _ } ->
-        R.Plan.Spatial_join
-          { zl; zr; left = force impl left; right = force impl right; impl = Some impl }
-    | R.Plan.Select (p, t) -> R.Plan.Select (p, force impl t)
-    | R.Plan.Project (ns, t) -> R.Plan.Project (ns, force impl t)
-    | R.Plan.Project_all (ns, t) -> R.Plan.Project_all (ns, force impl t)
-    | R.Plan.Rename (rs, t) -> R.Plan.Rename (rs, force impl t)
-    | R.Plan.Sort (ns, t) -> R.Plan.Sort (ns, force impl t)
-    | R.Plan.Natural_join (a, b) -> R.Plan.Natural_join (force impl a, force impl b)
-    | R.Plan.Product (a, b) -> R.Plan.Product (force impl a, force impl b)
-    | R.Plan.Union (a, b) -> R.Plan.Union (force impl a, force impl b)
-    | (R.Plan.Scan _ | R.Plan.Scan_stored _) as leaf -> leaf
-  in
   let run quick json_path =
     let reps = if quick then 3 else 9 in
     let median_ms f =
-      ignore (f ()) (* warm caches (buffer pools, decompose memo) *);
+      ignore (f ()) (* warm the buffer pools *);
       let samples =
         List.init reps (fun _ ->
             let t0 = Unix.gettimeofday () in
@@ -781,66 +754,12 @@ let bench_optimizer_cmd =
       in
       List.nth (List.sort compare samples) (reps / 2)
     in
-    let impl_name = function
-      | R.Plan.Merge -> "merge"
-      | R.Plan.Nested_loop -> "nested_loop"
-    in
-    (* One join workload: the chosen plan vs both forced implementations
-       vs the statistics-free heuristic, all over the same catalog. *)
-    let join_workload name (wk : W.Seeded.t) =
-      let cat = Srv.Catalog.of_seeded wk in
-      let st = Srv.Catalog.analyze cat in
-      let plan = R.Plan.optimize (Srv.Catalog.overlap_plan cat) in
-      let chosen_plan, decisions = O.Optimizer.choose_plan st plan in
-      let d = List.hd decisions in
-      let alts =
-        [
-          ("forced merge", force R.Plan.Merge plan);
-          ("forced nested_loop", force R.Plan.Nested_loop plan);
-          ("heuristic", plan);
-        ]
-      in
-      let timed =
-        List.map (fun (label, p) -> (label, median_ms (fun () -> R.Plan.run p))) alts
-      in
-      let chosen_ms = median_ms (fun () -> R.Plan.run chosen_plan) in
-      let heuristic_ms = List.assoc "heuristic" timed in
-      let worst_ms = List.fold_left (fun a (_, ms) -> max a ms) 0.0 timed in
-      Printf.printf
-        "%s: %.0fx%.0f rows; chosen %s%s %.3f ms | %s | heuristic would %s\n"
-        name d.O.Optimizer.left_rows d.O.Optimizer.right_rows
-        (impl_name d.O.Optimizer.chosen)
-        (if d.O.Optimizer.commuted then " (commuted)" else "")
-        chosen_ms
-        (String.concat " | "
-           (List.map (fun (l, ms) -> Printf.sprintf "%s %.3f ms" l ms) timed))
-        (if d.O.Optimizer.heuristic_would_merge then "merge" else "nested_loop");
-      Printf.sprintf
-        "    { \"workload\": %S,\n\
-        \      \"left_rows\": %.0f, \"right_rows\": %.0f,\n\
-        \      \"chosen\": { \"impl\": %S, \"commuted\": %b, \"ms\": %.4f },\n\
-        \      \"alternatives\": [ %s ],\n\
-        \      \"heuristic_impl\": %S,\n\
-        \      \"chosen_not_slower_than_worst\": %b,\n\
-        \      \"beats_heuristic\": %b }"
-        name d.O.Optimizer.left_rows d.O.Optimizer.right_rows
-        (impl_name d.O.Optimizer.chosen)
-        d.O.Optimizer.commuted chosen_ms
-        (String.concat ", "
-           (List.map
-              (fun (l, ms) -> Printf.sprintf "{ \"label\": %S, \"ms\": %.4f }" l ms)
-              timed))
-        (if d.O.Optimizer.heuristic_would_merge then "merge" else "nested_loop")
-        (chosen_ms <= worst_ms *. 1.05)
-        (chosen_ms < heuristic_ms)
-    in
     (* Range workload: per query box, the chosen access path (direct
        plain/skip merge at exact decomposition, or the coarsened plan)
        vs every forced method, summed over the batch. *)
     let range_workload (wk : W.Seeded.t) =
       let cat = Srv.Catalog.of_seeded wk in
-      let st = Srv.Catalog.analyze cat in
-      ignore st;
+      ignore (Srv.Catalog.analyze cat);
       let prep = Srv.Catalog.prepared_points cat in
       let boxes =
         wk.W.Seeded.query
@@ -887,26 +806,6 @@ let bench_optimizer_cmd =
         (List.length boxes) chosen_ms plain_ms skip_ms plan_ms
         (chosen_ms <= worst_ms *. 1.05)
     in
-    let big = W.Seeded.standard () in
-    (* A join whose element product sits {e under} the 20k size-heuristic
-       threshold while both sides are big enough that the merge wins:
-       the workload where statistics beat the heuristic. *)
-    let small =
-      let fits k =
-        let wk = W.Seeded.standard ~n_objects:k () in
-        let l, r = W.Seeded.join_elements wk in
-        let p = List.length l * List.length r in
-        if p <= 20_000 && p >= 4_000 then Some wk else None
-      in
-      List.find_map fits [ 24; 20; 16; 12; 10; 8; 6; 4 ]
-    in
-    let rows =
-      join_workload "overlap_join" big
-      :: (match small with
-         | Some wk -> [ join_workload "small_join" wk ]
-         | None -> [])
-      @ [ range_workload big ]
-    in
     let oc = open_out json_path in
     Printf.fprintf oc
       "{\n\
@@ -914,16 +813,16 @@ let bench_optimizer_cmd =
       \  \"repetitions\": %d,\n\
       \  \"workloads\": [\n%s\n  ]\n}\n"
       reps
-      (String.concat ",\n" rows);
+      (range_workload (W.Seeded.standard ()));
     close_out oc;
     Printf.printf "wrote %s\n" json_path
   in
   Cmd.v
     (Cmd.info "bench-optimizer"
        ~doc:
-         "Cost-based optimizer benchmark: the chosen plan vs every forced \
-          alternative (join implementations, range access paths) on the \
-          seeded workloads; writes BENCH_optimizer.json.")
+         "Cost-based optimizer benchmark: the range access path the cost \
+          model chooses per box vs every forced method on the standard \
+          seeded workload; writes BENCH_optimizer.json.")
     Term.(const run $ quick_arg $ json_arg)
 
 (* {1 Cluster: shard spawning and the router daemon} *)

@@ -47,7 +47,7 @@ let () =
   let plan =
     P.Project
       ( [ "parcel"; "wetland" ],
-        P.Spatial_join { zl = "zr"; zr = "zs"; left = P.Scan r; right = P.Scan s; impl = None } )
+        P.Spatial_join { zl = "zr"; zr = "zs"; left = P.Scan r; right = P.Scan s } )
   in
   print_newline ();
   print_endline "plan:";

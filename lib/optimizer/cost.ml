@@ -4,7 +4,6 @@ type params = {
   compare : float;
   emit : float;
   sort : float;
-  outer : float;
   refine : float;
   decompose : float;
   page_access : float;
@@ -25,7 +24,6 @@ let default_params =
     compare = 1.0;
     emit = 2.0;
     sort = 1.0;
-    outer = 0.5;
     refine = 3.0;
     decompose = 4.0;
     page_access = 50.0;
@@ -178,12 +176,6 @@ let join_pairs hl hr =
 let merge_cost ?(params = default_params) ~left_rows ~right_rows ~pairs () =
   let n = left_rows +. right_rows in
   (params.sort *. n *. log2 n) +. (params.compare *. n) +. (params.emit *. pairs)
-
-let nested_loop_cost ?(params = default_params) ~left_rows ~right_rows ~pairs
-    () =
-  (params.compare *. left_rows *. right_rows)
-  +. (params.outer *. left_rows)
-  +. (params.emit *. pairs)
 
 let scan_pages_cost ?(params = default_params) ~pages () =
   params.page_access *. float_of_int pages

@@ -11,7 +11,6 @@ type params = {
   compare : float;       (** one z-value comparison (the unit) *)
   emit : float;          (** materializing one output row *)
   sort : float;          (** per item · log2(items) when sorting *)
-  outer : float;         (** per outer row of a nested loop *)
   refine : float;        (** re-checking one candidate row exactly *)
   decompose : float;     (** producing one cover element *)
   page_access : float;   (** touching one data page (hit or miss) *)
@@ -113,11 +112,8 @@ val join_pairs : Histogram.t -> Histogram.t -> float
 
 val merge_cost :
   ?params:params -> left_rows:float -> right_rows:float -> pairs:float -> unit -> float
-(** Sort both sides, sweep once, emit the pairs. *)
-
-val nested_loop_cost :
-  ?params:params -> left_rows:float -> right_rows:float -> pairs:float -> unit -> float
-(** Compare every pair of rows, emit the matches. *)
+(** Sort both sides, sweep once, emit the pairs: the cost of the
+    z-merge every spatial join runs. *)
 
 val scan_pages_cost : ?params:params -> pages:int -> unit -> float
 (** Page-access cost of scanning a paged relation once. *)

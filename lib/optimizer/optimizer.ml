@@ -36,14 +36,14 @@ let stats_hists (stats : Stats.t) name =
   | Some rs -> rs.Stats.z_columns
   | None -> []
 
-(* Estimated pairs out of a spatial join, and whether the estimate came
-   from histograms (vs the textbook fallback). *)
+(* Estimated pairs out of a spatial join: from the two z histograms
+   when both sides have one, else the textbook fallback. *)
 let join_pairs_est li ~zl ri ~zr =
   match (List.assoc_opt zl li.hists, List.assoc_opt zr ri.hists) with
   | Some hl, Some hr when Histogram.prefix_bits hl = Histogram.prefix_bits hr
     ->
-      (Cost.join_pairs hl hr, true)
-  | _ -> (0.2 *. Float.max li.rows ri.rows, false)
+      Cost.join_pairs hl hr
+  | _ -> 0.2 *. Float.max li.rows ri.rows
 
 let rec info ?(params = Cost.default_params) (stats : Stats.t) record plan =
   let prefix_bits = stats.Stats.prefix_bits in
@@ -140,27 +140,16 @@ let rec info ?(params = Cost.default_params) (stats : Stats.t) record plan =
             +. (params.Cost.emit *. rows);
           hists = ia.hists @ ib.hists;
         }
-    | P.Spatial_join { zl; zr; left; right; impl } ->
+    | P.Spatial_join { zl; zr; left; right } ->
         let li = recur left and ri = recur right in
-        let pairs, _ = join_pairs_est li ~zl ri ~zr in
-        let chosen =
-          match impl with
-          | Some i -> i
-          | None -> P.default_join_impl ~left_rows:li.rows ~right_rows:ri.rows
-        in
-        let own =
-          match chosen with
-          | P.Merge ->
-              Cost.merge_cost ~params ~left_rows:li.rows ~right_rows:ri.rows
-                ~pairs ()
-          | P.Nested_loop ->
-              Cost.nested_loop_cost ~params ~left_rows:li.rows
-                ~right_rows:ri.rows ~pairs ()
-        in
+        let pairs = join_pairs_est li ~zl ri ~zr in
         {
           rows = pairs;
           pages = li.pages +. ri.pages;
-          cost = li.cost +. ri.cost +. own;
+          cost =
+            li.cost +. ri.cost
+            +. Cost.merge_cost ~params ~left_rows:li.rows ~right_rows:ri.rows
+                 ~pairs ();
           hists = li.hists @ ri.hists;
         }
     | P.Product (a, b) ->
@@ -188,7 +177,13 @@ let estimate ?params stats plan =
   let i = info ?params stats (fun _ _ -> ()) plan in
   { est_rows = i.rows; est_pages = i.pages; est_cost = i.cost }
 
-(* {1 Plan choice} *)
+(* Every node's estimate, parents before children. *)
+let estimates_table ?params stats plan =
+  let tbl = ref [] in
+  ignore (info ?params stats (fun p i -> tbl := (p, i) :: !tbl) plan);
+  !tbl
+
+(* {1 Join estimates} *)
 
 type join_decision = {
   zl : string;
@@ -197,88 +192,34 @@ type join_decision = {
   right_rows : float;
   predicted_pairs : float;
   cost_merge : float;
-  cost_nested : float;
-  chosen : P.join_impl;
-  commuted : bool;
-  heuristic_would_merge : bool;
 }
 
 let choose_plan ?(params = Cost.default_params) stats plan =
-  let decisions = ref [] in
-  let est p = info ~params stats (fun _ _ -> ()) p in
-  let rec go plan =
-    match plan with
-    | P.Scan _ | P.Scan_stored _ -> plan
-    | P.Select (p, i) -> P.Select (p, go i)
-    | P.Project (n, i) -> P.Project (n, go i)
-    | P.Project_all (n, i) -> P.Project_all (n, go i)
-    | P.Rename (r, i) -> P.Rename (r, go i)
-    | P.Sort (k, i) -> P.Sort (k, go i)
-    | P.Natural_join (a, b) -> P.Natural_join (go a, go b)
-    | P.Product (a, b) -> P.Product (go a, go b)
-    | P.Union (a, b) -> P.Union (go a, go b)
-    | P.Spatial_join { zl; zr; left; right; impl = _ } ->
-        let left = go left and right = go right in
-        let li = est left and ri = est right in
-        let pairs, _ = join_pairs_est li ~zl ri ~zr in
-        let cost_merge =
-          Cost.merge_cost ~params ~left_rows:li.rows ~right_rows:ri.rows ~pairs
-            ()
-        in
-        let cost_nested =
-          Cost.nested_loop_cost ~params ~left_rows:li.rows ~right_rows:ri.rows
-            ~pairs ()
-        in
-        (* The commuted nested loop saves the per-outer-row overhead when
-           the right side is smaller, but pays a compensating projection
-           to restore the column order. *)
-        let cost_nested_commuted =
-          Cost.nested_loop_cost ~params ~left_rows:ri.rows ~right_rows:li.rows
-            ~pairs ()
-          +. (params.Cost.emit *. pairs)
-        in
-        let best = Float.min cost_merge (Float.min cost_nested cost_nested_commuted) in
-        let chosen, commuted =
-          if best = cost_merge then (P.Merge, false)
-          else if best = cost_nested then (P.Nested_loop, false)
-          else (P.Nested_loop, true)
-        in
-        decisions :=
-          {
-            zl;
-            zr;
-            left_rows = li.rows;
-            right_rows = ri.rows;
-            predicted_pairs = pairs;
-            cost_merge;
-            cost_nested = Float.min cost_nested cost_nested_commuted;
-            chosen;
-            commuted;
-            heuristic_would_merge =
-              P.default_join_impl ~left_rows:li.rows ~right_rows:ri.rows
-              = P.Merge;
-          }
-          :: !decisions;
-        if commuted then
-          let original =
-            P.Spatial_join { zl; zr; left; right; impl = None }
-          in
-          P.Project_all
-            ( Schema.names (P.schema original),
-              P.Spatial_join
-                { zl = zr; zr = zl; left = right; right = left;
-                  impl = Some chosen } )
-        else P.Spatial_join { zl; zr; left; right; impl = Some chosen }
+  let plan = P.optimize plan in
+  let tbl = List.rev (estimates_table ~params stats plan) in
+  let joins =
+    List.filter_map
+      (fun (node, i) ->
+        match node with
+        | P.Spatial_join { zl; zr; left; right } ->
+            let li = List.assq left tbl and ri = List.assq right tbl in
+            Some
+              {
+                zl;
+                zr;
+                left_rows = li.rows;
+                right_rows = ri.rows;
+                predicted_pairs = i.rows;
+                cost_merge =
+                  Cost.merge_cost ~params ~left_rows:li.rows ~right_rows:ri.rows
+                    ~pairs:i.rows ();
+              }
+        | _ -> None)
+      tbl
   in
-  let chosen = go (P.optimize plan) in
-  (chosen, List.rev !decisions)
+  (plan, joins)
 
 (* {1 EXPLAIN integration} *)
-
-let estimates_table ?params stats plan =
-  let tbl = ref [] in
-  ignore (info ?params stats (fun p i -> tbl := (p, i) :: !tbl) plan);
-  !tbl
 
 let render_estimate i =
   let pages =

@@ -1,14 +1,12 @@
-(** The cost-based optimizer: estimate, choose, explain, validate.
+(** The cost-based optimizer: estimate, explain, validate.
 
     Given catalog statistics ({!Stats.analyze}) and a logical plan,
     this module (1) estimates per-operator rows, page accesses, and
-    work units with the {!Cost} formulas, (2) rewrites the plan to the
-    cheapest equivalent — forcing each spatial join's implementation
-    and, when profitable, commuting its inputs — (3) renders the
-    predictions as the EXPLAIN cost column, and (4) reconciles them
-    against EXPLAIN ANALYZE actuals.  Rewrites preserve the result as
-    a multiset of rows (the differential tests pin this); forced
-    choices are marked [(forced)] by {!Sqp_relalg.Plan.explain}.
+    work units with the {!Cost} formulas, (2) renders the predictions
+    as the EXPLAIN cost column, and (3) reconciles them against EXPLAIN
+    ANALYZE actuals.  Statistics change no plan: every spatial join
+    runs the z-merge, so {!choose_plan} only reports what the model
+    predicts for each join.
 
     The formulas and their error factors are documented in
     docs/COST_MODEL.md; the EXPLAIN output grammar in docs/EXPLAIN.md. *)
@@ -29,24 +27,18 @@ type join_decision = {
   left_rows : float;
   right_rows : float;
   predicted_pairs : float;
-  cost_merge : float;
-  cost_nested : float;
-  chosen : Sqp_relalg.Plan.join_impl;
-  commuted : bool;
-      (** inputs were swapped (a compensating projection restores the
-          column order, so output rows are unchanged as a multiset) *)
-  heuristic_would_merge : bool;
-      (** what the default size heuristic would have picked *)
+  cost_merge : float;  (** the z-merge's own work units ({!Cost.merge_cost}) *)
 }
+(** What the model predicts for one spatial join. *)
 
 val choose_plan :
   ?params:Cost.params ->
   Stats.t ->
   Sqp_relalg.Plan.t ->
   Sqp_relalg.Plan.t * join_decision list
-(** Push-down-optimize, then force every spatial join to its cheaper
-    implementation (decisions reported outside-in).  The returned plan
-    returns exactly the same rows (as a multiset) as the input plan. *)
+(** [(Sqp_relalg.Plan.optimize plan, joins)]: the push-down-optimized
+    plan, which statistics do not change, and the prediction for each of
+    its spatial joins, inner joins before the joins above them. *)
 
 val cost_column :
   ?params:Cost.params -> Stats.t -> Sqp_relalg.Plan.t -> Sqp_relalg.Plan.t -> string

@@ -26,8 +26,6 @@ let attr_between attr lo hi =
         Value.compare lo v <= 0 && Value.compare v hi <= 0);
   }
 
-type join_impl = Merge | Nested_loop
-
 type t =
   | Scan of Relation.t
   | Scan_stored of Stored.t
@@ -37,20 +35,9 @@ type t =
   | Rename of (string * string) list * t
   | Sort of string list * t
   | Natural_join of t * t
-  | Spatial_join of {
-      zl : string;
-      zr : string;
-      left : t;
-      right : t;
-      impl : join_impl option;
-          (* [None]: pick by the size heuristic at execution time;
-             [Some _]: forced by the cost-based optimizer. *)
-    }
+  | Spatial_join of { zl : string; zr : string; left : t; right : t }
   | Product of t * t
   | Union of t * t
-
-let spatial_join ?impl ~zl ~zr left right =
-  Spatial_join { zl; zr; left; right; impl }
 
 let rec schema = function
   | Scan r -> Relation.schema r
@@ -139,19 +126,6 @@ let rec optimize plan =
 
 (* {2 Execution} *)
 
-let spatial_join_threshold = 20_000.0
-(* Estimated |L| * |R| above which the z-merge implementation is chosen
-   over the nested loop. *)
-
-let use_merge left_rows right_rows = left_rows *. right_rows > spatial_join_threshold
-
-let resolve_impl impl left_rows right_rows =
-  match impl with
-  | Some i -> i
-  | None -> if use_merge left_rows right_rows then Merge else Nested_loop
-
-let default_join_impl ~left_rows ~right_rows = resolve_impl None left_rows right_rows
-
 let rec run plan =
   match plan with
   | Scan r -> r
@@ -165,18 +139,9 @@ let rec run plan =
   | Rename (renames, inner) -> Ops.rename renames (run inner)
   | Sort (keys, inner) -> Ops.sort_by keys (run inner)
   | Natural_join (a, b) -> Ops.natural_join (run a) (run b)
-  | Spatial_join { zl; zr; left; right; impl } ->
+  | Spatial_join { zl; zr; left; right } ->
       let l = run left and r = run right in
-      let joined, _ =
-        match
-          resolve_impl impl
-            (float_of_int (Relation.cardinality l))
-            (float_of_int (Relation.cardinality r))
-        with
-        | Merge -> Spatial_join.merge l ~zr:zl r ~zs:zr
-        | Nested_loop -> Spatial_join.nested_loop l ~zr:zl r ~zs:zr
-      in
-      joined
+      fst (Spatial_join.merge l ~zr:zl r ~zs:zr)
   | Product (a, b) -> Ops.product (run a) (run b)
   | Union (a, b) -> Ops.union (run a) (run b)
 
@@ -221,15 +186,8 @@ let explain ?annotate plan =
           (String.concat ", " (List.map (fun (o, n) -> o ^ " -> " ^ n) renames))
     | Sort (keys, _) -> line depth "sort by {%s}" (String.concat ", " keys)
     | Natural_join (_, _) -> line depth "natural join (~%.0f rows)" rows
-    | Spatial_join { zl; zr; left; right; impl } ->
-        let forced = match impl with Some _ -> " (forced)" | None -> "" in
-        let impl =
-          match resolve_impl impl (estimated_rows left) (estimated_rows right) with
-          | Merge -> "z-merge"
-          | Nested_loop -> "nested loop"
-        in
-        line depth "spatial join %s <> %s via %s%s (~%.0f rows)" zl zr impl forced
-          rows
+    | Spatial_join { zl; zr; _ } ->
+        line depth "spatial join %s <> %s via z-merge (~%.0f rows)" zl zr rows
     | Product _ -> line depth "product (~%.0f rows)" rows
     | Union _ -> line depth "union (~%.0f rows)" rows);
     match plan with
@@ -386,26 +344,15 @@ let run_analyze plan =
         let ra, ca = go a in
         let rb, cb = go b in
         simple "union" [ ca; cb ] (fun () -> Ops.union ra rb)
-    | Spatial_join { zl; zr; left; right; impl } ->
+    | Spatial_join { zl; zr; left; right } ->
         let rl, cl = go left in
         let rr, cr = go right in
-        let chosen =
-          resolve_impl impl
-            (float_of_int (Relation.cardinality rl))
-            (float_of_int (Relation.cardinality rr))
-        in
-        let impl, join =
-          match chosen with
-          | Merge -> ("z-merge", Spatial_join.merge)
-          | Nested_loop -> ("nested loop", Spatial_join.nested_loop)
-        in
-        let f () =
-          let joined, s = join rl ~zr:zl rr ~zs:zr in
-          (joined, join_attrs s)
-        in
         node
-          (Printf.sprintf "spatial join %s <> %s via %s" zl zr impl)
-          [ cl; cr ] f
+          (Printf.sprintf "spatial join %s <> %s via z-merge" zl zr)
+          [ cl; cr ]
+          (fun () ->
+            let joined, s = Spatial_join.merge rl ~zr:zl rr ~zs:zr in
+            (joined, join_attrs s))
   in
   let befores = List.map Stats.snapshot sources in
   Sqp_obs.Trace.span_begin tracer "plan.run_analyze";

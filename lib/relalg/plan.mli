@@ -4,9 +4,10 @@
     set-at-a-time operations while the object class supplies the
     element-level semantics.  This module is that thin optimizer layer: a
     plan algebra including the spatial join, a cost-estimating EXPLAIN,
-    and a rewriter that pushes selections below joins and picks the
-    spatial-join implementation (z-merge vs nested loop) from estimated
-    input sizes. *)
+    and a rewriter that pushes selections below joins.  Every spatial
+    join runs the z-merge ({!Spatial_join.merge}); the nested loop is
+    the oracle the tests and the paper's comparison table hold it
+    against, never a plan choice. *)
 
 type pred = {
   description : string;          (** shown by EXPLAIN *)
@@ -25,12 +26,6 @@ val attr_equals : string -> Value.t -> pred
 val attr_between : string -> Value.t -> Value.t -> pred
 (** Inclusive range on one attribute. *)
 
-type join_impl =
-  | Merge        (** sort both sides by z value and stack-merge *)
-  | Nested_loop  (** compare every left element to every right element *)
-(** A forced spatial-join implementation choice, produced by the
-    cost-based optimizer ({!Sqp_optimizer.Optimizer}). *)
-
 type t =
   | Scan of Relation.t
   | Scan_stored of Stored.t
@@ -42,32 +37,11 @@ type t =
   | Rename of (string * string) list * t
   | Sort of string list * t
   | Natural_join of t * t
-  | Spatial_join of {
-      zl : string;
-      zr : string;
-      left : t;
-      right : t;
-      impl : join_impl option;
-          (** [None] (the default everywhere outside the optimizer):
-              choose z-merge vs nested loop at execution time from the
-              actual input cardinalities, exactly as before this field
-              existed.  [Some _]: the optimizer's costed choice; the
-              executor obeys it unconditionally. *)
-    }
+  | Spatial_join of { zl : string; zr : string; left : t; right : t }
+      (** [left[zl <> zr]right]: every pair whose z elements contain one
+          another, by the z-merge *)
   | Product of t * t
   | Union of t * t
-
-val spatial_join : ?impl:join_impl -> zl:string -> zr:string -> t -> t -> t
-(** [spatial_join ~zl ~zr left right] is
-    [Spatial_join { zl; zr; left; right; impl }] with [impl] defaulting
-    to [None]. *)
-
-val default_join_impl : left_rows:float -> right_rows:float -> join_impl
-(** The size heuristic an un-forced ([impl = None]) spatial join applies
-    at execution time: z-merge when the estimated comparison count
-    [left_rows * right_rows] exceeds a fixed threshold, nested loop
-    otherwise.  Exposed so the cost-based optimizer can report what the
-    default would have done. *)
 
 val schema : t -> Schema.t
 (** Output schema; raises [Invalid_argument]/[Not_found] on malformed
@@ -84,16 +58,14 @@ val optimize : t -> t
 
 val run : t -> Relation.t
 (** Execute (materializing operator by operator) in the calling thread;
-    every z-merge spatial join runs on the flat-array kernel
+    every spatial join runs on the flat-array merge kernel
     ({!Spatial_join.merge}). *)
 
 val explain : ?annotate:(t -> string) -> t -> string
-(** An indented operator tree with schemas and row estimates, plus the
-    implementation choice for each spatial join ([z-merge] or [nested
-    loop]).  A spatial join whose [impl] was forced by the optimizer is
-    marked [(forced)].  [annotate], when given, is called on every node
-    and its non-empty result is appended to that node's line — the
-    optimizer uses it to add the predicted-cost column. *)
+(** An indented operator tree with schemas and row estimates.
+    [annotate], when given, is called on every node and its non-empty
+    result is appended to that node's line — the optimizer uses it to
+    add the predicted-cost column. *)
 
 (** {2 EXPLAIN ANALYZE}
 

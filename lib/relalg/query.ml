@@ -62,7 +62,6 @@ let stored_overlap_plan ?options ?tuples_per_page ?pool_capacity space
           zr = "zs";
           left = Plan.Scan_stored r;
           right = Plan.Scan_stored s;
-          impl = None;
         } )
 
 let overlapping_pairs ?options space r_objects s_objects =

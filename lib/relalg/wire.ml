@@ -335,7 +335,7 @@ let to_plan ~resolve plan =
     | Sort (keys, p) -> Plan.Sort (keys, go p)
     | Natural_join (a, b) -> Plan.Natural_join (go a, go b)
     | Spatial_join { zl; zr; left; right } ->
-        Plan.Spatial_join { zl; zr; left = go left; right = go right; impl = None }
+        Plan.Spatial_join { zl; zr; left = go left; right = go right }
     | Product (a, b) -> Plan.Product (go a, go b)
     | Union (a, b) -> Plan.Union (go a, go b)
   in

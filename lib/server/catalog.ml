@@ -79,8 +79,7 @@ let make ?(lives = []) ?shard ~space ~points ~relations () =
     dedup_tick = 0;
   }
 
-let of_seeded ?tuples_per_page ?pool_capacity ?shard ?(live_empty = false)
-    (wk : Sqp_workload.Seeded.t) =
+let of_seeded ?shard ?(live_empty = false) (wk : Sqp_workload.Seeded.t) =
   let module W = Sqp_workload.Seeded in
   let space = wk.W.space in
   (match shard with
@@ -124,7 +123,7 @@ let of_seeded ?tuples_per_page ?pool_capacity ?shard ?(live_empty = false)
              (R.Relation.tuples rel))
   in
   let stored name renames objects =
-    R.Stored.store ?tuples_per_page ?pool_capacity
+    R.Stored.store
       (R.Ops.rename renames
          (restrict
             (R.Query.decompose_relation ~name ~options:wk.W.decompose_options
@@ -256,15 +255,7 @@ let dedup_abort t ~client_id ~seq =
   | None -> ());
   Mutex.unlock t.m
 
-let dedup_clients t =
-  Mutex.lock t.m;
-  let n = Hashtbl.length t.dedup in
-  Mutex.unlock t.m;
-  n
-
 (* {1 Degraded-mode recovery} *)
-
-let lives_ok t = List.for_all (fun (_, lv) -> Live.durable_ok lv) t.lives
 
 let recover_lives t =
   List.filter_map
@@ -427,7 +418,6 @@ let range_plan t ~lo ~hi =
           zr = "zb";
           left = R.Plan.Scan t.points_rel;
           right = R.Plan.Scan b;
-          impl = None;
         }
     in
     let body = if refine then R.Plan.Select (refine_pred t ~lo ~hi, join) else join in
@@ -446,7 +436,7 @@ let overlap_plan t =
   | Some r, Some s ->
       R.Plan.Project
         ( [ "rid"; "sid" ],
-          R.Plan.Spatial_join { zl = "zr"; zr = "zs"; left = r; right = s; impl = None } )
+          R.Plan.Spatial_join { zl = "zr"; zr = "zs"; left = r; right = s } )
   | _ -> invalid_arg "Catalog.overlap_plan: catalog lacks R or S"
 
 let health_detail t =

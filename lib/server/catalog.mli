@@ -29,8 +29,6 @@ val make :
     shard's slice (see {!shard_range}). *)
 
 val of_seeded :
-  ?tuples_per_page:int ->
-  ?pool_capacity:int ->
   ?shard:int * int ->
   ?live_empty:bool ->
   Sqp_workload.Seeded.t ->
@@ -112,14 +110,7 @@ val dedup_abort : t -> client_id:int -> seq:int -> unit
 (** Release a [Fresh] key without an answer (the request was shed,
     timed out pre-execution, or rejected in degraded mode). *)
 
-val dedup_clients : t -> int
-(** Clients currently tracked by the window. *)
-
 (** {1 Degraded-mode recovery} *)
-
-val lives_ok : t -> bool
-(** [false] if any live table's backing store is poisoned (failed
-    commit, e.g. [ENOSPC]) — the catalog-level cue for degraded mode. *)
 
 val recover_lives : t -> (string * exn) list
 (** Try {!Sqp_btree.Live.recover} on every live table; the tables that

@@ -245,16 +245,10 @@ let guard t f = try f () with e -> Response (error_response t e)
 
 module O = Sqp_optimizer
 
-(* Wire plan -> runnable plan: resolve names, push-down-optimize, and —
-   once statistics exist — let the cost-based optimizer force join
-   implementations and orders. *)
+(* Wire plan -> runnable plan: resolve names and push-down-optimize.
+   Statistics only annotate EXPLAIN; they change no plan. *)
 let instantiate t wplan =
-  let plan =
-    R.Plan.optimize (R.Wire.to_plan ~resolve:(Catalog.resolve t.cat) wplan)
-  in
-  match Catalog.stats t.cat with
-  | None -> plan
-  | Some st -> fst (O.Optimizer.choose_plan st plan)
+  R.Plan.optimize (R.Wire.to_plan ~resolve:(Catalog.resolve t.cat) wplan)
 
 let live_table t name =
   match Catalog.live t.cat name with

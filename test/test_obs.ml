@@ -240,7 +240,6 @@ let analyze_fixture () =
             zr = "zs";
             left = R.Plan.Scan_stored r;
             right = R.Plan.Scan_stored s;
-            impl = None;
           } ) )
 
 let test_analyze_sequential () =

@@ -2,9 +2,9 @@
 
    Three pillars: (1) histogram correctness — masses are conserved and
    element masses match exact counts at full resolution; (2) the
-   differential guarantee — every plan the optimizer produces (forced
-   implementations, commuted inputs, coarsened range covers) returns
-   the same rows as the plan it replaced, as a multiset; (3) prediction
+   differential guarantee — every plan the optimizer produces (the
+   push-down-optimized join, coarsened range covers) returns the same
+   rows as the plan it replaced, as a multiset; (3) prediction
    accuracy — predicted rows and pages stay within the error factors
    documented in docs/COST_MODEL.md ("Calibration") on the seeded
    workload, so a regression in the formulas fails loudly here. *)
@@ -163,19 +163,7 @@ let test_choose_plan_differential () =
   let chosen, decisions = O.Optimizer.choose_plan stats overlap in
   checkb "one join decision" true (List.length decisions = 1);
   checkb "chosen plan: same rows" true
-    (R.Relation.equal_contents expected (R.Plan.run chosen));
-  (* Every forced implementation returns the same multiset. *)
-  let joint impl =
-    match overlap with
-    | R.Plan.Project (names, R.Plan.Spatial_join { zl; zr; left; right; _ }) ->
-        R.Plan.Project (names, R.Plan.spatial_join ~impl ~zl ~zr left right)
-    | _ -> Alcotest.fail "unexpected overlap plan shape"
-  in
-  List.iter
-    (fun impl ->
-      checkb "forced impl: same rows" true
-        (R.Relation.equal_contents expected (R.Plan.run (joint impl))))
-    [ R.Plan.Merge; R.Plan.Nested_loop ]
+    (R.Relation.equal_contents expected (R.Plan.run chosen))
 
 let test_join_estimates_within_factor () =
   let chosen, _ = O.Optimizer.choose_plan stats overlap in
@@ -208,35 +196,6 @@ let test_join_estimates_within_factor () =
            r.O.Optimizer.actual_pages))
     rows
 
-let test_optimizer_overrides_heuristic () =
-  (* A join whose element product sits under the 20k size-heuristic
-     threshold while both sides are large: statistics pick the merge
-     where the heuristic would nested-loop (the bench-optimizer
-     "small_join" workload). *)
-  let small =
-    List.find_map
-      (fun k ->
-        let wk = W.Seeded.standard ~n_objects:k () in
-        let l, r = W.Seeded.join_elements wk in
-        let p = List.length l * List.length r in
-        if p <= 20_000 && p >= 4_000 then Some wk else None)
-      [ 24; 20; 16; 12; 10; 8; 6; 4 ]
-  in
-  match small with
-  | None -> Alcotest.fail "no seeded size lands under the heuristic threshold"
-  | Some wk ->
-      let cat = Srv.Catalog.of_seeded wk in
-      let st = Srv.Catalog.analyze cat in
-      let plan = Srv.Catalog.overlap_plan cat in
-      let chosen, decisions = O.Optimizer.choose_plan st plan in
-      let d = List.hd decisions in
-      checkb "heuristic would nested-loop" false
-        d.O.Optimizer.heuristic_would_merge;
-      checkb "cost model picks the merge" true
-        (d.O.Optimizer.chosen = R.Plan.Merge);
-      checkb "override keeps the rows" true
-        (R.Relation.equal_contents (R.Plan.run plan) (R.Plan.run chosen))
-
 (* {1 Explain} *)
 
 let contains hay needle =
@@ -251,7 +210,8 @@ let test_explain_cost_column () =
     (List.for_all
        (fun line -> String.trim line = "" || contains line "[cost=")
        (String.split_on_char '\n' text));
-  checkb "forced choice is marked" true (contains text "(forced)")
+  checkb "the join runs the z-merge" true
+    (contains text "spatial join zr <> zs via z-merge (~")
 
 let () =
   Alcotest.run "optimizer"
@@ -277,8 +237,6 @@ let () =
             test_choose_plan_differential;
           Alcotest.test_case "estimates within factor" `Quick
             test_join_estimates_within_factor;
-          Alcotest.test_case "overrides the size heuristic" `Quick
-            test_optimizer_overrides_heuristic;
         ] );
       ( "explain",
         [

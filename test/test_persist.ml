@@ -385,6 +385,41 @@ let test_save_replaces_atomically () =
       check_int "second save wins" 200 (Zindex.length loaded);
       check "no tmp left behind" false (Sys.file_exists (path ^ ".tmp")))
 
+(* Bit rot on reads: every successful read flips one bit with
+   probability [p_flip].  A load either notices, raising [Corrupt], or
+   returns exactly the saved entries; when every read flips, every load
+   notices.  Loads only read, so the store stays intact throughout. *)
+let test_load_under_bit_rot () =
+  with_file "bitrot" (fun path ->
+      let wk = W.Seeded.standard () in
+      let index = Zindex.of_points wk.W.Seeded.space (W.Seeded.tagged_points wk) in
+      ignore (Persist.save ~path ~encode:string_of_int index);
+      let entries = Zindex.Tree.to_list (Zindex.tree index) in
+      let loads_as_saved io =
+        Zindex.Tree.to_list
+          (Zindex.tree (Persist.load ?io ~path ~decode:int_of_string ()))
+        = entries
+      in
+      List.iter
+        (fun p_flip ->
+          let corrupt = ref 0 and seeds = 100 in
+          for seed = 1 to seeds do
+            match loads_as_saved (Some (Faulty_io.seeded ~p_flip ~seed ())) with
+            | true -> ()
+            | false ->
+                Alcotest.failf "p_flip %g, seed %d: a load returned other entries"
+                  p_flip seed
+            | exception Storage_error.Corrupt _ -> incr corrupt
+          done;
+          if p_flip = 1.0 then check_int "p_flip 1: every load corrupt" seeds !corrupt
+          else
+            check
+              (Printf.sprintf "p_flip %g: some loads corrupt, some clean" p_flip)
+              true
+              (!corrupt > 0 && !corrupt < seeds))
+        [ 1.0; 0.05 ];
+      check "the store is intact" true (loads_as_saved None))
+
 let test_salvage_then_lenient_load () =
   with_file "lenient" (fun path ->
       let dest = path ^ ".rescued" in
@@ -627,6 +662,7 @@ let () =
           Alcotest.test_case "empty index" `Quick test_save_empty_index;
           Alcotest.test_case "atomic replace" `Quick test_save_replaces_atomically;
           Alcotest.test_case "salvage + lenient load" `Quick test_salvage_then_lenient_load;
+          Alcotest.test_case "load under bit rot" `Quick test_load_under_bit_rot;
         ] );
       ( "format versions",
         [

@@ -22,7 +22,7 @@ let b_rel = R.Ops.rename [ ("z", "zb") ] (R.Query.box_relation space box)
 let range_plan =
   P.Project
     ( [ "x0"; "x1" ],
-      P.Spatial_join { zl = "z"; zr = "zb"; left = P.Scan p_rel; right = P.Scan b_rel; impl = None } )
+      P.Spatial_join { zl = "z"; zr = "zb"; left = P.Scan p_rel; right = P.Scan b_rel } )
 
 let test_schema () =
   Alcotest.(check (list string)) "projected schema" [ "x0"; "x1" ]
@@ -32,7 +32,7 @@ let test_schema () =
     (R.Schema.names
        (P.schema
           (P.Spatial_join
-             { zl = "z"; zr = "zb"; left = P.Scan p_rel; right = P.Scan b_rel; impl = None })))
+             { zl = "z"; zr = "zb"; left = P.Scan p_rel; right = P.Scan b_rel })))
 
 let test_run_range_query () =
   let result = P.run range_plan in
@@ -58,7 +58,7 @@ let test_optimize_preserves_semantics () =
       P.Select
         ( P.attr_between "x0" (R.Value.Int 0) (R.Value.Int 15),
           P.Spatial_join
-            { zl = "z"; zr = "zb"; left = P.Scan p_rel; right = P.Scan b_rel; impl = None } );
+            { zl = "z"; zr = "zb"; left = P.Scan p_rel; right = P.Scan b_rel } );
       P.Sort ([ "x0" ], P.Sort ([ "x1" ], P.Scan p_rel));
       P.Select
         ( P.attr_equals "id" (R.Value.Int 3),
@@ -79,7 +79,7 @@ let test_pushdown_happens () =
     P.Select
       ( P.attr_equals "id" (R.Value.Int 1),
         P.Spatial_join
-          { zl = "z"; zr = "zb"; left = P.Scan p_rel; right = P.Scan b_rel; impl = None } )
+          { zl = "z"; zr = "zb"; left = P.Scan p_rel; right = P.Scan b_rel } )
   in
   match P.optimize plan with
   | P.Spatial_join { left = P.Select _; _ } -> ()
@@ -113,29 +113,55 @@ let test_estimated_rows () =
     (P.estimated_rows (P.Select (P.attr_equals "id" (R.Value.Int 1), P.Scan p_rel))
     < P.estimated_rows (P.Scan p_rel))
 
-let test_join_impl_choice () =
-  (* Tiny inputs choose the nested loop; big estimates choose z-merge. *)
+let test_join_runs_merge () =
+  (* Every spatial join runs the z-merge, whatever its input sizes, and
+     finds the nested loop's rows. *)
   let contains s sub =
     let n = String.length s and m = String.length sub in
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
     go 0
   in
-  let small_join =
-    P.Spatial_join { zl = "z"; zr = "zb"; left = P.Scan p_rel; right = P.Scan b_rel; impl = None }
+  let merged_as_oracle what = function
+    | P.Spatial_join { zl; zr; left; right } as join ->
+        check (what ^ ": explained via z-merge") true
+          (contains (P.explain join) (Printf.sprintf "spatial join %s <> %s via z-merge" zl zr));
+        let a = P.run_analyze join in
+        Alcotest.(check string) (what ^ ": analyzed via z-merge")
+          (Printf.sprintf "spatial join %s <> %s via z-merge" zl zr)
+          a.P.report.P.op;
+        let oracle, _ = R.Spatial_join.nested_loop (P.run left) ~zr:zl (P.run right) ~zs:zr in
+        check (what ^ ": nested loop's multiset") true
+          (R.Relation.equal_contents oracle a.P.result);
+        R.Relation.cardinality oracle
+    | other -> Alcotest.failf "%s: not a spatial join:\n%s" what (P.explain other)
   in
-  check "small input -> nested loop" true
-    (contains (P.explain small_join) "nested loop");
+  check_int "small join: the 4 points in the box" 4
+    (merged_as_oracle "small join"
+       (P.Spatial_join { zl = "z"; zr = "zb"; left = P.Scan p_rel; right = P.Scan b_rel }));
   let big =
     R.Relation.make
       (R.Schema.make [ ("zz", R.Value.TZval) ])
       (List.init 500 (fun i ->
            [| R.Value.Zval (Sqp_zorder.Bitstring.of_int i ~width:10) |]))
   in
-  let big_join =
-    P.Spatial_join
-      { zl = "zz"; zr = "zb"; left = P.Scan big; right = P.Scan (R.Ops.rename [] b_rel); impl = None }
-  in
-  check "big input -> z-merge" true (contains (P.explain big_join) "z-merge")
+  check "500-row join: pairs found" true
+    (merged_as_oracle "500-row join"
+       (P.Spatial_join
+          { zl = "zz"; zr = "zb"; left = P.Scan big; right = P.Scan (R.Ops.rename [] b_rel) })
+    > 0);
+  (* The statistics-free seeded join of 135 x 130 stored elements
+     (17,550 pairs to compare); its objects do not overlap. *)
+  let wk = Sqp_workload.Seeded.standard ~n_objects:6 () in
+  match
+    R.Query.stored_overlap_plan ~options:wk.Sqp_workload.Seeded.decompose_options
+      wk.Sqp_workload.Seeded.space wk.Sqp_workload.Seeded.left_objects
+      wk.Sqp_workload.Seeded.right_objects
+  with
+  | P.Project (_, (P.Spatial_join { left; right; _ } as join)) ->
+      check_int "seeded join: left elements" 135 (R.Relation.cardinality (P.run left));
+      check_int "seeded join: right elements" 130 (R.Relation.cardinality (P.run right));
+      check_int "seeded join: no pairs" 0 (merged_as_oracle "seeded join" join)
+  | other -> Alcotest.failf "unexpected overlap plan:\n%s" (P.explain other)
 
 let test_union_product () =
   let u = P.Union (P.Scan p_rel, P.Scan p_rel) in
@@ -171,7 +197,7 @@ let () =
           Alcotest.test_case "pushdown through rename" `Quick test_pushdown_through_rename;
           Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "estimates" `Quick test_estimated_rows;
-          Alcotest.test_case "join impl choice" `Quick test_join_impl_choice;
+          Alcotest.test_case "spatial join runs the z-merge" `Quick test_join_runs_merge;
           Alcotest.test_case "union/product" `Quick test_union_product;
           Alcotest.test_case "natural join plan" `Quick test_natural_join_plan;
         ] );

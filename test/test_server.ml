@@ -883,7 +883,8 @@ let test_statistics_flow () =
           checkb "summary names the point relation" true (contains summary "P");
           checkb "summary names the join sides" true
             (contains summary "R" && contains summary "S");
-          (* cost-based serving returns the same rows *)
+          (* statistics change no plan: the same rows, a join's in the
+             same order *)
           let range_after =
             reply_ok "range after" (Client.range_search client ~lo ~hi)
           in
@@ -891,7 +892,9 @@ let test_statistics_flow () =
             (Relation.equal_contents range_before range_after);
           let join_after = reply_ok "join after" (Client.query client join_plan) in
           checkb "join rows unchanged by statistics" true
-            (Relation.equal_contents join_before join_after);
+            (Sqp_relalg.Schema.equal (Relation.schema join_before)
+               (Relation.schema join_after)
+            && Relation.tuples join_before = Relation.tuples join_after);
           (* ...and EXPLAIN / EXPLAIN ANALYZE now carry predictions *)
           let explain_after =
             reply_ok "explain after" (Client.explain client join_plan)
