@@ -723,108 +723,6 @@ let shell_cmd =
           serve); exits 1 if any command draws an error.")
     Term.(const run $ host_arg $ port_arg ~default:7477 $ commands_arg $ deadline_arg)
 
-(* Optimizer benchmark: on the standard seeded workload, time the range
-   access path the cost model chooses per box against every forced
-   method, and write the table to BENCH_optimizer.json.  The invariant
-   the JSON records — chosen never slower than the worst alternative —
-   is what docs/COST_MODEL.md's calibration section points at. *)
-let bench_optimizer_cmd =
-  let module R = Sqp_relalg in
-  let module W = Sqp_workload in
-  let module O = Sqp_optimizer in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke mode: 3 timing repetitions instead of 9.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt string "BENCH_optimizer.json"
-      & info [ "json" ] ~docv:"FILE" ~doc:"Where to write the results.")
-  in
-  let run quick json_path =
-    let reps = if quick then 3 else 9 in
-    let median_ms f =
-      ignore (f ()) (* warm the buffer pools *);
-      let samples =
-        List.init reps (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            ignore (f ());
-            (Unix.gettimeofday () -. t0) *. 1e3)
-      in
-      List.nth (List.sort compare samples) (reps / 2)
-    in
-    (* Range workload: per query box, the chosen access path (direct
-       plain/skip merge at exact decomposition, or the coarsened plan)
-       vs every forced method, summed over the batch. *)
-    let range_workload (wk : W.Seeded.t) =
-      let cat = Srv.Catalog.of_seeded wk in
-      ignore (Srv.Catalog.analyze cat);
-      let prep = Srv.Catalog.prepared_points cat in
-      let boxes =
-        wk.W.Seeded.query
-        :: Array.to_list (Array.sub wk.W.Seeded.query_boxes 0 5)
-      in
-      let sum f =
-        median_ms (fun () -> List.iter (fun b -> ignore (f b)) boxes)
-      in
-      let plain_ms = sum (fun b -> Sqp_core.Range_search.search_plain prep b) in
-      let skip_ms = sum (fun b -> Sqp_core.Range_search.search_skip prep b) in
-      let plan_ms =
-        sum (fun b ->
-            R.Plan.run
-              (R.Plan.optimize
-                 (Srv.Catalog.range_plan cat ~lo:(Sqp_geom.Box.lo b)
-                    ~hi:(Sqp_geom.Box.hi b))))
-      in
-      let chosen_one b =
-        let lo = Sqp_geom.Box.lo b and hi = Sqp_geom.Box.hi b in
-        match Srv.Catalog.range_access cat ~lo ~hi with
-        | Srv.Catalog.Direct best -> (
-            match best.O.Cost.method_ with
-            | O.Cost.Plain -> ignore (Sqp_core.Range_search.search_plain prep b)
-            | O.Cost.Skip -> ignore (Sqp_core.Range_search.search_skip prep b))
-        | Srv.Catalog.Planned ->
-            ignore
-              (R.Plan.run
-                 (R.Plan.optimize (Srv.Catalog.range_plan cat ~lo ~hi)))
-      in
-      let chosen_ms = median_ms (fun () -> List.iter chosen_one boxes) in
-      let worst_ms = max plain_ms (max skip_ms plan_ms) in
-      Printf.printf
-        "range batch (%d boxes): chosen %.3f ms | plain %.3f ms | skip %.3f ms \
-         | plan %.3f ms\n"
-        (List.length boxes) chosen_ms plain_ms skip_ms plan_ms;
-      Printf.sprintf
-        "    { \"workload\": \"range_batch\",\n\
-        \      \"boxes\": %d,\n\
-        \      \"chosen\": { \"impl\": \"per-box cost decision\", \"ms\": %.4f },\n\
-        \      \"alternatives\": [ { \"label\": \"plain/exact\", \"ms\": %.4f },\n\
-        \                         { \"label\": \"skip/exact\", \"ms\": %.4f },\n\
-        \                         { \"label\": \"plan path\", \"ms\": %.4f } ],\n\
-        \      \"chosen_not_slower_than_worst\": %b }"
-        (List.length boxes) chosen_ms plain_ms skip_ms plan_ms
-        (chosen_ms <= worst_ms *. 1.05)
-    in
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": \"optimizer_chosen_vs_forced\",\n\
-      \  \"repetitions\": %d,\n\
-      \  \"workloads\": [\n%s\n  ]\n}\n"
-      reps
-      (range_workload (W.Seeded.standard ()));
-    close_out oc;
-    Printf.printf "wrote %s\n" json_path
-  in
-  Cmd.v
-    (Cmd.info "bench-optimizer"
-       ~doc:
-         "Cost-based optimizer benchmark: the range access path the cost \
-          model chooses per box vs every forced method on the standard \
-          seeded workload; writes BENCH_optimizer.json.")
-    Term.(const run $ quick_arg $ json_arg)
-
 (* {1 Cluster: shard spawning and the router daemon} *)
 
 (* Spawn [sqp serve --port 0 --shard spec] as a child process and parse
@@ -986,6 +884,5 @@ let () =
             strategies_cmd; policies_cmd; partial_match_cmd; euv_cmd;
             coarsen_cmd; proximity_cmd; join_cmd; overlay_cmd; ccl_cmd;
             interference_cmd; fill_cmd; three_d_cmd; curves_cmd; object_join_cmd;
-            all_cmd; query_cmd; fsck_cmd; serve_cmd; shell_cmd;
-            bench_optimizer_cmd; route_cmd;
+            all_cmd; query_cmd; fsck_cmd; serve_cmd; shell_cmd; route_cmd;
           ]))

@@ -443,9 +443,9 @@ let delete t p = snd (apply t [ Delete p ]) = 1
 
 (* {1 Snapshots} *)
 
-let snapshot t =
-  let v = Atomic.get t.version in
-  { s_space = t.space; s_tree = v.tree; s_seq = v.vseq }
+let snapshot_of t v = { s_space = t.space; s_tree = v.tree; s_seq = v.vseq }
+
+let snapshot t = snapshot_of t (Atomic.get t.version)
 
 let snapshot_seq s = s.s_seq
 
@@ -663,7 +663,7 @@ let rebuild_online ?(chunk_size = 256) ?on_chunk t =
         catch_up ()
   in
   catch_up ();
-  let final_seq =
+  let final =
     Mutex.protect t.writer (fun () ->
         (* Holding the writer lock: no new batch can land, so what is
            left in the feed is the complete delta. *)
@@ -684,14 +684,12 @@ let rebuild_online ?(chunk_size = 256) ?on_chunk t =
         let v = { tree = packed; vseq = cur.vseq } in
         checkpoint_locked t v;
         Atomic.set t.version v;
-        cur.vseq)
+        v)
   in
-  let points = ref [] in
-  Cow.iter !building (fun _ e -> points := e :: !points);
-  let index = Zindex.of_points t.space (Array.of_list (List.rev !points)) in
-  (index, final_seq)
+  (snapshot_of t final, final.vseq)
 
 let save_index ?io ?(page_bytes = 1024) ~path t =
-  let index, at_seq = rebuild_online t in
+  let snap, at_seq = rebuild_online t in
+  let index = Zindex.of_points t.space (Array.of_list (snapshot_entries snap)) in
   ignore (Persist.save ?io ~path ~page_bytes ~encode:t.encode index);
   at_seq

@@ -181,15 +181,15 @@ val rebuild_online :
   ?chunk_size:int ->
   ?on_chunk:(int -> unit) ->
   'a t ->
-  'a Zindex.t * int
-(** Build a packed index over the live table without blocking writers:
+  'a snapshot * int
+(** Rebuild the live table's tree packed, without blocking writers:
     snapshot-scan in z-range chunks of [chunk_size] (default 256)
     entries — [on_chunk] runs between chunks, which is where the torture
     suite injects concurrent writes — then drain the mutation feed until
     caught up, take the writer lock for the final drain, and atomically
     swap the live tree for the freshly packed one (checkpointing the
-    durable store in the same step).  Returns the finished {!Zindex}
-    and the sequence number of the state it reflects. *)
+    durable store in the same step).  Returns the swapped-in tree as a
+    snapshot and the sequence number of the state it reflects. *)
 
 val save_index :
   ?io:Sqp_storage.Faulty_io.injector ->
@@ -197,10 +197,11 @@ val save_index :
   path:string ->
   'a t ->
   int
-(** {!rebuild_online} then {!Persist.save} the result atomically
-    (tmp + rename): after a crash the file at [path] is either the
-    complete new index or whatever was there before — never a torso.
-    Returns the sequence number the saved index reflects. *)
+(** {!rebuild_online}, then bulk-build a {!Zindex} over the returned
+    snapshot and {!Persist.save} it atomically (tmp + rename): after a
+    crash the file at [path] is either the complete new index or
+    whatever was there before — never a torso.  Returns the sequence
+    number the saved index reflects. *)
 
 val checkpoint : 'a t -> unit
 (** Durable tables only (no-op otherwise): rewrite the base image at the

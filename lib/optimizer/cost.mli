@@ -5,23 +5,17 @@
     [docs/COST_MODEL.md]; the unit tests pin the predictions against
     EXPLAIN ANALYZE actuals within the factors documented there.  Costs
     are in abstract {e work units} where one z-value comparison is 1.0;
-    they rank alternatives, they are not wall-clock predictions. *)
+    they are relative work estimates, not wall-clock predictions. *)
 
 type params = {
   compare : float;       (** one z-value comparison (the unit) *)
   emit : float;          (** materializing one output row *)
   sort : float;          (** per item · log2(items) when sorting *)
-  refine : float;        (** re-checking one candidate row exactly *)
-  decompose : float;     (** producing one cover element *)
   page_access : float;   (** touching one data page (hit or miss) *)
   distinct_witnesses : float;
       (** mean join witnesses (shared cover elements) per distinct
           object pair; divides a duplicate-eliminating projection over
           a join's output *)
-  plan_row : float;
-      (** interpretive overhead per row flowing through a plan operator
-          (boxed tuples, schema lookups) relative to the int-key direct
-          kernels; see {!plan_path_cost} *)
 }
 
 val default_params : params
@@ -30,43 +24,12 @@ val default_params : params
 
 type range_method = Plain | Skip
 
-type range_alternative = {
-  label : string;             (** e.g. ["skip/coarse(-2)"] *)
-  method_ : range_method;
-  max_level : int option;     (** decompose budget; [None] = pixel-exact *)
-  elements : int;             (** |B|: cover size at that budget *)
-  predicted_rows : float;     (** candidate rows out of the merge *)
-  needs_refine : bool;        (** cover over-approximates the box *)
-  cost : float;
-}
-
-val range_alternatives :
-  ?params:params ->
-  space:Sqp_zorder.Space.t ->
-  hist:Histogram.t ->
-  points:int ->
-  lo:int array ->
-  hi:int array ->
-  unit ->
-  range_alternative list
-(** Every costed way to answer one range query over a z-sorted point
-    set of [points] entries with z histogram [hist]: the plain and the
-    skip merge, each at pixel-exact decomposition and at each coarsened
-    budget of the sweep.  Sorted by ascending cost, so the head is the
-    optimizer's choice.  Covers are computed by {!Sqp_zorder.Decompose}
-    on every call, masses by {!Histogram.element_mass}.  The model's
-    view, reported by [sqp bench-optimizer]: the server does not call
-    it, and answers every range on the exact skip merge. *)
-
-val predicted_range_rows :
-  space:Sqp_zorder.Space.t ->
-  hist:Histogram.t ->
-  ?max_level:int ->
-  lo:int array ->
-  hi:int array ->
-  unit ->
-  float
-(** Expected rows matching the (possibly coarsened) cover of the box. *)
+type range_alternative = { method_ : range_method }
+(** What [Catalog.range_access] answers: the merge to run on the exact
+    cover.  It is always [Skip], the one range path every
+    server runs; [Plain] is never returned.  Kept only because the
+    serving benchmark's replay matches on it (ROADMAP item 4): it goes
+    at the next change to the benchmark. *)
 
 val predicted_range_pages :
   ?entries_per_page:float ->
@@ -86,18 +49,6 @@ val predicted_range_pages :
     [ceil (rows / entries_per_page)] instead of trusting [n_pages]:
     compressed pages hold more entries, so the calibrated prediction
     drops accordingly. *)
-
-val plan_path_cost : ?params:params -> points:int -> range_alternative -> float
-(** What the {e plan executor} (relational operators over boxed tuples)
-    would pay to answer the range query at this alternative's decompose
-    budget: the full merge join of the point relation with the cover,
-    the exact refine when the cover over-approximates the box, and the
-    per-row interpreter overhead [plan_row].  Method-independent (the
-    plan's join does not skip).  [Catalog.range_access] compares the
-    cheapest exact alternative's [cost] (the direct kernel) against the
-    cheapest budget under this function to pick the modelled access
-    path; the server no longer makes that choice.  See
-    docs/COST_MODEL.md, "Two executors". *)
 
 (** {1 Spatial join (Sections 4 and 5)} *)
 

@@ -67,27 +67,6 @@ let build ?prefix_bits ~space zs =
     zs;
   { prefix_bits; mass; level_sum; rows = !rows; total_level = !total_level }
 
-let element_mass t e =
-  let lo, hi = bucket_range t.prefix_bits e in
-  let level = B.length e in
-  if level >= t.prefix_bits then begin
-    (* The element is at or below bucket granularity: it covers a
-       2^-(level - prefix_bits) fraction of its bucket; entries deeper
-       than the element land inside it with that probability (uniformity
-       within the bucket), and entries coarser than the element are the
-       ones *containing* it, not contained — their containment
-       probability is the same expression with the roles swapped, which
-       the caller accounts for.  We charge the geometric fraction. *)
-    t.mass.(lo) /. float_of_int (1 lsl (level - t.prefix_bits))
-  end
-  else begin
-    let acc = ref 0.0 in
-    for i = lo to hi - 1 do
-      acc := !acc +. t.mass.(i)
-    done;
-    !acc
-  end
-
 let fold_nonempty f t init =
   let acc = ref init in
   Array.iteri

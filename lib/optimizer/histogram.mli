@@ -42,14 +42,6 @@ val bucket_avg_level : t -> int -> float
 (** Mean entry level in bucket [i]; {!avg_level} for an empty bucket,
     so estimates degrade gracefully rather than dividing by zero. *)
 
-val element_mass : t -> Sqp_zorder.Element.t -> float
-(** Expected number of entries whose z value makes them {e contained
-    in} the element [e] (their z value extends [e]'s): the histogram
-    mass geometrically inside [e]'s z range, assuming uniformity within
-    each bucket.  Coarse entries (shorter than [e]) are counted by the
-    fraction of their own range that [e] covers, which matches the
-    symmetric containment probability used by {!Cost.join_pairs}. *)
-
 val fold_nonempty : (int -> float -> float -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold_nonempty f t init] folds [f bucket mass avg_level] over the
     non-empty buckets in z order. *)

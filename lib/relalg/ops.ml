@@ -2,21 +2,33 @@ let select pred r =
   Relation.make ~name:(Relation.name r) (Relation.schema r)
     (List.filter pred (Relation.tuples r))
 
+(* The values of [tu] at [idxs], in that order. *)
+let pick idxs tu = Array.of_list (List.map (Array.get tu) idxs)
+
 let project_all names r =
   let schema = Relation.schema r in
   let idxs = List.map (Schema.index schema) names in
   let out_schema = Schema.project schema names in
   Relation.make ~name:(Relation.name r) out_schema
-    (List.map (fun tu -> Array.of_list (List.map (Array.get tu) idxs)) (Relation.tuples r))
+    (List.map (pick idxs) (Relation.tuples r))
+
+(* Tuples hashed under [Value.equal]: [Hashtbl.hash] agrees with it,
+   since it maps -0.0 and 0.0 (and every NaN) to one hash and a [Zval]'s
+   bitstring is canonical. *)
+module Tuple_tbl = Hashtbl.Make (struct
+  type t = Value.t array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b
+  let hash = Hashtbl.hash
+end)
 
 let dedup tuples =
-  let tbl = Hashtbl.create 64 in
+  let seen = Tuple_tbl.create 64 in
   List.filter
     (fun tu ->
-      let key = Array.to_list (Array.map (Format.asprintf "%a" Value.pp) tu) in
-      if Hashtbl.mem tbl key then false
+      if Tuple_tbl.mem seen tu then false
       else begin
-        Hashtbl.replace tbl key ();
+        Tuple_tbl.replace seen tu ();
         true
       end)
     tuples
@@ -80,24 +92,14 @@ let natural_join a b =
       Schema.concat sa
         (Schema.make (List.map (fun n -> (n, Schema.ty sb n)) b_keep))
     in
-    let key_of tu idxs =
-      String.concat "\x00"
-        (List.map (fun i -> Format.asprintf "%a" Value.pp tu.(i)) idxs)
-    in
-    let table = Hashtbl.create 64 in
-    List.iter
-      (fun tb -> Hashtbl.add table (key_of tb ib) tb)
-      (Relation.tuples b);
+    let table = Tuple_tbl.create 64 in
+    List.iter (fun tb -> Tuple_tbl.add table (pick ib tb) tb) (Relation.tuples b);
     let tuples =
       List.concat_map
         (fun ta ->
-          List.filter_map
-            (fun tb ->
-              (* Hash collisions are possible in principle; re-check. *)
-              if List.for_all2 (fun i j -> Value.equal ta.(i) tb.(j)) ia ib then
-                Some (Array.append ta (Array.of_list (List.map (Array.get tb) ib_keep)))
-              else None)
-            (Hashtbl.find_all table (key_of ta ia)))
+          List.map
+            (fun tb -> Array.append ta (pick ib_keep tb))
+            (Tuple_tbl.find_all table (pick ia ta)))
         (Relation.tuples a)
     in
     Relation.make out_schema tuples
@@ -120,16 +122,16 @@ let group_by keys aggs r =
             invalid_arg "Ops.group_by: aggregate over non-int attribute")
     aggs;
   let out_schema = Schema.concat (Schema.project schema keys) (Schema.make agg_schema) in
-  let groups = Hashtbl.create 64 in
+  let groups = Tuple_tbl.create 64 in
   let order = ref [] in
   List.iter
     (fun tu ->
-      let key = List.map (fun i -> Format.asprintf "%a" Value.pp tu.(i)) key_idxs in
-      (match Hashtbl.find_opt groups key with
-      | Some rows -> Hashtbl.replace groups key (tu :: rows)
+      let key = pick key_idxs tu in
+      match Tuple_tbl.find_opt groups key with
+      | Some rows -> Tuple_tbl.replace groups key (tu :: rows)
       | None ->
-          Hashtbl.replace groups key [ tu ];
-          order := key :: !order))
+          Tuple_tbl.replace groups key [ tu ];
+          order := key :: !order)
     (Relation.tuples r);
   let eval rows = function
     | Count -> Value.Int (List.length rows)
@@ -148,11 +150,8 @@ let group_by keys aggs r =
   let tuples =
     List.rev_map
       (fun key ->
-        let rows = Hashtbl.find groups key in
-        let sample = List.hd rows in
-        Array.append
-          (Array.of_list (List.map (fun i -> sample.(i)) key_idxs))
-          (Array.of_list (List.map (fun (_, agg) -> eval rows agg) aggs)))
+        let rows = Tuple_tbl.find groups key in
+        Array.append key (Array.of_list (List.map (fun (_, agg) -> eval rows agg) aggs)))
       !order
   in
   Relation.make out_schema tuples

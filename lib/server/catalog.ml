@@ -265,74 +265,6 @@ let recover_lives t =
       | exception e -> Some (name, e))
     t.lives
 
-let point_histogram t =
-  match stats t with
-  | None -> None
-  | Some st -> (
-      match O.Stats.find st "P" with
-      | Some rs -> (
-          match List.assoc_opt "z" rs.O.Stats.z_columns with
-          | Some h -> Some (st, h)
-          | None -> None)
-      | None -> None)
-
-(* {1 Plans} *)
-
-let coords t = List.init (Z.Space.dims t.space) (fun i -> Printf.sprintf "x%d" i)
-
-let refine_pred t ~lo ~hi =
-  let cs = coords t in
-  R.Plan.pred
-    (Printf.sprintf "refine box [%s]"
-       (String.concat "; "
-          (List.mapi (fun i c -> Printf.sprintf "%d<=%s<=%d" lo.(i) c hi.(i)) cs)))
-    cs
-    (fun tu schema ->
-      let ok = ref true in
-      List.iteri
-        (fun i c ->
-          let v = R.Value.to_int (R.Relation.get tu schema c) in
-          if v < lo.(i) || v > hi.(i) then ok := false)
-        cs;
-      !ok)
-
-(* The cover of the box at the given decompose budget, as the join's
-   right-hand relation (attribute "zb"). *)
-let cover_relation t ?max_level ~lo ~hi () =
-  let options = { Z.Decompose.default_options with Z.Decompose.max_level } in
-  let elements = Z.Decompose.decompose_box ~options t.space ~lo ~hi in
-  R.Relation.make ~name:"B"
-    (R.Schema.make [ ("zb", R.Value.TZval) ])
-    (List.map (fun e -> [| R.Value.Zval e |]) elements)
-
-let range_decision t ~lo ~hi =
-  match point_histogram t with
-  | None -> None
-  | Some (_, hist) ->
-      let alts =
-        O.Cost.range_alternatives ~space:t.space ~hist
-          ~points:(R.Relation.cardinality t.points_rel)
-          ~lo ~hi ()
-      in
-      Some alts
-
-(* The cheapest decompose budget under the {e plan executor's} cost
-   function (method-independent: the plan's join does not skip). *)
-let best_plan_budget t alts =
-  let points = R.Relation.cardinality t.points_rel in
-  let seen = Hashtbl.create 8 in
-  List.fold_left
-    (fun best (a : O.Cost.range_alternative) ->
-      if Hashtbl.mem seen a.O.Cost.max_level then best
-      else begin
-        Hashtbl.add seen a.O.Cost.max_level ();
-        let c = O.Cost.plan_path_cost ~points a in
-        match best with
-        | Some (_, bc) when bc <= c -> best
-        | _ -> Some (a, c)
-      end)
-    None alts
-
 (* {1 Page cost recalibration}
 
    The paper's 5.3.1 block model predicts pages touched from the page
@@ -389,47 +321,30 @@ let page_estimate t ~lo ~hi =
           learned_predicted;
         }
 
+(* {1 Plans} *)
+
 type range_access =
   | Direct of O.Cost.range_alternative
   | Planned
 
 let range_access t ~lo ~hi =
-  match range_decision t ~lo ~hi with
-  | None -> Planned
-  | Some alts -> (
-      (* [alts] is sorted by ascending direct-kernel cost, so the first
-         exact entry is the cheapest exact method. *)
-      let exact =
-        List.find_opt (fun a -> a.O.Cost.max_level = None) alts
-      in
-      match (exact, best_plan_budget t alts) with
-      | Some e, Some (_, plan_cost) when e.O.Cost.cost <= plan_cost -> Direct e
-      | Some e, None -> Direct e
-      | _ -> Planned)
+  ignore (Protocol.range_box t.space ~lo ~hi);
+  Direct { O.Cost.method_ = O.Cost.Skip }
 
 let range_plan t ~lo ~hi =
   ignore (Protocol.range_box t.space ~lo ~hi);
-  let mk ?max_level ~refine () =
-    let b = cover_relation t ?max_level ~lo ~hi () in
-    let join =
-      R.Plan.Spatial_join
-        {
-          zl = "z";
-          zr = "zb";
-          left = R.Plan.Scan t.points_rel;
-          right = R.Plan.Scan b;
-        }
-    in
-    let body = if refine then R.Plan.Select (refine_pred t ~lo ~hi, join) else join in
-    R.Plan.Project (coords t, body)
+  (* The box's pixel-exact cover, as the join's right-hand relation. *)
+  let cover =
+    R.Relation.make ~name:"B"
+      (R.Schema.make [ ("zb", R.Value.TZval) ])
+      (List.map
+         (fun e -> [| R.Value.Zval e |])
+         (Z.Decompose.decompose_box t.space ~lo ~hi))
   in
-  match range_decision t ~lo ~hi with
-  | None -> mk ~refine:false ()  (* no statistics: pixel-exact, as ever *)
-  | Some alts -> (
-      match best_plan_budget t alts with
-      | None -> mk ~refine:false ()
-      | Some (best, _) ->
-          mk ?max_level:best.O.Cost.max_level ~refine:best.O.Cost.needs_refine ())
+  R.Plan.Project
+    ( List.init (Z.Space.dims t.space) (Printf.sprintf "x%d"),
+      R.Plan.Spatial_join
+        { zl = "z"; zr = "zb"; left = R.Plan.Scan t.points_rel; right = R.Plan.Scan cover } )
 
 let overlap_plan t =
   match (resolve t "R", resolve t "S") with

@@ -127,20 +127,12 @@ val analyze : t -> Sqp_optimizer.Stats.t
     build per-relation row counts and z-prefix histograms
     ({!Sqp_optimizer.Stats.analyze}), record live-table row counts,
     store the result as the catalog's current statistics and return
-    it.  Until this has run, {!stats} is [None] and every serving path
-    falls back to the statistics-free behavior. *)
+    it.  Until this has run, {!stats} is [None]: EXPLAIN carries no
+    cost column, EXPLAIN ANALYZE no predicted-vs-actual table, and
+    {!page_estimate} is [None].  No query's rows depend on it. *)
 
 val stats : t -> Sqp_optimizer.Stats.t option
 (** The statistics from the most recent {!analyze}, if any. *)
-
-(** {1 Plans} *)
-
-val range_decision :
-  t -> lo:int array -> hi:int array -> Sqp_optimizer.Cost.range_alternative list option
-(** The costed range-search alternatives for this box under the current
-    statistics (ascending direct-kernel cost), or [None] before the
-    first {!analyze}.  The cost model's view only: the server does not
-    call it (see {!range_access}). *)
 
 (** {1 Page cost recalibration} *)
 
@@ -163,38 +155,33 @@ val page_estimate : t -> lo:int array -> hi:int array -> page_estimate option
     on the front-coded point index ({!point_index}, built by the first
     call).  [None] until {!analyze} has run. *)
 
+(** {1 Plans} *)
+
 type range_access =
   | Direct of Sqp_optimizer.Cost.range_alternative
-      (** run the Section 3.3 merge (plain or skip, per the
-          alternative) directly on {!prepared_points} — exact cover *)
-  | Planned
-      (** run {!range_plan} through the plan executor (also the
-          statistics-free fallback) *)
+      (** run the Section 3.3 merge on {!prepared_points} over the
+          exact cover *)
+  | Planned  (** never returned *)
 
 val range_access : t -> lo:int array -> hi:int array -> range_access
-(** The cost model's access-path decision for one range query: the
-    cheapest exact alternative on the direct kernel vs the cheapest
-    decompose budget under {!Sqp_optimizer.Cost.plan_path_cost} — the
-    two executors have different constants, which is exactly what the
-    latter models.
-
-    The server does not call it.  Every served range request runs the
-    exact cover on {!Sqp_core.Range_search.iter_skip} over
-    {!prepared_points}, with or without statistics, so no request pays
-    for this decision.  It stays for the callers that report or replay
-    the model: [sqp bench-optimizer], the optimizer tests and the
-    serving benchmark's replay. *)
+(** Always [Direct { method_ = Skip }]: every server answers every range
+    on the exact skip merge over {!prepared_points}, with or without
+    statistics, so there is nothing to decide.  No server path calls
+    this.  It and {!Sqp_optimizer.Cost.range_alternative} stay only
+    because the serving benchmark's replay matches on them, and go at
+    the next change to the benchmark (ROADMAP item 4); [Planned] and
+    [Cost.Plain] are never returned.
+    @raise Invalid_argument on the bounds {!Protocol.range_box} refuses:
+    the wrong dimensionality, outside the grid, or inverted. *)
 
 val range_plan : t -> lo:int array -> hi:int array -> Sqp_relalg.Plan.t
-(** The Section 4 range-query script as a plan: decompose the box,
-    spatial-join it with the point relation on z, project the
-    coordinates.  The server does not run it (see {!range_access}); its
-    rows are the ones the server answers with, which makes it the
-    in-process oracle of the server tests.  With statistics present, the decompose budget is the
-    cheapest of {!range_decision}'s alternatives; a coarsened cover gets
-    an exact refine [Select] between the join and the projection, so the
-    result rows are identical at every budget.  Without statistics the
-    cover is pixel-exact and needs no refine.
+(** The Section 4 range-query script as a plan: decompose the box
+    exactly, spatial-join the cover with the point relation on z,
+    project the coordinates.  The server does not run it; its rows are
+    the ones the server answers with, which makes it the in-process
+    oracle of the server tests.  Statistics do not change it: it
+    returns the same tuples in the same order before and after
+    {!analyze}.
     @raise Invalid_argument on the bounds {!Protocol.range_box} refuses:
     the wrong dimensionality, outside the grid, or inverted. *)
 

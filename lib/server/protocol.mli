@@ -59,7 +59,7 @@ type request =
   | Create_index of { table : string }
       (** Online index rebuild: backfill + catch-up + atomic swap, while
           concurrent mutations keep flowing.  [Ack.applied] is the entry
-          count of the finished index. *)
+          count of the swapped-in tree. *)
   | Live_range of { table : string; lo : int array; hi : int array }
       (** Snapshot range query over a live table: rows [(id, x0..xk)]
           for the entries inside the (inclusive) box, in z order, read

@@ -308,8 +308,8 @@ let execute t request =
   | P.Create_index { table } ->
       guard t (fun () ->
           let lv = live_table t table in
-          let idx, seq = Live.rebuild_online lv in
-          Response (P.Ack { applied = Sqp_btree.Zindex.length idx; seq }))
+          let snap, seq = Live.rebuild_online lv in
+          Response (P.Ack { applied = Live.snapshot_length snap; seq }))
   | P.Live_range { table; lo; hi } ->
       guard t (fun () ->
           let lv = live_table t table in

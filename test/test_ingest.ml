@@ -672,12 +672,13 @@ let online_build seed () =
             ignore (L.delete t v)
         | [] -> ()
       in
-      let index, at_seq = L.rebuild_online ~chunk_size:32 ~on_chunk t in
+      let snap, at_seq = L.rebuild_online ~chunk_size:32 ~on_chunk t in
       check "writes raced the backfill" true (!boundaries > 0);
       check "build reflects the final batch" true (at_seq = L.seq t);
       (* The online-built index must be bit-identical to a from-scratch
          build over the final state. *)
       let final = entries_of t in
+      let index = Zindex.of_points space (Array.of_list (L.snapshot_entries snap)) in
       let scratch = Zindex.of_points space (Array.of_list final) in
       let pa = path ^ ".online" and pb = path ^ ".scratch" in
       Fun.protect

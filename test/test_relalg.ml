@@ -80,8 +80,22 @@ let test_project () =
   let all = R.Ops.project_all [ "b" ] rel_people in
   check_int "bag" 4 (R.Relation.cardinality all)
 
+(* Floats that agree to six significant digits, and the two zeros:
+   distinct under [Value.equal] in the first case, equal in the second. *)
+let floats vs =
+  R.Relation.make
+    (R.Schema.make [ ("v", R.Value.TFloat) ])
+    (List.map (fun v -> [| R.Value.Float v |]) vs)
+
+let close_floats = floats [ 0.1; 0.1000001; 0.1 ]
+let signed_zeros = floats [ -0.0; 0.0 ]
+
 let test_distinct () =
-  check_int "dedup" 3 (R.Relation.cardinality (R.Ops.distinct rel_people))
+  check_int "dedup" 3 (R.Relation.cardinality (R.Ops.distinct rel_people));
+  check_int "close floats stay apart" 2
+    (R.Relation.cardinality (R.Ops.distinct close_floats));
+  check_int "signed zeros merge" 1
+    (R.Relation.cardinality (R.Ops.distinct signed_zeros))
 
 let test_extend () =
   let doubled =
@@ -104,7 +118,11 @@ let test_product_union () =
   in
   check_int "product" 4 (R.Relation.cardinality (R.Ops.product rel_people other));
   let u = R.Ops.union rel_people rel_people in
-  check_int "set union" 3 (R.Relation.cardinality u)
+  check_int "set union" 3 (R.Relation.cardinality u);
+  check_int "union keeps close floats apart" 2
+    (R.Relation.cardinality (R.Ops.union close_floats close_floats));
+  check_int "union merges signed zeros" 1
+    (R.Relation.cardinality (R.Ops.union signed_zeros signed_zeros))
 
 let test_natural_join () =
   let orders =
@@ -150,7 +168,14 @@ let test_group_by () =
   check_int "count" 3 (R.Value.to_int (R.Relation.get ann schema "n"));
   check_int "sum" 13 (R.Value.to_int (R.Relation.get ann schema "total"));
   check_int "min" 1 (R.Value.to_int (R.Relation.get ann schema "lo"));
-  check_int "max" 7 (R.Value.to_int (R.Relation.get ann schema "hi"))
+  check_int "max" 7 (R.Value.to_int (R.Relation.get ann schema "hi"));
+  let counts r =
+    List.map
+      (fun t -> R.Value.to_int t.(1))
+      (R.Relation.tuples (R.Ops.group_by [ "v" ] [ ("n", R.Ops.Count) ] r))
+  in
+  Alcotest.(check (list int)) "close floats: two groups" [ 2; 1 ] (counts close_floats);
+  Alcotest.(check (list int)) "signed zeros: one group" [ 2 ] (counts signed_zeros)
 
 let test_group_by_area_per_object () =
   (* "What is the area of each object?" phrased relationally: decompose,

@@ -851,10 +851,9 @@ let test_out_of_grid () =
 (* {1 Statistics flow: ANALYZE over the wire, cost-based serving}
 
    Runs LAST: [Client.refresh_stats] mutates the shared module-level
-   catalog's statistics, and serving paths behave differently once
-   statistics exist (direct range kernels, forced join
-   implementations, cached packed indexes).  Every earlier test's
-   oracle assumes the statistics-free behavior. *)
+   catalog's statistics.  Statistics change no answer, only EXPLAIN's
+   annotations, and this test pins that; every earlier test runs
+   before them. *)
 
 let test_statistics_flow () =
   with_server (fun server _ ->
@@ -889,7 +888,9 @@ let test_statistics_flow () =
             reply_ok "range after" (Client.range_search client ~lo ~hi)
           in
           checkb "range rows unchanged by statistics" true
-            (Relation.equal_contents range_before range_after);
+            (Sqp_relalg.Schema.equal (Relation.schema range_before)
+               (Relation.schema range_after)
+            && Relation.tuples range_before = Relation.tuples range_after);
           let join_after = reply_ok "join after" (Client.query client join_plan) in
           checkb "join rows unchanged by statistics" true
             (Sqp_relalg.Schema.equal (Relation.schema join_before)
