@@ -217,10 +217,12 @@ let kernels_table ~quick () =
   in
   let corners b = (Sqp_geom.Box.lo b, Sqp_geom.Box.hi b) in
   (* The answers a server writes for a range and a live-range read: the
-     streamed answer against the list kernel, the boxed relation it used
+     streamed tree answer against the list kernel (on the prepared
+     array of the same points for a range), the boxed relation it used
      to build and [encode_response].  The serving catalog's [L] grows by
      350 batches of 32 inserts to 16,200 rows first, as a serving
-     benchmark's ingest run grows it. *)
+     benchmark's ingest run grows it; the range answer reads the
+     catalog's own tree, which those writes do not reach. *)
   let cat = Sqp_server.Catalog.of_seeded wk in
   let lv = Option.get (Sqp_server.Catalog.live cat "L") in
   let rng = W.Rng.create ~seed:23 in
@@ -231,7 +233,6 @@ let kernels_table ~quick () =
               Sqp_btree.Live.Insert
                 ([| W.Rng.int rng 1024; W.Rng.int rng 1024 |], 1_000_000 + (32 * b) + i))))
   done;
-  let serving_prep = Sqp_server.Catalog.prepared_points cat in
   let int_relation name columns rows =
     R.Relation.make ~name
       (R.Schema.make (List.map (fun c -> (c, R.Value.TInt)) columns))
@@ -272,7 +273,7 @@ let kernels_table ~quick () =
                   (int_relation "range" [ "x0"; "x1" ]
                      (List.map
                         (fun (p, _) -> [ p.(0); p.(1) ])
-                        (fst (Sqp_core.Range_search.search_skip serving_prep b))))))
+                        (fst (Sqp_core.Range_search.search_skip prep b))))))
            (fun b -> ignore (Sqp_server.Server.range_answer cat b));
          boxes_row "live-answer"
            (fun b ->

@@ -437,7 +437,7 @@ let serve_cmd =
             "Serve one cluster shard's z-range slice of the seeded catalog: \
              $(i,I/N) (the I-th of N even ranges, 0-based — what $(b,sqp \
              route --spawn) uses) or $(i,ZLO:ZHI) (an explicit inclusive z \
-             interval).")
+             interval, 0 <= ZLO <= ZHI).")
   in
   let live_empty_arg =
     Arg.(
@@ -471,7 +471,7 @@ let serve_cmd =
               match String.split_on_char ':' spec with
               | [ lo; hi ] -> (
                   match (int_of_string_opt lo, int_of_string_opt hi) with
-                  | Some lo, Some hi when lo <= hi -> (lo, hi)
+                  | Some lo, Some hi when 0 <= lo && lo <= hi -> (lo, hi)
                   | _ -> fail ())
               | _ -> fail ())
           | _ -> fail ())

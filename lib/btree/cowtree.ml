@@ -211,6 +211,7 @@ module Make (Key : KEY) = struct
     mutable vals : 'a array;
     mutable idx : int;
     mutable ended : bool;
+    mutable leaves : int;  (* leaves landed on; a leaf is a page *)
   }
 
   (* Every leaf sits at the same depth. *)
@@ -228,14 +229,21 @@ module Make (Key : KEY) = struct
       vals = [||];
       idx = 0;
       ended = false;
+      leaves = 0;
     }
+
+  (* Stand on a leaf: a leaf's keys array is its own, so landing again on
+     the leaf the cursor already stands on does not count it twice. *)
+  let enter c keys vals =
+    if keys != c.keys then c.leaves <- c.leaves + 1;
+    c.keys <- keys;
+    c.vals <- vals
 
   (* Descend from [node], at internal level [d], to its leftmost leaf. *)
   let rec descend_leftmost c d node =
     match node with
     | Leaf { keys; vals } ->
-        c.keys <- keys;
-        c.vals <- vals;
+        enter c keys vals;
         c.idx <- 0
     | Node { children; _ } ->
         c.nodes.(d) <- children;
@@ -247,8 +255,7 @@ module Make (Key : KEY) = struct
   let rec descend c d node k =
     match node with
     | Leaf { keys; vals } ->
-        c.keys <- keys;
-        c.vals <- vals;
+        enter c keys vals;
         c.idx <- lower_bound keys k
     | Node { seps; children } ->
         let i = route seps k in
@@ -307,6 +314,8 @@ module Make (Key : KEY) = struct
       descend c 0 c.root k;
       fix c
     end
+
+  let cursor_leaves c = c.leaves
 
   let find_all t k =
     let c = seek t k in

@@ -102,6 +102,12 @@ module Make (Key : KEY) : sig
       when [k] is above the key under [c] (it descends from the root),
       and a no-op otherwise (or at end of data). *)
 
+  val cursor_leaves : 'a cursor -> int
+  (** The leaves (pages) the cursor has stood on since it was made: one
+      for the leaf it was made on, one more each time a step or re-seek
+      lands it on another leaf.  A step or re-seek that stays in its leaf
+      does not count it again; the empty tree's leaf is never counted. *)
+
   val check_invariants : 'a t -> (unit, string) result
   (** Ordering, separator bounds, uniform leaf depth, no empty leaves,
       entry count.  Occupancy is deliberately not enforced (see the

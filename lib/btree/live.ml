@@ -34,7 +34,7 @@ type 'a t = {
 
 type 'a snapshot = { s_space : Z.Space.t; s_tree : (Sqp_geom.Point.t * 'a) Cow.t; s_seq : int }
 
-type scan_stats = { entries_scanned : int; elements : int; results : int }
+type scan_stats = { entries_scanned : int; elements : int; results : int; pages : int }
 
 (* {1 Record codecs}
 
@@ -260,6 +260,24 @@ let create ?(leaf_capacity = 20) ?(internal_capacity = 20) ~encode ~decode space
     (Cow.empty ~leaf_capacity ~internal_capacity ())
     0
 
+let check_point fn space p =
+  if Array.length p <> Z.Space.dims space then invalid_arg (fn ^ ": point arity mismatch");
+  Array.iter
+    (fun c ->
+      if not (Z.Space.valid_coord space c) then
+        invalid_arg (fn ^ ": coordinate out of space"))
+    p
+
+(* The table one [apply] of these inserts leaves on a fresh [create]:
+   a stable sort keeps equal points in their input order, as inserts
+   that land after their equals do, and the leaves are packed full. *)
+let of_entries ~encode ~decode space entries =
+  Array.iter (fun (p, _) -> check_point "Live.of_entries" space p) entries;
+  let keyed = Array.map (fun ((p, _) as e) -> (zval space p, e)) entries in
+  Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) keyed;
+  make_t ~encode ~decode ~store:None space (Cow.of_sorted_array keyed)
+    (if Array.length entries = 0 then 0 else 1)
+
 let create_durable ?io ?(page_bytes = 1024) ?(leaf_capacity = 20)
     ?(internal_capacity = 20) ~encode ~decode ~path space =
   let store = FP.create ?io ~page_bytes path in
@@ -387,23 +405,11 @@ let apply_op_mem space tree op =
       | Some tr -> (tr, true)
       | None -> (tree, false))
 
-let validate_op t op =
-  let check p =
-    if Array.length p <> Z.Space.dims t.space then
-      invalid_arg "Live.apply: point arity mismatch";
-    Array.iter
-      (fun c ->
-        if not (Z.Space.valid_coord t.space c) then
-          invalid_arg "Live.apply: coordinate out of space")
-      p
-  in
-  match op with Insert (p, _) -> check p | Delete p -> check p
-
 let apply t ops =
   match ops with
   | [] -> ((Atomic.get t.version).vseq, 0)
   | _ ->
-      List.iter (validate_op t) ops;
+      List.iter (function Insert (p, _) | Delete p -> check_point "Live.apply" t.space p) ops;
       Mutex.protect t.writer (fun () ->
           let cur = Atomic.get t.version in
           let seq = cur.vseq + 1 in
@@ -449,6 +455,8 @@ let snapshot t = snapshot_of t (Atomic.get t.version)
 
 let snapshot_seq s = s.s_seq
 
+let snapshot_space s = s.s_space
+
 let snapshot_length s = Cow.length s.s_tree
 
 let snapshot_entries s =
@@ -468,20 +476,21 @@ let first_live khi z =
   !lo
 
 (* Section 3.3's merge over the frozen tree: identical in shape to
-   [Zindex.merge_with_elements] with the eager decomposition, minus the
-   page bookkeeping (COW nodes are not pages).  Beyond the key ranges it
-   allocates one cursor, which every jump into P re-seeks in place. *)
+   [Zindex.merge_with_elements] with the eager decomposition, counting
+   the leaves its cursor stands on as the data pages it reads.  Beyond
+   the key ranges it allocates one cursor, which every jump into P
+   re-seeks in place. *)
 let range_iter s box f =
   if Sqp_geom.Box.dims box <> Z.Space.dims s.s_space then
     invalid_arg "Live.range_iter: dimension mismatch";
   match Sqp_geom.Box.clip box ~side:(Z.Space.side s.s_space) with
-  | None -> { entries_scanned = 0; elements = 0; results = 0 }
+  | None -> { entries_scanned = 0; elements = 0; results = 0; pages = 0 }
   | Some box ->
       let { Z.Zkernel.klo; khi } =
         Z.Decompose.key_ranges s.s_space ~lo:box.Sqp_geom.Box.lo ~hi:box.Sqp_geom.Box.hi
       in
       let n = Array.length klo in
-      let scanned = ref 0 and results = ref 0 in
+      let scanned = ref 0 and results = ref 0 and pages = ref 0 in
       if n > 0 then begin
         let c = Cow.seek s.s_tree klo.(0) in
         let ei = ref 0 in
@@ -502,9 +511,10 @@ let range_iter s box f =
             end;
             Cow.cursor_next c
           end
-        done
+        done;
+        pages := Cow.cursor_leaves c
       end;
-      { entries_scanned = !scanned; elements = n; results = !results }
+      { entries_scanned = !scanned; elements = n; results = !results; pages = !pages }
 
 let range_search s box =
   let acc = ref [] in

@@ -51,6 +51,21 @@ val create :
 (** Purely in-memory table (no durability).  [encode]/[decode] are still
     required so the table can be checkpointed or saved later. *)
 
+val of_entries :
+  encode:('a -> string) ->
+  decode:(string -> 'a) ->
+  Sqp_zorder.Space.t ->
+  (Sqp_geom.Point.t * 'a) array ->
+  'a t
+(** Bulk load: the in-memory table one {!apply} of [Insert]s of these
+    entries leaves on a fresh {!create} with the default capacities —
+    the same entries in the same order (equal points keep their input
+    order) and the same {!seq} (1, or 0 with no entries) — built without
+    path copying, its leaves packed full (20 entries, the paper's page
+    capacity).  The load is not counted in the [ingest.*] batch and
+    insert counters.
+    @raise Invalid_argument on a point outside the space, as {!apply}. *)
+
 val create_durable :
   ?io:Sqp_storage.Faulty_io.injector ->
   ?page_bytes:int ->
@@ -135,6 +150,7 @@ type scan_stats = {
   entries_scanned : int;  (** entries examined during the merge *)
   elements : int;         (** query-box elements generated *)
   results : int;
+  pages : int;  (** leaves (data pages) the merge's cursor stood on *)
 }
 (** Deterministic per-query counters (the sequential path of the
     differential suite asserts these bit-for-bit). *)
@@ -142,6 +158,8 @@ type scan_stats = {
 val snapshot : 'a t -> 'a snapshot
 
 val snapshot_seq : 'a snapshot -> int
+
+val snapshot_space : 'a snapshot -> Sqp_zorder.Space.t
 
 val snapshot_length : 'a snapshot -> int
 
@@ -158,8 +176,11 @@ val range_iter :
     [(point, payload)] pair the tree holds (not a copy).  Keys are
     compared with each element's int bounds
     ({!Sqp_zorder.Decompose.key_ranges}); a box reaching past the grid
-    is clipped to it.  Besides those key ranges it allocates one cursor
-    and O(1) words: nothing per scanned entry, per jump or per element.
+    is clipped to it.  [pages] counts each leaf the merge reads once,
+    however many entries, steps and re-seeks it serves (the paper's data
+    page accesses, Section 5.3.2).  Besides those key ranges it
+    allocates one cursor and O(1) words: nothing per scanned entry, per
+    jump, per leaf or per element.
     @raise Invalid_argument if the box's dimensionality is not the
     space's. *)
 

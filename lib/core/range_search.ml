@@ -50,8 +50,6 @@ let key_ranges prep box =
 let clip prep box =
   Sqp_geom.Box.clip box ~side:(Z.Space.side prep.space)
 
-let prepared_entry prep i = prep.pts.(i)
-
 (* Observability: one span per search carrying the merge's work counters
    (probes = comparisons, skips = random accesses), plus running totals in
    the ambient metrics registry.  A single branch when tracing is off. *)
@@ -155,9 +153,7 @@ let iter_keys merge prep box emit =
 
 let iter_plain_impl prep box emit = iter_keys Z.Zkernel.range_plain_keys prep box emit
 
-let iter_plain prep box f = observed "range_search.plain" iter_plain_impl prep box f
-
-let search_plain prep box = collect iter_plain prep box
+let search_plain prep box = collect (observed "range_search.plain" iter_plain_impl) prep box
 
 (* First index in [zs[lo, hi)] with zs.(i) >= z (binary search = random
    access). *)
@@ -232,9 +228,7 @@ let search_skip_reference prep box =
 
 let iter_skip_impl prep box emit = iter_keys Z.Zkernel.range_skip_keys prep box emit
 
-let iter_skip prep box f = observed "range_search.skip" iter_skip_impl prep box f
-
-let search_skip prep box = collect iter_skip prep box
+let search_skip prep box = collect (observed "range_search.skip" iter_skip_impl) prep box
 
 type trace_step = {
   description : string;

@@ -7,9 +7,10 @@
     accesses (binary search) to skip dead stretches of either sequence —
     plus a step-by-step trace used to reproduce Figure 5.
 
-    The disk-resident version of the same algorithm lives in
-    {!Sqp_btree.Zindex}; this module is the algorithmic core, with exact
-    work counters, suitable for analysis and benchmarks. *)
+    This module is the algorithmic core, with exact work counters, for
+    Figure 5, the paper tables and benchmarks.  The server runs the same
+    merge over a tree instead ({!Sqp_btree.Live.range_iter}), and the
+    disk-resident version lives in {!Sqp_btree.Zindex}. *)
 
 type space = Sqp_zorder.Space.t
 
@@ -22,11 +23,6 @@ val prepare : space -> (Sqp_geom.Point.t * 'a) array -> 'a prepared
 
 val prepared_length : 'a prepared -> int
 
-val prepared_entry : 'a prepared -> int -> Sqp_geom.Point.t * 'a
-(** [prepared_entry p i] is the [i]-th entry of P in z order, the one P
-    holds (not a copy): the row an iteration's index [i] names.
-    @raise Invalid_argument if [i] is out of bounds. *)
-
 type counters = {
   point_steps : int;    (** sequential advances in P *)
   element_steps : int;  (** sequential advances in B *)
@@ -35,31 +31,22 @@ type counters = {
   comparisons : int;
 }
 
-val iter_plain : 'a prepared -> Sqp_geom.Box.t -> (int -> unit) -> counters
+val search_plain :
+  'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
 (** The unoptimized merge: walk both sequences entry by entry, on the
-    int-key kernel ({!Sqp_zorder.Zkernel.range_plain_keys}), calling [f
-    i] with the index ({!prepared_entry}) of each point reported, in z
-    order; the points {e and counters} are {!search_plain_reference}'s.
-    Besides the key ranges ({!Sqp_zorder.Decompose.key_ranges}) it
-    allocates O(1) words, nothing per point, element or jump.  With
+    int-key kernel ({!Sqp_zorder.Zkernel.range_plain_keys}); the points,
+    in z order, {e and counters} are {!search_plain_reference}'s.  With
     global tracing on it records the [range_search.plain] span and
     metrics. *)
 
-val iter_skip : 'a prepared -> Sqp_geom.Box.t -> (int -> unit) -> counters
+val search_skip :
+  'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
 (** The optimized merge: when the current point z value leaves the
     current element, binary-search the other sequence ("parts of the
     space that could not possibly contribute are skipped").  Int-key
     kernel ({!Sqp_zorder.Zkernel.range_skip_keys}); points and counters
-    are {!search_skip_reference}'s.  Called, allocating and traced
-    ([range_search.skip]) as {!iter_plain}. *)
-
-val search_plain :
-  'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
-(** {!iter_plain}, its points accumulated in z order. *)
-
-val search_skip :
-  'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
-(** {!iter_skip}, its points accumulated in z order. *)
+    are {!search_skip_reference}'s.  Traced ([range_search.skip]) as
+    {!search_plain}. *)
 
 val search_plain_reference :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters

@@ -29,15 +29,11 @@ type t = {
   space : Z.Space.t;
   shard : (int * int) option;
       (* owned z interval when this catalog is a cluster shard's slice *)
-  points_rel : R.Relation.t;  (* "P": id, z, x0..xk — range-search side *)
+  tree : int Live.snapshot;
+      (* the points in z order, frozen: every served range reads them *)
+  points_rel : R.Relation.t;  (* "P": id, z, x0..xk — wire plans' side *)
   relations : (string * R.Plan.t) list;
   lives : (string * int Live.t) list;  (* mutable tables, payload = id *)
-  prepared : int Sqp_core.Range_search.prepared Lazy.t;
-      (* the z-sorted point sequence every served range merges against *)
-  pindex : int Sqp_btree.Zindex.t Lazy.t;
-      (* front-coded packed index over the same points: the measured
-         entries-per-page that recalibrates the page cost model, built
-         by the first [page_estimate] *)
   m : Mutex.t;  (* guards the mutable fields below *)
   mutable stats : O.Stats.t option;
   dedup : (int, dedup_client) Hashtbl.t;
@@ -50,34 +46,29 @@ type t = {
    first order. *)
 let pindex_page_bytes = 512
 
-let make ?(lives = []) ?shard ~space ~points ~relations () =
+(* The points bulk-loaded into a table keyed by z (payload = id), whose
+   first snapshot is the catalog's tree. *)
+let load space points =
+  Live.of_entries ~encode:string_of_int ~decode:int_of_string space
+    (Array.of_list (List.map (fun (id, p) -> (p, id)) points))
+
+let build ~lives ?shard ~space ~points ~tree ~relations () =
   let points_rel = R.Query.points_relation space points in
-  let relations =
-    if List.mem_assoc "P" relations then relations
-    else relations @ [ ("P", R.Plan.Scan points_rel) ]
-  in
-  let swapped = lazy (Array.of_list (List.map (fun (id, p) -> (p, id)) points)) in
-  let prepared =
-    lazy (Sqp_core.Range_search.prepare space (Lazy.force swapped))
-  in
-  let pindex =
-    lazy
-      (Sqp_btree.Zindex.of_points ~page_budget:pindex_page_bytes space
-         (Lazy.force swapped))
-  in
   {
     space;
     shard;
+    tree;
     points_rel;
-    relations;
+    relations = relations @ [ ("P", R.Plan.Scan points_rel) ];
     lives;
-    prepared;
-    pindex;
     m = Mutex.create ();
     stats = None;
     dedup = Hashtbl.create 16;
     dedup_tick = 0;
   }
+
+let make ?(lives = []) ?shard ~space ~points ~relations () =
+  build ~lives ?shard ~space ~points ~tree:(Live.snapshot (load space points)) ~relations ()
 
 let of_seeded ?shard ?(live_empty = false) (wk : Sqp_workload.Seeded.t) =
   let module W = Sqp_workload.Seeded in
@@ -132,16 +123,17 @@ let of_seeded ?shard ?(live_empty = false) (wk : Sqp_workload.Seeded.t) =
   let r = stored "R" [ ("id", "rid"); ("z", "zr") ] wk.W.left_objects in
   let s = stored "S" [ ("id", "sid"); ("z", "zs") ] wk.W.right_objects in
   (* "L": the live ingest table, pre-seeded with the same points as "P"
-     (payload = id) so mutation traffic has something to land on.
+     (payload = id) so mutation traffic has something to land on: the
+     table the points are loaded into, so "L" and the catalog's tree
+     share one root until L's writes path-copy away from it.
      [live_empty] starts it empty instead — a rebalance target begins
      with no live entries and receives the moving range as a stream. *)
+  let loaded = load space points in
   let live =
-    Live.create ~encode:string_of_int ~decode:int_of_string space
+    if live_empty then Live.create ~encode:string_of_int ~decode:int_of_string space
+    else loaded
   in
-  if not live_empty then
-    ignore
-      (Live.apply live (List.map (fun (id, p) -> Live.Insert (p, id)) points));
-  make ~lives:[ ("L", live) ] ?shard ~space ~points
+  build ~lives:[ ("L", live) ] ?shard ~space ~points ~tree:(Live.snapshot loaded)
     ~relations:[ ("R", R.Plan.Scan_stored r); ("S", R.Plan.Scan_stored s) ]
     ()
 
@@ -157,19 +149,12 @@ let live_names t = List.sort compare (List.map fst t.lives)
 
 let live t name = List.assoc_opt name t.lives
 
-(* Sessions share the catalog, and forcing a lazy member while another
-   thread or domain is still computing it raises [Lazy.Undefined] (and
-   [Lazy.is_val] cannot tell "forced" from "being forced").  So every
-   force of [prepared] and [pindex], and through them of [swapped], runs
-   under the catalog mutex: held for the one-time build, then for a tag
-   test. *)
-let force t l = Mutex.protect t.m (fun () -> Lazy.force l)
+let point_tree t = t.tree
 
-let prepared_points t = force t t.prepared
+let prepared_points t =
+  Sqp_core.Range_search.prepare t.space (Array.of_list (Live.snapshot_entries t.tree))
 
-let point_index t = force t t.pindex
-
-(* {1 Statistics and caches} *)
+(* {1 Statistics} *)
 
 let stats t =
   Mutex.lock t.m;
@@ -180,8 +165,6 @@ let stats t =
 let analyze t =
   let lives = List.map (fun (name, lv) -> (name, Live.length lv)) t.lives in
   let st = O.Stats.analyze ~lives ~space:t.space t.relations in
-  (* The packed point index is not built here: only [page_estimate]
-     reads it, and forces it on first use. *)
   Mutex.lock t.m;
   t.stats <- Some st;
   Mutex.unlock t.m;
@@ -286,7 +269,10 @@ let page_estimate t ~lo ~hi =
   match stats t with
   | None -> None  (* the page model is priced only once ANALYZE has run *)
   | Some _ ->
-      let idx = point_index t in
+      let idx =
+        Sqp_btree.Zindex.of_points ~page_budget:pindex_page_bytes t.space
+          (Array.of_list (Live.snapshot_entries t.tree))
+      in
       let rows = Sqp_btree.Zindex.length idx in
       let epp = Sqp_btree.Zindex.avg_leaf_entries idx in
       let ratio, fixed_per_page =

@@ -5,8 +5,10 @@
     The catalog's shape is built once at startup: the binding of names
     is immutable and concurrent sessions share it (stored relations
     latch their buffer pools internally — see
-    {!Sqp_relalg.Stored.scan}).  Live tables are the mutable exception:
-    their {e contents} change under serving traffic, with writer
+    {!Sqp_relalg.Stored.scan}).  The points are held once for serving,
+    in z order, in the frozen tree {!point_tree}: nothing is built on
+    first use.  Live tables are the mutable exception: their
+    {e contents} change under serving traffic, with writer
     serialization and snapshot reads handled inside
     {!Sqp_btree.Live}. *)
 
@@ -20,13 +22,14 @@ val make :
   relations:(string * Sqp_relalg.Plan.t) list ->
   unit ->
   t
-(** [points] backs [Range_search] requests; [relations] resolves the
-    [Scan name] leaves of wire plans.  The points are also published as
-    relation ["P"] (id, z, coordinates) unless [relations] already
-    binds that name.  [lives] binds mutable tables for the
-    insert/delete/create-index frames (payloads are row ids).  [shard]
-    records the owned z interval when this catalog is one cluster
-    shard's slice (see {!shard_range}). *)
+(** [points] (id, point) back [Range_search] requests: they are
+    bulk-loaded into {!point_tree}, and also published as relation
+    ["P"] (id, z, coordinates, in the order given) beside [relations],
+    which resolve the other [Scan name] leaves of wire plans.  [lives]
+    binds mutable tables for the insert/delete/create-index frames
+    (payloads are row ids).  [shard] records the owned z interval when
+    this catalog is one cluster shard's slice (see {!shard_range}).
+    @raise Invalid_argument on a point outside [space]. *)
 
 val of_seeded :
   ?shard:int * int ->
@@ -39,7 +42,10 @@ val of_seeded :
     relations with attributes [(rid, zr)] / [(sid, zs)], exactly as
     {!Sqp_relalg.Query.stored_overlap_plan} lays them out; and ["L"] —
     a live ingest table pre-seeded with the same points as ["P"]
-    (payload = id).
+    (payload = id).  The points are bulk-loaded once
+    ({!Sqp_btree.Live.of_entries}) into the table that becomes ["L"],
+    and {!point_tree} is that table's first snapshot: the two share one
+    tree until ["L"]'s writes path-copy away from it.
 
     [shard (zlo, zhi)] builds the z-range-restricted slice a cluster
     shard serves, {e locally from the same deterministic seeds} — no
@@ -49,7 +55,8 @@ val of_seeded :
     cut is replicated to every shard it overlaps (the boundary-element
     replication that keeps scatter-gather joins exact).  [live_empty]
     starts ["L"] with no entries instead of the seeded points — how a
-    rebalance target begins life. *)
+    rebalance target begins life; {!point_tree} still holds them.
+    @raise Invalid_argument if [shard] is inverted or starts below 0. *)
 
 val space : t -> Sqp_zorder.Space.t
 
@@ -66,20 +73,18 @@ val live_names : t -> string list
 
 val live : t -> string -> int Sqp_btree.Live.t option
 
-val prepared_points : t -> int Sqp_core.Range_search.prepared
-(** The z-sorted point sequence every served range request merges
-    against (payload = row id): the server streams
-    {!Sqp_core.Range_search.iter_skip} over it into its answer
-    ({!Server.range_answer}), with or without statistics.  Built lazily
-    on first use, then shared. *)
+val point_tree : t -> int Sqp_btree.Live.snapshot
+(** The catalog's points (payload = id) in a frozen tree, keyed by z
+    value with leaves of 20 entries (the paper's page capacity).  Every
+    served [Range_search] is {!Sqp_btree.Live.range_iter} on it
+    ({!Server.range_answer}); writes to a live table never reach it. *)
 
-val point_index : t -> int Sqp_btree.Zindex.t
-(** A front-coded packed {!Sqp_btree.Zindex} over the same points
-    (payload = row id), built lazily on first use: {!page_estimate}
-    (from [sqp query --costs]) is its only serving-side reader, so a
-    server that never estimates pages never builds it.  Its measured
-    entries-per-page is the density that recalibrates the page cost
-    model. *)
+val prepared_points : t -> int Sqp_core.Range_search.prepared
+(** The same points as an in-memory z-sorted sequence for
+    {!Sqp_core.Range_search}, prepared from {!point_tree}'s entries on
+    each call.  No server path reads it: it stays for the serving
+    benchmark's replay, and goes at the next change to the benchmark
+    (ROADMAP item 1). *)
 
 (** {1 Idempotency dedup window}
 
@@ -152,24 +157,24 @@ val page_estimate : t -> lo:int array -> hi:int array -> page_estimate option
 (** The page cost model before and after recalibration for one range
     box: {!Sqp_optimizer.Cost.predicted_range_pages} evaluated at the
     fixed-width page count and again at the entries-per-page measured
-    on the front-coded point index ({!point_index}, built by the first
-    call).  [None] until {!analyze} has run. *)
+    on a front-coded packed {!Sqp_btree.Zindex} of {!point_tree}'s
+    entries, built by each call ([sqp query --costs] is the only
+    caller).  [None] until {!analyze} has run. *)
 
 (** {1 Plans} *)
 
 type range_access =
   | Direct of Sqp_optimizer.Cost.range_alternative
-      (** run the Section 3.3 merge on {!prepared_points} over the
-          exact cover *)
+      (** run the Section 3.3 merge over the exact cover *)
   | Planned  (** never returned *)
 
 val range_access : t -> lo:int array -> hi:int array -> range_access
 (** Always [Direct { method_ = Skip }]: every server answers every range
-    on the exact skip merge over {!prepared_points}, with or without
+    on the one Section 3.3 merge over {!point_tree}, with or without
     statistics, so there is nothing to decide.  No server path calls
     this.  It and {!Sqp_optimizer.Cost.range_alternative} stay only
     because the serving benchmark's replay matches on them, and go at
-    the next change to the benchmark (ROADMAP item 4); [Planned] and
+    the next change to the benchmark (ROADMAP item 1); [Planned] and
     [Cost.Plain] are never returned.
     @raise Invalid_argument on the bounds {!Protocol.range_box} refuses:
     the wrong dimensionality, outside the grid, or inverted. *)

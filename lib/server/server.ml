@@ -54,6 +54,7 @@ type t = {
   c_err : Metrics.counter;
   c_timeouts : Metrics.counter;
   h_latency : Metrics.histogram;
+  h_pages : Metrics.histogram;
   c_dedup_hits : Metrics.counter;
   c_stale_epoch : Metrics.counter;
   g_degraded : Metrics.gauge;
@@ -119,11 +120,14 @@ let owned_interval t =
    A [Range_search] or [Live_range] answer is written once, into a
    payload of exactly its encoded size: byte for byte what
    [P.encode_response (P.Rows r)] writes for the relation [r] of its
-   rows, with no relation built.  The Section 3.3 merge is the only
-   per-row loop: the owned-interval filter drops rows as they pass, and
-   each kept row is held as a reference (an index into the prepared
-   point sequence, or the entry the live tree already holds), so the
-   row count is known before the one write. *)
+   rows, with no relation built.  Both read a frozen tree through the
+   one Section 3.3 merge, [Live.range_iter]: a range read the catalog's
+   points, a live range a fresh snapshot of its table.  The merge is the
+   only per-row loop: the owned-interval filter drops rows as they pass,
+   and each kept row is held as a reference to the entry the tree
+   already holds, so the row count is known before the one write. *)
+
+module Live = Sqp_btree.Live
 
 (* Row references in chunks of [chunk] slots: one word a row, and each
    chunk small enough to be born, and die, in the minor heap. *)
@@ -167,40 +171,29 @@ let int_schema names = R.Schema.make (List.map (fun n -> (n, R.Value.TInt)) name
 
 let coord_names k = List.init k (fun i -> Printf.sprintf "x%d" i)
 
-let range_answer ?owned cat box =
-  let module RS = Sqp_core.Range_search in
-  let space = Catalog.space cat and prep = Catalog.prepared_points cat in
+(* The one answer: relation "live" with the id column, or "range"
+   without it; and the pages the merge read. *)
+let answer ?owned ~ids snap box =
+  let space = Live.snapshot_space snap in
   let keep = owned_filter space owned and rows = Refs.create () in
-  ignore
-    (RS.iter_skip prep box (fun i ->
-         if keep (fst (RS.prepared_entry prep i)) then Refs.add rows i));
-  let k = Sqp_zorder.Space.dims space in
-  let w = P.int_rows ~name:"range" (int_schema (coord_names k)) ~count:rows.Refs.count in
-  Refs.iter rows (fun i ->
-      let p, _ = RS.prepared_entry prep i in
-      for a = 0 to k - 1 do
-        P.add_int w p.(a)
-      done);
-  P.int_rows_payload w
-
-module Live = Sqp_btree.Live
-
-let live_answer ?owned lv box =
-  let space = Live.space lv in
-  let keep = owned_filter space owned and rows = Refs.create () in
-  ignore
-    (Live.range_iter (Live.snapshot lv) box (fun ((p, _) as e) ->
-         if keep p then Refs.add rows e));
-  let k = Sqp_zorder.Space.dims space in
-  let w =
-    P.int_rows ~name:"live" (int_schema ("id" :: coord_names k)) ~count:rows.Refs.count
+  let stats =
+    Live.range_iter snap box (fun ((p, _) as e) -> if keep p then Refs.add rows e)
   in
+  let k = Sqp_zorder.Space.dims space in
+  let name, columns =
+    if ids then ("live", "id" :: coord_names k) else ("range", coord_names k)
+  in
+  let w = P.int_rows ~name (int_schema columns) ~count:rows.Refs.count in
   Refs.iter rows (fun (p, id) ->
-      P.add_int w id;
+      if ids then P.add_int w id;
       for a = 0 to k - 1 do
         P.add_int w p.(a)
       done);
-  P.int_rows_payload w
+  (P.int_rows_payload w, stats.Live.pages)
+
+let range_answer ?owned cat box = fst (answer ?owned ~ids:false (Catalog.point_tree cat) box)
+
+let live_answer ?owned lv box = fst (answer ?owned ~ids:true (Live.snapshot lv) box)
 
 let storage_failure_message e =
   match Storage_error.to_string e with
@@ -255,17 +248,21 @@ let live_table t name =
   | Some lv -> lv
   | None -> raise (R.Wire.Unknown_relation name)
 
-(* One range path, with or without statistics, sharded or not: the
-   exact cover merged on the skip kernel over the prepared point
-   sequence (Section 3.3), streamed through the owned-interval filter.
-   No per-box decision and no plan; the skip merge's cost does not grow
-   with the point count. *)
+(* One range path for both range reads, with or without statistics,
+   sharded or not: the exact cover merged against a frozen tree
+   (Section 3.3), streamed through the owned-interval filter, its pages
+   observed.  No per-box decision and no plan. *)
+let range_read t ~ids snap box =
+  let bytes, pages = answer ?owned:(owned_interval t) ~ids snap box in
+  Metrics.observe t.h_pages pages;
+  Encoded bytes
+
 let execute t request =
   match request with
   | P.Range_search { lo; hi } ->
       guard t (fun () ->
           let box = P.range_box (Catalog.space t.cat) ~lo ~hi in
-          Encoded (range_answer ?owned:(owned_interval t) t.cat box))
+          range_read t ~ids:false (Catalog.point_tree t.cat) box)
   | P.Query wplan ->
       guard t (fun () -> Response (P.Rows (R.Plan.run (instantiate t wplan))))
   | P.Explain wplan ->
@@ -314,7 +311,7 @@ let execute t request =
       guard t (fun () ->
           let lv = live_table t table in
           let box = P.range_box (Live.space lv) ~lo ~hi in
-          Encoded (live_answer ?owned:(owned_interval t) lv box))
+          range_read t ~ids:true (Live.snapshot lv) box)
   | P.Health | P.Recover | P.Shard_map_get | P.Shard_map_set _ | P.Forward _ ->
       assert false (* handled before admission *)
 
@@ -638,6 +635,7 @@ let start ?(config = default_config) ?metrics cat =
       c_err = Metrics.counter reg "server.responses.error";
       c_timeouts = Metrics.counter reg "server.timeouts";
       h_latency = Metrics.histogram reg "server.latency_us";
+      h_pages = Metrics.histogram reg "server.range.pages";
       c_dedup_hits = Metrics.counter reg "server.dedup.hits";
       c_stale_epoch = Metrics.counter reg "server.stale_epoch";
       g_degraded = Metrics.gauge reg "server.degraded";

@@ -81,7 +81,9 @@ val start : ?config:config -> ?metrics:Sqp_obs.Metrics.t -> Catalog.t -> t
     [server.dedup.hits], [server.shed], [server.timeouts],
     [server.bad_frames] counters; [server.in_flight],
     [server.queue_depth], [server.sessions.active], [server.degraded]
-    gauges; [server.latency_us], [server.queue_wait_us] histograms.
+    gauges; [server.latency_us], [server.queue_wait_us] histograms, and
+    [server.range.pages], the leaves (data pages) each [Range_search]
+    and [Live_range] read.
     @raise Unix.Unix_error if the address cannot be bound. *)
 
 val port : t -> int
@@ -94,15 +96,17 @@ val stop : t -> unit
 (** {1 Streamed range answers}
 
     What the server answers [Range_search] and [Live_range] with, once
-    {!Protocol.range_box} has accepted the bounds.  Each answer is one
+    {!Protocol.range_box} has accepted the bounds.  Both are one answer
+    function over a frozen tree: {!Sqp_btree.Live.range_iter}, the
+    Section 3.3 merge, on {!Catalog.point_tree} for a range and on a
+    fresh snapshot of the table for a live range.  Each answer is one
     encoded response payload, written once into a string of exactly its
     size and byte-identical to [Protocol.encode_response (Rows r)] for
-    the relation [r] of its rows: the Section 3.3 merge emits each row
-    as it passes, [owned] filters it, and a kept row is held as a
-    reference (one word) until the row count is known.  Beyond the
-    payload, the merge's key ranges and one word a row, an answer
-    allocates O(1) words: nothing per scanned entry, per jump or per
-    decomposition element.
+    the relation [r] of its rows: the merge emits each row as it passes,
+    [owned] filters it, and a kept row is held as a reference (one word)
+    until the row count is known.  Beyond the payload, the merge's key
+    ranges and one word a row, an answer allocates O(1) words: nothing
+    per scanned entry, per jump or per decomposition element.
 
     [owned = (zlo, zhi)] keeps only the rows whose z value
     ({!Shard_map.z_of_point}) lies in that interval, the rows a shard
@@ -110,8 +114,8 @@ val stop : t -> unit
 
 val range_answer : ?owned:int * int -> Catalog.t -> Sqp_geom.Box.t -> string
 (** Relation ["range"], columns [x0 .. x(k-1)] of type [TInt], one row a
-    point of {!Catalog.prepared_points} inside the box, in z order (the
-    points of {!Sqp_core.Range_search.iter_skip}). *)
+    point of {!Catalog.point_tree} inside the box, in z order: the live
+    answer on that tree without the [id] column. *)
 
 val live_answer :
   ?owned:int * int -> int Sqp_btree.Live.t -> Sqp_geom.Box.t -> string

@@ -840,6 +840,38 @@ let test_spawned_serve () =
         checkb "SIGTERM drain exits 0" true (status = Unix.WEXITED 0))
   end
 
+(* A shard range below z 0 is a usage error, like an inverted one: exit
+   2 with the usage line, not an uncaught exception. *)
+let test_spawned_bad_shard () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    List.iter
+      (fun spec ->
+        let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        let pid =
+          Fun.protect
+            ~finally:(fun () -> Unix.close devnull)
+            (fun () ->
+              Unix.create_process exe
+                [| exe; "serve"; "--port"; "0"; "--points"; "60"; "--objects"; "4"; spec |]
+                Unix.stdin devnull devnull)
+        in
+        (* a server that accepted the range would never exit *)
+        let t0 = Unix.gettimeofday () in
+        let rec wait () =
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ when Unix.gettimeofday () -. t0 < 10. ->
+              Thread.delay 0.01;
+              wait ()
+          | 0, _ ->
+              Unix.kill pid Sys.sigkill;
+              ignore (Unix.waitpid [] pid);
+              Alcotest.failf "%s: still serving after 10 s" spec
+          | _, status -> status
+        in
+        checkb (spec ^ " exits 2") true (wait () = Unix.WEXITED 2))
+      [ "--shard=-5:10"; "--shard=5:2" ]
+
 let () =
   Alcotest.run "cluster"
     [
@@ -869,5 +901,7 @@ let () =
         [
           Alcotest.test_case "serve reports its port and drains on SIGTERM"
             `Quick test_spawned_serve;
+          Alcotest.test_case "serve refuses a shard range below z 0" `Quick
+            test_spawned_bad_shard;
         ] );
     ]

@@ -206,6 +206,69 @@ let cowtree_cursors () =
   | _ -> Alcotest.fail "cursor_key at end did not raise"
   | exception Invalid_argument _ -> ()
 
+(* A cursor counts the leaves it stands on: a walk of a bulk-built tree
+   counts every leaf once, a step or re-seek inside its leaf adds
+   nothing, and a re-seek counts only the leaf it lands on. *)
+let cowtree_cursor_leaves () =
+  let t =
+    C.of_sorted_array ~leaf_capacity:4 ~internal_capacity:3
+      (Array.init 100 (fun i -> (2 * i, i)))
+  in
+  let c = C.seek_first t in
+  while C.cursor_valid c do
+    C.cursor_next c
+  done;
+  Alcotest.(check int) "a walk reads every leaf" 25 (C.cursor_leaves c);
+  let c = C.seek t 0 in
+  Alcotest.(check int) "made on a leaf" 1 (C.cursor_leaves c);
+  C.cursor_next c;
+  C.cursor_reseek c 6;
+  Alcotest.(check int) "steps and re-seeks inside the leaf" 1 (C.cursor_leaves c);
+  C.cursor_reseek c 100;
+  Alcotest.(check int) "a re-seek to leaf 12" 2 (C.cursor_leaves c);
+  C.cursor_reseek c 107;
+  C.cursor_next c;
+  Alcotest.(check int) "onward to leaf 13" 3 (C.cursor_leaves c);
+  Alcotest.(check int) "the empty tree has none" 0
+    (C.cursor_leaves (C.seek_first (C.empty ())))
+
+(* {1 Bulk load}
+
+   [of_entries] leaves what one [apply] of the same inserts leaves on a
+   fresh table, entries and sequence number, and what one insert per
+   batch leaves too: in 1-, 2- and 3-d spaces, with runs of equal
+   points in no particular order. *)
+let bulk_load_matches_apply () =
+  List.iter
+    (fun (dims, depth) ->
+      let space = Z.Space.make ~dims ~depth in
+      let rng = Sqp_workload.Rng.create ~seed:((10 * dims) + depth) in
+      let side = Z.Space.side space in
+      let pixel () = Array.init dims (fun _ -> Sqp_workload.Rng.int rng side) in
+      let base = Array.init 300 (fun _ -> pixel ()) in
+      let entries =
+        Array.init 450 (fun i ->
+            ((if i < 300 then base.(i) else base.(Sqp_workload.Rng.int rng 300)), i))
+      in
+      let what = Printf.sprintf "%d-d depth %d" dims depth in
+      let bulk = L.of_entries ~encode ~decode space entries in
+      let batch = L.create ~encode ~decode space in
+      ignore
+        (L.apply batch (Array.to_list (Array.map (fun (p, v) -> L.Insert (p, v)) entries)));
+      let one_by_one = L.create ~encode ~decode space in
+      Array.iter (fun (p, v) -> ignore (L.insert one_by_one p v)) entries;
+      let contents t = L.snapshot_entries (L.snapshot t) in
+      check (what ^ ": entries = one batch's") true (contents bulk = contents batch);
+      check (what ^ ": entries = one insert a batch") true
+        (contents bulk = contents one_by_one);
+      Alcotest.(check int) (what ^ ": seq = one batch's") (L.seq batch) (L.seq bulk))
+    [ (1, 12); (2, 5); (3, 4) ];
+  Alcotest.(check int) "no entries, no batch" 0
+    (L.seq (L.of_entries ~encode ~decode space [||]));
+  match L.of_entries ~encode ~decode space [| ([| 3; 256 |], 0) |] with
+  | _ -> Alcotest.fail "a point outside the space was loaded"
+  | exception Invalid_argument _ -> ()
+
 (* {1 Allocation}
 
    The live merge allocates its key ranges and one cursor, nothing per
@@ -869,6 +932,10 @@ let () =
         [
           Alcotest.test_case "differential vs sorted list" `Quick cowtree_differential;
           Alcotest.test_case "cursors step and re-seek in place" `Quick cowtree_cursors;
+          Alcotest.test_case "cursors count the leaves they read" `Quick
+            cowtree_cursor_leaves;
+          Alcotest.test_case "bulk load = one batch of inserts" `Quick
+            bulk_load_matches_apply;
         ] );
       ( "differential",
         List.concat_map

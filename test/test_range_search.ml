@@ -105,26 +105,6 @@ let prop_agreement =
       fst (RS.search_plain prep box) = expected
       && fst (RS.search_skip prep box) = expected)
 
-(* The prepared-array iterations allocate their key ranges and O(1)
-   words, nothing per point: over the whole grid of 16,200 points with
-   a no-op callback, under 1,000 minor words (exact in native code). *)
-let test_iteration_allocation () =
-  Sqp_obs.Trace.set_global Sqp_obs.Trace.null;
-  let space = Z.Space.make ~dims:2 ~depth:10 in
-  let rng = W.Rng.create ~seed:4 in
-  let pts = Array.mapi (fun i p -> (p, i)) (W.Datagen.uniform rng ~side:1024 ~n:16_200 ~dims:2) in
-  let prep = RS.prepare space pts in
-  let whole = Sqp_geom.Box.make ~lo:[| 0; 0 |] ~hi:[| 1023; 1023 |] in
-  List.iter
-    (fun (name, iter) ->
-      let before = Gc.minor_words () in
-      let c = iter prep whole (fun _ -> ()) in
-      let words = Gc.minor_words () -. before in
-      check_int (name ^ ": every point stepped") 16_200 c.RS.point_steps;
-      if words >= 1000. then
-        Alcotest.failf "%s over the whole grid allocated %.0f minor words" name words)
-    [ ("iter_plain", RS.iter_plain); ("iter_skip", RS.iter_skip) ]
-
 let () =
   Alcotest.run "range_search"
     [
@@ -139,7 +119,6 @@ let () =
           Alcotest.test_case "duplicate points" `Quick test_duplicate_points;
           Alcotest.test_case "trace" `Quick test_trace_reports_matches;
           Alcotest.test_case "counters on empty" `Quick test_counters_zero_on_empty;
-          Alcotest.test_case "iterations allocate O(1)" `Quick test_iteration_allocation;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_agreement ]);
     ]

@@ -123,15 +123,20 @@ let test_concurrent_differential () =
 (* {1 One range path}
 
    A catalog with no statistics still answers every range request with
-   the exact cover on the skip kernel: each request bumps
-   [range_search.skip.queries] in the global registry and no spatial
-   join runs.  The rows are the linear scan's, in z order. *)
+   the exact cover on the skip merge over the catalog's tree: each
+   request is one [server.range.pages] observation and no spatial join
+   runs.  The rows are the linear scan's, in z order. *)
+
+let pages_observed metrics =
+  match List.assoc_opt "server.range.pages" (M.snapshot metrics) with
+  | Some (M.Histogram_v { count; sum; _ }) -> (count, sum)
+  | _ -> (0, 0)
 
 let test_range_one_path () =
   let cat = Catalog.of_seeded wk (* fresh: never analyzed *) in
-  let server = Server.start ~metrics:(M.create ()) cat in
+  let metrics = M.create () in
+  let server = Server.start ~metrics cat in
   let g = M.global () in
-  let skip_queries () = M.counter_value (M.counter g "range_search.skip.queries") in
   let joins () =
     List.filter
       (fun (name, _) -> String.starts_with ~prefix:"spatial_join." name)
@@ -147,7 +152,7 @@ let test_range_one_path () =
       let points = wk.Sqp_workload.Seeded.points in
       let scan = Sqp_kdtree.Linear_scan.build (Array.map (fun p -> (p, ())) points) in
       let boxes = wk.Sqp_workload.Seeded.query_boxes in
-      let skip0 = skip_queries () and joins0 = joins () in
+      let joins0 = joins () in
       Client.with_connect ~port:(Server.port server) (fun client ->
           Array.iteri
             (fun i box ->
@@ -171,15 +176,15 @@ let test_range_one_path () =
               checkb (Printf.sprintf "box %d: linear-scan rows in z order" i) true
                 (rows = expected))
             boxes);
-      checki "every request ran the skip kernel" (Array.length boxes)
-        (skip_queries () - skip0);
+      checki "one page count per request" (Array.length boxes)
+        (fst (pages_observed metrics));
       checkb "no spatial join ran" true (joins () = joins0))
 
-(* The first range request on each session can arrive at once, and the
-   catalog prepares its point sequence lazily on first use: forcing it
-   from two domains at the same moment (and, through the shared point
-   array, the packed index beside it) must hand both the same value. *)
-let test_concurrent_first_force () =
+(* The first range request on each session can arrive at once.  The
+   catalog builds nothing on first use, so two domains answering the
+   first range of a fresh catalog at the same moment both get the bytes
+   one domain alone writes. *)
+let test_concurrent_first_range () =
   let space = Sqp_zorder.Space.make ~dims:2 ~depth:10 in
   let rng = Sqp_workload.Rng.create ~seed:11 in
   let points =
@@ -199,18 +204,16 @@ let test_concurrent_first_force () =
     let a = go f () in
     (a, Domain.join d)
   in
+  let box = Box.make ~lo:[| 100; 200 |] ~hi:[| 700; 650 |] in
+  let alone = Server.range_answer (Catalog.make ~space ~points ~relations:[] ()) box in
+  checkb "the box holds rows" true (String.length alone > 1000);
   for _ = 1 to 2 do
     let cat = Catalog.make ~space ~points ~relations:[] () in
     let a, b =
-      at_once (fun () -> Catalog.prepared_points cat) (fun () -> Catalog.prepared_points cat)
+      at_once (fun () -> Server.range_answer cat box) (fun () -> Server.range_answer cat box)
     in
-    checkb "both forces see one prepared sequence" true (a == b);
-    let cat = Catalog.make ~space ~points ~relations:[] () in
-    let prep, idx =
-      at_once (fun () -> Catalog.prepared_points cat) (fun () -> Catalog.point_index cat)
-    in
-    checki "prepared points" 20_000 (Sqp_core.Range_search.prepared_length prep);
-    checki "indexed points" 20_000 (Sqp_btree.Zindex.length idx)
+    Alcotest.(check string) "first domain's bytes" alone a;
+    Alcotest.(check string) "second domain's bytes" alone b
   done
 
 (* {1 Typed errors for bad plans} *)
@@ -848,6 +851,98 @@ let test_out_of_grid () =
           let h = reply_ok "health after the refusals" (Client.health c) in
           checkb "still serving" true h.P.healthy))
 
+(* {1 One tree under every served read}
+
+   The catalog's points and ["L"] start as one bulk-built tree, with
+   leaves of 20 entries: L's writes path-copy away from it, so no write
+   reaches a range answer, and each served read counts the leaves it
+   read. *)
+
+let ask fd request =
+  P.write_frame fd (P.encode_request { P.deadline_ms = None; idem = None; request });
+  match P.read_frame fd with
+  | Ok payload -> payload
+  | Error e -> Alcotest.failf "no answer: %s" (P.read_error_to_string e)
+
+let test_points_stay_frozen () =
+  let server = Server.start ~metrics:(M.create ()) (Catalog.of_seeded wk) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let fd = raw_connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let lo = [| 700; 40 |] and hi = [| 760; 80 |] in
+          let range () = ask fd (P.Range_search { lo; hi }) in
+          let live_ids () =
+            match P.decode_response (ask fd (P.Live_range { table = "L"; lo; hi })) with
+            | Ok (P.Rows r) ->
+                List.map (fun tu -> Sqp_relalg.Value.to_int tu.(0)) (Relation.tuples r)
+            | _ -> Alcotest.fail "live range: no rows"
+          in
+          let applied request =
+            match P.decode_response (ask fd request) with
+            | Ok (P.Ack { applied; _ }) -> applied
+            | _ -> Alcotest.fail "mutation: no ack"
+          in
+          let range0 = range () and ids0 = live_ids () in
+          checki "insert applied" 1
+            (applied (P.Insert { table = "L"; points = [ ([| 730; 60 |], 999_999) ] }));
+          checkb "the live range shows the insert" true
+            (List.sort compare (999_999 :: ids0) = List.sort compare (live_ids ()));
+          Alcotest.(check string) "range answer after the insert" range0 (range ());
+          checki "delete applied" 1
+            (applied (P.Delete { table = "L"; points = [ [| 704; 40 |] ] }));
+          checki "the live range shows the delete" (List.length ids0)
+            (List.length (live_ids ()));
+          ignore (applied (P.Create_index { table = "L" }));
+          Alcotest.(check string) "range answer after delete and create_index" range0
+            (range ())))
+
+(* After one served range the standard serving catalog holds its
+   points twice, the boxed ["P"] relation and one tree shared with
+   ["L"]: nothing else is built for the range. *)
+let test_catalog_words () =
+  let std = Sqp_workload.Seeded.standard () in
+  let cat = Catalog.of_seeded std in
+  ignore (Server.range_answer cat std.Sqp_workload.Seeded.query);
+  let words = Obj.reachable_words (Obj.repr cat) in
+  if words > 165_000 then
+    Alcotest.failf "the standard catalog reaches %d words (more than 165,000)" words
+
+(* Section 5.3.2's unit on the standard points: 5,000 points at 20 a
+   leaf are 250 pages, the whole grid reads every one of them, and the
+   400 standard boxes read 4,317 pages for their 29,985 rows.  The
+   server observes the same count per request. *)
+let test_range_pages () =
+  let std = Sqp_workload.Seeded.standard () in
+  let cat = Catalog.of_seeded std in
+  let tree = Catalog.point_tree cat in
+  let side = Space.side (Catalog.space cat) in
+  let lo = [| 0; 0 |] and hi = [| side - 1; side - 1 |] in
+  let whole = Live.range_iter tree (Box.make ~lo ~hi) ignore in
+  checki "whole grid: every page" 250 whole.Live.pages;
+  let rows, pages =
+    Array.fold_left
+      (fun (rows, pages) box ->
+        let s = Live.range_iter tree box ignore in
+        (rows + s.Live.results, pages + s.Live.pages))
+      (0, 0) std.Sqp_workload.Seeded.query_boxes
+  in
+  checki "standard boxes: rows" 29_985 rows;
+  checki "standard boxes: pages" 4_317 pages;
+  let metrics = M.create () in
+  let server = Server.start ~metrics cat in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      Client.with_connect ~port:(Server.port server) (fun c ->
+          ignore (reply_ok "whole grid" (Client.range_search c ~lo ~hi));
+          ignore (reply_ok "whole grid, live" (Client.live_range c ~table:"L" ~lo ~hi))));
+  Alcotest.(check (pair int int)) "server.range.pages: two reads of 250" (2, 500)
+    (pages_observed metrics)
+
 (* {1 Statistics flow: ANALYZE over the wire, cost-based serving}
 
    Runs LAST: [Client.refresh_stats] mutates the shared module-level
@@ -947,8 +1042,8 @@ let () =
           Alcotest.test_case "live ingest" `Quick test_live_ingest;
           Alcotest.test_case "statistics-free ranges on the skip kernel" `Quick
             test_range_one_path;
-          Alcotest.test_case "first force of the catalog from two domains" `Quick
-            test_concurrent_first_force;
+          Alcotest.test_case "first range of a fresh catalog from two domains" `Quick
+            test_concurrent_first_range;
         ] );
       ( "errors",
         [
@@ -978,6 +1073,13 @@ let () =
           Alcotest.test_case "recorded bytes" `Quick test_recorded_bytes;
           Alcotest.test_case "out-of-grid ranges draw Bad_request" `Quick
             test_out_of_grid;
+        ] );
+      ( "one tree",
+        [
+          Alcotest.test_case "range answers ignore L's writes" `Quick
+            test_points_stay_frozen;
+          Alcotest.test_case "catalog words after one range" `Quick test_catalog_words;
+          Alcotest.test_case "pages per range" `Quick test_range_pages;
         ] );
       (* keep last: mutates the shared catalog's statistics *)
       ( "statistics",
