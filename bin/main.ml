@@ -144,19 +144,7 @@ let query_cmd =
              Chrome trace_event file (open at chrome://tracing or \
              ui.perfetto.dev).")
   in
-  let costs_arg =
-    Arg.(
-      value & flag
-      & info [ "costs" ]
-          ~doc:
-            "Cost-based mode: run the ANALYZE statistics pass first, print \
-             the statistics-free EXPLAIN (before), then the cost-based \
-             EXPLAIN with the predicted cost column (after) and each \
-             join's estimate.  With $(b,--analyze), the measured tree \
-             gains the predicted-vs-actual table.")
-  in
-  let run analyze costs trace =
-    let module O = Sqp_optimizer in
+  let run analyze trace =
     let wk = W.Seeded.standard () in
     let tracer =
       match trace with
@@ -171,69 +159,8 @@ let query_cmd =
         (R.Query.stored_overlap_plan ~options:wk.W.Seeded.decompose_options
            wk.W.Seeded.space wk.W.Seeded.left_objects wk.W.Seeded.right_objects)
     in
-    let stats =
-      (* [None]: statistics-free.  [Some]: the ANALYZE pass over the same
-         catalog the server would build, which annotates the same plan
-         with predictions and changes nothing it runs. *)
-      if not costs then None
-      else begin
-        let cat = Srv.Catalog.of_seeded wk in
-        let st = Srv.Catalog.analyze cat in
-        print_endline "EXPLAIN before (no statistics):";
-        print_string (R.Plan.explain plan);
-        print_newline ();
-        print_endline "EXPLAIN after (cost-based, statistics from ANALYZE):";
-        print_string (O.Optimizer.explain st plan);
-        List.iter
-          (fun (d : O.Optimizer.join_decision) ->
-            Printf.printf
-              "join %s <> %s: %.0f x %.0f rows, ~%.0f pairs, merge %.0f work \
-               units\n"
-              d.O.Optimizer.zl d.O.Optimizer.zr d.O.Optimizer.left_rows
-              d.O.Optimizer.right_rows d.O.Optimizer.predicted_pairs
-              d.O.Optimizer.cost_merge)
-          (snd (O.Optimizer.choose_plan st plan));
-        (* Storage recalibration: what ANALYZE measured about the
-           front-coded point index, and the page prediction for a
-           representative range box before/after the learned density. *)
-        (match
-           ( Srv.Catalog.page_estimate cat
-               ~lo:(Sqp_geom.Box.lo wk.W.Seeded.query_boxes.(0))
-               ~hi:(Sqp_geom.Box.hi wk.W.Seeded.query_boxes.(0)),
-             wk.W.Seeded.query_boxes.(0) )
-         with
-        | Some pe, box ->
-            Printf.printf
-              "storage: P packed %d rows into %d front-coded pages (%.1f \
-               entries/page, %.2fx vs fixed-width's %d pages)\n"
-              pe.Srv.Catalog.rows pe.Srv.Catalog.compressed_pages
-              pe.Srv.Catalog.entries_per_page pe.Srv.Catalog.compression_ratio
-              pe.Srv.Catalog.fixed_pages;
-            Printf.printf
-              "range pages for box [%s]-[%s]: %.1f predicted fixed-width, \
-               %.1f at the learned density\n"
-              (String.concat ","
-                 (Array.to_list
-                    (Array.map string_of_int (Sqp_geom.Box.lo box))))
-              (String.concat ","
-                 (Array.to_list
-                    (Array.map string_of_int (Sqp_geom.Box.hi box))))
-              pe.Srv.Catalog.fixed_predicted pe.Srv.Catalog.learned_predicted
-        | None, _ -> ());
-        print_newline ();
-        Some st
-      end
-    in
     if analyze then begin
-      (match stats with
-      | None -> print_string (R.Plan.explain_analyze plan)
-      | Some st ->
-          let a = R.Plan.run_analyze plan in
-          print_string (R.Plan.render_analysis a);
-          print_newline ();
-          print_string
-            (O.Optimizer.render_comparison
-               (O.Optimizer.compare_analysis st plan a.R.Plan.report)));
+      print_string (R.Plan.explain_analyze plan);
       print_newline ();
       print_endline "Ambient metrics:";
       print_string
@@ -241,11 +168,8 @@ let query_cmd =
            (Sqp_obs.Metrics.snapshot (Sqp_obs.Metrics.global ())))
     end
     else begin
-      (match stats with
-      | None ->
-          print_string (R.Plan.explain plan);
-          print_newline ()
-      | Some _ -> () (* both EXPLAINs already printed above *));
+      print_string (R.Plan.explain plan);
+      print_newline ();
       Format.printf "%a@." R.Relation.pp (R.Plan.run plan)
     end;
     match tracer with
@@ -258,10 +182,10 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query"
        ~doc:
-         "The Section 4 overlap query over paged (stored) relations, with \
-          optional cost-based optimization ($(b,--costs)), EXPLAIN ANALYZE \
-          and Chrome-trace output.")
-    Term.(const run $ analyze_arg $ costs_arg $ trace_arg)
+         "The Section 4 overlap query over paged (stored) relations: its \
+          EXPLAIN and rows, or EXPLAIN ANALYZE, with optional Chrome-trace \
+          output.")
+    Term.(const run $ analyze_arg $ trace_arg)
 
 (* Offline store checking and salvage over the crash-safe page store. *)
 let fsck_cmd =
@@ -369,7 +293,58 @@ let host_arg =
 let port_arg ~default =
   Arg.(
     value & opt int default
-    & info [ "port" ] ~docv:"PORT" ~doc:"TCP port (serve: 0 picks one).")
+    & info [ "port" ] ~docv:"PORT" ~doc:"TCP port (serve, route: 0 picks one).")
+
+(* {2 Argument checks}
+
+   A flag value out of range is a usage error: one line on stderr and
+   exit 2, before anything is built, bound or dialed. *)
+
+let usage_error cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "sqp %s: %s\n%!" cmd msg;
+      Stdlib.exit 2)
+    fmt
+
+(* TCP ports are 0..65535; 0 asks the kernel for a free port, so it is
+   valid to listen on but not to dial. *)
+let valid_port ~listen port = port >= (if listen then 0 else 1) && port <= 65535
+
+let check_port cmd ~listen port =
+  if not (valid_port ~listen port) then
+    usage_error cmd "bad --port %d (want %d..65535)" port (if listen then 0 else 1)
+
+let check_min cmd flag ~min n =
+  if n < min then usage_error cmd "bad --%s %d (want at least %d)" flag n min
+
+(* A deadline travels as a u32 of milliseconds, and 0 would expire
+   every request before it runs. *)
+let check_deadline cmd = function
+  | Some ms when ms < 1 || ms > 0xffff_ffff ->
+      usage_error cmd "bad --deadline-ms %d (want 1..4294967295)" ms
+  | _ -> ()
+
+(* The seeded workload refuses more points than the grid has cells. *)
+let seeded_workload cmd ~points ~objects =
+  check_min cmd "points" ~min:0 points;
+  check_min cmd "objects" ~min:0 objects;
+  match Sqp_workload.Seeded.standard ~n_points:points ~n_objects:objects () with
+  | wk -> wk
+  | exception Invalid_argument msg -> usage_error cmd "bad --points/--objects: %s" msg
+
+(* A dial or bind that fails: one [error:] line and exit 1. *)
+let network_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: %s\n%!" msg;
+      Stdlib.exit 1)
+    fmt
+
+let describe_exn = function
+  | Unix.Unix_error (err, _, _) -> Unix.error_message err
+  | Failure msg -> msg
+  | e -> Printexc.to_string e
 
 (* SIGTERM and SIGINT set the returned flag.  Serve and route install
    this before they listen: a signal sent as soon as the node answers
@@ -450,15 +425,15 @@ let serve_cmd =
   in
   let run host port max_in_flight max_queue default_deadline_ms
       n_points n_objects idle_timeout_s frame_timeout_s shard_spec live_empty =
-    let wk = Sqp_workload.Seeded.standard ~n_points ~n_objects () in
+    check_port "serve" ~listen:true port;
+    check_min "serve" "max-in-flight" ~min:1 max_in_flight;
+    check_min "serve" "max-queue" ~min:0 max_queue;
+    check_deadline "serve" default_deadline_ms;
+    let wk = seeded_workload "serve" ~points:n_points ~objects:n_objects in
     let shard =
       Option.map
         (fun spec ->
-          let fail () =
-            Printf.eprintf
-              "sqp serve: bad --shard %S (want I/N or ZLO:ZHI)\n" spec;
-            Stdlib.exit 2
-          in
+          let fail () = usage_error "serve" "bad --shard %S (want I/N or ZLO:ZHI)" spec in
           match String.split_on_char '/' spec with
           | [ i; n ] -> (
               match (int_of_string_opt i, int_of_string_opt n) with
@@ -492,7 +467,10 @@ let serve_cmd =
       }
     in
     let stop_requested = stop_on_signal () in
-    let server = Srv.Server.start ~config catalog in
+    let server =
+      try Srv.Server.start ~config catalog
+      with e -> network_error "cannot listen on %s:%d: %s" host port (describe_exn e)
+    in
     (* Machine-parseable bound-port line, first and flushed: orchestrators
        (sqp route --spawn, the cluster tests, CI) parse exactly this. *)
     Printf.printf "SQP_SERVE_PORT=%d\n%!" (Srv.Server.port server);
@@ -560,9 +538,6 @@ let shell_cmd =
     \  join                candidate overlapping (rid, sid) pairs of R and S\n\
     \  explain join        the join's optimized plan, without executing\n\
     \  analyze join        EXPLAIN ANALYZE of the join (executes remotely)\n\
-    \  analyze             rebuild server statistics (the ANALYZE pass);\n\
-    \                      afterwards plans are cost-based and EXPLAIN\n\
-    \                      gains a predicted-cost column\n\
     \  health              server liveness, catalog and load\n\
     \  insert X Y ID       add point (X, Y) with payload ID to live table L\n\
     \  delete X Y          remove the first live entry at exactly (X, Y)\n\
@@ -574,6 +549,8 @@ let shell_cmd =
     \  quit                leave"
   in
   let run host port commands deadline_ms =
+    check_port "shell" ~listen:false port;
+    check_deadline "shell" deadline_ms;
     let failed = ref false in
     let print_rows rel =
       Format.printf "%a(%d tuples)@." R.Relation.pp rel (R.Relation.cardinality rel)
@@ -622,10 +599,6 @@ let shell_cmd =
                  print_string rendered;
                  print_rows rows)
                (Srv.Client.analyze ?deadline_ms client join_wire_plan));
-          true
-      | [ "analyze" ] ->
-          report
-            (Result.map print_string (Srv.Client.refresh_stats ?deadline_ms client));
           true
       | [ "insert"; x; y; id ] -> (
           match (int_of_string_opt x, int_of_string_opt y, int_of_string_opt id) with
@@ -701,7 +674,13 @@ let shell_cmd =
           Printf.printf "unknown command %S (try: help)\n" cmd;
           true
     in
-    Srv.Client.with_connect ~host ~port (fun client ->
+    let client =
+      try Srv.Client.connect ~host ~port ()
+      with e -> network_error "cannot connect to %s:%d: %s" host port (describe_exn e)
+    in
+    Fun.protect
+      ~finally:(fun () -> Srv.Client.close client)
+      (fun () ->
         if commands <> [] then List.iter (fun c -> ignore (exec client c)) commands
         else begin
           Printf.printf "connected to %s:%d; 'help' lists commands\n%!" host port;
@@ -803,7 +782,8 @@ let route_cmd =
           ~doc:"Objects per join side in each spawned shard's seeds.")
   in
   let run host port spawn shards points objects =
-    let wk = Sqp_workload.Seeded.standard ~n_points:points ~n_objects:objects () in
+    check_port "route" ~listen:true port;
+    let wk = seeded_workload "route" ~points ~objects in
     let space = wk.Sqp_workload.Seeded.space in
     let spawned, endpoints =
       match (spawn, shards) with
@@ -814,19 +794,15 @@ let route_cmd =
           ( [],
             List.map
               (fun hp ->
+                let bad () = usage_error "route" "bad endpoint %S (want HOST:PORT)" hp in
                 match String.rindex_opt hp ':' with
-                | Some i ->
-                    ( String.sub hp 0 i,
-                      int_of_string
-                        (String.sub hp (i + 1) (String.length hp - i - 1)) )
-                | None ->
-                    Printf.eprintf "sqp route: bad endpoint %S\n" hp;
-                    Stdlib.exit 2)
+                | Some i -> (
+                    match int_of_string_opt (String.sub hp (i + 1) (String.length hp - i - 1)) with
+                    | Some p when valid_port ~listen:false p -> (String.sub hp 0 i, p)
+                    | _ -> bad ())
+                | None -> bad ())
               (String.split_on_char ',' list) )
-      | _ ->
-          Printf.eprintf
-            "sqp route: give exactly one of --spawn N or --shards LIST\n";
-          Stdlib.exit 2
+      | _ -> usage_error "route" "give exactly one of --spawn N or --shards LIST"
     in
     let map = Srv.Shard_map.even space endpoints in
     let config = { Sqp_cluster.Router.default_config with host; port } in
@@ -835,7 +811,7 @@ let route_cmd =
       try Sqp_cluster.Router.start ~config ~space ~map ()
       with e ->
         List.iter stop_shard spawned;
-        raise e
+        network_error "router did not start: %s" (describe_exn e)
     in
     Printf.printf "SQP_ROUTE_PORT=%d\n%!" (Sqp_cluster.Router.port router);
     Printf.printf "sqp route: listening on %s:%d (epoch %d, %d shards)\n%!" host

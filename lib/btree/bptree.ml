@@ -782,34 +782,6 @@ module Make (Key : KEY) = struct
 
   let avg_leaf_entries t = float_of_int t.size /. float_of_int (quiet_leaf_count t)
 
-  type compression = {
-    leaves : int;
-    entries : int;
-    avg_entries_per_leaf : float;
-    fixed_entries_per_leaf : float;
-    ratio : float;
-  }
-
-  let compression_stats t =
-    match t.budget with
-    | None -> None
-    | Some b ->
-        let leaves = quiet_leaf_count t in
-        let entries = t.size in
-        let avg = float_of_int entries /. float_of_int (max 1 leaves) in
-        let fixed =
-          float_of_int b.page_bytes
-          /. float_of_int (b.fixed_entry_bytes + b.entry_overhead)
-        in
-        Some
-          {
-            leaves;
-            entries;
-            avg_entries_per_leaf = avg;
-            fixed_entries_per_leaf = fixed;
-            ratio = avg /. fixed;
-          }
-
   (* {2 Invariant checking} *)
 
   let check_invariants t =

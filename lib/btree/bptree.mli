@@ -154,19 +154,6 @@ module Make (Key : KEY) : sig
   (** Mean entries per leaf — the effective leaf capacity of a
       budget-mode tree.  Does not touch the counters. *)
 
-  type compression = {
-    leaves : int;
-    entries : int;
-    avg_entries_per_leaf : float;
-    fixed_entries_per_leaf : float;
-        (** what a fixed-width entry layout fits in the same budget *)
-    ratio : float;  (** [avg_entries_per_leaf / fixed_entries_per_leaf] *)
-  }
-
-  val compression_stats : 'a t -> compression option
-  (** [None] unless the tree has a byte budget.  Does not touch the
-      counters. *)
-
   val check_invariants : 'a t -> (unit, string) result
   (** Verify ordering, separator correctness, uniform leaf depth,
       non-emptiness and internal-node occupancy bounds.  Leaf occupancy is

@@ -80,18 +80,6 @@ let page_budget t = Option.map (fun b -> b.Bptree.page_bytes) (Tree.budget t.tre
 let compressed t =
   match Tree.budget t.tree with Some b -> b.Bptree.compressed | None -> false
 
-let avg_leaf_entries t = Tree.avg_leaf_entries t.tree
-
-type compression = Tree.compression = {
-  leaves : int;
-  entries : int;
-  avg_entries_per_leaf : float;
-  fixed_entries_per_leaf : float;
-  ratio : float;
-}
-
-let compression_stats t = Tree.compression_stats t.tree
-
 let tree t = t.tree
 
 (* {2 Search} *)

@@ -89,23 +89,6 @@ val page_budget : 'a t -> int option
 val compressed : 'a t -> bool
 (** Whether pages are front-coded (implies a byte budget). *)
 
-val avg_leaf_entries : 'a t -> float
-(** Measured mean entries per data page — the effective leaf capacity.
-    Does not disturb the counters. *)
-
-type compression = Tree.compression = {
-  leaves : int;
-  entries : int;
-  avg_entries_per_leaf : float;
-  fixed_entries_per_leaf : float;
-  ratio : float;
-}
-
-val compression_stats : 'a t -> compression option
-(** [None] unless the index uses a byte budget; [ratio] is the
-    entries-per-page gain over a fixed-width layout of the same budget.
-    Does not disturb the counters. *)
-
 val tree : 'a t -> (Sqp_geom.Point.t * 'a) Tree.t
 (** The underlying prefix B+-tree (for inspection and tests). *)
 

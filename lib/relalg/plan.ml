@@ -147,23 +147,15 @@ let rec run plan =
 
 (* {2 Explain} *)
 
-let explain ?annotate plan =
+let explain plan =
   let buf = Buffer.create 256 in
   let rec go depth plan =
     let rows = estimated_rows plan in
     let line depth fmt =
-      (* Append the caller's per-node annotation (e.g. the optimizer's
-         predicted-cost column) to whatever the node prints. *)
       Printf.ksprintf
         (fun s ->
-          let suffix =
-            match annotate with
-            | None -> ""
-            | Some f -> ( match f plan with "" -> "" | a -> "  " ^ a)
-          in
           Buffer.add_string buf (String.make (2 * depth) ' ');
           Buffer.add_string buf s;
-          Buffer.add_string buf suffix;
           Buffer.add_char buf '\n')
         fmt
     in

@@ -3,7 +3,7 @@
     The PROBE framing of Section 2 is that the DBMS optimizes
     set-at-a-time operations while the object class supplies the
     element-level semantics.  This module is that thin optimizer layer: a
-    plan algebra including the spatial join, a cost-estimating EXPLAIN,
+    plan algebra including the spatial join, a row-estimating EXPLAIN,
     and a rewriter that pushes selections below joins.  Every spatial
     join runs the z-merge ({!Spatial_join.merge}); the nested loop is
     the oracle the tests and the paper's comparison table hold it
@@ -61,11 +61,8 @@ val run : t -> Relation.t
     every spatial join runs on the flat-array merge kernel
     ({!Spatial_join.merge}). *)
 
-val explain : ?annotate:(t -> string) -> t -> string
-(** An indented operator tree with schemas and row estimates.
-    [annotate], when given, is called on every node and its non-empty
-    result is appended to that node's line — the optimizer uses it to
-    add the predicted-cost column. *)
+val explain : t -> string
+(** An indented operator tree with schemas and row estimates. *)
 
 (** {2 EXPLAIN ANALYZE}
 

@@ -35,16 +35,9 @@ type t = {
   relations : (string * R.Plan.t) list;
   lives : (string * int Live.t) list;  (* mutable tables, payload = id *)
   m : Mutex.t;  (* guards the mutable fields below *)
-  mutable stats : O.Stats.t option;
   dedup : (int, dedup_client) Hashtbl.t;
   mutable dedup_tick : int;
 }
-
-(* Byte budget of the packed point index's pages.  Small enough that
-   the standard workload spans enough pages for the 5.3.1 block model
-   to have texture; the compression ratio is budget-independent to
-   first order. *)
-let pindex_page_bytes = 512
 
 (* The points bulk-loaded into a table keyed by z (payload = id), whose
    first snapshot is the catalog's tree. *)
@@ -62,7 +55,6 @@ let build ~lives ?shard ~space ~points ~tree ~relations () =
     relations = relations @ [ ("P", R.Plan.Scan points_rel) ];
     lives;
     m = Mutex.create ();
-    stats = None;
     dedup = Hashtbl.create 16;
     dedup_tick = 0;
   }
@@ -154,21 +146,9 @@ let point_tree t = t.tree
 let prepared_points t =
   Sqp_core.Range_search.prepare t.space (Array.of_list (Live.snapshot_entries t.tree))
 
-(* {1 Statistics} *)
+let analyze _ = ()
 
-let stats t =
-  Mutex.lock t.m;
-  let s = t.stats in
-  Mutex.unlock t.m;
-  s
-
-let analyze t =
-  let lives = List.map (fun (name, lv) -> (name, Live.length lv)) t.lives in
-  let st = O.Stats.analyze ~lives ~space:t.space t.relations in
-  Mutex.lock t.m;
-  t.stats <- Some st;
-  Mutex.unlock t.m;
-  st
+let stats _ = None
 
 (* {1 Dedup window} *)
 
@@ -248,65 +228,6 @@ let recover_lives t =
       | exception e -> Some (name, e))
     t.lives
 
-(* {1 Page cost recalibration}
-
-   The paper's 5.3.1 block model predicts pages touched from the page
-   count; front-coded pages hold more entries than the fixed-width
-   assumption, so the calibrated prediction uses the density measured
-   on the packed point index instead. *)
-
-type page_estimate = {
-  rows : int;
-  entries_per_page : float;
-  compression_ratio : float;
-  fixed_pages : int;
-  compressed_pages : int;
-  fixed_predicted : float;
-  learned_predicted : float;
-}
-
-let page_estimate t ~lo ~hi =
-  match stats t with
-  | None -> None  (* the page model is priced only once ANALYZE has run *)
-  | Some _ ->
-      let idx =
-        Sqp_btree.Zindex.of_points ~page_budget:pindex_page_bytes t.space
-          (Array.of_list (Live.snapshot_entries t.tree))
-      in
-      let rows = Sqp_btree.Zindex.length idx in
-      let epp = Sqp_btree.Zindex.avg_leaf_entries idx in
-      let ratio, fixed_per_page =
-        match Sqp_btree.Zindex.compression_stats idx with
-        | Some c ->
-            ( c.Sqp_btree.Zindex.ratio,
-              c.Sqp_btree.Zindex.fixed_entries_per_leaf )
-        | None -> (1.0, Float.max 1.0 epp)
-      in
-      let fixed_pages =
-        if rows = 0 then 0
-        else
-          max 1
-            (int_of_float (ceil (float_of_int rows /. Float.max 1.0 fixed_per_page)))
-      in
-      let fixed_predicted =
-        O.Cost.predicted_range_pages ~n_pages:fixed_pages ~space:t.space ~lo
-          ~hi ()
-      in
-      let learned_predicted =
-        O.Cost.predicted_range_pages ~entries_per_page:epp ~rows
-          ~n_pages:fixed_pages ~space:t.space ~lo ~hi ()
-      in
-      Some
-        {
-          rows;
-          entries_per_page = epp;
-          compression_ratio = ratio;
-          fixed_pages;
-          compressed_pages = Sqp_btree.Zindex.data_page_count idx;
-          fixed_predicted;
-          learned_predicted;
-        }
-
 (* {1 Plans} *)
 
 type range_access =
@@ -370,9 +291,4 @@ let health_detail t =
             (if poisoned then ",store POISONED" else "")
             (Live.length lv) (Live.seq lv))
     (live_names t);
-  (match stats t with
-  | None -> Printf.bprintf buf "; stats: none (run analyze)"
-  | Some st ->
-      Printf.bprintf buf "; stats: %d relations analyzed"
-        (List.length st.O.Stats.relations));
   (!healthy, Buffer.contents buf)

@@ -121,45 +121,18 @@ val recover_lives : t -> (string * exn) list
 (** Try {!Sqp_btree.Live.recover} on every live table; the tables that
     {e still} fail, with their errors (empty list = fully recovered). *)
 
-(** {1 Statistics}
+(** {1 Statistics (compat)}
 
-    The catalog's only mutable metadata: optimizer statistics written
-    by {!analyze}, mutex-guarded and safe to touch from concurrent
-    sessions. *)
+    The catalog keeps no statistics: no plan and no answer would
+    depend on them.  These two names stay only because the serving
+    benchmark's replay calls them, and go at the next change to the
+    benchmark (ROADMAP item 1). *)
 
-val analyze : t -> Sqp_optimizer.Stats.t
-(** Run the ANALYZE pass: execute every named relation's plan once,
-    build per-relation row counts and z-prefix histograms
-    ({!Sqp_optimizer.Stats.analyze}), record live-table row counts,
-    store the result as the catalog's current statistics and return
-    it.  Until this has run, {!stats} is [None]: EXPLAIN carries no
-    cost column, EXPLAIN ANALYZE no predicted-vs-actual table, and
-    {!page_estimate} is [None].  No query's rows depend on it. *)
+val analyze : t -> unit
+(** Compat (ROADMAP item 1): does nothing. *)
 
-val stats : t -> Sqp_optimizer.Stats.t option
-(** The statistics from the most recent {!analyze}, if any. *)
-
-(** {1 Page cost recalibration} *)
-
-type page_estimate = {
-  rows : int;  (** points in the packed index *)
-  entries_per_page : float;  (** measured front-coded density *)
-  compression_ratio : float;  (** vs fixed-width at the same byte budget *)
-  fixed_pages : int;  (** pages a fixed-width layout would need *)
-  compressed_pages : int;  (** data pages the packed index actually has *)
-  fixed_predicted : float;
-      (** 5.3.1 block-model pages for the box, fixed-width page count *)
-  learned_predicted : float;
-      (** same prediction at the measured (compressed) density *)
-}
-
-val page_estimate : t -> lo:int array -> hi:int array -> page_estimate option
-(** The page cost model before and after recalibration for one range
-    box: {!Sqp_optimizer.Cost.predicted_range_pages} evaluated at the
-    fixed-width page count and again at the entries-per-page measured
-    on a front-coded packed {!Sqp_btree.Zindex} of {!point_tree}'s
-    entries, built by each call ([sqp query --costs] is the only
-    caller).  [None] until {!analyze} has run. *)
+val stats : t -> Sqp_optimizer.Optimizer.stats option
+(** Compat (ROADMAP item 1): always [None]. *)
 
 (** {1 Plans} *)
 
@@ -170,11 +143,11 @@ type range_access =
 
 val range_access : t -> lo:int array -> hi:int array -> range_access
 (** Always [Direct { method_ = Skip }]: every server answers every range
-    on the one Section 3.3 merge over {!point_tree}, with or without
-    statistics, so there is nothing to decide.  No server path calls
-    this.  It and {!Sqp_optimizer.Cost.range_alternative} stay only
-    because the serving benchmark's replay matches on them, and go at
-    the next change to the benchmark (ROADMAP item 1); [Planned] and
+    on the one Section 3.3 merge over {!point_tree}, so there is
+    nothing to decide.  No server path calls this.  It and
+    {!Sqp_optimizer.Cost.range_alternative} stay only because the
+    serving benchmark's replay matches on them, and go at the next
+    change to the benchmark (ROADMAP item 1); [Planned] and
     [Cost.Plain] are never returned.
     @raise Invalid_argument on the bounds {!Protocol.range_box} refuses:
     the wrong dimensionality, outside the grid, or inverted. *)
@@ -184,9 +157,7 @@ val range_plan : t -> lo:int array -> hi:int array -> Sqp_relalg.Plan.t
     exactly, spatial-join the cover with the point relation on z,
     project the coordinates.  The server does not run it; its rows are
     the ones the server answers with, which makes it the in-process
-    oracle of the server tests.  Statistics do not change it: it
-    returns the same tuples in the same order before and after
-    {!analyze}.
+    oracle of the server tests.
     @raise Invalid_argument on the bounds {!Protocol.range_box} refuses:
     the wrong dimensionality, outside the grid, or inverted. *)
 

@@ -145,9 +145,11 @@ val create_index : ?deadline_ms:int -> t -> table:string -> (int * int) reply
 (** Online index rebuild; [(entry count of the finished index, seq)]. *)
 
 val refresh_stats : ?deadline_ms:int -> t -> string reply
-(** Run the server-side ANALYZE pass: rebuild the catalog statistics
-    the cost-based optimizer reads, and return their summary.  Until a
-    client has called this once, the server plans without statistics. *)
+(** Compat: send a [Refresh_stats] frame (tag 10).  The server keeps
+    no statistics, so it changes nothing and answers a constant text.
+    It stays only because the serving benchmark's set-up sends it, and
+    goes, with tag 10, at the next change to the benchmark (ROADMAP
+    item 1). *)
 
 val live_range :
   ?deadline_ms:int -> t -> table:string -> lo:int array -> hi:int array ->

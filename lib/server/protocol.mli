@@ -65,12 +65,11 @@ type request =
           for the entries inside the (inclusive) box, in z order, read
           from one frozen snapshot — never a half-applied batch. *)
   | Refresh_stats
-      (** Run the ANALYZE pass over the catalog: rebuild row counts and
-          z-prefix histograms for every relation and store them as the
-          statistics the cost-based optimizer uses for all subsequent
-          [Range_search]/[Query]/[Explain]/[Analyze] requests.  Answered
-          by [Text] with the statistics summary.  Admission-controlled
-          like a query (it executes every catalog plan once). *)
+      (** Compat (tag 10): the server keeps no statistics, so this
+          changes nothing and is answered by a constant [Text].  It
+          stays only because the serving benchmark's set-up sends it,
+          and is to become a typed error at the next change to the
+          benchmark (ROADMAP item 1). *)
   | Recover
       (** Admin frame: attempt to leave degraded mode — reopen any
           poisoned live-table store (journal recovery) and, on success,

@@ -236,22 +236,23 @@ let error_response t = function
 
 let guard t f = try f () with e -> Response (error_response t e)
 
-module O = Sqp_optimizer
-
-(* Wire plan -> runnable plan: resolve names and push-down-optimize.
-   Statistics only annotate EXPLAIN; they change no plan. *)
+(* Wire plan -> runnable plan: resolve names and push-down-optimize. *)
 let instantiate t wplan =
   R.Plan.optimize (R.Wire.to_plan ~resolve:(Catalog.resolve t.cat) wplan)
+
+(* The answer to a [Refresh_stats] frame: no plan and no answer depends
+   on statistics, so the server keeps none. *)
+let no_statistics = "no statistics: plans and answers do not depend on them"
 
 let live_table t name =
   match Catalog.live t.cat name with
   | Some lv -> lv
   | None -> raise (R.Wire.Unknown_relation name)
 
-(* One range path for both range reads, with or without statistics,
-   sharded or not: the exact cover merged against a frozen tree
-   (Section 3.3), streamed through the owned-interval filter, its pages
-   observed.  No per-box decision and no plan. *)
+(* One range path for both range reads, sharded or not: the exact
+   cover merged against a frozen tree (Section 3.3), streamed through
+   the owned-interval filter, its pages observed.  No per-box decision
+   and no plan. *)
 let range_read t ~ids snap box =
   let bytes, pages = answer ?owned:(owned_interval t) ~ids snap box in
   Metrics.observe t.h_pages pages;
@@ -266,28 +267,13 @@ let execute t request =
   | P.Query wplan ->
       guard t (fun () -> Response (P.Rows (R.Plan.run (instantiate t wplan))))
   | P.Explain wplan ->
-      guard t (fun () ->
-          let plan = instantiate t wplan in
-          Response
-            (P.Text
-               (match Catalog.stats t.cat with
-               | None -> R.Plan.explain plan
-               | Some st -> O.Optimizer.explain st plan)))
+      guard t (fun () -> Response (P.Text (R.Plan.explain (instantiate t wplan))))
   | P.Analyze wplan ->
       guard t (fun () ->
-          let plan = instantiate t wplan in
-          let a = R.Plan.run_analyze plan in
-          let rendered =
-            match Catalog.stats t.cat with
-            | None -> R.Plan.render_analysis a
-            | Some st ->
-                R.Plan.render_analysis a ^ "\n"
-                ^ O.Optimizer.render_comparison
-                    (O.Optimizer.compare_analysis st plan a.R.Plan.report)
-          in
-          Response (P.Analyzed { rendered; rows = a.R.Plan.result }))
-  | P.Refresh_stats ->
-      guard t (fun () -> Response (P.Text (O.Stats.summary (Catalog.analyze t.cat))))
+          let a = R.Plan.run_analyze (instantiate t wplan) in
+          Response
+            (P.Analyzed { rendered = R.Plan.render_analysis a; rows = a.R.Plan.result }))
+  | P.Refresh_stats -> Response (P.Text no_statistics)
   | P.Insert { table; points } ->
       guard t (fun () ->
           let lv = live_table t table in

@@ -228,6 +228,31 @@ let test_plan_rejection () =
           let _, join, _ = Lazy.force oracle in
           checkb "session survives rejects" true (rows_same_set join rows)))
 
+(* {1 Tag 10 through the router}
+
+   The servers keep no statistics.  A [Refresh_stats] frame (tag 10)
+   broadcast through the router answers [Ok], and the range and join
+   answers after it are the single server's. *)
+
+let test_refresh_stats () =
+  let ranges, join, _ = Lazy.force oracle in
+  with_seeded_cluster 2 (fun router _ ->
+      Client.with_connect ~port:(Router.port router) (fun cl ->
+          ignore (reply_ok "tag 10 through the router" (Client.refresh_stats cl));
+          List.iteri
+            (fun i (b, expect) ->
+              let got =
+                reply_ok
+                  (Printf.sprintf "box %d after tag 10" i)
+                  (Client.range_search cl ~lo:(Box.lo b) ~hi:(Box.hi b))
+              in
+              checkb
+                (Printf.sprintf "box %d rows identical after tag 10" i)
+                true (rows_identical expect got))
+            ranges;
+          checkb "join pairs unchanged by tag 10" true
+            (rows_same_set join (reply_ok "join after tag 10" (Client.query cl join_plan)))))
+
 (* {1 One bounds check for range reads}
 
    A box past the grid draws the same [Bad_request], message and all,
@@ -840,37 +865,121 @@ let test_spawned_serve () =
         checkb "SIGTERM drain exits 0" true (status = Unix.WEXITED 0))
   end
 
-(* A shard range below z 0 is a usage error, like an inverted one: exit
-   2 with the usage line, not an uncaught exception. *)
+(* Run [sqp ARGS] to its exit with stdout discarded: its exit status
+   and its stderr lines.  A process still running after 10 s (a server
+   that accepted its flags) is killed and fails the test. *)
+let run_to_exit args =
+  let err_file = Filename.temp_file "sqp_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err_file)
+    (fun () ->
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+      let pid =
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close devnull;
+            Unix.close err)
+          (fun () ->
+            Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin devnull err)
+      in
+      let what = String.concat " " args in
+      let t0 = Unix.gettimeofday () in
+      let rec wait () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () -. t0 < 10. ->
+            Thread.delay 0.01;
+            wait ()
+        | 0, _ ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            Alcotest.failf "%s: still running after 10 s" what
+        | _, status -> status
+      in
+      let status = wait () in
+      let lines =
+        In_channel.with_open_text err_file In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      (status, lines))
+
+(* A flag value out of range is a usage error: exit 2 with one line on
+   stderr, not an uncaught exception (exit 125) or a server on a
+   wrapped port. *)
+let expect_usage_error args =
+  let status, lines = run_to_exit args in
+  let what = String.concat " " args in
+  checkb (what ^ " exits 2") true (status = Unix.WEXITED 2);
+  checki (what ^ ": one stderr line") 1 (List.length lines)
+
+let small_seeds = [ "--points=60"; "--objects=4" ]
+
+(* A shard range below z 0 is refused like an inverted one. *)
 let test_spawned_bad_shard () =
   if not (Sys.file_exists exe) then Alcotest.skip ()
   else
     List.iter
-      (fun spec ->
-        let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-        let pid =
-          Fun.protect
-            ~finally:(fun () -> Unix.close devnull)
-            (fun () ->
-              Unix.create_process exe
-                [| exe; "serve"; "--port"; "0"; "--points"; "60"; "--objects"; "4"; spec |]
-                Unix.stdin devnull devnull)
-        in
-        (* a server that accepted the range would never exit *)
-        let t0 = Unix.gettimeofday () in
-        let rec wait () =
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ when Unix.gettimeofday () -. t0 < 10. ->
-              Thread.delay 0.01;
-              wait ()
-          | 0, _ ->
-              Unix.kill pid Sys.sigkill;
-              ignore (Unix.waitpid [] pid);
-              Alcotest.failf "%s: still serving after 10 s" spec
-          | _, status -> status
-        in
-        checkb (spec ^ " exits 2") true (wait () = Unix.WEXITED 2))
+      (fun spec -> expect_usage_error ("serve" :: "--port=0" :: spec :: small_seeds))
       [ "--shard=-5:10"; "--shard=5:2" ]
+
+let test_spawned_bad_flags () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    List.iter expect_usage_error
+      [
+        "serve" :: "--port=70000" :: small_seeds;
+        "serve" :: "--port=-1" :: small_seeds;
+        "serve" :: "--port=0" :: "--max-in-flight=0" :: small_seeds;
+        "serve" :: "--port=0" :: "--max-queue=-1" :: small_seeds;
+        "serve" :: "--port=0" :: "--deadline-ms=0" :: small_seeds;
+        "serve" :: "--port=0" :: "--deadline-ms=-5" :: small_seeds;
+        [ "serve"; "--port=0"; "--points=60"; "--objects=-1" ];
+        [ "serve"; "--port=0"; "--points=-5"; "--objects=4" ];
+        [ "serve"; "--port=0"; "--points=2000000"; "--objects=4" ];
+        "route" :: "--port=70000" :: "--shards=127.0.0.1:1" :: small_seeds;
+        "route" :: "--port=0" :: "--shards=127.0.0.1:abc" :: small_seeds;
+        "route" :: "--port=0" :: "--shards=127.0.0.1:70000" :: small_seeds;
+        [ "shell"; "--port=70000"; "-c"; "health" ];
+        [ "shell"; "--port=0"; "-c"; "health" ];
+        [ "shell"; "--deadline-ms=0"; "-c"; "health" ];
+      ]
+
+(* A loopback socket bound to a free port; [listen] or close it. *)
+let bound_socket () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname s with
+  | Unix.ADDR_INET (_, port) -> (s, string_of_int port)
+  | Unix.ADDR_UNIX _ -> assert false
+
+(* A dial or a bind that fails is one [error:] line and exit 1: the
+   shell and a router dialing a port nothing listens on (bound by the
+   test, then closed), and a server asked to listen on a port the test
+   holds. *)
+let test_spawned_network_failure () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    let expect_error args =
+      let status, lines = run_to_exit args in
+      let what = String.concat " " args in
+      checkb (what ^ " exits 1") true (status = Unix.WEXITED 1);
+      match lines with
+      | [ line ] ->
+          checkb (what ^ ": the line starts with error:") true
+            (String.starts_with ~prefix:"error: " line)
+      | _ -> Alcotest.failf "%s: want one stderr line, got %d" what (List.length lines)
+    in
+    let closed, closed_port = bound_socket () in
+    Unix.close closed;
+    expect_error [ "shell"; "--port=" ^ closed_port; "-c"; "health" ];
+    expect_error ("route" :: "--port=0" :: ("--shards=127.0.0.1:" ^ closed_port) :: small_seeds);
+    let held, held_port = bound_socket () in
+    Fun.protect
+      ~finally:(fun () -> Unix.close held)
+      (fun () ->
+        Unix.listen held 1;
+        expect_error ("serve" :: ("--port=" ^ held_port) :: small_seeds))
 
 let () =
   Alcotest.run "cluster"
@@ -884,6 +993,8 @@ let () =
           Alcotest.test_case "shard-connection kills" `Quick test_shard_kills;
           Alcotest.test_case "out-of-grid ranges draw the server's Bad_request"
             `Quick test_out_of_grid;
+          Alcotest.test_case "tag 10 answers Ok and changes nothing" `Quick
+            test_refresh_stats;
         ] );
       ( "ingest",
         [
@@ -903,5 +1014,9 @@ let () =
             `Quick test_spawned_serve;
           Alcotest.test_case "serve refuses a shard range below z 0" `Quick
             test_spawned_bad_shard;
+          Alcotest.test_case "out-of-range flags exit 2" `Quick
+            test_spawned_bad_flags;
+          Alcotest.test_case "dial and bind failures exit 1 with one line" `Quick
+            test_spawned_network_failure;
         ] );
     ]

@@ -122,8 +122,8 @@ let test_concurrent_differential () =
 
 (* {1 One range path}
 
-   A catalog with no statistics still answers every range request with
-   the exact cover on the skip merge over the catalog's tree: each
+   A catalog answers every range request with the exact cover on the
+   skip merge over the catalog's tree: each
    request is one [server.range.pages] observation and no spatial join
    runs.  The rows are the linear scan's, in z order. *)
 
@@ -133,7 +133,7 @@ let pages_observed metrics =
   | _ -> (0, 0)
 
 let test_range_one_path () =
-  let cat = Catalog.of_seeded wk (* fresh: never analyzed *) in
+  let cat = Catalog.of_seeded wk in
   let metrics = M.create () in
   let server = Server.start ~metrics cat in
   let g = M.global () in
@@ -943,66 +943,103 @@ let test_range_pages () =
   Alcotest.(check (pair int int)) "server.range.pages: two reads of 250" (2, 500)
     (pages_observed metrics)
 
-(* {1 Statistics flow: ANALYZE over the wire, cost-based serving}
+(* {1 The range plan differential}
 
-   Runs LAST: [Client.refresh_stats] mutates the shared module-level
-   catalog's statistics.  Statistics change no answer, only EXPLAIN's
-   annotations, and this test pins that; every earlier test runs
-   before them. *)
+   On the standard workload's query box and its first 20 query boxes,
+   [Catalog.range_plan] (the Section 4 plan, these tests' oracle for
+   served ranges), the skip merge every server runs and a linear scan
+   return the same rows, and [range_access] names the skip merge.  Both
+   refuse a box reaching past the grid. *)
 
-let test_statistics_flow () =
+let test_range_plan_differential () =
+  let std = Sqp_workload.Seeded.standard () in
+  let cat = Catalog.of_seeded std in
+  let prep = Catalog.prepared_points cat in
+  let linear = Sqp_kdtree.Linear_scan.build (Sqp_workload.Seeded.tagged_points std) in
+  let sorted_points entries =
+    List.sort compare (List.map (fun (p, _) -> Array.to_list p) entries)
+  in
+  List.iter
+    (fun b ->
+      let plan = Plan.run (Catalog.range_plan cat ~lo:(Box.lo b) ~hi:(Box.hi b)) in
+      let plan_points =
+        List.sort compare
+          (List.map
+             (fun tu -> Array.to_list (Array.map Sqp_relalg.Value.to_int tu))
+             (Relation.tuples plan))
+      in
+      let skip = fst (Sqp_core.Range_search.search_skip prep b) in
+      let scan = fst (Sqp_kdtree.Linear_scan.range_search linear b) in
+      checkb "plan rows = skip-merge rows" true (plan_points = sorted_points skip);
+      checkb "skip-merge rows = linear-scan rows" true
+        (sorted_points skip = sorted_points scan);
+      checkb "range_access names the skip merge" true
+        (Catalog.range_access cat ~lo:(Box.lo b) ~hi:(Box.hi b)
+        = Catalog.Direct { Sqp_optimizer.Cost.method_ = Sqp_optimizer.Cost.Skip }))
+    (std.Sqp_workload.Seeded.query
+    :: Array.to_list (Array.sub std.Sqp_workload.Seeded.query_boxes 0 20));
+  let lo = [| 0; 0 |] and hi = [| Space.side (Catalog.space cat); 0 |] in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s accepted an out-of-grid box" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("range_access", fun () -> ignore (Catalog.range_access cat ~lo ~hi));
+      ("range_plan", fun () -> ignore (Catalog.range_plan cat ~lo ~hi));
+    ]
+
+(* {1 The analyze flow: tag 10 changes nothing}
+
+   The server keeps no statistics.  A [Refresh_stats] frame (tag 10, the
+   old ANALYZE request, which the serving benchmark's set-up still
+   sends) answers [Ok] and leaves every later answer byte-identical; no
+   EXPLAIN carries a cost column and no EXPLAIN ANALYZE a
+   predicted-vs-actual table. *)
+
+(* EXPLAIN ANALYZE text with every "N.NNN ms" timing blanked. *)
+let untimed text =
+  let rec blank = function
+    | w :: (unit :: _ as rest)
+      when String.starts_with ~prefix:"ms" unit && Float.of_string_opt w <> None ->
+        "_" :: blank rest
+    | w :: rest -> w :: blank rest
+    | [] -> []
+  in
+  String.concat " " (blank (String.split_on_char ' ' text))
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let test_tag_10 () =
   with_server (fun server _ ->
       Client.with_connect ~port:(Server.port server) (fun client ->
-          let contains hay needle =
-            let n = String.length needle and h = String.length hay in
-            let rec go i =
-              i + n <= h && (String.sub hay i n = needle || go (i + 1))
-            in
-            go 0
-          in
-          (* statistics-free baselines *)
           let box = wk.Sqp_workload.Seeded.query in
-          let lo = Box.lo box and hi = Box.hi box in
-          let range_before =
-            reply_ok "range before" (Client.range_search client ~lo ~hi)
+          let answers () =
+            let bytes what request =
+              P.encode_response (reply_ok what (Client.call client request))
+            in
+            let explain = reply_ok "explain" (Client.explain client join_plan) in
+            let rendered, rows = reply_ok "analyze" (Client.analyze client join_plan) in
+            checkb "no cost column" false (contains explain "[cost=");
+            checkb "no predicted-vs-actual table" false (contains rendered "predicted");
+            [
+              bytes "range" (P.Range_search { lo = Box.lo box; hi = Box.hi box });
+              bytes "join" (P.Query join_plan);
+              explain;
+              untimed rendered;
+              P.encode_response (P.Rows rows);
+            ]
           in
-          let join_before = reply_ok "join before" (Client.query client join_plan) in
-          let explain_before =
-            reply_ok "explain before" (Client.explain client join_plan)
-          in
-          checkb "no cost column before analyze" false
-            (contains explain_before "[cost=");
-          (* the analyze frame *)
-          let summary = reply_ok "refresh stats" (Client.refresh_stats client) in
-          checkb "summary names the point relation" true (contains summary "P");
-          checkb "summary names the join sides" true
-            (contains summary "R" && contains summary "S");
-          (* statistics change no plan: the same rows, a join's in the
-             same order *)
-          let range_after =
-            reply_ok "range after" (Client.range_search client ~lo ~hi)
-          in
-          checkb "range rows unchanged by statistics" true
-            (Sqp_relalg.Schema.equal (Relation.schema range_before)
-               (Relation.schema range_after)
-            && Relation.tuples range_before = Relation.tuples range_after);
-          let join_after = reply_ok "join after" (Client.query client join_plan) in
-          checkb "join rows unchanged by statistics" true
-            (Sqp_relalg.Schema.equal (Relation.schema join_before)
-               (Relation.schema join_after)
-            && Relation.tuples join_before = Relation.tuples join_after);
-          (* ...and EXPLAIN / EXPLAIN ANALYZE now carry predictions *)
-          let explain_after =
-            reply_ok "explain after" (Client.explain client join_plan)
-          in
-          checkb "cost column after analyze" true (contains explain_after "[cost=");
-          let rendered, rows =
-            reply_ok "analyze after" (Client.analyze client join_plan)
-          in
-          checkb "analyze rows still match" true
-            (Relation.equal_contents join_before rows);
-          checkb "predicted-vs-actual table appended" true
-            (contains rendered "predicted");
+          (* the first round warms the stored relations' buffer pools, so
+             EXPLAIN ANALYZE's page counts repeat *)
+          ignore (answers ());
+          let before = answers () in
+          ignore (reply_ok "tag 10" (Client.refresh_stats client));
+          Alcotest.(check (list string)) "answers byte-identical after tag 10" before
+            (answers ());
           (* a live range after an online rebuild answers the same rows *)
           let llo = [| 0; 0 |] and lhi = [| 400; 400 |] in
           let live_before =
@@ -1011,12 +1048,12 @@ let test_statistics_flow () =
           let _applied, _seq =
             reply_ok "create index" (Client.create_index client ~table:"L")
           in
-          let live_cached =
-            reply_ok "live range (cached packed index)"
+          let live_rebuilt =
+            reply_ok "live range after the rebuild"
               (Client.live_range client ~table:"L" ~lo:llo ~hi:lhi)
           in
-          checkb "packed index returns the same rows" true
-            (Relation.equal_contents live_before live_cached);
+          checkb "the rebuilt index returns the same rows" true
+            (Relation.equal_contents live_before live_rebuilt);
           (* an insert after the rebuild: the new point must appear *)
           let applied, _seq =
             reply_ok "insert after index"
@@ -1027,8 +1064,8 @@ let test_statistics_flow () =
             reply_ok "live range after insert"
               (Client.live_range client ~table:"L" ~lo:llo ~hi:lhi)
           in
-          checki "stale cache bypassed: new row visible"
-            (Relation.cardinality live_cached + 1)
+          checki "new row visible"
+            (Relation.cardinality live_rebuilt + 1)
             (Relation.cardinality live_fresh)))
 
 let () =
@@ -1081,7 +1118,8 @@ let () =
           Alcotest.test_case "catalog words after one range" `Quick test_catalog_words;
           Alcotest.test_case "pages per range" `Quick test_range_pages;
         ] );
-      (* keep last: mutates the shared catalog's statistics *)
+      ( "range",
+        [ Alcotest.test_case "differential" `Quick test_range_plan_differential ] );
       ( "statistics",
-        [ Alcotest.test_case "analyze flow" `Quick test_statistics_flow ] );
+        [ Alcotest.test_case "analyze flow" `Quick test_tag_10 ] );
     ]
