@@ -4,10 +4,12 @@
    (page-access counts, element counts, efficiencies — the units the
    paper reports); part 2 runs Bechamel timing micro-benchmarks over the
    main code paths so wall-clock behaviour can be tracked too; part 3
-   is the int-key kernel table (BENCH_kernels.json).  Serving numbers
-   live in perfbench/.
+   is the int-key kernel table (BENCH_kernels.json); part 4, the
+   start-up table (BENCH_startup.json), runs only on request.  Serving
+   numbers live in perfbench/.
 
-   Run with: dune exec bench/main.exe [-- --kernels [--quick]] *)
+   Run with:
+   dune exec bench/main.exe [-- --kernels [--quick] | --startup [--quick]] *)
 
 module Z = Sqp_zorder
 module W = Sqp_workload
@@ -165,6 +167,25 @@ let bench_btree =
 
 module R = Sqp_relalg
 
+(* Best-of-[reps] seconds of [f], but at least [min_span] seconds of
+   repetitions ([quick]: 0.05 s, else 0.5 s): sub-millisecond rows need
+   far more than [reps] samples before the minimum settles on this
+   (noisy) class of machine. *)
+let time_best ~quick ~reps f =
+  let min_span = if quick then 0.05 else 0.5 in
+  ignore (f ()) (* warm-up *);
+  let best = ref infinity in
+  let spent = ref 0.0 and runs = ref 0 in
+  while !runs < reps || !spent < min_span do
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    let dt = Unix.gettimeofday () -. t0 in
+    best := Float.min !best dt;
+    spent := !spent +. dt;
+    incr runs
+  done;
+  !best
+
 (* {1 Int-key kernel microbenches}
 
    Kernel (Zkernel's flat int keys) vs reference (Bitstring/list) on the
@@ -179,24 +200,7 @@ module R = Sqp_relalg
 let kernels_table ~quick () =
   let reps = if quick then 3 else 7 in
   let n_boxes = if quick then 40 else Array.length wk.W.Seeded.query_boxes in
-  (* Best-of-[reps], but at least [min_span] seconds of repetitions:
-     sub-millisecond rows need far more than [reps] samples before the
-     minimum settles on this (noisy) class of machine. *)
-  let min_span = if quick then 0.05 else 0.5 in
-  let time_best f =
-    ignore (f ()) (* warm-up *);
-    let best = ref infinity in
-    let spent = ref 0.0 and runs = ref 0 in
-    while !runs < reps || !spent < min_span do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      best := Float.min !best dt;
-      spent := !spent +. dt;
-      incr runs
-    done;
-    !best
-  in
+  let time_best = time_best ~quick ~reps in
   let zs_bits = Array.map (fun (p, _) -> Z.Interleave.shuffle space p) tagged in
   let boxes = Array.sub wk.W.Seeded.query_boxes 0 n_boxes in
   let schema_of name z =
@@ -315,6 +319,60 @@ let kernels_table ~quick () =
   close_out oc;
   print_endline "  -> BENCH_kernels.json"
 
+(* {1 Start-up}
+
+   What [sqp serve] builds before its port line: the seeded workload,
+   then the serving catalog over it, whole or as the first of two even
+   shard slices (what [sqp route --spawn 2] starts).  Each row is timed
+   best-of-N and counted in words allocated by one build: minor words
+   plus the words allocated straight into the major heap (major minus
+   promoted), so a large array cannot hide there.  The minor count is
+   [Gc.minor_words], exact in native code; [Gc.counters]' own minor
+   count drifts by whole minor heaps from one call to the next on OCaml
+   5.1.  Writes BENCH_startup.json. *)
+let startup_table ~quick () =
+  let reps = if quick then 5 else 40 in
+  let words_allocated f =
+    let minor0 = Gc.minor_words () in
+    let _, promoted0, major0 = Gc.counters () in
+    f ();
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  in
+  let shard = List.hd (Sqp_server.Shard_map.even_ranges space 2) in
+  let rows =
+    List.map
+      (fun (name, f) -> (name, time_best ~quick ~reps f, words_allocated f))
+      [
+        ("Seeded.standard", fun () -> ignore (W.Seeded.standard ()));
+        ("Catalog.of_seeded", fun () -> ignore (Sqp_server.Catalog.of_seeded wk));
+        ( "Catalog.of_seeded ~shard:0/2",
+          fun () -> ignore (Sqp_server.Catalog.of_seeded ~shard wk) );
+      ]
+  in
+  let cores = Domain.recommended_domain_count () in
+  print_newline ();
+  Printf.printf "Start-up builds (best of %d, %d cores)\n" reps cores;
+  print_endline "=====================================================================";
+  Printf.printf "  %-36s %12s %16s\n" "build" "best" "words allocated";
+  List.iter
+    (fun (name, s, w) -> Printf.printf "  %-36s %9.3f ms %16d\n" name (s *. 1e3) w)
+    rows;
+  let oc = open_out "BENCH_startup.json" in
+  Printf.fprintf oc
+    "{\n  \"benchmark\": \"startup\",\n  \"cores\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
+    cores
+    (String.concat ",\n"
+       (List.map
+          (fun (name, s, w) ->
+            Printf.sprintf
+              "    { \"name\": %S, \"best_seconds\": %.6f, \"words_allocated\": %d }"
+              name s w)
+          rows));
+  close_out oc;
+  print_endline "  -> BENCH_startup.json"
+
 let run_bechamel () =
   let tests =
     Test.make_grouped ~name:"sqp"
@@ -358,6 +416,9 @@ let () =
   | [ "--kernels" ] -> kernels_table ~quick:false ()
   | [ "--kernels"; "--quick" ] | [ "--quick"; "--kernels" ] ->
       kernels_table ~quick:true ()
+  | [ "--startup" ] -> startup_table ~quick:false ()
+  | [ "--startup"; "--quick" ] | [ "--quick"; "--startup" ] ->
+      startup_table ~quick:true ()
   | _ ->
-      prerr_endline "bench: usage: main.exe [--kernels [--quick]]";
+      prerr_endline "bench: usage: main.exe [--kernels [--quick] | --startup [--quick]]";
       exit 2

@@ -346,6 +346,26 @@ let describe_exn = function
   | Failure msg -> msg
   | e -> Printexc.to_string e
 
+(* One status line of [serve] or [route] on stdout, flushed.  Once they
+   listen SIGPIPE is ignored, so a write to a stdout whose reader has
+   gone fails with [Sys_error].  Then stdout becomes /dev/null: the line,
+   the rest of the channel's buffer and every later line are dropped
+   (the flush at exit too), and the drain, the final metrics and the
+   shard shutdown still run. *)
+let status fmt =
+  Printf.ksprintf
+    (fun line ->
+      try
+        print_string line;
+        flush stdout
+      with Sys_error _ -> (
+        try
+          let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          Unix.dup2 null Unix.stdout;
+          Unix.close null
+        with Unix.Unix_error _ -> ()))
+    fmt
+
 (* SIGTERM and SIGINT set the returned flag.  Serve and route install
    this before they listen: a signal sent as soon as the node answers
    must drain it, not kill it. *)
@@ -473,16 +493,15 @@ let serve_cmd =
     in
     (* Machine-parseable bound-port line, first and flushed: orchestrators
        (sqp route --spawn, the cluster tests, CI) parse exactly this. *)
-    Printf.printf "SQP_SERVE_PORT=%d\n%!" (Srv.Server.port server);
-    Printf.printf
-      "sqp serve: listening on %s:%d (%d in flight, queue %d)\n"
-      host (Srv.Server.port server) max_in_flight max_queue;
+    status "SQP_SERVE_PORT=%d\n" (Srv.Server.port server);
+    status "sqp serve: listening on %s:%d (%d in flight, queue %d)\n" host
+      (Srv.Server.port server) max_in_flight max_queue;
     (match Srv.Catalog.shard_range catalog with
     | Some (zlo, zhi) ->
-        Printf.printf "shard: z=[%d,%d]%s\n" zlo zhi
+        status "shard: z=[%d,%d]%s\n" zlo zhi
           (if live_empty then ", live table empty" else "")
     | None -> ());
-    Printf.printf "catalog: %s\n%!"
+    status "catalog: %s\n"
       (String.concat ", "
          (Srv.Catalog.names catalog
          @ List.map
@@ -491,13 +510,13 @@ let serve_cmd =
     while not !stop_requested do
       Thread.delay 0.05
     done;
-    print_endline "sqp serve: draining...";
+    status "sqp serve: draining...\n";
     Srv.Server.stop server;
-    print_endline "sqp serve: drained; final metrics:";
-    print_string
+    status "sqp serve: drained; final metrics:\n";
+    status "%s"
       (Sqp_obs.Metrics.to_text
          (Sqp_obs.Metrics.snapshot (Sqp_obs.Metrics.global ())));
-    print_endline "sqp serve: bye."
+    status "sqp serve: bye.\n"
   in
   Cmd.v
     (Cmd.info "serve"
@@ -813,26 +832,25 @@ let route_cmd =
         List.iter stop_shard spawned;
         network_error "router did not start: %s" (describe_exn e)
     in
-    Printf.printf "SQP_ROUTE_PORT=%d\n%!" (Sqp_cluster.Router.port router);
-    Printf.printf "sqp route: listening on %s:%d (epoch %d, %d shards)\n%!" host
+    status "SQP_ROUTE_PORT=%d\n" (Sqp_cluster.Router.port router);
+    status "sqp route: listening on %s:%d (epoch %d, %d shards)\n" host
       (Sqp_cluster.Router.port router)
       map.Srv.Shard_map.epoch (List.length endpoints);
     List.iteri
       (fun i (e : Srv.Shard_map.entry) ->
-        Printf.printf "  shard %d: %s:%d z=[%d,%d]\n%!" i e.host e.port e.zlo
-          e.zhi)
+        status "  shard %d: %s:%d z=[%d,%d]\n" i e.host e.port e.zlo e.zhi)
       map.Srv.Shard_map.entries;
     while not !stop_requested do
       Thread.delay 0.05
     done;
-    print_endline "sqp route: draining...";
+    status "sqp route: draining...\n";
     Sqp_cluster.Router.stop router;
     List.iter stop_shard spawned;
-    print_endline "sqp route: drained; final metrics:";
-    print_string
+    status "sqp route: drained; final metrics:\n";
+    status "%s"
       (Sqp_obs.Metrics.to_text
          (Sqp_obs.Metrics.snapshot (Sqp_obs.Metrics.global ())));
-    print_endline "sqp route: bye."
+    status "sqp route: bye.\n"
   in
   Cmd.v
     (Cmd.info "route"

@@ -262,20 +262,20 @@ let create ?(leaf_capacity = 20) ?(internal_capacity = 20) ~encode ~decode space
 
 let check_point fn space p =
   if Array.length p <> Z.Space.dims space then invalid_arg (fn ^ ": point arity mismatch");
-  Array.iter
-    (fun c ->
-      if not (Z.Space.valid_coord space c) then
-        invalid_arg (fn ^ ": coordinate out of space"))
-    p
+  for i = 0 to Array.length p - 1 do
+    if not (Z.Space.valid_coord space p.(i)) then
+      invalid_arg (fn ^ ": coordinate out of space")
+  done
 
 (* The table one [apply] of these inserts leaves on a fresh [create]:
    a stable sort keeps equal points in their input order, as inserts
    that land after their equals do, and the leaves are packed full. *)
 let of_entries ~encode ~decode space entries =
   Array.iter (fun (p, _) -> check_point "Live.of_entries" space p) entries;
-  let keyed = Array.map (fun ((p, _) as e) -> (zval space p, e)) entries in
-  Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) keyed;
-  make_t ~encode ~decode ~store:None space (Cow.of_sorted_array keyed)
+  let keys = Array.map (fun (p, _) -> zval space p) entries in
+  let order = Z.Zkernel.sort_point_keys space keys in
+  make_t ~encode ~decode ~store:None space
+    (Cow.of_sorted_array (Array.mapi (fun r i -> (keys.(r), entries.(i))) order))
     (if Array.length entries = 0 then 0 else 1)
 
 let create_durable ?io ?(page_bytes = 1024) ?(leaf_capacity = 20)

@@ -61,9 +61,10 @@ val of_entries :
     entries leaves on a fresh {!create} with the default capacities —
     the same entries in the same order (equal points keep their input
     order) and the same {!seq} (1, or 0 with no entries) — built without
-    path copying, its leaves packed full (20 entries, the paper's page
-    capacity).  The load is not counted in the [ingest.*] batch and
-    insert counters.
+    path copying from the point keys in radix order
+    ({!Sqp_zorder.Zkernel.sort_point_keys}), its leaves packed full (20
+    entries, the paper's page capacity).  The load is not counted in
+    the [ingest.*] batch and insert counters.
     @raise Invalid_argument on a point outside the space, as {!apply}. *)
 
 val create_durable :

@@ -21,8 +21,18 @@ let classifier space = function
   | Polygon p -> Polygon.classifier space p
   | Circle c -> Circle.classifier space c
 
+(* A box that meets the grid decomposes by [Decompose.decompose_box]'s
+   int-bounds fold over its clip, element for element what [run] makes
+   of its classifier; every other shape runs its classifier. *)
 let decompose ?options space shape =
-  Sqp_zorder.Decompose.run ?options space (classifier space shape)
+  let clipped =
+    match shape with
+    | Box b -> Box.clip b ~side:(Sqp_zorder.Space.side space)
+    | Polygon _ | Circle _ -> None
+  in
+  match clipped with
+  | Some c -> Sqp_zorder.Decompose.decompose_box ?options space ~lo:(Box.lo c) ~hi:(Box.hi c)
+  | None -> Sqp_zorder.Decompose.run ?options space (classifier space shape)
 
 let pp fmt = function
   | Box b -> Box.pp fmt b

@@ -20,6 +20,10 @@ val decompose :
   Sqp_zorder.Space.t ->
   t ->
   Sqp_zorder.Element.t list
-(** The paper's [decompose] operator for arbitrary objects. *)
+(** The paper's [decompose] operator for arbitrary objects:
+    [Decompose.run ?options space (classifier space shape)], element for
+    element.  A box that meets the grid runs
+    {!Sqp_zorder.Decompose.decompose_box} on its clip instead of
+    classifying elements. *)
 
 val pp : Format.formatter -> t -> unit

@@ -12,10 +12,12 @@ let points_relation ?(name = "P") space points =
   let tuples =
     List.map
       (fun (id, p) ->
-        Array.of_list
-          (Value.Int id
-           :: Value.Zval (Z.Interleave.shuffle space p)
-           :: List.init k (fun i -> Value.Int p.(i))))
+        let tu = Array.make (k + 2) (Value.Int id) in
+        tu.(1) <- Value.Zval (Z.Interleave.shuffle space p);
+        for i = 0 to k - 1 do
+          tu.(i + 2) <- Value.Int p.(i)
+        done;
+        tu)
       points
   in
   Relation.make ~name schema tuples

@@ -42,8 +42,9 @@ type t = {
 (* The points bulk-loaded into a table keyed by z (payload = id), whose
    first snapshot is the catalog's tree. *)
 let load space points =
-  Live.of_entries ~encode:string_of_int ~decode:int_of_string space
-    (Array.of_list (List.map (fun (id, p) -> (p, id)) points))
+  let entries = Array.make (List.length points) ([||], 0) in
+  List.iteri (fun i (id, p) -> entries.(i) <- (p, id)) points;
+  Live.of_entries ~encode:string_of_int ~decode:int_of_string space entries
 
 let build ~lives ?shard ~space ~points ~tree ~relations () =
   let points_rel = R.Query.points_relation space points in
@@ -90,9 +91,12 @@ let of_seeded ?shard ?(live_empty = false) (wk : Sqp_workload.Seeded.t) =
         lo <= zhi && hi >= zlo
   in
   let points =
-    List.filter
-      (fun (_, p) -> point_in_shard p)
-      (Array.to_list (Array.mapi (fun i p -> (i, p)) wk.W.points))
+    let owned = ref [] in
+    for i = Array.length wk.W.points - 1 downto 0 do
+      let p = wk.W.points.(i) in
+      if point_in_shard p then owned := (i, p) :: !owned
+    done;
+    !owned
   in
   let restrict rel =
     match shard with

@@ -110,18 +110,21 @@ let sort_ints ~comparisons a =
   let n = Array.length a in
   if n > 1 then qsort 0 (n - 1)
 
-(* LSD radix sort (8-bit digits) of non-negative encoded keys: no
-   comparisons at all, ~nbits/8 counting passes.  Stable, though the
-   encodings are pairwise distinct anyway. *)
-let radix_sort a ~nbits =
+(* LSD radix sort (8-bit digits) of non-negative ints below [2^nbits]:
+   no comparisons at all, ~nbits/8 counting passes, stable.  A non-empty
+   [carry] (as long as [a]) is permuted alongside [a]. *)
+let radix_sort ?(carry = [||]) a ~nbits =
   let n = Array.length a in
-  let tmp = Array.make n 0 in
+  let carrying = Array.length carry > 0 in
+  let tmp = Array.make n 0 and carry_tmp = Array.make (Array.length carry) 0 in
   let count = Array.make 256 0 in
   let src = ref a and dst = ref tmp in
+  let carry_src = ref carry and carry_dst = ref carry_tmp in
   let shift = ref 0 in
   while !shift < nbits do
     Array.fill count 0 256 0;
     let s = !src and t = !dst and sh = !shift in
+    let cs = !carry_src and ct = !carry_dst in
     for i = 0 to n - 1 do
       let d = (s.(i) lsr sh) land 255 in
       count.(d) <- count.(d) + 1
@@ -135,14 +138,38 @@ let radix_sort a ~nbits =
     for i = 0 to n - 1 do
       let v = s.(i) in
       let d = (v lsr sh) land 255 in
-      t.(count.(d)) <- v;
-      count.(d) <- count.(d) + 1
+      let r = count.(d) in
+      t.(r) <- v;
+      if carrying then ct.(r) <- cs.(i);
+      count.(d) <- r + 1
     done;
     src := t;
     dst := s;
+    carry_src := ct;
+    carry_dst := cs;
     shift := sh + 8
   done;
-  if !src != a then Array.blit !src 0 a 0 n
+  if !src != a then begin
+    Array.blit !src 0 a 0 n;
+    Array.blit !carry_src 0 carry 0 (Array.length carry)
+  end
+
+(* Point keys are the [total] bits of a point's z value at the top of
+   the word, sign bit flipped: unflipped and shifted down they are the
+   z values themselves, which the radix sort orders one byte a pass. *)
+let sort_point_keys space ks =
+  let n = Array.length ks in
+  let total = Space.total_bits space in
+  let shift = word_bits - total in
+  for i = 0 to n - 1 do
+    ks.(i) <- (ks.(i) lxor min_int) lsr shift
+  done;
+  let order = Array.init n Fun.id in
+  radix_sort ~carry:order ks ~nbits:total;
+  for i = 0 to n - 1 do
+    ks.(i) <- (ks.(i) lsl shift) lxor min_int
+  done;
+  order
 
 (* Stable mergesort of the permutation [a] by [(ks, ls)], all comparisons
    inlined int-array reads — no closure per probe, which is most of the

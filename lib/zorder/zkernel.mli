@@ -46,6 +46,13 @@ val prefix_hi_key : total:int -> level:int -> int -> int
 
 (** {1 Sort and containment sweep} *)
 
+val sort_point_keys : Space.t -> int array -> int array
+(** [sort_point_keys space ks] sorts the {!point_key}s [ks] of points of
+    [space] in place and returns the sorting permutation: entry [r] is
+    the input index of the [r]-th key.  Stable (equal keys keep their
+    input order), by the radix sort of {!sort_keyed}: one counting pass
+    per 8 bits of the space's z values, no comparison. *)
+
 type keyed
 (** A batch in z-sorted order, as the flat word-key / length /
     prefix-mask arrays the containment sweep reads. *)

@@ -13,7 +13,8 @@
    concurrent mutations loses and duplicates nothing, flips the epoch,
    and forces a map-caching client through the stale-epoch refetch
    protocol; and a real [sqp serve] child process reports its port
-   machine-parseably and exits 0 on SIGTERM.
+   machine-parseably and exits 0 on SIGTERM, as [sqp serve] and [sqp
+   route --spawn 1] still do once their stdout reader has gone.
 
    Seeds come from SQP_CLUSTER_SEEDS (comma-separated) when set. *)
 
@@ -817,9 +818,80 @@ let test_split_abort () =
 
    [sqp serve --port 0] must print SQP_SERVE_PORT=<port> as its first
    stdout line (the machine-parseable contract [sqp route] builds on)
-   and exit 0 on SIGTERM after a graceful drain. *)
+   and exit 0 on SIGTERM after a graceful drain, also once its stdout
+   reader has gone. *)
 
 let exe = Filename.concat (Filename.concat ".." "bin") "main.exe"
+
+(* Wait up to 10 s for [pid] to exit; a process still running then is
+   killed and fails the test. *)
+let wait_exit what pid =
+  let t0 = Unix.gettimeofday () in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () -. t0 < 10. ->
+        Thread.delay 0.01;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "%s: still running after 10 s" what
+    | _, status -> status
+  in
+  wait ()
+
+(* What follows [prefix] on the first line of [ic] that starts with it. *)
+let rec line_after ic prefix =
+  let line = input_line ic in
+  if String.starts_with ~prefix line then
+    String.sub line (String.length prefix) (String.length line - String.length prefix)
+  else line_after ic prefix
+
+let refuses_connections port =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close s)
+    (fun () ->
+      match Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+      | () -> false
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true)
+
+(* [sqp ARGS] with its stdout on a pipe whose read end the test closes
+   after the port line (and, for a router, its shard lines), so every
+   later status line meets a closed pipe; then SIGTERM.  The process
+   must still drain and exit 0.  Returns the spawned shards' ports,
+   read off the router's [  shard I: HOST:PORT ...] lines. *)
+let drains_with_stdout_closed ~port_key ~shards args =
+  let what = String.concat " " args in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_w Unix.stderr in
+  Unix.close out_w;
+  let ic = Unix.in_channel_of_descr out_r in
+  let exited = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      close_in_noerr ic;
+      if not !exited then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+      end)
+    (fun () ->
+      ignore (line_after ic (port_key ^ "="));
+      let shard_ports =
+        List.init shards (fun i ->
+            let spec = line_after ic (Printf.sprintf "  shard %d: " i) in
+            let endpoint = List.hd (String.split_on_char ' ' spec) in
+            let colon = String.rindex endpoint ':' in
+            int_of_string
+              (String.sub endpoint (colon + 1) (String.length endpoint - colon - 1)))
+      in
+      close_in ic;
+      Unix.kill pid Sys.sigterm;
+      let status = wait_exit what pid in
+      exited := true;
+      checkb (what ^ ": drains and exits 0 with stdout closed") true
+        (status = Unix.WEXITED 0);
+      shard_ports)
 
 let test_spawned_serve () =
   if not (Sys.file_exists exe) then
@@ -862,7 +934,15 @@ let test_spawned_serve () =
            done
          with End_of_file -> ());
         let _, status = Unix.waitpid [] pid in
-        checkb "SIGTERM drain exits 0" true (status = Unix.WEXITED 0))
+        checkb "SIGTERM drain exits 0" true (status = Unix.WEXITED 0));
+    ignore
+      (drains_with_stdout_closed ~port_key:"SQP_SERVE_PORT" ~shards:0
+         [ "serve"; "--port"; "0"; "--points"; "60"; "--objects"; "4" ]);
+    List.iter
+      (fun port ->
+        checkb "the router's spawned shard is gone" true (refuses_connections port))
+      (drains_with_stdout_closed ~port_key:"SQP_ROUTE_PORT" ~shards:1
+         [ "route"; "--port"; "0"; "--spawn"; "1"; "--points"; "60"; "--objects"; "4" ])
   end
 
 (* Run [sqp ARGS] to its exit with stdout discarded: its exit status
@@ -883,20 +963,7 @@ let run_to_exit args =
           (fun () ->
             Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin devnull err)
       in
-      let what = String.concat " " args in
-      let t0 = Unix.gettimeofday () in
-      let rec wait () =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ when Unix.gettimeofday () -. t0 < 10. ->
-            Thread.delay 0.01;
-            wait ()
-        | 0, _ ->
-            Unix.kill pid Sys.sigkill;
-            ignore (Unix.waitpid [] pid);
-            Alcotest.failf "%s: still running after 10 s" what
-        | _, status -> status
-      in
-      let status = wait () in
+      let status = wait_exit (String.concat " " args) pid in
       let lines =
         In_channel.with_open_text err_file In_channel.input_all
         |> String.split_on_char '\n'

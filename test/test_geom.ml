@@ -186,6 +186,57 @@ let prop_box_intersection_symmetric =
           G.Box.equal i j && G.Box.contains_box a i && G.Box.contains_box b i
       | _ -> false)
 
+(* [Shape.decompose] of a box, the int-bounds fold over its clip, is
+   element for element [Decompose.run] over the box's classifier: for
+   boxes inside the grid, straddling its edge and wholly outside it,
+   under the default, [max_level] and [max_elements] budgets. *)
+let prop_box_decompose_is_run =
+  let side = Z.Space.side s5 in
+  let range lo hi =
+    QCheck2.Gen.(map (fun (a, b) -> (min a b, max a b)) (pair (int_range lo hi) (int_range lo hi)))
+  in
+  let gen_ranges =
+    QCheck2.Gen.(
+      oneof
+        [
+          (* inside the grid *)
+          pair (range 0 (side - 1)) (range 0 (side - 1));
+          (* from beyond the low edge to beyond the high one *)
+          pair (range (-side) (2 * side)) (range (-side) (2 * side));
+          (* wholly outside: one axis misses the grid *)
+          map3
+            (fun miss other swap -> if swap then (other, miss) else (miss, other))
+            (oneof [ range (-side) (-1); range side (2 * side) ])
+            (range (-side) (2 * side))
+            bool;
+        ])
+  in
+  let gen_options =
+    QCheck2.Gen.(
+      oneof
+        [
+          return Z.Decompose.default_options;
+          map
+            (fun l -> { Z.Decompose.max_level = Some l; max_elements = None })
+            (int_range 0 12);
+          map
+            (fun m -> { Z.Decompose.max_level = None; max_elements = Some m })
+            (int_range 1 40);
+        ])
+  in
+  let print (((x0, x1), (y0, y1)), { Z.Decompose.max_level; max_elements }) =
+    let budget = function None -> "-" | Some v -> string_of_int v in
+    Printf.sprintf "[%d:%d; %d:%d] max_level %s max_elements %s" x0 x1 y0 y1
+      (budget max_level) (budget max_elements)
+  in
+  QCheck2.Test.make ~name:"box decompose = run over its classifier" ~count:500 ~print
+    QCheck2.Gen.(pair gen_ranges gen_options)
+    (fun ((xr, yr), options) ->
+      let shape = G.Shape.Box (G.Box.of_ranges [ xr; yr ]) in
+      List.equal Z.Element.equal
+        (G.Shape.decompose ~options s5 shape)
+        (Z.Decompose.run ~options s5 (G.Shape.classifier s5 shape)))
+
 let () =
   Alcotest.run "geom"
     [
@@ -219,5 +270,9 @@ let () =
       ("shape", [ Alcotest.test_case "dispatch" `Quick test_shape_dispatch ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_circle_classifier_consistent; prop_box_intersection_symmetric ] );
+          [
+            prop_circle_classifier_consistent;
+            prop_box_intersection_symmetric;
+            prop_box_decompose_is_run;
+          ] );
     ]

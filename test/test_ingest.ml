@@ -236,8 +236,10 @@ let cowtree_cursor_leaves () =
 
    [of_entries] leaves what one [apply] of the same inserts leaves on a
    fresh table, entries and sequence number, and what one insert per
-   batch leaves too: in 1-, 2- and 3-d spaces, with runs of equal
-   points in no particular order. *)
+   batch leaves too: in 1-, 2- and 3-d spaces whose keys run from 10 to
+   61 bits (every byte of the radix sort's key), with runs of equal
+   points in no particular order and one run longer than a leaf, and
+   for no entries at all. *)
 let bulk_load_matches_apply () =
   List.iter
     (fun (dims, depth) ->
@@ -247,8 +249,11 @@ let bulk_load_matches_apply () =
       let pixel () = Array.init dims (fun _ -> Sqp_workload.Rng.int rng side) in
       let base = Array.init 300 (fun _ -> pixel ()) in
       let entries =
-        Array.init 450 (fun i ->
-            ((if i < 300 then base.(i) else base.(Sqp_workload.Rng.int rng 300)), i))
+        Array.init 500 (fun i ->
+            ( (if i < 300 then base.(i)
+               else if i < 450 then base.(Sqp_workload.Rng.int rng 300)
+               else base.(7)),
+              i ))
       in
       let what = Printf.sprintf "%d-d depth %d" dims depth in
       let bulk = L.of_entries ~encode ~decode space entries in
@@ -261,10 +266,12 @@ let bulk_load_matches_apply () =
       check (what ^ ": entries = one batch's") true (contents bulk = contents batch);
       check (what ^ ": entries = one insert a batch") true
         (contents bulk = contents one_by_one);
-      Alcotest.(check int) (what ^ ": seq = one batch's") (L.seq batch) (L.seq bulk))
-    [ (1, 12); (2, 5); (3, 4) ];
-  Alcotest.(check int) "no entries, no batch" 0
-    (L.seq (L.of_entries ~encode ~decode space [||]));
+      Alcotest.(check int) (what ^ ": seq = one batch's") (L.seq batch) (L.seq bulk);
+      let empty = L.of_entries ~encode ~decode space [||] in
+      check (what ^ ": no entries = a fresh table") true
+        (contents empty = contents (L.create ~encode ~decode space));
+      Alcotest.(check int) (what ^ ": no entries, no batch") 0 (L.seq empty))
+    [ (1, 12); (2, 5); (3, 4); (2, 28); (3, 19); (1, 61) ];
   match L.of_entries ~encode ~decode space [| ([| 3; 256 |], 0) |] with
   | _ -> Alcotest.fail "a point outside the space was loaded"
   | exception Invalid_argument _ -> ()

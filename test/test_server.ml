@@ -911,6 +911,46 @@ let test_catalog_words () =
   if words > 165_000 then
     Alcotest.failf "the standard catalog reaches %d words (more than 165,000)" words
 
+(* Words one call allocates: the minor words (exact in native code)
+   plus the words allocated straight into the major heap (major minus
+   promoted), so a large array cannot hide there.  [Gc.counters]' own
+   minor count is not used: on OCaml 5.1 it drifts by whole minor heaps
+   from one call to the next. *)
+let words_allocated f =
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
+
+(* What [sqp serve] builds before its port line, in words allocated:
+   the standard workload and its catalog under 450,000 (1,217,906 when
+   they were built through boxed detours), and the first of two even
+   shard slices under 350,000 (815,071 then). *)
+let test_startup_allocation () =
+  let (std, _), words =
+    words_allocated (fun () ->
+        let std = Sqp_workload.Seeded.standard () in
+        (std, Catalog.of_seeded std))
+  in
+  if words > 450_000 then
+    Alcotest.failf "the standard workload and catalog allocate %d words (more than 450,000)"
+      words;
+  let shard = List.hd (Sqp_server.Shard_map.even_ranges std.Sqp_workload.Seeded.space 2) in
+  let _, words = words_allocated (fun () -> Catalog.of_seeded ~shard std) in
+  if words > 350_000 then
+    Alcotest.failf "the first of two shard catalogs allocates %d words (more than 350,000)"
+      words
+
+(* A fresh catalog already holds all it serves from: no structure is
+   left to build after the port line. *)
+let test_fresh_catalog_words () =
+  let cat = Catalog.of_seeded (Sqp_workload.Seeded.standard ()) in
+  let words = Obj.reachable_words (Obj.repr cat) in
+  if words > 161_045 then
+    Alcotest.failf "a fresh standard catalog reaches %d words (more than 161,045)" words
+
 (* Section 5.3.2's unit on the standard points: 5,000 points at 20 a
    leaf are 250 pages, the whole grid reads every one of them, and the
    400 standard boxes read 4,317 pages for their 29,985 rows.  The
@@ -1116,6 +1156,8 @@ let () =
           Alcotest.test_case "range answers ignore L's writes" `Quick
             test_points_stay_frozen;
           Alcotest.test_case "catalog words after one range" `Quick test_catalog_words;
+          Alcotest.test_case "start-up allocation" `Quick test_startup_allocation;
+          Alcotest.test_case "fresh catalog words" `Quick test_fresh_catalog_words;
           Alcotest.test_case "pages per range" `Quick test_range_pages;
         ] );
       ( "range",

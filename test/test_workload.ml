@@ -158,6 +158,41 @@ let test_clustered_is_clustered () =
   let c = W.Datagen.clustered rc ~side:512 ~clusters:10 ~per_cluster:30 ~spread:5.0 in
   check "clusters tighter" true (nn_mean c < nn_mean u)
 
+(* The generators' points at fixed seeds, pinned by digest (recorded
+   before the duplicate check was keyed by cell index): how a draw is
+   found to be a duplicate must not change which points come out, nor
+   their order. *)
+let points_digest pts =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (Array.to_list
+             (Array.map
+                (fun p -> String.concat "," (Array.to_list (Array.map string_of_int p)))
+                pts))))
+
+let test_datagen_digests () =
+  let rng seed = W.Rng.create ~seed in
+  let pin what digest pts = Alcotest.(check string) what digest (points_digest pts) in
+  pin "uniform 2d (the standard points)" "d358b979684e1ddfa70c24ffc9fc1d4f"
+    (W.Datagen.uniform (rng 77) ~side:1024 ~n:5000 ~dims:2);
+  pin "uniform 3d, most cells full" "0c23af6d335ca2ec7ec7a051438744c6"
+    (W.Datagen.uniform (rng 5) ~side:16 ~n:3000 ~dims:3);
+  pin "clustered" "05facc4c64cf53c6283498032e2c1ec2"
+    (W.Datagen.clustered (rng 6) ~side:1024 ~clusters:50 ~per_cluster:100 ~spread:16.0);
+  pin "diagonal" "a20e1c9e8bd4cf6fe5d55910f4f2ccd6"
+    (W.Datagen.diagonal (rng 7) ~side:1024 ~n:5000 ~jitter:8);
+  List.iter2
+    (fun ds digest ->
+      pin ("generate " ^ W.Datagen.dataset_name ds) digest
+        (W.Datagen.generate (rng 8) ds ~side:256 ~n:1000))
+    W.Datagen.[ Uniform; Clustered; Diagonal ]
+    [
+      "0642477db205a8786cd49da3926f3932";
+      "d790ec926b99ae0b3e34f825cc96eed1";
+      "120ddc2060256fcdcb7c6ca667800d80";
+    ]
+
 (* {1 Querygen} *)
 
 let test_extents () =
@@ -227,6 +262,7 @@ let () =
           Alcotest.test_case "paper datasets" `Quick test_generate_paper_datasets;
           Alcotest.test_case "names" `Quick test_dataset_names;
           Alcotest.test_case "clustering is real" `Quick test_clustered_is_clustered;
+          Alcotest.test_case "points pinned by digest" `Quick test_datagen_digests;
         ] );
       ( "querygen",
         [
