@@ -325,11 +325,15 @@ let check_deadline cmd = function
       usage_error cmd "bad --deadline-ms %d (want 1..4294967295)" ms
   | _ -> ()
 
-(* The seeded workload refuses more points than the grid has cells. *)
+(* The seeded workload refuses more points than the grid has cells.
+   Nothing served reads its query boxes, so none are drawn. *)
 let seeded_workload cmd ~points ~objects =
   check_min cmd "points" ~min:0 points;
   check_min cmd "objects" ~min:0 objects;
-  match Sqp_workload.Seeded.standard ~n_points:points ~n_objects:objects () with
+  match
+    Sqp_workload.Seeded.standard ~n_points:points ~n_objects:objects
+      ~n_query_boxes:0 ()
+  with
   | wk -> wk
   | exception Invalid_argument msg -> usage_error cmd "bad --points/--objects: %s" msg
 
@@ -434,17 +438,8 @@ let serve_cmd =
              route --spawn) uses) or $(i,ZLO:ZHI) (an explicit inclusive z \
              interval, 0 <= ZLO <= ZHI).")
   in
-  let live_empty_arg =
-    Arg.(
-      value & flag
-      & info [ "live-empty" ]
-          ~doc:
-            "Start the live table empty instead of pre-seeded — how a \
-             rebalance target begins life (rows arrive via the router's \
-             chunked copy).")
-  in
   let run host port max_in_flight max_queue default_deadline_ms
-      n_points n_objects idle_timeout_s frame_timeout_s shard_spec live_empty =
+      n_points n_objects idle_timeout_s frame_timeout_s shard_spec =
     check_port "serve" ~listen:true port;
     check_min "serve" "max-in-flight" ~min:1 max_in_flight;
     check_min "serve" "max-queue" ~min:0 max_queue;
@@ -472,7 +467,7 @@ let serve_cmd =
           | _ -> fail ())
         shard_spec
     in
-    let catalog = Srv.Catalog.of_seeded ?shard ~live_empty wk in
+    let catalog = Srv.Catalog.of_seeded ?shard wk in
     let config =
       {
         Srv.Server.default_config with
@@ -497,9 +492,7 @@ let serve_cmd =
     status "sqp serve: listening on %s:%d (%d in flight, queue %d)\n" host
       (Srv.Server.port server) max_in_flight max_queue;
     (match Srv.Catalog.shard_range catalog with
-    | Some (zlo, zhi) ->
-        status "shard: z=[%d,%d]%s\n" zlo zhi
-          (if live_empty then ", live table empty" else "")
+    | Some (zlo, zhi) -> status "shard: z=[%d,%d]\n" zlo zhi
     | None -> ());
     status "catalog: %s\n"
       (String.concat ", "
@@ -526,7 +519,7 @@ let serve_cmd =
           new ones are refused) and exit 0.")
     Term.(
       const run $ host_arg $ port_arg ~default:7477 $ in_flight_arg $ queue_arg $ deadline_arg $ points_arg $ objects_arg
-      $ idle_timeout_arg $ frame_timeout_arg $ shard_arg $ live_empty_arg)
+      $ idle_timeout_arg $ frame_timeout_arg $ shard_arg)
 
 (* The canonical join plan, as a client would send it over the wire. *)
 let join_wire_plan =
@@ -802,11 +795,12 @@ let route_cmd =
   in
   let run host port spawn shards points objects =
     check_port "route" ~listen:true port;
-    let wk = seeded_workload "route" ~points ~objects in
-    let space = wk.Sqp_workload.Seeded.space in
+    let space = Sqp_workload.Seeded.standard_space in
     let spawned, endpoints =
       match (spawn, shards) with
       | n, None when n > 0 ->
+          (* refuse bad seeds here, before any shard starts *)
+          ignore (seeded_workload "route" ~points ~objects);
           let ss = spawn_even_shards ~points ~objects n in
           (ss, List.map (fun s -> ("127.0.0.1", s.port)) ss)
       | 0, Some list ->

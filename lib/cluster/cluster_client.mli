@@ -4,13 +4,13 @@
 
     The cached map is a lease without a clock: every direct sub-request
     travels in a [Forward] envelope stamped with the cached epoch, so a
-    shard whose map has moved on (a rebalance flipped the epoch)
-    refuses with [Stale_epoch] instead of answering from a range it no
-    longer owns.  On that signal the client refetches the map from the
+    shard whose map has moved on (an operator pushed a new epoch)
+    refuses with [Stale_epoch] instead of answering under a map it no
+    longer holds.  On that signal the client refetches the map from the
     router and retries — the {e stale-epoch rejection and refetch}
     protocol.  Everything that is not a range read (plans, mutations,
-    admin) still goes through the router, which owns the split/merge
-    logic. *)
+    admin) still goes through the router, which owns the scatter and
+    the merge. *)
 
 type t
 

@@ -41,45 +41,11 @@ let default_config =
 
 type pool = { mutable free : Client.t list; pm : Mutex.t }
 
-(* Rebalance in flight: the state machine of [split].  [watermark] is
-   the highest z already copied to the target (mutations at or below it
-   are dual-written); [chunk] is the element being copied right now
-   (mutations inside it wait); [tables] is the set of live tables the
-   move covers — copy, dual-writes and cleanup must agree on it;
-   [moved] counts, per (table, coordinate), how many entries the target
-   now holds that the source also still holds — the cleanup list;
-   [shadowed] records the origin idempotency keys whose dual-write has
-   already executed, so a replay (client retry, stale re-route) neither
-   re-applies it nor double-counts [moved]. *)
-type rebal = {
-  move_lo : int;
-  move_hi : int;
-  dst_host : string;
-  dst_port : int;
-  tables : string list;
-  mutable watermark : int;
-  mutable chunk : (int * int) option;
-  mutable failed : string option;
-  moved : (string * int array, int) Hashtbl.t;
-  shadowed : (int * int, unit) Hashtbl.t;
-}
-
 type t = {
   config : config;
   space : Z.Space.t;
   mutable rmap : SM.t;
-  mutable rebal : rebal option;
-  mutable splitting : bool;
-      (* true from [split]'s claim to its return — outlives [rebal],
-         which is cleared at the epoch flip *)
-  mutable gate : int ref;
-      (* current generation bucket of in-flight routed mutations: every
-         gated mutation increments it (rebalance or not); the copy loop
-         and the flip swap in a fresh bucket and drain the old one, so
-         "wait for every mutation that started before now" terminates
-         even under continuous traffic *)
   m : Mutex.t;
-  cv : Condition.t;
   pools : (string, pool) Hashtbl.t;
   pools_m : Mutex.t;
   mutable net : Net.t option;
@@ -89,10 +55,6 @@ type t = {
   c_skipped : Metrics.counter;
   c_stale_retries : Metrics.counter;
   g_epoch : Metrics.gauge;
-  c_reb_chunks : Metrics.counter;
-  c_reb_rows : Metrics.counter;
-  c_reb_dual : Metrics.counter;
-  g_reb_active : Metrics.gauge;
 }
 
 let port t = match t.net with Some n -> Net.port n | None -> 0
@@ -149,9 +111,10 @@ let put_client p c =
   p.free <- c :: p.free;
   Mutex.unlock p.pm
 
-(* Run [f] on a pooled client for [host:port]; the client goes back to
-   the pool unless the call ended in a transport failure. *)
-let with_endpoint t ~host ~port f =
+(* Run [f] on a pooled client for shard [entry]; the client goes back
+   to the pool unless the call ended in a transport failure. *)
+let with_entry t (entry : SM.entry) f =
+  let host = entry.SM.host and port = entry.SM.port in
   match take_client t ~host ~port with
   | exception e ->
       Error
@@ -174,8 +137,6 @@ let with_endpoint t ~host ~port f =
       | _ ->
           put_client p c;
           r)
-
-let with_entry t (e : SM.entry) f = with_endpoint t ~host:e.SM.host ~port:e.SM.port f
 
 let shard_label (e : SM.entry) =
   Printf.sprintf "%s:%d z=[%d,%d]" e.SM.host e.SM.port e.SM.zlo e.SM.zhi
@@ -409,104 +370,13 @@ let plan_rejection =
          would be lost) or a root Sort (shard order cannot be stitched)";
     }
 
-(* {1 Rebalance gate}
-
-   Every routed mutation passes here.  Points inside the chunk being
-   copied wait (briefly — one chunk is a few thousand cells); points in
-   the already-copied region are dual-written to the target so the copy
-   cannot go stale.
-
-   The pass couples three facts read under one lock hold: the
-   generation bucket joined (so the copy loop and the flip can drain
-   every mutation that entered before them, including ones that predate
-   the rebalance), the rebalance snapshot (whether to dual-write, and
-   up to which watermark), and the routing map.  Snapshotting the map
-   here — not before the gate — is what makes the epoch flip safe: the
-   flip installs the new map and clears [rebal] in one critical
-   section, so a mutation either sees the old map {e and} dual-writes,
-   or sees the new map and routes straight to the new owner — never a
-   dual-write plus a new-map forward to the same shard. *)
-
-type pass = {
-  bucket : int ref;  (* the generation this mutation joined *)
-  dual : (rebal * int) option;  (* rebalance and its watermark at gate time *)
-  pmap : SM.t;  (* routing map, consistent with [dual] *)
-}
-
-let gate_begin t zs =
-  Mutex.lock t.m;
-  let rec wait_clear z =
-    match t.rebal with
-    | Some { chunk = Some (clo, chi); _ } when z >= clo && z <= chi ->
-        Condition.wait t.cv t.m;
-        wait_clear z
-    | _ -> ()
-  in
-  List.iter wait_clear zs;
-  let bucket = t.gate in
-  incr bucket;
-  let dual =
-    match t.rebal with Some rb -> Some (rb, rb.watermark) | None -> None
-  in
-  let pmap = t.rmap in
-  Mutex.unlock t.m;
-  { bucket; dual; pmap }
-
-let gate_end t pass ~record =
-  Mutex.lock t.m;
-  decr pass.bucket;
-  (match pass.dual with
-  | Some (rb, _) ->
-      List.iter
-        (fun (table, p, delta) ->
-          let key = (table, p) in
-          let n = try Hashtbl.find rb.moved key with Not_found -> 0 in
-          Hashtbl.replace rb.moved key (n + delta))
-        record
-  | None -> ());
-  Condition.broadcast t.cv;
-  Mutex.unlock t.m
-
-(* Swap in a fresh generation bucket and wait until every mutation in
-   the old one has called [gate_end].  Caller holds [t.m]; new
-   mutations join the fresh bucket, so this terminates under load. *)
-let drain_gate t =
-  let old = t.gate in
-  t.gate <- ref 0;
-  while !old > 0 do
-    Condition.wait t.cv t.m
-  done
-
-let rebal_fail t msg =
-  Mutex.lock t.m;
-  (match t.rebal with
-  | Some rb when rb.failed = None -> rb.failed <- Some msg
-  | _ -> ());
-  Mutex.unlock t.m
-
-(* A dual-write executes once per origin idempotency key: replays
-   (client retries, stale re-routes through [with_stale_retry]) find
-   the key in [shadowed] and skip both the write and its [moved]
-   record.  Unkeyed mutations cannot be tracked and execute each
-   time — the same at-least-once contract an unkeyed client already
-   has against a single server. *)
-let shadow_fresh t rb = function
-  | None -> true
-  | Some { P.client_id; request_seq } ->
-      Mutex.lock t.m;
-      let k = (client_id, request_seq) in
-      let fresh = not (Hashtbl.mem rb.shadowed k) in
-      if fresh then Hashtbl.add rb.shadowed k ();
-      Mutex.unlock t.m;
-      fresh
-
 (* {1 Mutation routing} *)
 
 let owner_idx m z =
   let rec go i = function
     | [] -> None
     | (e : SM.entry) :: rest ->
-        if z >= e.zlo && z <= e.zhi then Some (i, e) else go (i + 1) rest
+        if z >= e.zlo && z <= e.zhi then Some i else go (i + 1) rest
   in
   go 0 m.SM.entries
 
@@ -515,15 +385,15 @@ let owner_idx m z =
    router's — a deployment error worth naming, not an assert. *)
 exception Unowned_z of int
 
-let group_by_owner m items z_of =
+let group_by_owner m keyed =
   let n = List.length m.SM.entries in
   let buckets = Array.make n [] in
   List.iter
-    (fun it ->
-      match owner_idx m (z_of it) with
-      | Some (i, _) -> buckets.(i) <- it :: buckets.(i)
-      | None -> raise (Unowned_z (z_of it)))
-    items;
+    (fun (z, it) ->
+      match owner_idx m z with
+      | Some i -> buckets.(i) <- it :: buckets.(i)
+      | None -> raise (Unowned_z z))
+    keyed;
   List.filteri (fun i _ -> buckets.(i) <> [])
   @@ List.mapi
        (fun i e -> (i, e, List.rev buckets.(i)))
@@ -578,94 +448,18 @@ let forward_subbatches t m (frame : P.request_frame) groups make_req =
                     ~epoch:m.SM.epoch ~payload)) ))
        groups)
 
-(* Shared shell of [route_insert]/[route_delete]: gate, dual-write the
-   already-copied region (idempotently, under the origin's key), then
-   forward per-owner sub-batches under the map snapshotted {e by} the
-   gate.  A mutation to a live table the rebalance is not copying
-   cannot be made safe (its moved-range rows would be orphaned at the
-   flip), so it poisons the rebalance instead — the split aborts with
-   the map unflipped and nothing is lost. *)
-let route_mutation t (frame : P.request_frame) ~table ~points ~z_of ~point_of
-    ~(shadow_write : rebal -> 'a list -> (unit, Client.error) result)
-    ~(shadow_delta : int) ~(make_req : 'a list -> P.request) =
-  let zs = List.map z_of points in
-  let pass = gate_begin t zs in
-  let m = pass.pmap in
-  let record = ref [] in
-  (match pass.dual with
-  | Some (rb, wm) ->
-      if not (List.mem table rb.tables) then begin
-        (* the whole moving range is at stake, not just the copied
-           prefix: a row landing above the watermark would simply never
-           be copied, then hidden at the flip — the same orphaning,
-           deferred *)
-        if
-          List.exists
-            (fun it ->
-              let z = z_of it in
-              z >= rb.move_lo && z <= rb.move_hi)
-            points
-        then
-          rebal_fail t
-            (Printf.sprintf
-               "mutation to live table %S, which this rebalance is not \
-                copying — aborting the move to avoid orphaning its rows"
-               table)
-      end
-      else begin
-        let shadow =
-          List.filter
-            (fun it -> let z = z_of it in z >= rb.move_lo && z <= wm)
-            points
-        in
-        if shadow <> [] then
-          if shadow_fresh t rb frame.P.idem then begin
-            Metrics.add t.c_reb_dual (List.length shadow);
-            match shadow_write rb shadow with
-            | Ok () ->
-                record :=
-                  List.map
-                    (fun it -> (table, Array.copy (point_of it), shadow_delta))
-                    shadow
-            | Error err ->
-                rebal_fail t
-                  ("dual write failed: " ^ Client.error_to_string err)
-          end
-      end
-  | None -> ());
-  match group_by_owner m points z_of with
-  | exception Unowned_z z ->
-      gate_end t pass ~record:[];
-      `Done (unowned_error m z)
-  | groups ->
-      let results = forward_subbatches t m frame groups make_req in
-      gate_end t pass ~record:!record;
-      settle merge_acks results
-
-let route_insert t frame ~table ~(points : (int array * int) list) =
-  let z_of (p, _) = SM.z_of_point t.space p in
-  route_mutation t frame ~table ~points ~z_of ~point_of:fst ~shadow_delta:1
-    ~shadow_write:(fun rb shadow ->
-      match
-        with_endpoint t ~host:rb.dst_host ~port:rb.dst_port (fun c ->
-            Client.insert ?idem:frame.P.idem c ~table shadow)
-      with
-      | Ok _ -> Ok ()
-      | Error err -> Error err)
-    ~make_req:(fun sub -> P.Insert { table; points = sub })
-
-let route_delete t frame ~table ~(points : int array list) =
-  let z_of p = SM.z_of_point t.space p in
-  route_mutation t frame ~table ~points ~z_of ~point_of:Fun.id
-    ~shadow_delta:(-1)
-    ~shadow_write:(fun rb shadow ->
-      match
-        with_endpoint t ~host:rb.dst_host ~port:rb.dst_port (fun c ->
-            Client.delete ?idem:frame.P.idem c ~table shadow)
-      with
-      | Ok _ -> Ok ()
-      | Error err -> Error err)
-    ~make_req:(fun sub -> P.Delete { table; points = sub })
+(* [Insert] and [Delete]: each point's z value is computed once (a
+   point outside the space is the shards' [Bad_request], refused before
+   any forward); then, under each map [with_stale_retry] hands in, the
+   points are grouped by owner and forwarded as per-shard sub-batches. *)
+let route_mutation t frame ~z_of ~make_req points =
+  match List.map (fun it -> (z_of it, it)) points with
+  | exception Invalid_argument message -> P.Error { code = P.Bad_request; message }
+  | keyed ->
+      with_stale_retry t 1 (fun m ->
+          match group_by_owner m keyed with
+          | exception Unowned_z z -> `Done (unowned_error m z)
+          | groups -> settle merge_acks (forward_subbatches t m frame groups make_req))
 
 (* {1 Broadcast plans and admin} *)
 
@@ -791,20 +585,13 @@ let route t (frame : P.request_frame) payload =
       else
         with_stale_retry t 1 (fun m ->
             settle (merge_texts m) (broadcast t m ?deadline_ms payload))
-  | P.Insert { table; points } -> (
-      match List.map (fun (p, _) -> SM.z_of_point t.space p) points with
-      | exception Invalid_argument msg ->
-          P.Error { code = P.Bad_request; message = msg }
-      | _ ->
-          (* mutations snapshot their map inside the gate, not here —
-             the stale-retry loop only drives resync + re-route *)
-          with_stale_retry t 1 (fun _ -> route_insert t frame ~table ~points))
-  | P.Delete { table; points } -> (
-      match List.map (SM.z_of_point t.space) points with
-      | exception Invalid_argument msg ->
-          P.Error { code = P.Bad_request; message = msg }
-      | _ ->
-          with_stale_retry t 1 (fun _ -> route_delete t frame ~table ~points))
+  | P.Insert { table; points } ->
+      route_mutation t frame points
+        ~z_of:(fun (p, _) -> SM.z_of_point t.space p)
+        ~make_req:(fun sub -> P.Insert { table; points = sub })
+  | P.Delete { table; points } ->
+      route_mutation t frame points ~z_of:(SM.z_of_point t.space)
+        ~make_req:(fun sub -> P.Delete { table; points = sub })
   | P.Create_index _ ->
       with_stale_retry t 1 (fun m ->
           settle merge_acks (broadcast t m ?deadline_ms payload))
@@ -813,15 +600,9 @@ let route t (frame : P.request_frame) payload =
           settle (merge_texts m) (broadcast t m ?deadline_ms payload))
   | P.Health -> route_health t (current_map t)
   | P.Shard_map_get -> P.Shard_map (current_map t)
-  | P.Shard_map_set { map = m; self = _ } -> (
-      Mutex.lock t.m;
-      let current = t.rmap in
-      let busy = t.splitting in
-      Mutex.unlock t.m;
-      if busy then
-        P.Error
-          { code = P.Server_error; message = "rebalance in progress; retry later" }
-      else if m.SM.epoch < current.SM.epoch then
+  | P.Shard_map_set { map = m; self = _ } ->
+      let current = current_map t in
+      if m.SM.epoch < current.SM.epoch then
         P.Error
           {
             code = P.Stale_epoch;
@@ -833,7 +614,7 @@ let route t (frame : P.request_frame) payload =
         set_map t m;
         ignore (push_map t m);
         P.Ack { applied = List.length m.SM.entries; seq = m.SM.epoch }
-      end)
+      end
   | P.Forward _ ->
       P.Error
         {
@@ -856,256 +637,6 @@ let handle t payload =
                  message = "router: " ^ Printexc.to_string e;
                }))
 
-(* {1 Rebalancing: split one shard's range} *)
-
-let chunk_cells = 4096.
-
-(* The moving range's canonical element cover, each element split until
-   it is at most [chunk_cells] pixels: every chunk is simultaneously an
-   aligned z interval and an axis-aligned box, so [Live_range] reads it
-   exactly and the watermark advances in z order. *)
-let chunks_of t ~lo ~hi =
-  let rec refine e =
-    if Z.Element.cells t.space e <= chunk_cells then [ e ]
-    else
-      let l, h = Z.Element.children e in
-      refine l @ refine h
-  in
-  List.concat_map refine (Z.Zrange.cover t.space ~lo ~hi)
-
-let copy_chunk t ~src ~dst ~table element =
-  let lo, hi = Z.Element.box t.space element in
-  match
-    with_entry t src (fun c -> Client.live_range c ~table ~lo ~hi)
-  with
-  | Error err ->
-      Error
-        (Printf.sprintf "chunk read (%s): %s" table (Client.error_to_string err))
-  | Ok rel -> (
-      let schema = R.Relation.schema rel in
-      let k = Z.Space.dims t.space in
-      let entries =
-        List.map
-          (fun tu ->
-            let id = R.Value.to_int (R.Relation.get tu schema "id") in
-            let p =
-              Array.init k (fun i ->
-                  R.Value.to_int
-                    (R.Relation.get tu schema (Printf.sprintf "x%d" i)))
-            in
-            (p, id))
-          (R.Relation.tuples rel)
-      in
-      if entries = [] then Ok []
-      else
-        match
-          with_endpoint t ~host:dst.SM.host ~port:dst.SM.port (fun c ->
-              Client.insert c ~table entries)
-        with
-        | Ok _ -> Ok (List.map fst entries)
-        | Error err ->
-            Error
-              (Printf.sprintf "chunk write (%s): %s" table
-                 (Client.error_to_string err)))
-
-let split ?(tables = [ "L" ]) t ~from_ ~at ~host ~port =
-  (* 1. claim: one rebalance at a time, validated against the live map *)
-  Mutex.lock t.m;
-  let claim =
-    if t.splitting then Error "a rebalance is already in progress"
-    else if tables = [] then Error "no tables to move"
-    else
-      match List.nth_opt t.rmap.SM.entries from_ with
-      | None -> Error (Printf.sprintf "no shard entry %d" from_)
-      | Some e ->
-          if at <= e.SM.zlo || at > e.SM.zhi then
-            Error
-              (Printf.sprintf "split point %d outside (%d, %d]" at e.SM.zlo
-                 e.SM.zhi)
-          else begin
-            let rb =
-              {
-                move_lo = at;
-                move_hi = e.SM.zhi;
-                dst_host = host;
-                dst_port = port;
-                tables;
-                watermark = at - 1;
-                chunk = None;
-                failed = None;
-                moved = Hashtbl.create 64;
-                shadowed = Hashtbl.create 64;
-              }
-            in
-            t.splitting <- true;
-            t.rebal <- Some rb;
-            Metrics.set_gauge t.g_reb_active 1;
-            Ok (e, rb)
-          end
-  in
-  Mutex.unlock t.m;
-  match claim with
-  | Error _ as e -> e
-  | Ok (src, rb) -> (
-      let finish r =
-        Mutex.lock t.m;
-        t.rebal <- None;
-        t.splitting <- false;
-        Metrics.set_gauge t.g_reb_active 0;
-        Condition.broadcast t.cv;
-        Mutex.unlock t.m;
-        r
-      in
-      let dst_entry =
-        { SM.zlo = at; zhi = src.SM.zhi; host; port }
-      in
-      (* 2. target must be alive before we move a single row *)
-      match with_endpoint t ~host ~port (fun c -> Client.health c) with
-      | Error err ->
-          finish (Error ("target unreachable: " ^ Client.error_to_string err))
-      | Ok _ -> (
-          (* 3. chunked copy with catch-up: claim chunk -> drain every
-             mutation already past the gate (they may still be landing
-             rows in this chunk at the source — including ones that
-             entered before this rebalance began) -> snapshot-read each
-             table from source -> append to target -> advance the
-             watermark (dual-writes take over for this chunk) *)
-          let rec copy = function
-            | [] -> Ok ()
-            | element :: rest -> (
-                let clo, chi = Z.Zrange.of_element t.space element in
-                Mutex.lock t.m;
-                rb.chunk <- Some (clo, chi);
-                drain_gate t;
-                Mutex.unlock t.m;
-                let copied =
-                  List.fold_left
-                    (fun acc table ->
-                      match acc with
-                      | Error _ as e -> e
-                      | Ok done_ -> (
-                          match copy_chunk t ~src ~dst:dst_entry ~table element with
-                          | Ok pts -> Ok ((table, pts) :: done_)
-                          | Error msg -> Error msg))
-                    (Ok []) rb.tables
-                in
-                Mutex.lock t.m;
-                (match copied with
-                | Ok per_table ->
-                    List.iter
-                      (fun (table, pts) ->
-                        List.iter
-                          (fun p ->
-                            let key = (table, p) in
-                            let n =
-                              try Hashtbl.find rb.moved key with Not_found -> 0
-                            in
-                            Hashtbl.replace rb.moved key (n + 1))
-                          pts)
-                      per_table
-                | Error _ -> ());
-                (* the watermark only advances once every table's slice
-                   of the chunk is on the target — dual-writes for any
-                   table are then safe for this range *)
-                (match copied with
-                | Ok _ -> rb.watermark <- chi
-                | Error _ -> ());
-                rb.chunk <- None;
-                Condition.broadcast t.cv;
-                Mutex.unlock t.m;
-                match copied with
-                | Ok per_table ->
-                    Metrics.incr t.c_reb_chunks;
-                    Metrics.add t.c_reb_rows
-                      (List.fold_left
-                         (fun n (_, pts) -> n + List.length pts)
-                         0 per_table);
-                    copy rest
-                | Error msg -> Error msg)
-          in
-          match copy (chunks_of t ~lo:at ~hi:src.SM.zhi) with
-          | Error msg -> finish (Error msg)
-          | Ok () -> (
-              match rb.failed with
-              | Some msg -> finish (Error msg)
-              | None -> (
-                  (* 4. atomic flip: install epoch+1 and retire the
-                     dual-write gate in ONE critical section — a
-                     mutation gated after this point routes under the
-                     new map straight to the new owner and is never
-                     also shadow-written to it.  Then drain mutations
-                     already past the gate: their dual-writes and
-                     old-epoch forwards (which the not-yet-fenced
-                     source still accepts) finish and land their
-                     [moved] records before the cleanup snapshot.
-                     Only after the drain is the map pushed; requests
-                     racing at the old epoch from here on are fenced
-                     off by the shards and re-routed by the
-                     stale-retry loop. *)
-                  Mutex.lock t.m;
-                  let old = t.rmap in
-                  let entries =
-                    List.concat
-                      (List.mapi
-                         (fun i (e : SM.entry) ->
-                           if i = from_ then
-                             [ { e with SM.zhi = at - 1 }; dst_entry ]
-                           else [ e ])
-                         old.SM.entries)
-                  in
-                  let flipped = SM.make ~epoch:(old.SM.epoch + 1) entries in
-                  t.rmap <- flipped;
-                  Metrics.set_gauge t.g_epoch flipped.SM.epoch;
-                  t.rebal <- None;
-                  Metrics.set_gauge t.g_reb_active 0;
-                  Condition.broadcast t.cv;
-                  drain_gate t;
-                  Mutex.unlock t.m;
-                  let push_errors =
-                    List.filter_map
-                      (function Error m -> Some m | Ok () -> None)
-                      (push_map t flipped)
-                  in
-                  (* 5. cleanup: the source still physically holds every
-                     moved row (its ownership filter already hides them
-                     from reads); delete them so the space comes back.
-                     No gated mutation can touch [moved] any more — the
-                     gate is retired and drained. *)
-                  let moved_by_table = Hashtbl.create 4 in
-                  Hashtbl.iter
-                    (fun (table, p) n ->
-                      if n > 0 then
-                        let cur =
-                          try Hashtbl.find moved_by_table table
-                          with Not_found -> []
-                        in
-                        Hashtbl.replace moved_by_table table
-                          (List.init n (fun _ -> p) @ cur))
-                    rb.moved;
-                  let rec cleanup table = function
-                    | [] -> ()
-                    | pts ->
-                        let batch, rest =
-                          if List.length pts > 512 then
-                            (List.filteri (fun i _ -> i < 512) pts,
-                             List.filteri (fun i _ -> i >= 512) pts)
-                          else (pts, [])
-                        in
-                        ignore
-                          (with_entry t src (fun c ->
-                               Client.delete c ~table batch));
-                        cleanup table rest
-                  in
-                  Hashtbl.iter (fun table pts -> cleanup table pts)
-                    moved_by_table;
-                  if push_errors = [] then finish (Ok ())
-                  else
-                    finish
-                      (Error
-                         ("map flipped but some pushes failed (will self-heal \
-                           on stale retries): "
-                        ^ String.concat "; " push_errors))))))
-
 (* {1 Lifecycle} *)
 
 let start ?(config = default_config) ?metrics ~space ~map () =
@@ -1115,11 +646,7 @@ let start ?(config = default_config) ?metrics ~space ~map () =
       config;
       space;
       rmap = map;
-      rebal = None;
-      splitting = false;
-      gate = ref 0;
       m = Mutex.create ();
-      cv = Condition.create ();
       pools = Hashtbl.create 8;
       pools_m = Mutex.create ();
       net = None;
@@ -1129,10 +656,6 @@ let start ?(config = default_config) ?metrics ~space ~map () =
       c_skipped = Metrics.counter reg "cluster.shards_skipped";
       c_stale_retries = Metrics.counter reg "cluster.stale_retries";
       g_epoch = Metrics.gauge reg "cluster.epoch";
-      c_reb_chunks = Metrics.counter reg "cluster.rebalance.chunks";
-      c_reb_rows = Metrics.counter reg "cluster.rebalance.rows_moved";
-      c_reb_dual = Metrics.counter reg "cluster.rebalance.dual_writes";
-      g_reb_active = Metrics.gauge reg "cluster.rebalance.active";
     }
   in
   Metrics.set_gauge t.g_epoch map.SM.epoch;

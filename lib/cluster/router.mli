@@ -30,12 +30,13 @@
       cannot be stitched); anything else draws [Bad_request].
       [Analyze] answers stitch the per-shard rendered trees into one
       report — the per-shard breakdown of EXPLAIN ANALYZE.
-    - {b Mutations} ([Insert], [Delete]): split by each point's z value
-      and forwarded to the owning shard {e with the origin client's
-      idempotency key} — the shard-side dedup windows then make the
-      mutation exactly-once end to end, across router retries and
-      client retries alike.  The combined [Ack] sums the per-shard
-      [applied] counts and takes the highest [seq].
+    - {b Mutations} ([Insert], [Delete]): grouped by each point's z
+      value under the current map and forwarded to the owning shards
+      {e with the origin client's idempotency key} — the shard-side
+      dedup windows then make the mutation exactly-once end to end,
+      across router retries and client retries alike.  The combined
+      [Ack] sums the per-shard [applied] counts and takes the highest
+      [seq].
     - {b Broadcast admin} ([Create_index], [Refresh_stats], [Recover],
       [Health]): sent to every shard; answers are aggregated.
 
@@ -43,27 +44,12 @@
     [Forward] envelope stamped with the router's current map epoch; a
     shard holding a different epoch refuses with [Stale_epoch] and the
     router refetches/repushes maps and re-routes (bounded retries).
-    This is what makes {!split} safe: requests racing an epoch flip
-    cannot be answered by a shard that no longer owns the range.
-
-    {b Rebalancing} ({!split}) moves the upper part of one shard's
-    range to a fresh shard with the same chunked-copy + catch-up +
-    atomic-flip shape as {!Sqp_btree.Live.rebuild_online}: the moving
-    range's canonical element cover is copied chunk by chunk (each
-    aligned element is both a z interval and a box, so [Live_range]
-    reads it exactly), each chunk covering {e every} table the split
-    names; before a chunk is read, all in-flight routed mutations are
-    drained (a generation-counted gate), so no write can race the
-    snapshot.  Mutations touching the in-flight chunk block briefly;
-    mutations in the already-copied region are dual-written to the
-    target {e idempotently} — the shadow write carries the origin
-    client's idempotency key, so client retries and stale re-routes
-    collapse in the target's dedup window.  The flip installs the new
-    map (epoch + 1) and retires the dual-write gate in one critical
-    section (a mutation routed under the new map is never also
-    shadow-written), drains the stragglers, pushes the map to every
-    shard, and deletes the moved rows from the source.  Reads routed
-    under the old epoch are fenced off by the shards themselves. *)
+    The map changes only when an operator pushes one: a
+    [Shard_map_set] frame sent to the router installs it (an older
+    epoch draws [Stale_epoch]) and pushes it to every shard, and a map
+    pushed straight to the shards reaches the router through that
+    resync.  Requests racing a map change cannot be answered under the
+    old map by a shard that already holds the new one. *)
 
 type config = {
   host : string;  (** bind address *)
@@ -98,10 +84,8 @@ val start :
     fan-out pruning and z computation for mutation routing.  Metrics
     (default global registry): [cluster.requests], [cluster.fanout]
     (histogram: shards contacted per pruned read), [cluster.shards_skipped],
-    [cluster.stale_retries], [cluster.epoch] gauge,
-    [cluster.rebalance.chunks], [cluster.rebalance.rows_moved],
-    [cluster.rebalance.dual_writes], [cluster.rebalance.active] gauge,
-    plus the [cluster.sessions*]/[cluster.bad_frames] instruments of the
+    [cluster.stale_retries], [cluster.epoch] gauge, plus the
+    [cluster.sessions*]/[cluster.bad_frames] instruments of the
     underlying {!Sqp_server.Net}.
     @raise Failure if a shard cannot be reached or refuses the map.
     @raise Unix.Unix_error if the router address cannot be bound. *)
@@ -110,28 +94,6 @@ val port : t -> int
 
 val map : t -> Sqp_server.Shard_map.t
 (** The current routing truth (latest epoch). *)
-
-val split :
-  ?tables:string list ->
-  t ->
-  from_:int ->
-  at:int ->
-  host:string ->
-  port:int ->
-  (unit, string) result
-(** [split t ~from_ ~at ~host ~port] moves the z range [\[at, hi\]] of
-    entry [from_] (which keeps [\[lo, at - 1\]]) to the — already
-    running, typically [--live-empty] — shard at [host:port], with the
-    copy/catch-up/flip protocol described above.  [tables] (default
-    [["L"]], the canonical serving catalog's ingest table) names the
-    live tables to move; it must cover {e every} live table the shards
-    serve — a gated mutation to a table outside the list aborts the
-    split (map unflipped) rather than orphan that table's moved-range
-    rows.  Serving continues throughout; only mutations touching the
-    chunk being copied right now block.  [Error] (with the map
-    unflipped) if the move is invalid, the target is unreachable, or a
-    copy/dual-write failed; the target may then hold a partial copy
-    and should be restarted before retrying. *)
 
 val stop : t -> unit
 (** Graceful: drain client sessions (via {!Sqp_server.Net.stop}), then

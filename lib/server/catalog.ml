@@ -63,7 +63,7 @@ let build ~lives ?shard ~space ~points ~tree ~relations () =
 let make ?(lives = []) ?shard ~space ~points ~relations () =
   build ~lives ?shard ~space ~points ~tree:(Live.snapshot (load space points)) ~relations ()
 
-let of_seeded ?shard ?(live_empty = false) (wk : Sqp_workload.Seeded.t) =
+let of_seeded ?shard (wk : Sqp_workload.Seeded.t) =
   let module W = Sqp_workload.Seeded in
   let space = wk.W.space in
   (match shard with
@@ -121,15 +121,9 @@ let of_seeded ?shard ?(live_empty = false) (wk : Sqp_workload.Seeded.t) =
   (* "L": the live ingest table, pre-seeded with the same points as "P"
      (payload = id) so mutation traffic has something to land on: the
      table the points are loaded into, so "L" and the catalog's tree
-     share one root until L's writes path-copy away from it.
-     [live_empty] starts it empty instead — a rebalance target begins
-     with no live entries and receives the moving range as a stream. *)
-  let loaded = load space points in
-  let live =
-    if live_empty then Live.create ~encode:string_of_int ~decode:int_of_string space
-    else loaded
-  in
-  build ~lives:[ ("L", live) ] ?shard ~space ~points ~tree:(Live.snapshot loaded)
+     share one root until L's writes path-copy away from it. *)
+  let live = load space points in
+  build ~lives:[ ("L", live) ] ?shard ~space ~points ~tree:(Live.snapshot live)
     ~relations:[ ("R", R.Plan.Scan_stored r); ("S", R.Plan.Scan_stored s) ]
     ()
 

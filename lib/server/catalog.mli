@@ -31,11 +31,7 @@ val make :
     this catalog is one cluster shard's slice (see {!shard_range}).
     @raise Invalid_argument on a point outside [space]. *)
 
-val of_seeded :
-  ?shard:int * int ->
-  ?live_empty:bool ->
-  Sqp_workload.Seeded.t ->
-  t
+val of_seeded : ?shard:int * int -> Sqp_workload.Seeded.t -> t
 (** The canonical serving catalog, built from the shared seeded
     workload: ["P"] — the point relation; ["R"] / ["S"] — the two
     spatial-join sides, decomposed and materialized onto paged stored
@@ -53,9 +49,7 @@ val of_seeded :
     value lies in the interval; join-side element rows are kept iff
     their z {e interval} overlaps it, so an element spanning a shard
     cut is replicated to every shard it overlaps (the boundary-element
-    replication that keeps scatter-gather joins exact).  [live_empty]
-    starts ["L"] with no entries instead of the seeded points — how a
-    rebalance target begins life; {!point_tree} still holds them.
+    replication that keeps scatter-gather joins exact).
     @raise Invalid_argument if [shard] is inverted or starts below 0. *)
 
 val space : t -> Sqp_zorder.Space.t

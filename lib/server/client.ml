@@ -167,7 +167,7 @@ let now = Unix.gettimeofday
 let backoff_base = 0.005
 let backoff_cap = 0.2
 
-let call ?deadline_ms ?idem t request =
+let call ?deadline_ms t request =
   if t.closed then invalid_arg "Client.call: client is closed";
   let deadline =
     match deadline_ms with
@@ -176,18 +176,12 @@ let call ?deadline_ms ?idem t request =
   in
   (* Mutations get one idempotency key per logical call, reused verbatim
      across every retry — the server's dedup window turns "sent twice"
-     into "applied once".  A caller-supplied [idem] substitutes for the
-     generated key: a proxy mutating on behalf of another client keys
-     the write with the {e origin's} identity, so the downstream dedup
-     window collapses replays from either party. *)
+     into "applied once". *)
   let idem =
     match request with
-    | P.Insert _ | P.Delete _ | P.Create_index _ -> (
-        match idem with
-        | Some _ as k -> k
-        | None ->
-            t.seq <- t.seq + 1;
-            Some { P.client_id = t.client_id; request_seq = t.seq })
+    | P.Insert _ | P.Delete _ | P.Create_index _ ->
+        t.seq <- t.seq + 1;
+        Some { P.client_id = t.client_id; request_seq = t.seq }
     | _ -> None
   in
   let expired () =
@@ -296,15 +290,15 @@ let analyze ?deadline_ms t plan =
     (function P.Analyzed { rendered; rows } -> Some (rendered, rows) | _ -> None)
     (call ?deadline_ms t (P.Analyze plan))
 
-let insert ?deadline_ms ?idem t ~table points =
+let insert ?deadline_ms t ~table points =
   expecting "ack"
     (function P.Ack { applied; seq } -> Some (applied, seq) | _ -> None)
-    (call ?deadline_ms ?idem t (P.Insert { table; points }))
+    (call ?deadline_ms t (P.Insert { table; points }))
 
-let delete ?deadline_ms ?idem t ~table points =
+let delete ?deadline_ms t ~table points =
   expecting "ack"
     (function P.Ack { applied; seq } -> Some (applied, seq) | _ -> None)
-    (call ?deadline_ms ?idem t (P.Delete { table; points }))
+    (call ?deadline_ms t (P.Delete { table; points }))
 
 let create_index ?deadline_ms t ~table =
   expecting "ack"

@@ -91,7 +91,6 @@ val reconnects : t -> int
 
 val call :
   ?deadline_ms:int ->
-  ?idem:Protocol.idem ->
   t ->
   Protocol.request ->
   Protocol.response reply
@@ -99,12 +98,8 @@ val call :
     above.  [deadline_ms] is the total budget for the logical call; each
     attempt ships the {e remaining} budget so the server never spends
     time the caller no longer has.  Mutation requests are automatically
-    assigned their idempotency key; [idem] substitutes an explicit one —
-    how a proxy (e.g. the cluster router's rebalance dual-writes) keys a
-    write with the {e origin} client's identity so the server's dedup
-    window collapses replays from either party.  [idem] is ignored on
-    non-mutation requests.  The response is never [Protocol.Error] —
-    typed errors come back as [Error (Remote _)]. *)
+    assigned their idempotency key.  The response is never
+    [Protocol.Error] — typed errors come back as [Error (Remote _)]. *)
 
 (** {1 Typed conveniences}
 
@@ -128,18 +123,15 @@ val analyze :
 (** [(rendered EXPLAIN ANALYZE tree, result rows)]. *)
 
 val insert :
-  ?deadline_ms:int -> ?idem:Protocol.idem -> t -> table:string ->
-  (int array * int) list -> (int * int) reply
+  ?deadline_ms:int -> t -> table:string -> (int array * int) list ->
+  (int * int) reply
 (** Append [(point, id)] entries to a live table; [(applied, seq)].
-    Exactly-once under retries.  [idem] overrides the generated
-    idempotency key (see {!call}). *)
+    Exactly-once under retries. *)
 
 val delete :
-  ?deadline_ms:int -> ?idem:Protocol.idem -> t -> table:string ->
-  int array list -> (int * int) reply
+  ?deadline_ms:int -> t -> table:string -> int array list -> (int * int) reply
 (** Remove the first entry at each exact point; [applied] counts the
-    points actually present.  Exactly-once under retries.  [idem]
-    overrides the generated idempotency key (see {!call}). *)
+    points actually present.  Exactly-once under retries. *)
 
 val create_index : ?deadline_ms:int -> t -> table:string -> (int * int) reply
 (** Online index rebuild; [(entry count of the finished index, seq)]. *)

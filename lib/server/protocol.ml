@@ -500,8 +500,11 @@ let write_frame_io ?timeout io payload =
   (* One deadline covers prefix + payload: a frame is written whole or
      the connection is torn down by the caller. *)
   let deadline = deadline_in timeout in
-  (* One writev-style call would be nicer; two writes keep it simple and
-     the kernel coalesces them (TCP_NODELAY is not set). *)
+  (* Two writes, and the kernel does not coalesce them: TCP_NODELAY is
+     unset on accepted sockets, so Nagle holds the payload behind the
+     unacknowledged 4-byte prefix until the peer's delayed ACK arrives.
+     That is the ~40-ms stall of every served response (ROADMAP item
+     2, which writes the frame once and sets TCP_NODELAY). *)
   really_write_io io ?deadline (Bytes.unsafe_to_string prefix);
   really_write_io io ?deadline payload
 

@@ -82,25 +82,27 @@ type request =
           [Shard_map], or [Error Unknown_relation] when the peer has no
           map.  Bypasses admission control like [Health]. *)
   | Shard_map_set of { map : Shard_map.t; self : int }
-      (** Install a shard map (router → shard, at cluster bring-up and
-          on every epoch flip).  [self] is the index of the recipient's
-          own entry in [map.entries], or [-1] if it owns no range; the
-          shard derives its owned z interval from it and thereafter
-          filters range reads to that interval (so a just-moved range
-          cannot be double-answered by its old owner).  A map whose
-          epoch is below the installed one draws [Error Stale_epoch].
-          Answered by [Ack { applied = entries; seq = epoch }]. *)
+      (** Install a shard map: router → shard at cluster bring-up and
+          after a resync, and operator → router or shard on a map
+          change (the router pushes what it accepts on to every shard).
+          [self] is the index of the recipient's own entry in
+          [map.entries], or [-1] if it owns no range; the shard derives
+          its owned z interval from it and thereafter filters range
+          reads to that interval.  A map whose epoch is below the
+          installed one draws [Error Stale_epoch].  Answered by
+          [Ack { applied = entries; seq = epoch }]. *)
   | Forward of { epoch : int; payload : string }
       (** The forwarded-request envelope (router → shard): [payload] is
           a complete inner request payload (version byte, tag byte,
           body — one level deep only), [epoch] the shard-map epoch the
           sender routed under.  A shard holding a different epoch
           answers [Error Stale_epoch] without looking at the inner
-          request — the fencing that makes rebalance flips safe.  The
-          inner request passes through the full normal pipeline
-          (admission, dedup window, degraded checks), so a forwarded
-          mutation carrying the {e origin client's} idempotency key is
-          exactly-once end to end across router and shard retries. *)
+          request — the fencing that keeps a sender routing under an
+          old map from being answered under it.  The inner request
+          passes through the full normal pipeline (admission, dedup
+          window, degraded checks), so a forwarded mutation carrying the
+          {e origin client's} idempotency key is exactly-once end to end
+          across router and shard retries. *)
 
 type idem = { client_id : int; request_seq : int }
 (** An idempotency key: [client_id] names a client instance (random,

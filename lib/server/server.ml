@@ -105,10 +105,9 @@ let cluster_state t =
 (* The z interval range reads must stay inside, as an always-filterable
    pair: [(1, 0)] (empty) when this shard owns no range, [None] when the
    server is not cluster-aware at all (single-node: serve everything).
-   The filter is what keeps a just-moved range from being answered by
-   both its old and new owner after an epoch flip — the old owner's
-   catalog still holds the moved rows, but they are outside its owned
-   interval. *)
+   The filter keeps every row answered by one shard only: a shard may
+   hold rows outside its owned interval (a pushed map that moved a cut
+   leaves them with the old owner), and those stay hidden. *)
 let owned_interval t =
   match cluster_state t with
   | None -> None

@@ -4,11 +4,12 @@
     A cluster partitions the full-resolution z keyspace of one
     {!Sqp_zorder.Space} (z values as ints, {!Sqp_zorder.Interleave.rank})
     into contiguous, disjoint, ascending [entries], each owned by one
-    [sqp serve] endpoint.  The [epoch] counts map changes: every
-    rebalance installs a successor map with [epoch + 1], and shards
-    reject forwarded requests stamped with any other epoch ({!Protocol}
-    error [Stale_epoch]) — the fencing that keeps a stale router or
-    cached client from writing to the old owner of a moved range.
+    [sqp serve] endpoint.  The [epoch] counts map changes: an operator
+    installs a successor map with a higher epoch ([Shard_map_set]), and
+    shards reject forwarded requests stamped with any other epoch
+    ({!Protocol} error [Stale_epoch]) — the fencing that keeps a stale
+    router or cached client from being answered under a map the shards
+    no longer hold.
 
     Maps travel on the wire (request tags 12/13, response tag 7) via the
     {!Sqp_relalg.Wire} cursor codecs, so they are length-safe against
@@ -34,7 +35,7 @@ val make : epoch:int -> entry list -> t
     @raise Invalid_argument otherwise. *)
 
 val even_ranges : Sqp_zorder.Space.t -> int -> (int * int) list
-(** The canonical even split of the space's z interval
+(** The canonical even partition of the space's z interval
     [0, 2^total_bits - 1] into [n] contiguous ranges — what
     [sqp serve --shard I/N] and [sqp route] both compute, so shard
     catalogs and the router's map agree by construction.

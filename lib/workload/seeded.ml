@@ -10,8 +10,10 @@ type t = {
   decompose_options : Z.Decompose.options;
 }
 
+let standard_space = Z.Space.make ~dims:2 ~depth:10
+
 let standard ?(n_points = 5000) ?(n_objects = 48) ?(n_query_boxes = 400) () =
-  let space = Z.Space.make ~dims:2 ~depth:10 in
+  let space = standard_space in
   let side = Z.Space.side space in
   let points =
     let rng = Rng.create ~seed:77 in

@@ -21,6 +21,9 @@ type t = {
       (** how join objects are decomposed (max_level 12) *)
 }
 
+val standard_space : Sqp_zorder.Space.t
+(** The space of every {!standard} workload: 2-d, depth 10. *)
+
 val standard : ?n_points:int -> ?n_objects:int -> ?n_query_boxes:int -> unit -> t
 (** The bench workload: 5000 points, 48 objects per join side, 400 query
     boxes — each scalable down (or up) without changing what the common

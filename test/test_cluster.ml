@@ -9,10 +9,11 @@
    the scatter-gather cannot answer exactly draw Bad_request; the
    router survives deterministic shard-connection kills; a seeded
    mixed workload through a faulty client wire stays exactly-once end
-   to end (client → router → owning shard); a live rebalance under
-   concurrent mutations loses and duplicates nothing, flips the epoch,
-   and forces a map-caching client through the stale-epoch refetch
-   protocol; and a real [sqp serve] child process reports its port
+   to end (client → router → owning shard); an operator's map push
+   fences off every sender still routing under the old epoch — a raw
+   forward, a map-caching client and the router itself — and each
+   recovers to exact answers; and a real [sqp serve] child process
+   reports its port
    machine-parseably and exits 0 on SIGTERM, as [sqp serve] and [sqp
    route --spawn 1] still do once their stdout reader has gone.
 
@@ -459,360 +460,94 @@ let workload_seed seed =
 
 let test_workload_differential () = List.iter workload_seed seeds
 
-(* {1 Rebalancing under fire}
+(* {1 Epoch fencing}
 
-   One shard owns the whole small space; a second starts empty.  While
-   a mutator thread keeps inserting and deleting through the router, a
-   [split] moves the upper half of the z range to the empty shard.
-   Nothing may be lost or duplicated: the final cluster-wide scan must
-   equal the oracle exactly, the epoch must have flipped, the new shard
-   must hold only rows it owns — and a map-caching {!Cluster_client}
-   connected before the move must be forced through the stale-epoch
-   refetch protocol by the shards themselves. *)
+   The map changes only when an operator pushes one.  On two shards:
+   epoch 2, with the same entries, pushed through the router's
+   [Shard_map_set] frame, reaches both shards, so a [Forward] stamped
+   with epoch 1 draws [Stale_epoch], and a {!Cluster_client} that cached
+   epoch 1 refetches once and answers exactly.  Epoch 3, pushed straight
+   to the shards, fences off the router itself: its next range read
+   resyncs, answers exactly, and leaves the router at epoch 3. *)
 
-let rebalance_seed seed =
-  (* two live tables per shard: the split must move BOTH — a rebalance
-     that only copied "L" would orphan "M"'s moved-range rows on the
-     source (hidden by ownership filtering = silent data loss) *)
-  let mk_live () =
-    Live.create ~encode:string_of_int ~decode:int_of_string small_space
-  in
-  let lv_src = mk_live ()
-  and lv_dst = mk_live ()
-  and lv_src_m = mk_live ()
-  and lv_dst_m = mk_live () in
-  let mk lv lvm =
-    Server.start ~metrics:(M.create ())
-      (Catalog.make
-         ~lives:[ ("L", lv); ("M", lvm) ]
-         ~space:small_space ~points:[] ~relations:[] ())
-  in
-  let src = mk lv_src lv_src_m and dst = mk lv_dst lv_dst_m in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop src;
-      Server.stop dst)
-    (fun () ->
-      let router =
-        Router.start ~metrics:(M.create ()) ~space:small_space
-          ~map:(SM.even small_space [ ("127.0.0.1", Server.port src) ])
-          ()
-      in
+(* The points of [wk] inside [box], as range rows in z order. *)
+let linear_rows box =
+  let scan = Sqp_kdtree.Linear_scan.build (Sqp_workload.Seeded.tagged_points wk) in
+  List.map
+    (fun (p, _) -> Array.to_list p)
+    (List.stable_sort
+       (fun (a, _) (b, _) ->
+         compare (Sqp_zorder.Interleave.rank space a) (Sqp_zorder.Interleave.rank space b))
+       (fst (Sqp_kdtree.Linear_scan.range_search scan box)))
+
+let int_rows rel =
+  List.map
+    (fun tu -> Array.to_list (Array.map Value.to_int tu))
+    (Relation.tuples rel)
+
+let test_fencing () =
+  let expected = linear_rows (Box.make ~lo:full_lo ~hi:full_hi) in
+  with_seeded_cluster 2 (fun router metrics ->
+      let m1 = Router.map router in
+      checki "bring-up epoch" 1 m1.SM.epoch;
+      let cc = CC.connect ~router_port:(Router.port router) () in
       Fun.protect
-        ~finally:(fun () -> Router.stop router)
+        ~finally:(fun () -> CC.close cc)
         (fun () ->
-          let zmax = (1 lsl 12) - 1 and at = 1 lsl 11 in
-          let oracle = WG.Oracle.create small_space in
-          let oracle_m = WG.Oracle.create small_space in
-          Client.with_connect
-            ~port:(Router.port router)
-            ~client_id:(seed * 41)
-            (fun cl ->
-              (* seed 200 distinct points while the map is still 1 entry *)
-              let pt i = [| i mod small_side; i / small_side * 7 |] in
-              for b = 0 to 9 do
-                let batch =
-                  List.init 20 (fun j ->
-                      let i = (b * 20) + j in
-                      (pt i, (seed * 10_000) + i))
-                in
-                let applied, _ =
-                  reply_ok "seed insert" (Client.insert cl ~table:"L" batch)
-                in
-                checki "seed batch applied" 20 applied;
-                List.iter (fun (p, v) -> WG.Oracle.insert oracle p v) batch
-              done;
-              (* seed the second table across the whole space too *)
-              let pt_m i = [| (i * 3) mod small_side; i / 2 mod small_side |] in
-              for b = 0 to 4 do
-                let batch =
-                  List.init 20 (fun j ->
-                      let i = (b * 20) + j in
-                      (pt_m i, (seed * 30_000) + i))
-                in
-                let applied, _ =
-                  reply_ok "seed insert M" (Client.insert cl ~table:"M" batch)
-                in
-                checki "seed M batch applied" 20 applied;
-                List.iter (fun (p, v) -> WG.Oracle.insert oracle_m p v) batch
-              done;
-              (* a map-caching client bootstraps at epoch 1 *)
-              let cc = CC.connect ~router_port:(Router.port router) () in
-              Fun.protect
-                ~finally:(fun () -> CC.close cc)
-                (fun () ->
-                  checki "cached epoch before the move" 1 (CC.epoch cc);
-                  ignore
-                    (reply_ok "direct range at epoch 1"
-                       (CC.range_search cc ~space:small_space ~lo:small_full_lo
-                          ~hi:small_full_hi));
-                  checki "no refetch yet" 0 (CC.refetches cc);
-                  (* mutate through the router while the split runs *)
-                  let mutator_error = Atomic.make None in
-                  let mutator =
-                    Thread.create
-                      (fun () ->
-                        try
-                          Client.with_connect
-                            ~port:(Router.port router)
-                            ~client_id:(seed * 43)
-                            (fun mcl ->
-                              let present = ref (List.init 200 pt) in
-                              for j = 0 to 119 do
-                                if j mod 3 = 2 then (
-                                  match !present with
-                                  | [] -> ()
-                                  | p :: rest ->
-                                      let applied, _ =
-                                        reply_ok "mutator delete"
-                                          (Client.delete mcl ~table:"L" [ p ])
-                                      in
-                                      if applied <> 1 then
-                                        failwith
-                                          (Printf.sprintf
-                                             "mutator delete applied %d" applied);
-                                      ignore (WG.Oracle.delete oracle p);
-                                      present := rest)
-                                else
-                                  let p =
-                                    [|
-                                      j mod small_side;
-                                      35 + (j / small_side * 7);
-                                    |]
-                                  in
-                                  let v = (seed * 20_000) + j in
-                                  let applied, _ =
-                                    reply_ok "mutator insert"
-                                      (Client.insert mcl ~table:"L" [ (p, v) ])
-                                  in
-                                  if applied <> 1 then
-                                    failwith
-                                      (Printf.sprintf "mutator insert applied %d"
-                                         applied);
-                                  WG.Oracle.insert oracle p v;
-                                  (* keep the second table hot too: its
-                                     dual-writes and chunk copies must
-                                     interleave with "L"'s *)
-                                  let pm =
-                                    [|
-                                      (j * 5) mod small_side;
-                                      50 + (j mod 14);
-                                    |]
-                                  in
-                                  let vm = (seed * 40_000) + j in
-                                  let applied_m, _ =
-                                    reply_ok "mutator insert M"
-                                      (Client.insert mcl ~table:"M"
-                                         [ (pm, vm) ])
-                                  in
-                                  if applied_m <> 1 then
-                                    failwith
-                                      (Printf.sprintf
-                                         "mutator M insert applied %d" applied_m);
-                                  WG.Oracle.insert oracle_m pm vm
-                              done)
-                        with e -> Atomic.set mutator_error (Some e))
-                      ()
-                  in
-                  (* move the upper half of the range — BOTH live
-                     tables — to the empty shard *)
-                  (match
-                     Router.split router
-                       ~tables:[ "L"; "M" ]
-                       ~from_:0 ~at ~host:"127.0.0.1" ~port:(Server.port dst)
-                   with
-                  | Ok () -> ()
-                  | Error m -> Alcotest.failf "split: %s" m);
-                  Thread.join mutator;
-                  (match Atomic.get mutator_error with
-                  | Some e -> Alcotest.failf "mutator: %s" (Printexc.to_string e)
-                  | None -> ());
-                  let m = Router.map router in
-                  checki "epoch flipped" 2 m.SM.epoch;
-                  checki "two entries" 2 (List.length m.SM.entries);
-                  checki "cut at the split point" at
-                    (List.nth m.SM.entries 1).SM.zlo;
-                  ignore zmax;
-                  (* nothing lost, nothing duplicated *)
-                  let got =
-                    reply_ok "post-split scan"
-                      (Client.live_range cl ~table:"L" ~lo:small_full_lo
-                         ~hi:small_full_hi)
-                  in
-                  let expected = rows_of_entries (WG.Oracle.scan oracle) in
-                  checkb
-                    (Printf.sprintf "seed %d: post-split state = oracle" seed)
-                    true
-                    (List.equal tuple_eq expected (Relation.tuples got));
-                  (* the new shard holds only rows it owns *)
-                  checkb "dst rows are all in the moved range" true
-                    (List.for_all
-                       (fun (p, _) ->
-                         SM.z_of_point small_space p >= at)
-                       (Live.snapshot_entries (Live.snapshot lv_dst)));
-                  checkb "dst actually received rows" true
-                    (Live.snapshot_length (Live.snapshot lv_dst) > 0);
-                  (* the second table moved too, with the same guarantees *)
-                  let got_m =
-                    reply_ok "post-split scan M"
-                      (Client.live_range cl ~table:"M" ~lo:small_full_lo
-                         ~hi:small_full_hi)
-                  in
-                  let expected_m = rows_of_entries (WG.Oracle.scan oracle_m) in
-                  checkb
-                    (Printf.sprintf "seed %d: post-split M state = oracle" seed)
-                    true
-                    (List.equal tuple_eq expected_m (Relation.tuples got_m));
-                  checkb "dst M rows are all in the moved range" true
-                    (List.for_all
-                       (fun (p, _) -> SM.z_of_point small_space p >= at)
-                       (Live.snapshot_entries (Live.snapshot lv_dst_m)));
-                  checkb "dst actually received M rows" true
-                    (Live.snapshot_length (Live.snapshot lv_dst_m) > 0);
-                  (* the cached client is fenced off and recovers *)
-                  ignore
-                    (reply_ok "direct range after the move"
-                       (CC.range_search cc ~space:small_space ~lo:small_full_lo
-                          ~hi:small_full_hi));
-                  checkb "stale-epoch refetch ran" true (CC.refetches cc >= 1);
-                  checki "cached epoch caught up" 2 (CC.epoch cc)))))
-
-let test_rebalance () = List.iter rebalance_seed seeds
-
-(* A split that omits a live table must abort — map unflipped, nothing
-   lost — as soon as a mutation touches that table anywhere in the
-   moving range (above the watermark included: a row landing in the
-   not-yet-copied suffix would never be copied, then hidden at the
-   flip).  The interleaving is driven, not raced: the target's
-   [on_execute] hook holds the split's first chunk write until one "M"
-   insert through the router has returned.  That insert lands in the
-   moving range's second chunk, outside the chunk being copied, so the
-   router's gate lets it through instead of waiting on the held copy. *)
-let test_split_abort () =
-  (* 2-d depth 7: z values of 14 bits.  Splitting at z = 8192 moves
-     [8192, 16383], two 4096-cell chunks: [8192, 12287] holds the
-     points with x >= 64 and y < 64, [12288, 16383] those with both
-     coordinates >= 64. *)
-  let space = Space.make ~dims:2 ~depth:7 in
-  let at = 8192 and second_chunk = 12288 in
-  let full_hi = [| Space.side space - 1; Space.side space - 1 |] in
-  let z_of p = SM.z_of_point space p in
-  let mk_live () =
-    Live.create ~encode:string_of_int ~decode:int_of_string space
-  in
-  (* the hook's state: `Idle until the first executed request on the
-     target (the split's first chunk write), `Held while that request
-     waits, `Released once the M insert has returned *)
-  let hook = Mutex.create () and hook_cv = Condition.create () in
-  let state = ref `Idle and split_done = ref false in
-  let on_execute () =
-    Mutex.lock hook;
-    if !state = `Idle then begin
-      state := `Held;
-      Condition.broadcast hook_cv;
-      while !state = `Held do
-        Condition.wait hook_cv hook
-      done
-    end;
-    Mutex.unlock hook
-  in
-  let mk ?config lv lvm =
-    Server.start ?config ~metrics:(M.create ())
-      (Catalog.make ~lives:[ ("L", lv); ("M", lvm) ] ~space ~points:[]
-         ~relations:[] ())
-  in
-  let src = mk (mk_live ()) (mk_live ())
-  and dst =
-    mk
-      ~config:{ Server.default_config with on_execute }
-      (mk_live ()) (mk_live ())
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop src;
-      Server.stop dst)
-    (fun () ->
-      let router =
-        Router.start ~metrics:(M.create ()) ~space
-          ~map:(SM.even space [ ("127.0.0.1", Server.port src) ])
-          ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Router.stop router)
-        (fun () ->
-          Client.with_connect ~port:(Router.port router) ~client_id:91
-            (fun cl ->
-              (* seed L in the first chunk, so copying it writes to the
-                 target (copy_chunk skips empty chunks) *)
-              let seed =
-                List.init 50 (fun i -> ([| 64 + i; i * 7 mod 64 |], i))
+          checki "client caches epoch 1" 1 (CC.epoch cc);
+          Client.with_connect ~port:(Router.port router) (fun cl ->
+              let m2 = SM.make ~epoch:2 m1.SM.entries in
+              let _, epoch =
+                reply_ok "epoch 2 through the router"
+                  (Client.shard_map_set cl ~map:m2 ~self:(-1))
+              in
+              checki "router acks epoch 2" 2 epoch;
+              checki "router holds epoch 2" 2 (Router.map router).SM.epoch;
+              let payload =
+                P.encode_request
+                  {
+                    P.deadline_ms = None;
+                    idem = None;
+                    request = P.Range_search { lo = full_lo; hi = full_hi };
+                  }
               in
               List.iter
-                (fun (p, _) ->
-                  let z = z_of p in
-                  checkb "L seed in the first chunk" true
-                    (z >= at && z < second_chunk))
-                seed;
-              ignore (reply_ok "seed L" (Client.insert cl ~table:"L" seed));
-              let result = ref None in
-              let splitter =
-                Thread.create
-                  (fun () ->
-                    let r =
-                      Router.split router ~tables:[ "L" ] ~from_:0 ~at
-                        ~host:"127.0.0.1" ~port:(Server.port dst)
-                    in
-                    Mutex.lock hook;
-                    result := Some r;
-                    split_done := true;
-                    Condition.broadcast hook_cv;
-                    Mutex.unlock hook)
-                  ()
-              in
-              (* wait until the first chunk write is held on the target *)
-              Mutex.lock hook;
-              while !state = `Idle && not !split_done do
-                Condition.wait hook_cv hook
-              done;
-              let held = !state = `Held in
-              Mutex.unlock hook;
-              checkb "first chunk write reached the target" true held;
-              let m_point = [| 100; 100 |] in
-              checkb "M write in the moving range, outside the held chunk"
-                true
-                (z_of m_point >= second_chunk);
-              let applied, _ =
-                reply_ok "M insert during the split"
-                  (Client.insert cl ~table:"M" [ (m_point, 7) ])
-              in
-              checki "M insert applied" 1 applied;
-              Mutex.lock hook;
-              state := `Released;
-              Condition.broadcast hook_cv;
-              Mutex.unlock hook;
-              Thread.join splitter;
-              (match Option.get !result with
-              | Error m ->
-                  checkb "abort names the orphaned table" true
-                    (contains m "\"M\"")
-              | Ok () -> Alcotest.fail "L-only split succeeded under an M write");
-              checki "map unflipped after abort" 1
-                (Router.map router).SM.epoch;
-              checki "single entry still" 1
-                (List.length (Router.map router).SM.entries);
-              (* nothing lost: the acked M write is still served *)
+                (fun (e : SM.entry) ->
+                  Client.with_connect ~port:e.SM.port (fun sc ->
+                      expect_error "a forward stamped with epoch 1" P.Stale_epoch
+                        (Client.forward sc ~epoch:1 ~payload)))
+                m1.SM.entries;
               let got =
-                reply_ok "M scan after abort"
-                  (Client.live_range cl ~table:"M" ~lo:[| 0; 0 |] ~hi:full_hi)
+                reply_ok "cached client after the push"
+                  (CC.range_search cc ~space ~lo:full_lo ~hi:full_hi)
               in
-              checki "M rows all intact after abort" 1
-                (List.length (Relation.tuples got));
-              (* and the cluster still serves mutations normally *)
-              let applied, _ =
-                reply_ok "post-abort insert"
-                  (Client.insert cl ~table:"L" [ ([| 1; 1 |], 424242) ])
+              checki "one refetch" 1 (CC.refetches cc);
+              checki "client caught up to epoch 2" 2 (CC.epoch cc);
+              checkb "cached client rows = linear scan, z-ordered" true
+                (int_rows got = expected);
+              let m3 = SM.make ~epoch:3 m1.SM.entries in
+              List.iteri
+                (fun i (e : SM.entry) ->
+                  Client.with_connect ~port:e.SM.port (fun sc ->
+                      let _, epoch =
+                        reply_ok "epoch 3 straight to a shard"
+                          (Client.shard_map_set sc ~map:m3 ~self:i)
+                      in
+                      checki "shard acks epoch 3" 3 epoch))
+                m3.SM.entries;
+              let got =
+                reply_ok "router range after the shards moved on"
+                  (Client.range_search cl ~lo:full_lo ~hi:full_hi)
               in
-              checki "post-abort insert applied" 1 applied)))
+              checkb "router rows = linear scan, z-ordered" true
+                (int_rows got = expected);
+              let stale_retries =
+                match List.assoc_opt "cluster.stale_retries" (M.snapshot metrics) with
+                | Some (M.Counter_v n) -> n
+                | _ -> 0
+              in
+              checkb "the router resynced" true (stale_retries >= 1);
+              checki "router caught up to epoch 3" 3 (Router.map router).SM.epoch)))
 
 (* {1 The spawned-process contract}
 
@@ -821,7 +556,13 @@ let test_split_abort () =
    and exit 0 on SIGTERM after a graceful drain, also once its stdout
    reader has gone. *)
 
-let exe = Filename.concat (Filename.concat ".." "bin") "main.exe"
+(* [bin/main.exe] of the build tree this test executable sits in, so
+   the cases run whatever the working directory ([dune runtest] runs
+   from [test/], CI's [dune exec] from the repository root). *)
+let exe =
+  Filename.concat
+    (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
+    "main.exe"
 
 (* Wait up to 10 s for [pid] to exit; a process still running then is
    killed and fails the test. *)
@@ -1068,12 +809,10 @@ let () =
           Alcotest.test_case "exactly-once workload over a faulty wire" `Quick
             test_workload_differential;
         ] );
-      ( "rebalance",
+      ( "fencing",
         [
-          Alcotest.test_case "split under concurrent mutations" `Quick
-            test_rebalance;
-          Alcotest.test_case "split omitting a live table aborts" `Quick
-            test_split_abort;
+          Alcotest.test_case "a pushed epoch fences a forward, a client and the router"
+            `Quick test_fencing;
         ] );
       ( "process",
         [
